@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test verify vet race verify-race lint-docs bench bench-engine bench-json bench-diff figures trace-smoke timeline-smoke overload-smoke economics-smoke
+.PHONY: build test verify vet race verify-race lint-docs bench-harness bench bench-engine bench-json bench-diff figures trace-smoke timeline-smoke overload-smoke economics-smoke
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,13 @@ verify-race: vet race
 ## Documentation lint: every package must carry a package doc comment.
 lint-docs:
 	$(GO) run ./tools/lintdocs
+
+## The benchmark harness is its own module (benchmark/go.mod), so root
+## `go test ./...` skips it; this vets and tests it against the current
+## public API.
+bench-harness:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 ## Engine/stats microbenchmarks (allocation counts included).
 bench-engine:

@@ -522,6 +522,9 @@ func (r OverloadRun) source() (system.SourceConfig, error) {
 	if r.MeanGapNs <= 0 {
 		return system.SourceConfig{}, fmt.Errorf("astriflash: overload run needs a positive mean gap")
 	}
+	if r.DropExpired && r.DeadlineNs <= 0 {
+		return system.SourceConfig{}, fmt.Errorf("astriflash: DropExpired needs a positive DeadlineNs")
+	}
 	var arrivals func(rng *sim.RNG) loadgen.Arrivals
 	switch r.Shape {
 	case "", "poisson":

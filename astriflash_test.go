@@ -56,6 +56,21 @@ func TestRunRejectsBadOptions(t *testing.T) {
 	}
 }
 
+// TestRunOverloadRejectsDropExpiredWithoutDeadline: a CLI-reachable
+// misconfiguration surfaces as an error, not a panic mid-run.
+func TestRunOverloadRejectsDropExpiredWithoutDeadline(t *testing.T) {
+	o := DefaultOptions(AstriFlash, "tatp")
+	o.Cores = 2
+	o.DatasetBytes = 8 << 20
+	m, err := NewMachine(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RunOverload(OverloadRun{MeanGapNs: 1000, DropExpired: true}); err == nil {
+		t.Fatal("DropExpired without a deadline accepted")
+	}
+}
+
 func TestDeterministicPublicRuns(t *testing.T) {
 	o := DefaultOptions(AstriFlash, "silo")
 	o.Cores = 2

@@ -10,10 +10,12 @@
 // faults, overload, economics. Each prints the same rows/series the paper
 // reports; EXPERIMENTS.md records paper-vs-measured values.
 //
-// Special modes replace -exp: -trace writes a fig-10-style span trace,
-// -timeline writes a fig-10-style per-window timeline CSV with SLO
-// burn-rate verdicts (plus -openmetrics for Prometheus-family tooling),
-// and -benchjson runs the self-profiling suite behind `make bench-json`,
+// Special modes replace -exp. -trace, -timeline and -openmetrics share one
+// fig-10-style observed run (a traced DRAM-only baseline, then traced and
+// sampled AstriFlash load points) and may be combined: -trace writes its
+// span trace, -timeline its per-window timeline CSV with SLO burn-rate
+// verdicts, -openmetrics the same windows for Prometheus-family tooling.
+// -benchjson runs the self-profiling suite behind `make bench-json`,
 // emitting the BENCH_<date>.json performance-trajectory report.
 package main
 
@@ -39,13 +41,12 @@ func main() {
 		workers   = flag.Int("workers", 0, "sweep worker goroutines (0 = auto: ASTRIFLASH_WORKERS, then NumCPU); results are identical for any value")
 		plot      = flag.Bool("plot", false, "render fig3/fig10 as ASCII charts too")
 		timeout   = flag.Duration("timeout", 0, "abort any single sweep point after this much wall-clock time, with now/pending/fired engine diagnostics (0 = no limit)")
-		hybrid    = flag.Bool("hybrid", false, "advance uncontended sweep points analytically from a calibration window (M/M/k validity gate, full-sim fallback); currently applies to fig2")
-		traceOut  = flag.String("trace", "", "instead of -exp, run a fig-10-style traced run (DRAM-only saturated baseline + AstriFlash under Poisson load) and write its span trace to this file; analyze with 'astritrace analyze -in FILE'")
-		tlOut     = flag.String("timeline", "", "instead of -exp, run a fig-10-style sampled run and write its timeline CSV to this file; view with 'astritrace timeline -in FILE'")
-		omOut     = flag.String("openmetrics", "", "with -timeline, also export the capture in OpenMetrics text format to this file")
-		sloFlag   = flag.String("slo", "", "with -timeline, extra comma-separated objectives (e.g. 'p99<150us') on top of the derived p99<1.5x-DRAM-only SLO")
+		traceOut  = flag.String("trace", "", "instead of -exp, run the fig-10-style observed run (DRAM-only saturated baseline + AstriFlash under Poisson load) and write its span trace to this file; analyze with 'astritrace analyze -in FILE'")
+		tlOut     = flag.String("timeline", "", "instead of -exp, run the fig-10-style observed run and write its timeline CSV to this file; view with 'astritrace timeline -in FILE'")
+		omOut     = flag.String("openmetrics", "", "instead of -exp, run the fig-10-style observed run and export its timeline in OpenMetrics text format to this file")
+		sloFlag   = flag.String("slo", "", "with -trace/-timeline/-openmetrics, extra comma-separated objectives (e.g. 'p99<150us') on top of the derived p99<1.5x-DRAM-only SLO")
 		benchOut  = flag.String("benchjson", "", "instead of -exp, run the self-profiling suite and write the BENCH json report to this file ('-' for stdout)")
-		sloStrict = flag.Bool("slo-strict", false, "exit non-zero on SLO failure: with -timeline, any FAIL verdict; with -exp overload, the adaptive controller letting p99 escape its threshold")
+		sloStrict = flag.Bool("slo-strict", false, "exit non-zero on SLO failure: with -trace/-timeline/-openmetrics, any FAIL verdict; with -exp overload, the adaptive controller letting p99 escape its threshold")
 	)
 	flag.Parse()
 
@@ -59,15 +60,8 @@ func main() {
 		cfg.Seed = *seed
 	}
 
-	if *traceOut != "" {
-		if err := runTraced(cfg, *traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *tlOut != "" {
-		if err := runTimeline(cfg, *tlOut, *omOut, *sloFlag, *sloStrict); err != nil {
+	if *traceOut != "" || *tlOut != "" || *omOut != "" {
+		if err := runTail(cfg, *traceOut, *tlOut, *omOut, *sloFlag, *sloStrict); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -104,13 +98,6 @@ func main() {
 			return astriflash.RenderFig1(pts), nil
 		}},
 		{"fig2", func() (string, error) {
-			if *hybrid {
-				pts, infos, err := astriflash.Fig2PagingScalingHybrid(cfg, "tatp", nil, astriflash.HybridOptions{})
-				if err != nil {
-					return "", err
-				}
-				return astriflash.RenderFig2(pts) + "\n" + astriflash.RenderHybridInfo(infos), nil
-			}
 			pts, err := astriflash.Fig2PagingScaling(cfg, "tatp", nil)
 			if err != nil {
 				return "", err
@@ -237,41 +224,15 @@ func main() {
 		points, wall, rate, prof.EventsPerSec(), runner.Workers(*workers))
 }
 
-// runTraced captures the -trace run: spans go to path, the per-point
-// metrics summary to stdout. Trace volume scales with -measure; a few
-// simulated ms is plenty for a stage breakdown.
-func runTraced(cfg astriflash.ExpConfig, path string) error {
-	start := time.Now()
-	tc, err := astriflash.TraceTailRun(cfg, "tatp", nil)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tc.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	for _, p := range tc.Points {
-		fmt.Printf("point %-22s  %8.0f jobs/s  p99 svc %6.1f us  miss %.2f%%\n",
-			p.Label, p.Metrics.ThroughputJPS,
-			float64(p.Metrics.P99ServiceNs)/1000, p.Metrics.DRAMCacheMissRatio*100)
-	}
-	fmt.Printf("wrote %d spans to %s in %.1fs; run 'astritrace analyze -in %s' for the stage breakdown\n",
-		len(tc.Spans()), path, time.Since(start).Seconds(), path)
-	return nil
-}
-
-// runTimeline captures the -timeline run: per-window tables and SLO
-// verdicts go to stdout, the CSV (and optional OpenMetrics export) to
-// disk. With strict set, any FAIL verdict becomes a non-zero exit after
-// the capture is written — CI gets a red build and the artifacts.
-func runTimeline(cfg astriflash.ExpConfig, csvPath, omPath, sloSpecs string, strict bool) error {
+// runTail runs the fig-10-style observed run once and writes whichever
+// outputs were asked for: with a timeline or OpenMetrics path, the
+// per-window tables and SLO verdicts go to stdout and the windows to disk;
+// with a trace path, the spans go to disk and a per-point summary to
+// stdout. Trace volume scales with -measure; a few simulated ms is plenty
+// for a stage breakdown. With strict set, any FAIL verdict becomes a
+// non-zero exit after the capture is written — CI gets a red build and the
+// artifacts.
+func runTail(cfg astriflash.ExpConfig, tracePath, csvPath, omPath, sloSpecs string, strict bool) error {
 	start := time.Now()
 	var specs []string
 	for _, s := range strings.Split(sloSpecs, ",") {
@@ -279,24 +240,37 @@ func runTimeline(cfg astriflash.ExpConfig, csvPath, omPath, sloSpecs string, str
 			specs = append(specs, s)
 		}
 	}
-	tc, err := astriflash.TimelineTailRun(cfg, "tatp", astriflash.TimelineOptions{
-		SLOSpecs: specs,
-		Trace:    true, // anatomy of violating windows rides along
-	})
+	tc, err := astriflash.TailRun(cfg, "tatp", astriflash.TailOptions{SLOSpecs: specs})
 	if err != nil {
 		return err
 	}
-	fmt.Print(tc.Render())
-	if err := writeFile(csvPath, tc.WriteCSV); err != nil {
-		return err
+	if csvPath != "" || omPath != "" {
+		fmt.Print(tc.Render())
+	}
+	if csvPath != "" {
+		if err := writeFile(csvPath, tc.WriteCSV); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %d timeline windows to %s in %.1fs; run 'astritrace timeline -in %s' to re-render\n",
+			len(tc.Samples()), csvPath, time.Since(start).Seconds(), csvPath)
 	}
 	if omPath != "" {
 		if err := writeFile(omPath, tc.WriteOpenMetrics); err != nil {
 			return err
 		}
 	}
-	fmt.Printf("wrote %d timeline windows to %s in %.1fs; run 'astritrace timeline -in %s' to re-render\n",
-		len(tc.Samples()), csvPath, time.Since(start).Seconds(), csvPath)
+	if tracePath != "" {
+		if err := writeFile(tracePath, tc.WriteJSON); err != nil {
+			return err
+		}
+		for _, p := range tc.Points {
+			fmt.Printf("point %-22s  %8.0f jobs/s  p99 svc %6.1f us  miss %.2f%%\n",
+				p.Label, p.Metrics.ThroughputJPS,
+				float64(p.Metrics.P99ServiceNs)/1000, p.Metrics.DRAMCacheMissRatio*100)
+		}
+		fmt.Printf("wrote %d spans to %s in %.1fs; run 'astritrace analyze -in %s' for the stage breakdown\n",
+			len(tc.Spans()), tracePath, time.Since(start).Seconds(), tracePath)
+	}
 	if strict {
 		for _, v := range tc.Verdicts() {
 			if !v.Pass {

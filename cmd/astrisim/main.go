@@ -66,6 +66,11 @@ func main() {
 		sloFlag   = flag.String("slo", "", "comma-separated latency objectives evaluated per timeline window, e.g. 'p99<150us,system.service_ns:p99.9<2ms' (implies timeline sampling)")
 	)
 	flag.Parse()
+	if *inflight < 1 {
+		fmt.Fprintf(os.Stderr, "astrisim: -inflight must be at least 1, got %d\n", *inflight)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var slos []timeline.SLO
 	for _, spec := range strings.Split(*sloFlag, ",") {

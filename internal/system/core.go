@@ -62,9 +62,9 @@ type coreState struct {
 	// ring over one slice so steady-state push/pop never reallocates.
 	fifo     []*jobState
 	fifoHead int
-	cur      *jobState // job owning the core right now
-	curTh *uthread.Thread    // its thread (user-thread modes)
-	curTk *ospaging.Task     // its task (OS-Swap)
+	cur      *jobState       // job owning the core right now
+	curTh    *uthread.Thread // its thread (user-thread modes)
+	curTk    *ospaging.Task  // its task (OS-Swap)
 
 	busy       bool
 	busySince  sim.Time
@@ -434,9 +434,6 @@ func (c *coreState) stepDone(job *jobState) {
 // onDRAMMiss routes a DRAM-cache miss through the configured mechanism.
 func (c *coreState) onDRAMMiss(job *jobState) {
 	now := c.s.eng.Now()
-	if c.s.dcMissHook != nil {
-		c.s.dcMissHook(job.steps[job.pc].Access.Page())
-	}
 	if c.s.measuring {
 		c.s.MissSignals.Inc()
 		if c.hasMissed {
@@ -502,10 +499,8 @@ func (c *coreState) userThreadMiss(job *jobState) {
 	th := c.sched.Running()
 	page := job.steps[job.pc].Access.Page()
 
-	blockOn, switched := c.sched.OnMiss(now)
-	if !switched {
+	if _, switched := c.sched.OnMiss(now); !switched {
 		// Pending queue full: block on this thread synchronously.
-		_ = blockOn
 		if c.s.measuring {
 			c.s.ForcedSync.Inc()
 		}

@@ -10,9 +10,6 @@ import (
 	"astriflash/internal/workload"
 )
 
-// onJobDone, when set by a driver, fires after each completion (closed-
-// loop replenishment).
-
 // Result summarizes one run's measurement window.
 type Result struct {
 	Mode     string
@@ -222,24 +219,45 @@ func (s *System) RunClosedLoop(inflightPerCore int, warmupNs, measureNs int64) R
 	s.onJobDone = func(c *coreState) {
 		s.spawnJob(c, s.eng.Now())
 	}
-	// The window bounds are fixed up front so the flattened path can gate
-	// inline-executed stages by logical event time (measuredAt).
-	s.mStart, s.mEnd = warmupNs, warmupNs+measureNs
-	for _, c := range s.cores {
-		for i := 0; i < inflightPerCore; i++ {
-			s.spawnJob(c, 0)
+	return s.runWindow(warmupNs, measureNs, false, func() {
+		for _, c := range s.cores {
+			for i := 0; i < inflightPerCore; i++ {
+				s.spawnJob(c, 0)
+			}
 		}
+	})
+}
+
+// runWindow owns the measurement window every driver shares. It fixes the
+// logical window bounds, lets offer start the load, runs the warmup, arms
+// the tracer and sampler over [warmupNs, warmupNs+measureNs], runs the
+// window, and collects its Result. With drain set, requests still in
+// flight at the window end run to completion with measurement on, so
+// open-loop tail samples are complete.
+func (s *System) runWindow(warmupNs, measureNs int64, drain bool, offer func()) Result {
+	end := warmupNs + measureNs
+	// The bounds are fixed before any load is offered so the flattened
+	// path can gate inline-executed stages by logical event time
+	// (measuredAt). A drained window never closes logically.
+	s.mStart, s.mEnd = warmupNs, end
+	if drain {
+		s.mEnd = math.MaxInt64
 	}
+	offer()
 	s.eng.RunUntil(warmupNs)
 	s.measuring = true
 	if s.trace != nil {
 		s.dc.Trace = s.trace
 	}
 	if s.sampler != nil {
-		s.sampler.Start(s.eng, warmupNs, warmupNs+measureNs)
+		// The sampler stops at end, so a drain runs sampler-free.
+		s.sampler.Start(s.eng, warmupNs, end)
 	}
 	snap := s.snapshot()
-	s.eng.RunUntil(warmupNs + measureNs)
+	s.eng.RunUntil(end)
+	if drain {
+		s.eng.Run()
+	}
 	s.measuring = false
 	s.dc.Trace = nil
 	return s.collect(measureNs, snap)
@@ -332,10 +350,6 @@ func (s *System) RunSource(cfg SourceConfig) Result {
 	}
 	arr := cfg.Arrivals(s.rng.Split())
 	inSystem := 0
-	// Open-loop runs drain in-flight requests past the window end with
-	// measurement still on ("tail samples are complete" below), so the
-	// logical window never closes.
-	s.mStart, s.mEnd = cfg.WarmupNs, math.MaxInt64
 	s.dropExpired = cfg.DropExpired
 	s.expiryMarginNs = cfg.ExpiryMarginNs
 	s.onJobDone = func(*coreState) { inSystem-- }
@@ -371,21 +385,7 @@ func (s *System) RunSource(cfg SourceConfig) Result {
 		}
 		s.eng.After(sim.Time(arr.NextGap()), schedule)
 	}
-	s.eng.After(sim.Time(arr.NextGap()), schedule)
-	s.eng.RunUntil(cfg.WarmupNs)
-	s.measuring = true
-	if s.trace != nil {
-		s.dc.Trace = s.trace
-	}
-	if s.sampler != nil {
-		// The sampler stops at end, so the drain below runs sampler-free.
-		s.sampler.Start(s.eng, cfg.WarmupNs, end)
-	}
-	snap := s.snapshot()
-	s.eng.RunUntil(end)
-	// Drain: let in-flight requests finish so tail samples are complete.
-	s.eng.Run()
-	s.measuring = false
-	s.dc.Trace = nil
-	return s.collect(cfg.MeasureNs, snap)
+	return s.runWindow(cfg.WarmupNs, cfg.MeasureNs, true, func() {
+		s.eng.After(sim.Time(arr.NextGap()), schedule)
+	})
 }

@@ -241,8 +241,6 @@ type System struct {
 	dropExpired    bool
 	expiryMarginNs int64
 
-	// dcMissHook, when set, observes every DRAM-cache miss page (diagnostics).
-	dcMissHook func(p mem.PageNum)
 	// attr accumulates latency attribution during measurement.
 	attr attribution
 

@@ -191,7 +191,7 @@ const BenchSchema = "astriflash-bench/v1"
 
 // benchExperiments is the fixed suite BenchSuite profiles: small enough to
 // finish in about a minute, broad enough to cover the closed-loop, open-
-// loop, sweep-parallel, and timeline-sampled paths.
+// loop, sweep-parallel, and traced+sampled paths.
 func benchExperiments(cfg ExpConfig) []struct {
 	name string
 	run  func() error
@@ -216,8 +216,8 @@ func benchExperiments(cfg ExpConfig) []struct {
 			_, err := Fig2PagingScaling(cfg, "tatp", []int{2, 4, 8})
 			return err
 		}},
-		{"timeline-tail/tatp", func() error {
-			_, err := TimelineTailRun(cfg, "tatp", TimelineOptions{})
+		{"tail-run/tatp", func() error {
+			_, err := TailRun(cfg, "tatp", TailOptions{})
 			return err
 		}},
 		{"overload/tatp", func() error {

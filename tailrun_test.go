@@ -7,10 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"astriflash/internal/obs"
 	"astriflash/internal/obs/timeline"
 )
 
-// quickExpConfig sizes TimelineTailRun tests: small enough to run in a
+// quickExpConfig sizes TailRun tests: small enough to run in a
 // couple of seconds, long enough for a handful of sample windows.
 func quickExpConfig() ExpConfig {
 	cfg := DefaultExpConfig()
@@ -59,55 +60,122 @@ func TestTimelinePurity(t *testing.T) {
 	}
 }
 
-// TestTimelineWorkerDeterminism pins the sweep contract: the timeline CSV
-// is byte-identical at any worker count.
-func TestTimelineWorkerDeterminism(t *testing.T) {
-	capture := func(workers int) []byte {
-		cfg := quickExpConfig()
-		cfg.Workers = workers
-		tc, err := TimelineTailRun(cfg, "tatp", TimelineOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := tc.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	one := capture(1)
-	eight := capture(8)
-	if !bytes.Equal(one, eight) {
-		t.Fatalf("timeline CSV differs between workers=1 (%d bytes) and workers=8 (%d bytes)",
-			len(one), len(eight))
-	}
-	if len(one) == 0 || !bytes.HasPrefix(one, []byte("# astriflash timeline v1")) {
-		t.Fatalf("capture missing magic header:\n%.200s", one)
-	}
+// traceCfg shrinks the traced windows: span volume scales with the
+// measurement window, and the contracts under test are window-invariant.
+func traceCfg() ExpConfig {
+	cfg := detExp()
+	cfg.MeasureNs = 2_000_000
+	return cfg
 }
 
-// TestTimelineTailRunShape sanity-checks the capture: every load point
-// carries windows covering the measurement span, per-window p99s of the
-// SLO metric are populated, and verdicts evaluate the derived SLO.
-func TestTimelineTailRunShape(t *testing.T) {
-	cfg := quickExpConfig()
-	tc, err := TimelineTailRun(cfg, "tatp", TimelineOptions{SLOSpecs: []string{"p99<10ms"}})
+// TestTraceReconciles is the acceptance property: on a fig-10-style traced
+// run, every fully captured request's stage durations sum exactly to its
+// end-to-end service latency, for every point (DRAM-only saturated and
+// AstriFlash under Poisson load).
+func TestTraceReconciles(t *testing.T) {
+	tc, err := TailRun(traceCfg(), "tatp", TailOptions{Loads: []float64{0.7}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tc.Points) != 2 {
-		t.Fatalf("got %d points, want 2", len(tc.Points))
+	rep := obs.Analyze(tc.Spans(), obs.AnalyzeOptions{})
+	if rep.Complete == 0 {
+		t.Fatal("no complete requests captured")
 	}
-	if tc.BaselineP99ServiceNs <= 0 {
-		t.Fatalf("baseline p99 service not recorded: %d", tc.BaselineP99ServiceNs)
+	if rep.Reconciled != rep.Complete || rep.MaxDriftNs != 0 {
+		t.Fatalf("stage sums drift from service latency: %d/%d reconciled, max drift %d ns",
+			rep.Reconciled, rep.Complete, rep.MaxDriftNs)
+	}
+	if len(rep.Points) != 2 {
+		t.Fatalf("points = %v, want 2 sweep points", rep.Points)
+	}
+	// The AstriFlash point must exhibit the miss lifecycle.
+	var sawFlashWait, sawFetch bool
+	for _, sp := range tc.Spans() {
+		if sp.Point != 1 {
+			continue
+		}
+		switch sp.Stage {
+		case obs.StageFlashWait, obs.StageSyncWait:
+			sawFlashWait = true
+		case obs.StageFlashRead:
+			sawFetch = true
+		}
+	}
+	if !sawFlashWait || !sawFetch {
+		t.Fatalf("AstriFlash point missing miss lifecycle: flashWait=%v fetch=%v", sawFlashWait, sawFetch)
+	}
+	out := rep.String()
+	for _, want := range []string{"p50", "p99", "p99.9", "flash-wait"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestTailRunIdenticalAcrossWorkerCounts pins the sweep contract: the
+// trace JSON and the timeline CSV of one TailRun are byte-identical at any
+// worker count.
+func TestTailRunIdenticalAcrossWorkerCounts(t *testing.T) {
+	capture := func(workers int) (trace, csv []byte) {
+		cfg := traceCfg()
+		cfg.Workers = workers
+		tc, err := TailRun(cfg, "tatp", TailOptions{Loads: []float64{0.5, 0.8}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tb, cb bytes.Buffer
+		if err := tc.WriteJSON(&tb); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.WriteCSV(&cb); err != nil {
+			t.Fatal(err)
+		}
+		return tb.Bytes(), cb.Bytes()
+	}
+	trace1, csv1 := capture(1)
+	trace8, csv8 := capture(8)
+	if !bytes.Equal(trace1, trace8) {
+		t.Fatalf("trace bytes diverge across worker counts (%d vs %d bytes)", len(trace1), len(trace8))
+	}
+	if !bytes.Equal(csv1, csv8) {
+		t.Fatalf("timeline CSV differs between workers=1 (%d bytes) and workers=8 (%d bytes)",
+			len(csv1), len(csv8))
+	}
+	if !bytes.HasPrefix(csv1, []byte("# astriflash timeline v1")) {
+		t.Fatalf("capture missing magic header:\n%.200s", csv1)
+	}
+}
+
+// TestTailRunShape sanity-checks the capture: the baseline is traced but
+// unsampled; every load point is traced and carries windows covering the
+// measurement span with populated latency histograms; verdicts evaluate
+// the derived and the parsed SLO.
+func TestTailRunShape(t *testing.T) {
+	cfg := quickExpConfig()
+	tc, err := TailRun(cfg, "tatp", TailOptions{SLOSpecs: []string{"p99<10ms"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tc.Points) != 3 {
+		t.Fatalf("got %d points, want baseline + 2 loads", len(tc.Points))
+	}
+	base := tc.Points[0]
+	if base.Metrics.P99ServiceNs <= 0 || base.Load != 0 {
+		t.Fatalf("baseline point malformed: load %v, p99 service %d", base.Load, base.Metrics.P99ServiceNs)
+	}
+	if len(base.spans) == 0 || len(base.samples) != 0 {
+		t.Fatalf("baseline must be traced and unsampled: %d spans, %d windows", len(base.spans), len(base.samples))
 	}
 	if len(tc.SLOs) != 2 {
 		t.Fatalf("want derived + parsed SLO, got %+v", tc.SLOs)
 	}
-	wantWindows := int(cfg.MeasureNs / tc.IntervalNs)
-	for _, p := range tc.Points {
+	wantWindows := int(cfg.MeasureNs / timeline.DefaultIntervalNs)
+	for i, p := range tc.Points[1:] {
 		if len(p.samples) != wantWindows {
 			t.Fatalf("%s: %d windows, want %d", p.Label, len(p.samples), wantWindows)
+		}
+		if len(p.spans) == 0 || p.spans[0].Point != i+1 {
+			t.Fatalf("%s: load point spans missing or misstamped", p.Label)
 		}
 		var n uint64
 		for _, s := range p.samples {
@@ -129,6 +197,83 @@ func TestTimelineTailRunShape(t *testing.T) {
 		if v.TotalCount == 0 {
 			t.Fatalf("verdict %s evaluated zero observations", v.SLO.Name)
 		}
+	}
+}
+
+// TestSamplingDoesNotPerturbSpans: TailRun load points are traced and
+// sampled at once, so the sampler must leave the span stream untouched —
+// a traced+sampled run emits exactly the spans of a traced-only run.
+func TestSamplingDoesNotPerturbSpans(t *testing.T) {
+	cfg := traceCfg()
+	run := func(sampled bool) []obs.Span {
+		m, err := NewMachine(cfg.optionsAt(1, AstriFlash, "tatp"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.EnableTracing()
+		if sampled {
+			slo := timeline.NewLatencySLO("p99<1ms", "system.response_ns", 99, 1_000_000)
+			if err := m.EnableTimeline(500_000, []timeline.SLO{slo}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.RunPoisson(20_000, cfg.WarmupNs, cfg.MeasureNs)
+		return m.sys.Tracer().Spans()
+	}
+	traced, both := run(false), run(true)
+	if len(traced) == 0 {
+		t.Fatal("no spans captured")
+	}
+	if !reflect.DeepEqual(traced, both) {
+		t.Fatalf("sampling perturbed the span stream: %d spans traced-only, %d traced+sampled", len(traced), len(both))
+	}
+}
+
+// TestTracingDoesNotPerturbResults: tracing is pure observation — a traced
+// run's Metrics equal an untraced run's bit for bit.
+func TestTracingDoesNotPerturbResults(t *testing.T) {
+	cfg := traceCfg()
+	for _, mode := range []Mode{AstriFlash, OSSwap, FlashSync} {
+		run := func(traced bool) Metrics {
+			m, err := NewMachine(cfg.optionsAt(3, mode, "tatp"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if traced {
+				m.EnableTracing()
+			}
+			return m.RunSaturated(cfg.Inflight, cfg.WarmupNs, cfg.MeasureNs)
+		}
+		plain, traced := run(false), run(true)
+		if !reflect.DeepEqual(plain, traced) {
+			t.Fatalf("%v: traced run diverged from untraced:\n plain  %+v\n traced %+v", mode, plain, traced)
+		}
+	}
+}
+
+// TestTraceRoundTripThroughFile: the serialized trace parses back to the
+// exact span stream.
+func TestTraceRoundTripThroughFile(t *testing.T) {
+	cfg := traceCfg()
+	m, err := NewMachine(cfg.optionsAt(0, AstriFlash, "tatp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.EnableTracing()
+	m.RunSaturated(cfg.Inflight, cfg.WarmupNs, cfg.MeasureNs)
+	if m.TraceSpanCount() == 0 {
+		t.Fatal("no spans captured")
+	}
+	var buf bytes.Buffer
+	if err := m.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := obs.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, m.sys.Tracer().Spans()) {
+		t.Fatalf("trace round trip mismatch: %d spans in, %d out", m.sys.Tracer().Len(), len(got))
 	}
 }
 
