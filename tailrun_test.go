@@ -112,37 +112,47 @@ func TestTraceReconciles(t *testing.T) {
 	}
 }
 
-// TestTailRunIdenticalAcrossWorkerCounts pins the sweep contract: the
-// trace JSON and the timeline CSV of one TailRun are byte-identical at any
-// worker count.
-func TestTailRunIdenticalAcrossWorkerCounts(t *testing.T) {
-	capture := func(workers int) (trace, csv []byte) {
-		cfg := traceCfg()
-		cfg.Workers = workers
-		tc, err := TailRun(cfg, "tatp", TailOptions{Loads: []float64{0.5, 0.8}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var tb, cb bytes.Buffer
-		if err := tc.WriteJSON(&tb); err != nil {
-			t.Fatal(err)
-		}
-		if err := tc.WriteCSV(&cb); err != nil {
-			t.Fatal(err)
-		}
-		return tb.Bytes(), cb.Bytes()
+// tailCapture runs TailRun at the given worker count and returns the
+// serialized trace JSON and timeline CSV.
+func tailCapture(t *testing.T, cfg ExpConfig, workers int, opts TailOptions) (trace, csv []byte) {
+	t.Helper()
+	cfg.Workers = workers
+	tc, err := TailRun(cfg, "tatp", opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	trace1, csv1 := capture(1)
-	trace8, csv8 := capture(8)
-	if !bytes.Equal(trace1, trace8) {
-		t.Fatalf("trace bytes diverge across worker counts (%d vs %d bytes)", len(trace1), len(trace8))
+	var tb, cb bytes.Buffer
+	if err := tc.WriteJSON(&tb); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(csv1, csv8) {
+	if err := tc.WriteCSV(&cb); err != nil {
+		t.Fatal(err)
+	}
+	return tb.Bytes(), cb.Bytes()
+}
+
+// TestTraceIdenticalAcrossWorkerCounts: the traced sweep's span stream
+// (and hence its serialized trace) is byte-identical for any worker count.
+func TestTraceIdenticalAcrossWorkerCounts(t *testing.T) {
+	opts := TailOptions{Loads: []float64{0.5, 0.8}}
+	a, _ := tailCapture(t, traceCfg(), 1, opts)
+	b, _ := tailCapture(t, traceCfg(), 8, opts)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("trace bytes diverge across worker counts (%d vs %d bytes)", len(a), len(b))
+	}
+}
+
+// TestTimelineWorkerDeterminism pins the sweep contract: the timeline CSV
+// is byte-identical at any worker count.
+func TestTimelineWorkerDeterminism(t *testing.T) {
+	_, one := tailCapture(t, quickExpConfig(), 1, TailOptions{})
+	_, eight := tailCapture(t, quickExpConfig(), 8, TailOptions{})
+	if !bytes.Equal(one, eight) {
 		t.Fatalf("timeline CSV differs between workers=1 (%d bytes) and workers=8 (%d bytes)",
-			len(csv1), len(csv8))
+			len(one), len(eight))
 	}
-	if !bytes.HasPrefix(csv1, []byte("# astriflash timeline v1")) {
-		t.Fatalf("capture missing magic header:\n%.200s", csv1)
+	if len(one) == 0 || !bytes.HasPrefix(one, []byte("# astriflash timeline v1")) {
+		t.Fatalf("capture missing magic header:\n%.200s", one)
 	}
 }
 
