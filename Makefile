@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test verify vet race verify-race lint-docs bench-harness bench bench-engine bench-json bench-diff figures trace-smoke timeline-smoke overload-smoke economics-smoke
+.PHONY: build test verify vet race verify-race lint-docs fmt-check bench-harness bench bench-engine bench-json bench-diff figures trace-smoke timeline-smoke overload-smoke economics-smoke
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,10 @@ verify-race: vet race
 ## Documentation lint: every package must carry a package doc comment.
 lint-docs:
 	$(GO) run ./tools/lintdocs
+
+## Formatting gate: fails listing every file gofmt would rewrite.
+fmt-check:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 ## The benchmark harness is its own module (benchmark/go.mod), so root
 ## `go test ./...` skips it; this vets and tests it against the current

@@ -1,8 +1,11 @@
 package astriflash
 
 import (
+	"strconv"
 	"strings"
 	"testing"
+
+	"astriflash/internal/workload"
 )
 
 // quickExp keeps public-API tests fast.
@@ -68,6 +71,34 @@ func TestRunOverloadRejectsDropExpiredWithoutDeadline(t *testing.T) {
 	}
 	if _, err := m.RunOverload(OverloadRun{MeanGapNs: 1000, DropExpired: true}); err == nil {
 		t.Fatal("DropExpired without a deadline accepted")
+	}
+}
+
+// TestNewMachineRejectsTooSmallDataset: a dataset below a workload's
+// fixed table floor is an error naming the workload and its minimum, not
+// an arena-exhaustion panic during the build; at the minimum, the machine
+// builds and runs.
+func TestNewMachineRejectsTooSmallDataset(t *testing.T) {
+	for _, name := range []string{"tatp", "tpcc", "masstree"} {
+		t.Run(name, func(t *testing.T) {
+			o := DefaultOptions(AstriFlash, name)
+			o.DatasetBytes = 64 << 10
+			_, err := NewMachine(o)
+			need := workload.MinDatasetBytes(name)
+			if err == nil || !strings.Contains(err.Error(), name) ||
+				!strings.Contains(err.Error(), strconv.FormatUint(need, 10)) {
+				t.Fatalf("err = %v, want one naming %s and its %d-byte minimum", err, name, need)
+			}
+			o.Cores = 4
+			o.DatasetBytes = need
+			m, err := NewMachine(o)
+			if err != nil {
+				t.Fatalf("at its minimum: %v", err)
+			}
+			if res := m.RunSaturated(8, 1_000_000, 2_000_000); res.Jobs == 0 {
+				t.Fatal("no jobs completed at the minimum dataset")
+			}
+		})
 	}
 }
 

@@ -29,7 +29,7 @@ type BPTree struct {
 	// slab is the current node chunk; nodes are handed out as pointers
 	// into it (stable: a full chunk is replaced, never regrown), so bulk
 	// loading a store costs one allocation per chunk instead of one per
-	// node plus a grow-chain per key array.
+	// node. Key arrays live outside the slab, sized per node.
 	slab []bpNode
 }
 
@@ -41,24 +41,36 @@ func NewBPTree(arena *mem.Arena, fanout int) *BPTree {
 	}
 	t := &BPTree{arena: arena, fanout: fanout, height: 1}
 	t.root = t.newNode(true)
+	t.growLeaf(t.root)
 	return t
 }
 
+// newNode places a node on its own arena page. Internal nodes get key and
+// child arrays sized for their whole life up front (a node splits at
+// fanout+1), so inserts never regrow them. Leaves start with no arrays:
+// the caller hands them theirs (NewBPTree, splitLeaf).
 func (t *BPTree) newNode(leaf bool) *bpNode {
 	if len(t.slab) == cap(t.slab) {
 		t.slab = make([]bpNode, 0, 64)
 	}
 	t.slab = append(t.slab, bpNode{addr: t.arena.AllocPage(), leaf: leaf})
 	n := &t.slab[len(t.slab)-1]
-	// Key and payload arrays are sized for the node's whole life up front
-	// (a node splits at fanout+1), so inserts never regrow them.
-	n.keys = make([]uint64, 0, t.fanout+1)
-	if leaf {
-		n.vals = make([]uint64, 0, t.fanout+1)
-	} else {
+	if !leaf {
+		n.keys = make([]uint64, 0, t.fanout+1)
 		n.children = make([]*bpNode, 0, t.fanout+2)
 	}
 	return n
+}
+
+// growLeaf gives a leaf arrays of the split size fanout+1: the new root
+// up front, and a left half trimmed by splitLeaf on its first insert, in
+// one step where append's doubling would overshoot to 2*len.
+func (t *BPTree) growLeaf(n *bpNode) {
+	keys := make([]uint64, len(n.keys), t.fanout+1)
+	vals := make([]uint64, len(n.vals), t.fanout+1)
+	copy(keys, n.keys)
+	copy(vals, n.vals)
+	n.keys, n.vals = keys, vals
 }
 
 // Size returns the number of stored keys.
@@ -181,6 +193,9 @@ func (t *BPTree) insert(n *bpNode, key, val uint64, tr *Tracer) (uint64, *bpNode
 			tr.Touch(n.addr, true)
 			return 0, nil
 		}
+		if len(n.keys) == cap(n.keys) {
+			t.growLeaf(n)
+		}
 		n.keys = append(n.keys, 0)
 		copy(n.keys[i+1:], n.keys[i:])
 		n.keys[i] = key
@@ -212,13 +227,23 @@ func (t *BPTree) insert(n *bpNode, key, val uint64, tr *Tracer) (uint64, *bpNode
 	return t.splitInternal(n, tr)
 }
 
+// splitLeaf moves the upper half of a full leaf to a new right sibling.
+// TATP and TPC-C bulk-load every table in ascending key order, so inserts
+// keep landing in the right half and never reach the left one again: the
+// left half gets exact-size copies (128 entries fill a 1 KB size class at
+// fanout 256), and the right half takes over the full-size arrays with
+// its entries shifted to the front. A random insert into a trimmed left
+// half regrows it once, in growLeaf.
 func (t *BPTree) splitLeaf(n *bpNode, tr *Tracer) (uint64, *bpNode) {
 	mid := len(n.keys) / 2
 	right := t.newNode(true)
-	right.keys = append(right.keys, n.keys[mid:]...)
-	right.vals = append(right.vals, n.vals[mid:]...)
-	n.keys = n.keys[:mid]
-	n.vals = n.vals[:mid]
+	keys, vals := n.keys, n.vals
+	n.keys = make([]uint64, mid)
+	n.vals = make([]uint64, mid)
+	copy(n.keys, keys)
+	copy(n.vals, vals)
+	right.keys = keys[:copy(keys, keys[mid:])]
+	right.vals = vals[:copy(vals, vals[mid:])]
 	right.next = n.next
 	n.next = right
 	tr.Touch(n.addr, true)

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math/bits"
 
 	"astriflash/internal/mem"
 	"astriflash/internal/sim"
@@ -111,8 +112,12 @@ type HashTableWorkload struct {
 // NewHashTableWorkload builds a table at ~70% load over the configured
 // dataset.
 func NewHashTableWorkload(cfg Config) *HashTableWorkload {
-	arena := mem.NewArena(0, cfg.DatasetBytes+cfg.DatasetBytes/2)
 	slots := cfg.DatasetBytes / 64
+	// The table rounds slots up to a power of two, up to twice the
+	// dataset, so the arena is the dataset plus 50% or the table,
+	// whichever is larger.
+	tableBytes := uint64(64) << bits.Len64(slots-1)
+	arena := mem.NewArena(0, max(cfg.DatasetBytes+cfg.DatasetBytes/2, tableBytes))
 	ht := NewHashTable(arena, slots)
 	keys := ht.Capacity() * 7 / 10
 	sink := NewTracer(1)

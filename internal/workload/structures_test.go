@@ -201,9 +201,49 @@ func TestBPTreePropertyOrderAndPresence(t *testing.T) {
 				return false
 			}
 		}
+		// A leaf either holds exact-size arrays (trimmed by a split and
+		// not inserted into since) or split-size ones, never more.
+		for _, n := range bpLeaves(tree) {
+			c := cap(n.keys)
+			if c != len(n.keys) && c != tree.fanout+1 || cap(n.vals) != c {
+				return false
+			}
+		}
 		return tree.Size() == uint64(len(seen))
 	}, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// bpLeaves returns the tree's leaves in key order.
+func bpLeaves(t *BPTree) []*bpNode {
+	n := t.root
+	for !n.leaf {
+		n = n.children[0]
+	}
+	var out []*bpNode
+	for ; n != nil; n = n.next {
+		out = append(out, n)
+	}
+	return out
+}
+
+func TestBPTreeAscendingLoadTrimsLeaves(t *testing.T) {
+	tree := NewBPTree(testArena(), 256)
+	sink := NewTracer(1)
+	for i := uint64(0); i < 100_000; i++ {
+		tree.Insert(i, i, sink)
+		sink.Discard()
+	}
+	leaves := bpLeaves(tree)
+	if len(leaves) < 100 {
+		t.Fatalf("%d leaves; the load did not split", len(leaves))
+	}
+	for i, n := range leaves[:len(leaves)-1] {
+		if len(n.keys) != 128 || cap(n.keys) != 128 || len(n.vals) != 128 || cap(n.vals) != 128 {
+			t.Fatalf("leaf %d: keys len/cap %d/%d, vals %d/%d; want 128 exact",
+				i, len(n.keys), cap(n.keys), len(n.vals), cap(n.vals))
+		}
 	}
 }
 

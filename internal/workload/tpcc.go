@@ -39,6 +39,7 @@ type TPCC struct {
 const (
 	tpccDistrictsPerW = 10
 	tpccOLPerOrder    = 10
+	tpccMinItems      = 4096
 )
 
 // NewTPCC builds the database: item and stock tables dominate the
@@ -51,10 +52,7 @@ func NewTPCC(cfg Config) *TPCC {
 	// split the budget: stock = 4 x items takes half, customers a
 	// quarter, items an eighth, leaving slack for internal nodes.
 	totalEntries := cfg.DatasetBytes / 4096 * 150
-	items := totalEntries / 8
-	if items < 4096 {
-		items = 4096
-	}
+	items := max(totalEntries/8, tpccMinItems)
 	warehouses := uint64(4)
 	custPerD := totalEntries / 4 / (warehouses * tpccDistrictsPerW)
 	if custPerD < 64 {

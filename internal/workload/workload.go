@@ -209,7 +209,28 @@ func Names() []string {
 	return []string{"arrayswap", "rbt", "hashtable", "tatp", "tpcc", "silo", "masstree"}
 }
 
-// New builds the named workload, or returns an error for unknown names.
+// minDatasetBytes is, per workload, the smallest dataset (in whole KiB)
+// it accepts. Below it, each builder's fixed floor outgrows the arena:
+// 1024 TATP subscribers, 1024 Masstree keys over 16 prefixes, Silo's
+// first index and record pages. TPC-C's 4096-item floor fills its whole
+// arena below 382 KiB, and eats the order insert headroom the arena
+// reserves below 876 KiB, where the floor stops binding. Workloads
+// missing here build at any size Validate accepts.
+var minDatasetBytes = map[string]uint64{
+	"tatp":     112 << 10,
+	"tpcc":     876 << 10,
+	"silo":     8 << 10,
+	"masstree": 68 << 10,
+}
+
+// MinDatasetBytes returns the smallest DatasetBytes the named workload
+// accepts.
+func MinDatasetBytes(name string) uint64 {
+	return max(minDatasetBytes[name], mem.PageSize)
+}
+
+// New builds the named workload, or returns an error for unknown names
+// and for datasets too small to hold the workload's tables.
 func New(name string, cfg Config) (Workload, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -217,6 +238,10 @@ func New(name string, cfg Config) (Workload, error) {
 	b, ok := builders[name]
 	if !ok {
 		return nil, fmt.Errorf("workload: unknown workload %q", name)
+	}
+	if need := MinDatasetBytes(name); cfg.DatasetBytes < need {
+		return nil, fmt.Errorf("workload: %s needs a dataset of at least %d bytes (%d KiB), got %d",
+			name, need, need>>10, cfg.DatasetBytes)
 	}
 	if scale, ok := coldScale[name]; ok {
 		cfg.HotAccessFraction = 1 - (1-cfg.HotAccessFraction)*scale

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"astriflash/internal/mem"
@@ -32,6 +35,61 @@ func TestRegistryHasAllPaperWorkloads(t *testing.T) {
 func TestNewUnknownWorkload(t *testing.T) {
 	if _, err := New("nope", smallConfig()); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+}
+
+// fitsDataset reports whether name builds at cfg without outgrowing its
+// arena and, for TPC-C, with its item floor no longer binding.
+func fitsDataset(name string, cfg Config) (fits bool) {
+	defer func() {
+		if recover() != nil {
+			fits = false
+		}
+	}()
+	if tp, ok := builders[name](cfg).(*TPCC); ok {
+		return tp.Items() > tpccMinItems
+	}
+	return true
+}
+
+func TestMinDatasetBytes(t *testing.T) {
+	for _, name := range append(Names(), "tinykv") {
+		need := MinDatasetBytes(name)
+		cfg := DefaultConfig()
+		cfg.DatasetBytes = need
+		if !fitsDataset(name, cfg) {
+			t.Fatalf("%s does not fit its minimum %d", name, need)
+		}
+		if need == mem.PageSize {
+			continue // Validate's one-page floor
+		}
+		cfg.DatasetBytes = need - 1
+		_, err := New(name, cfg)
+		if err == nil || !strings.Contains(err.Error(), name) ||
+			!strings.Contains(err.Error(), strconv.FormatUint(need, 10)) {
+			t.Fatalf("%s below its minimum: err %v, want one naming it and %d", name, err, need)
+		}
+		// The minimum is tight: one KiB less does not fit.
+		cfg.DatasetBytes = need - 1<<10
+		if fitsDataset(name, cfg) {
+			t.Fatalf("%s fits %d bytes; its minimum %d is stale", name, cfg.DatasetBytes, need)
+		}
+	}
+}
+
+func TestEveryWorkloadFitsAboveItsMinimum(t *testing.T) {
+	// Steps one page at a time past the minimums and across the hash
+	// table's power-of-two rounding: just above 64 and 128 KiB the
+	// table is nearly twice the dataset and must still fit its arena.
+	for _, name := range append(Names(), "tinykv") {
+		cfg := DefaultConfig()
+		need := MinDatasetBytes(name)
+		for b := need; b <= need+256<<10; b += mem.PageSize {
+			cfg.DatasetBytes = b
+			if !fitsDataset(name, cfg) {
+				t.Fatalf("%s does not fit a %d-byte dataset", name, b)
+			}
+		}
 	}
 }
 
@@ -202,6 +260,32 @@ func TestTPCCIsMostComputeIntensive(t *testing.T) {
 	}
 	if meanCompute(tp) <= meanCompute(ar) {
 		t.Fatal("tpcc not more compute-intensive than arrayswap")
+	}
+}
+
+// TestBPTreeWorkloadHeapPerSimulatedByte guards the host heap the B+tree
+// workloads hold after the build: at most 0.6 host bytes per simulated
+// byte. Leaves whose arrays stayed sized for fanout+1 after a split held
+// about 0.95 (tatp) and 1.19 (tpcc).
+func TestBPTreeWorkloadHeapPerSimulatedByte(t *testing.T) {
+	for _, name := range []string{"tatp", "tpcc"} {
+		cfg := DefaultConfig()
+		cfg.DatasetBytes = 32 << 20
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		w, err := New(name, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(w)
+		perByte := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(cfg.DatasetBytes)
+		t.Logf("%s: %.2f host heap bytes per simulated byte", name, perByte)
+		if perByte > 0.6 {
+			t.Errorf("%s holds %.2f host heap bytes per simulated byte, want <= 0.6", name, perByte)
+		}
 	}
 }
 
