@@ -10,13 +10,18 @@
 // hashtable, tatp, tpcc, silo, masstree, plus tinykv (tiny-object KV,
 // used by the economics experiment; tune with -objbytes). Open-loop mode
 // (-rate) switches from saturated closed-loop measurement to Poisson
-// arrivals.
+// arrivals. -cpuprofile and -memprofile profile the simulation run (not
+// the machine's construction) for `go tool pprof`; the memory profile
+// records every allocation, so -sample_index=alloc_objects lists exact
+// allocation sites.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 
@@ -64,8 +69,15 @@ func main() {
 		tlOut     = flag.String("timeline", "", "sample the registry every -interval of simulated time and write the timeline CSV here ('-' prints the per-window table only; view with 'astritrace timeline')")
 		interval  = flag.Int64("interval", 1000, "timeline sampling interval in simulated us")
 		sloFlag   = flag.String("slo", "", "comma-separated latency objectives evaluated per timeline window, e.g. 'p99<150us,system.service_ns:p99.9<2ms' (implies timeline sampling)")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the simulation run to this file")
+		memProf   = flag.String("memprofile", "", "write a profile of every allocation the simulation run makes to this file")
 	)
 	flag.Parse()
+	if *memProf != "" {
+		// Record no allocations until the run starts (startProfiles), so
+		// the machine's construction stays out of the profile.
+		runtime.MemProfileRate = 0
+	}
 	if *inflight < 1 {
 		fmt.Fprintf(os.Stderr, "astrisim: -inflight must be at least 1, got %d\n", *inflight)
 		flag.Usage()
@@ -125,6 +137,11 @@ func main() {
 
 	warm := *warmupMs * 1_000_000
 	meas := *measureMs * 1_000_000
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	var res astriflash.Metrics
 	if *rate > 0 {
 		limit := *admitCap
@@ -158,6 +175,10 @@ func main() {
 		}
 	} else {
 		res = machine.RunSaturated(*inflight, warm, meas)
+	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	fmt.Printf("configuration     %s\n", res.Mode)
@@ -289,4 +310,47 @@ func writeTrace(machine *astriflash.Machine, path string) {
 	}
 	fmt.Printf("\nwrote %d spans to %s (analyze with 'astritrace analyze -in %s')\n",
 		machine.TraceSpanCount(), path, path)
+}
+
+// startProfiles starts profiling the simulation run: a CPU profile to
+// cpuPath and, to memPath, a profile of every allocation (either path may
+// be empty). MemProfileRate is 0 before the run (main) and 1 during it,
+// so the allocation profile counts the run exactly and construction not
+// at all. The returned function stops both and writes the profiles.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		if cpuFile, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
+	}
+	if memPath != "" {
+		runtime.MemProfileRate = 1
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		runtime.MemProfileRate = 0
+		runtime.GC() // publish the run's last allocations to the profile
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			f.Close()
+			return fmt.Errorf("memory profile: %w", err)
+		}
+		return f.Close()
+	}, nil
 }

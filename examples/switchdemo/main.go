@@ -38,8 +38,8 @@ func main() {
 	fmt.Printf("1. OS installs the user-level handler at %#x (privileged write)\n", uint64(handler))
 
 	sched := uthread.NewScheduler(uthread.DefaultConfig())
-	thA := sched.Spawn("thread-A", 0)
-	sched.Spawn("thread-B", 0)
+	thA := sched.Spawn(new(uthread.Thread), "thread-A", 0)
+	sched.Spawn(new(uthread.Thread), "thread-B", 0)
 	fmt.Println("2. two user-level threads spawned; A will store to a flash-only page")
 
 	// Thread A: r1 <- page 5 base (flash-only), r2 <- 42, store, then

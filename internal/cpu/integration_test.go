@@ -67,8 +67,8 @@ func TestSwitchOnMissEndToEnd(t *testing.T) {
 		pc   int      // program index to resume from
 		regs []uint64 // saved context (the thread library's stack copy)
 	}
-	sched.Spawn(&threadCtx{prog: progA}, 0)
-	sched.Spawn(&threadCtx{prog: progB}, 0)
+	sched.Spawn(new(uthread.Thread), &threadCtx{prog: progA}, 0)
+	sched.Spawn(new(uthread.Thread), &threadCtx{prog: progB}, 0)
 
 	completed := map[string]bool{}
 	var missedThread *uthread.Thread

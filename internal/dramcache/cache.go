@@ -134,8 +134,12 @@ type Cache struct {
 	msrRow   dram.Loc
 	evictBuf int // pages currently staged for writeback
 
-	// waiters maps a missing page to the callbacks to fire on arrival.
-	waiters map[mem.PageNum][]func(at sim.Time)
+	// waiters maps a missing page to the registrations to wake on
+	// arrival. waiterFree holds emptied waiter slices for reuse, and
+	// fetchFree the released fetch records (fetch.go).
+	waiters    map[mem.PageNum][]waiter
+	waiterFree [][]waiter
+	fetchFree  []*fetch
 	// pinned holds reference counts for pages that must not be evicted:
 	// the OS pins a faulted-in page until the faulting task has used it.
 	pinned map[mem.PageNum]int
@@ -211,7 +215,7 @@ func New(eng *sim.Engine, cfg Config, dev *dram.Device, fl *flash.Device) *Cache
 		nsets:     nsets,
 		msr:       NewMSR(cfg.MSRSets, cfg.MSRWays),
 		msrRow:    dev.RowOf(nsets), // the row after the last set
-		waiters:   make(map[mem.PageNum][]func(at sim.Time)),
+		waiters:   make(map[mem.PageNum][]waiter),
 		pinned:    make(map[mem.PageNum]int),
 		fpPending: make(map[mem.PageNum]bool),
 		fpFirst:   make(map[mem.PageNum]mem.Addr),
@@ -468,23 +472,28 @@ func (c *Cache) AccessAlwaysHit(a mem.Access, done func(Result)) {
 	c.eng.At(r.At, func() { done(r) })
 }
 
-// OnPageReady registers cb to fire when page p is installed (or, under
-// footprint fetching, when its pending secondary block fetch completes).
-// If the page is fully ready the callback fires on the next event
-// boundary.
-func (c *Cache) OnPageReady(p mem.PageNum, cb func(at sim.Time)) {
+// OnPageReady registers fn(arg, at) to run when page p is installed (or,
+// under footprint fetching, when its pending secondary block fetch
+// completes), with at the time the page became ready. If the page is
+// fully ready the call runs on the next event boundary. Hot-path callers
+// pass a package-level fn and a pointer arg, so registering allocates
+// nothing; per-registration state lives in arg.
+func (c *Cache) OnPageReady(p mem.PageNum, fn func(arg any, at sim.Time), arg any) {
 	ready := c.Contains(p)
 	if !ready && c.adm != nil {
 		// A page staged in the bypass ring serves accesses (a retry will
 		// hit), so it is ready even though the cache proper misses it.
 		ready = c.ring.lookup(p) >= 0
 	}
-	if ready && !c.fpPending[p] {
-		at := c.eng.Now()
-		c.eng.At(at, func() { cb(at) })
-		return
+	ws, ok := c.waiters[p]
+	if !ok {
+		ws = c.newWaiters()
 	}
-	c.waiters[p] = append(c.waiters[p], cb)
+	c.waiters[p] = append(ws, waiter{fn: fn, arg: arg})
+	if ready && !c.fpPending[p] {
+		// A ready page has no other waiters: install took them.
+		c.wake(p, c.eng.Now())
+	}
 }
 
 // fetchUnderpredicted brings an unfetched block of a resident page in
@@ -494,23 +503,34 @@ func (c *Cache) fetchUnderpredicted(p mem.PageNum, at sim.Time) {
 		return // a secondary fetch is already in flight
 	}
 	c.fpPending[p] = true
-	c.eng.At(at, func() {
-		c.flash.Read(p, func(arrive sim.Time) {
-			row := c.dram.RowOf(c.setOf(p))
-			wrDone := c.dram.Access(arrive, row, 1) + c.cfg.BCOpNs
-			c.fetchSpan(p, obs.StageFlashRead, at, arrive)
-			c.fetchSpan(p, obs.StageFill, arrive, wrDone)
-			c.endFetch(p)
-			delete(c.fpPending, p)
-			cbs := c.waiters[p]
-			delete(c.waiters, p)
-			c.eng.At(wrDone, func() {
-				for _, cb := range cbs {
-					cb(wrDone)
-				}
-			})
-		})
-	})
+	f := c.newFetch(p, 0)
+	f.issued = at
+	c.schedule(at, blockLaunchEvent, f)
+}
+
+// blockLaunch issues a footprint block fetch's flash read.
+func (c *Cache) blockLaunch(f *fetch) {
+	f.res = c.flash.ReadPage(f.p)
+	c.schedule(f.res.At, blockReadEvent, f)
+}
+
+// blockRead lands a footprint block fetch: one block write into the
+// page's row, then the waiters wake. An uncorrectable read is first
+// reconstructed from the FTL's redundancy.
+func (c *Cache) blockRead(f *fetch) {
+	if f.res.Err != nil {
+		f.res = flash.ReadResult{At: c.flash.ReadRecovered(f.p)}
+		c.schedule(f.res.At, blockReadEvent, f)
+		return
+	}
+	p, arrive := f.p, f.res.At
+	row := c.dram.RowOf(c.setOf(p))
+	wrDone := c.dram.Access(arrive, row, 1) + c.cfg.BCOpNs
+	c.fetchSpan(p, obs.StageFlashRead, f.issued, arrive)
+	c.fetchSpan(p, obs.StageFill, arrive, wrDone)
+	c.endFetch(p)
+	delete(c.fpPending, p)
+	c.wake(p, wrDone)
 }
 
 // handleMiss is the BC path (Section IV-B2): probe the MSR for a
@@ -542,19 +562,23 @@ func (c *Cache) handleMiss(p mem.PageNum, write bool, at sim.Time) {
 // flagged to land in the bypass ring, so the reject costs residents
 // nothing.
 func (c *Cache) launchFetch(p mem.PageNum, write bool, at sim.Time) {
-	start := at
-	reqTime := c.eng.Now()
-	c.eng.At(start, func() {
-		if c.adm != nil && !c.adm.Admit(p, write) {
-			c.bypassFetch[p] = true
-			c.AdmBypassed.Inc()
-		} else {
-			// Victim selection and copy to the evict buffer proceed during
-			// the flash access (off the critical path, Section IV-B2).
-			c.prepareVictim(p)
-		}
-		c.fetchFromFlash(p, reqTime, 0)
-	})
+	f := c.newFetch(p, c.eng.Now())
+	f.write = write
+	c.schedule(at, launchEvent, f)
+}
+
+// launch runs at a fetch's start time: admission or victim staging, then
+// the first flash read.
+func (c *Cache) launch(f *fetch) {
+	if c.adm != nil && !c.adm.Admit(f.p, f.write) {
+		c.bypassFetch[f.p] = true
+		c.AdmBypassed.Inc()
+	} else {
+		// Victim selection and copy to the evict buffer proceed during
+		// the flash access (off the critical path, Section IV-B2).
+		c.prepareVictim(f.p)
+	}
+	c.fetchFromFlash(f.p, f.reqTime, 0)
 }
 
 // fetchFromFlash issues one flash read attempt for p, arming BC's
@@ -562,39 +586,49 @@ func (c *Cache) launchFetch(p mem.PageNum, write bool, at sim.Time) {
 // firing re-issues the read (the device remaps uncorrectable pages, so a
 // retry targets fresh cells) up to cfg.FlashReadRetries times; exhausted
 // retries fall back to the FTL's recovered copy, which cannot fail. With
-// faults off and no watchdog this reduces to exactly one read.
+// faults off and no watchdog this reduces to exactly one read. The
+// attempt's record is shared by its read and watchdog events: whichever
+// fires first settles the attempt, the other finds it settled.
 func (c *Cache) fetchFromFlash(p mem.PageNum, reqTime sim.Time, attempt int) {
-	settled := false
-	issued := c.eng.Now()
-	attemptStage := obs.StageFlashRead
+	f := c.newFetch(p, reqTime)
+	f.attempt = attempt
+	f.issued = c.eng.Now()
+	f.stage = obs.StageFlashRead
 	if attempt > 0 {
-		attemptStage = obs.StageFlashRetry
+		f.stage = obs.StageFlashRetry
 	}
 	if c.cfg.FlashReadTimeoutNs > 0 {
-		c.eng.After(c.cfg.FlashReadTimeoutNs, func() {
-			if settled {
-				return
-			}
-			settled = true
-			c.FlashTimeouts.Inc()
-			c.fetchSpan(p, attemptStage, issued, c.eng.Now())
-			c.retryOrFallback(p, reqTime, attempt)
-		})
+		c.schedule(f.issued+c.cfg.FlashReadTimeoutNs, watchdogEvent, f)
 	}
-	c.flash.ReadPage(p, func(r flash.ReadResult) {
-		if settled {
-			return // the watchdog already re-issued; drop the late arrival
-		}
-		settled = true
-		if r.Err != nil {
-			c.FlashUncorrectable.Inc()
-			c.fetchSpan(p, attemptStage, issued, c.eng.Now())
-			c.retryOrFallback(p, reqTime, attempt)
-			return
-		}
-		c.fetchSpan(p, attemptStage, issued, r.At)
-		c.install(p, r.At, reqTime)
-	})
+	f.res = c.flash.ReadPage(p)
+	c.schedule(f.res.At, readEvent, f)
+}
+
+// readDone settles a read attempt when its completion arrives first.
+func (c *Cache) readDone(f *fetch) {
+	if f.settled {
+		return // the watchdog already re-issued; drop the late arrival
+	}
+	f.settled = true
+	if f.res.Err != nil {
+		c.FlashUncorrectable.Inc()
+		c.fetchSpan(f.p, f.stage, f.issued, c.eng.Now())
+		c.retryOrFallback(f.p, f.reqTime, f.attempt)
+		return
+	}
+	c.fetchSpan(f.p, f.stage, f.issued, f.res.At)
+	c.install(f.p, f.res.At, f.reqTime)
+}
+
+// watchdogFired settles a read attempt that has not completed in time.
+func (c *Cache) watchdogFired(f *fetch) {
+	if f.settled {
+		return
+	}
+	f.settled = true
+	c.FlashTimeouts.Inc()
+	c.fetchSpan(f.p, f.stage, f.issued, c.eng.Now())
+	c.retryOrFallback(f.p, f.reqTime, f.attempt)
 }
 
 // retryOrFallback re-issues a failed or timed-out read, or serves the
@@ -606,11 +640,16 @@ func (c *Cache) retryOrFallback(p mem.PageNum, reqTime sim.Time, attempt int) {
 		return
 	}
 	c.FlashFallbacks.Inc()
-	issued := c.eng.Now()
-	c.flash.ReadRecovered(p, func(at sim.Time) {
-		c.fetchSpan(p, obs.StageFlashFallback, issued, at)
-		c.install(p, at, reqTime)
-	})
+	f := c.newFetch(p, reqTime)
+	f.issued = c.eng.Now()
+	c.schedule(c.flash.ReadRecovered(p), recoveredEvent, f)
+}
+
+// recovered installs a miss served from the FTL's recovered copy.
+func (c *Cache) recovered(f *fetch) {
+	at := c.eng.Now()
+	c.fetchSpan(f.p, obs.StageFlashFallback, f.issued, at)
+	c.install(f.p, at, f.reqTime)
 }
 
 // prepareVictim ensures the set has a free way by staging the LRU page in
@@ -648,7 +687,7 @@ func (c *Cache) prepareVictim(p mem.PageNum) {
 	}
 	if victim.dirty {
 		c.DirtyWB.Inc()
-		c.flash.Write(victim.page, func(sim.Time) { c.evictBuf-- })
+		c.eng.AtFunc(c.flash.WritePage(victim.page), writebackDoneEvent, c)
 	} else {
 		c.evictBuf--
 	}
@@ -738,13 +777,7 @@ func (c *Cache) install(p mem.PageNum, at sim.Time, reqTime sim.Time) {
 	c.fetchSpan(p, obs.StageFill, at, wrDone)
 	c.endFetch(p)
 
-	cbs := c.waiters[p]
-	delete(c.waiters, p)
-	c.eng.At(wrDone, func() {
-		for _, cb := range cbs {
-			cb(wrDone)
-		}
-	})
+	c.wake(p, wrDone)
 
 	// Admit one stalled miss now that an MSR entry is free.
 	c.drainMSRWait(wrDone)
@@ -767,7 +800,7 @@ func (c *Cache) installBypass(p mem.PageNum, at sim.Time, reqTime sim.Time) {
 				c.adm.OnEvict(e.page, e.hits > 0)
 				if e.dirty {
 					c.BypassDirtyWB.Inc()
-					c.flash.Write(e.page, func(sim.Time) {})
+					c.eng.AtFunc(c.flash.WritePage(e.page), nopEvent, nil)
 				}
 			}
 		}
@@ -781,21 +814,15 @@ func (c *Cache) installBypass(p mem.PageNum, at sim.Time, reqTime sim.Time) {
 	c.fetchSpan(p, obs.StageFill, at, wrDone)
 	c.endFetch(p)
 
-	cbs := c.waiters[p]
-	delete(c.waiters, p)
-	c.eng.At(wrDone, func() {
-		for _, cb := range cbs {
-			cb(wrDone)
-		}
-	})
+	c.wake(p, wrDone)
 	c.drainMSRWait(wrDone)
 }
 
 // drainMSRWait retries queued misses that previously found their MSR set
-// full. Entries whose set is still full stay queued.
+// full. Entries whose set is still full stay queued, filtered in place.
 func (c *Cache) drainMSRWait(at sim.Time) {
-	var rest []msrWaiter
-	for i, w := range c.msrWait {
+	rest := c.msrWait[:0]
+	for _, w := range c.msrWait {
 		switch c.msr.Allocate(w.page) {
 		case AllocNew:
 			c.fetchSpan(w.page, obs.StageMSRWait, w.at, at)
@@ -804,7 +831,7 @@ func (c *Cache) drainMSRWait(at sim.Time) {
 			c.fetchSpan(w.page, obs.StageMSRWait, w.at, at)
 			c.MergedMiss.Inc()
 		case AllocFull:
-			rest = append(rest, c.msrWait[i])
+			rest = append(rest, w)
 		}
 	}
 	c.msrWait = rest
@@ -815,7 +842,8 @@ func (c *Cache) drainMSRWait(at sim.Time) {
 func (c *Cache) PendingMisses() int { return c.msr.Outstanding() + len(c.msrWait) }
 
 // CheckInvariants validates that no page is resident twice and every
-// waiter page is actually missing. It returns "" when consistent.
+// waiter page is actually missing or awaiting a footprint block. It
+// returns "" when consistent.
 func (c *Cache) CheckInvariants() string {
 	seen := make(map[mem.PageNum]bool)
 	for si := 0; si < c.nsets; si++ {
@@ -833,7 +861,8 @@ func (c *Cache) CheckInvariants() string {
 		}
 	}
 	for p := range c.waiters {
-		if seen[p] && !c.msr.Lookup(p) {
+		// A footprint block fetch leaves waiters on a resident page.
+		if seen[p] && !c.msr.Lookup(p) && !c.fpPending[p] {
 			return fmt.Sprintf("waiters registered for resident page %d", p)
 		}
 	}

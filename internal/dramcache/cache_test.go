@@ -1,6 +1,8 @@
 package dramcache
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"astriflash/internal/dram"
@@ -119,7 +121,7 @@ func TestOnPageReadyFiresAfterFlashLatency(t *testing.T) {
 	eng, c, _ := newCache(t, 64)
 	var missSignal, ready sim.Time
 	c.Access(mem.Access{Addr: mem.PageBase(11)}, func(r Result) { missSignal = r.At })
-	c.OnPageReady(11, func(at sim.Time) { ready = at })
+	c.OnPageReady(11, func(_ any, at sim.Time) { ready = at }, nil)
 	eng.Run()
 	if ready == 0 {
 		t.Fatal("page-ready callback never fired")
@@ -133,7 +135,7 @@ func TestOnPageReadyForResidentPage(t *testing.T) {
 	eng, c, _ := newCache(t, 64)
 	c.Preload(5)
 	fired := false
-	c.OnPageReady(5, func(sim.Time) { fired = true })
+	c.OnPageReady(5, func(any, sim.Time) { fired = true }, nil)
 	eng.Run()
 	if !fired {
 		t.Fatal("callback for resident page never fired")
@@ -146,7 +148,7 @@ func TestDuplicateMissesMerge(t *testing.T) {
 		c.Access(mem.Access{Addr: mem.PageBase(21)}, func(Result) {})
 	}
 	woken := 0
-	c.OnPageReady(21, func(sim.Time) { woken++ })
+	c.OnPageReady(21, func(any, sim.Time) { woken++ }, nil)
 	eng.Run()
 	if fl.Reads.Value() != 1 {
 		t.Fatalf("flash reads = %d, want 1 (merged misses)", fl.Reads.Value())
@@ -219,7 +221,7 @@ func TestMSRFullStallsThenDrains(t *testing.T) {
 	for p := mem.PageNum(0); p < 6; p++ {
 		pp := p
 		c.Access(mem.Access{Addr: mem.PageBase(pp)}, func(Result) {})
-		c.OnPageReady(pp, func(sim.Time) { done++ })
+		c.OnPageReady(pp, func(any, sim.Time) { done++ }, nil)
 	}
 	eng.Run()
 	if done != 6 {
@@ -277,7 +279,7 @@ func TestDeterministicRefills(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			p := mem.PageNum(rng.Intn(200))
 			c.Access(mem.Access{Addr: mem.PageBase(p)}, func(r Result) { out = append(out, r.At) })
-			c.OnPageReady(p, func(at sim.Time) { out = append(out, at) })
+			c.OnPageReady(p, func(_ any, at sim.Time) { out = append(out, at) }, nil)
 			eng.Run()
 		}
 		return out
@@ -347,4 +349,76 @@ func TestRandomPolicyStaysWithinSet(t *testing.T) {
 	if msg := c.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
+}
+
+// TestMissPathAllocFree pins BC's miss → fetch → install → wake cycle at
+// zero heap allocations once its pools are warm, with merged misses,
+// dirty write-backs and, under hit-economics, bypass-ring installs.
+func TestMissPathAllocFree(t *testing.T) {
+	for _, policy := range []string{"", "hit-economics"} {
+		eng := sim.NewEngine()
+		dev := dram.NewDevice(dram.DefaultTiming(), dram.DefaultGeometry())
+		cfg := DefaultConfig(64)
+		cfg.Admission = AdmissionConfig{Policy: policy}
+		c := New(eng, cfg, dev, flash.NewDevice(eng, flash.DefaultConfig()))
+		woken := 0
+		wake := func(any, sim.Time) { woken++ }
+		p, cold := mem.PageNum(0), mem.PageNum(0)
+		access := func(p mem.PageNum, write bool) {
+			if !c.AccessSync(mem.Access{Addr: mem.PageBase(p), Write: write}).Hit {
+				c.OnPageReady(p, wake, nil)
+			}
+		}
+		cycle := func() {
+			for i := 0; i < 8; i++ {
+				// Two misses per page merge in the MSR; once the batch
+				// lands, writes dirty it so its eviction writes back.
+				for j := 0; j < 8; j++ {
+					access((p+mem.PageNum(37*j))%512, false)
+					access((p+mem.PageNum(37*j))%512, false)
+				}
+				// A page touched once in a long while: hit-economics
+				// sends its fetch to the bypass ring.
+				cold = (cold + 1) % 256
+				access(1024+cold, false)
+				eng.Run()
+				for j := 0; j < 8; j++ {
+					access((p+mem.PageNum(37*j))%512, true)
+				}
+				eng.Run()
+				p = (p + 37*8) % 512
+			}
+		}
+		for i := 0; i < 64; i++ {
+			cycle()
+		}
+		if got := testing.AllocsPerRun(20, cycle); got != 0 {
+			t.Errorf("policy %q: %.1f allocations per cycle, want 0", policy, got)
+		}
+		if c.MergedMiss.Value() == 0 || c.DirtyWB.Value()+c.BypassDirtyWB.Value() == 0 || woken == 0 {
+			t.Errorf("policy %q: merged %d, write-backs %d, wakes %d: want all exercised",
+				policy, c.MergedMiss.Value(), c.DirtyWB.Value()+c.BypassDirtyWB.Value(), woken)
+		}
+		if policy != "" && c.AdmBypassed.Value() == 0 {
+			t.Errorf("policy %q: no fetch went to the bypass ring", policy)
+		}
+		if msg := c.CheckInvariants(); msg != "" {
+			t.Fatal(msg)
+		}
+	}
+}
+
+// TestReleasedFetchRecordPanics shows the fetch-record guard trips: an
+// event naming a record that has returned to the pool is a bug.
+func TestReleasedFetchRecordPanics(t *testing.T) {
+	_, c, _ := newCache(t, 64)
+	f := c.newFetch(3, 0)
+	f.refs = 1
+	c.unref(f)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "released fetch record") {
+			t.Fatalf("stale fire: recovered %v, want the released-record panic", r)
+		}
+	}()
+	readEvent(f)
 }

@@ -80,7 +80,7 @@ func TestFootprintUnderprediction(t *testing.T) {
 	var first Result
 	c.Access(mem.Access{Addr: far}, func(r Result) { first = r })
 	ready := false
-	c.OnPageReady(7, func(sim.Time) { ready = true })
+	c.OnPageReady(7, func(any, sim.Time) { ready = true }, nil)
 	eng.Run()
 	if first.Hit {
 		t.Fatal("underpredicted block should signal a miss")

@@ -217,8 +217,9 @@ func (d *Device) maybeFailErase(p, b int) bool {
 // cell read entirely: it cannot fail, costs RecoveryLatency on top of a
 // nominal read, and is the backside controller's last-resort fallback when
 // bounded retries are exhausted. On fault-free devices it behaves like a
-// Read with the (zero-valued) recovery penalty.
-func (d *Device) ReadRecovered(lpn mem.PageNum, done func(at int64)) {
+// ReadPage with the (zero-valued) recovery penalty. It returns the
+// completion time; the caller schedules the completion event.
+func (d *Device) ReadRecovered(lpn mem.PageNum) int64 {
 	d.checkLPN(lpn)
 	now := d.eng.Now()
 	p := d.planeForRead(lpn)
@@ -246,5 +247,5 @@ func (d *Device) ReadRecovered(lpn mem.PageNum, done func(at int64)) {
 		d.RetryHook(d.cfg.RecoveryLatency)
 	}
 	d.ReadLatHist.Record(finish - now)
-	d.eng.At(finish, func() { done(finish) })
+	return finish
 }

@@ -80,13 +80,7 @@ func TestUncorrectableReadSurfacesErrorAndRemaps(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := faultyConfig(0.5, 0, 5)
 	d := NewDevice(eng, cfg)
-	var res ReadResult
-	called := false
-	d.ReadPage(3, func(r ReadResult) { res = r; called = true })
-	eng.Run()
-	if !called {
-		t.Fatal("ReadPage never completed")
-	}
+	res := d.ReadPage(3)
 	if !errors.Is(res.Err, ErrUncorrectable) {
 		t.Fatalf("want ErrUncorrectable, got %v", res.Err)
 	}

@@ -110,9 +110,9 @@ type block struct {
 
 type plane struct {
 	blocks     []block
-	active     int   // block currently accepting writes
-	freeBlocks []int // fully erased blocks
-	busyUntil  int64 // read-path occupancy
+	active     int            // block currently accepting writes
+	freeBlocks sim.Queue[int] // fully erased blocks, oldest first
+	busyUntil  int64          // read-path occupancy
 	// writeBusyUntil tracks program operations separately: writebacks are
 	// de-prioritized against reads (Section IV-B2), so programs queue
 	// among themselves and in GC windows without delaying reads.
@@ -121,8 +121,9 @@ type plane struct {
 	gcRuns         uint64
 }
 
-// Device is the SSD. All operations are scheduled on the shared engine
-// and complete via callback, modeling asynchronous NVMe-style access.
+// Device is the SSD, modeling asynchronous NVMe-style access on the
+// shared engine: each operation computes its completion time when it is
+// issued and returns it, and the caller schedules the completion event.
 type Device struct {
 	cfg    Config
 	eng    *sim.Engine
@@ -188,11 +189,11 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 	for p := range d.planes {
 		pl := &d.planes[p]
 		pl.blocks, blocks = blocks[:cfg.BlocksPerPlane:cfg.BlocksPerPlane], blocks[cfg.BlocksPerPlane:]
-		pl.freeBlocks, freeBlocks = freeBlocks[:0:cfg.BlocksPerPlane-1], freeBlocks[cfg.BlocksPerPlane-1:]
+		pl.freeBlocks, freeBlocks = sim.NewQueue(freeBlocks[:0:cfg.BlocksPerPlane-1]), freeBlocks[cfg.BlocksPerPlane-1:]
 		for b := range pl.blocks {
 			pl.blocks[b].owners, owners = owners[:cfg.PagesPerBlock:cfg.PagesPerBlock], owners[cfg.PagesPerBlock:]
 			if b != 0 {
-				pl.freeBlocks = append(pl.freeBlocks, b)
+				pl.freeBlocks.Push(b)
 			}
 		}
 		pl.active = 0
@@ -262,12 +263,15 @@ type ReadResult struct {
 	Err error
 }
 
-// ReadPage fetches logical page lpn and calls done when the read settles.
-// Raw bit errors (Config.RBER) escalate through the read-retry ladder,
-// each step adding sense latency; a read that fails the whole ladder
-// completes with ErrUncorrectable instead of data. Reads of never-written
-// pages model the pre-loaded dataset and are legal.
-func (d *Device) ReadPage(lpn mem.PageNum, done func(ReadResult)) {
+// ReadPage fetches logical page lpn and returns when and how the read
+// settles. The device never schedules the completion itself: the caller
+// pushes its own event at the returned time, right after the call, so
+// reads cost no callback closure. Raw bit errors (Config.RBER) escalate
+// through the read-retry ladder, each step adding sense latency; a read
+// that fails the whole ladder settles with ErrUncorrectable instead of
+// data. Reads of never-written pages model the pre-loaded dataset and are
+// legal.
+func (d *Device) ReadPage(lpn mem.PageNum) ReadResult {
 	d.checkLPN(lpn)
 	now := d.eng.Now()
 	p := d.planeForRead(lpn)
@@ -301,8 +305,7 @@ func (d *Device) ReadPage(lpn mem.PageNum, done func(ReadResult)) {
 		// remaps it so retries target fresh cells.
 		d.Uncorrectables.Inc()
 		d.remapLPN(lpn)
-		d.eng.At(cellDone, func() { done(ReadResult{At: cellDone, Retries: steps, Err: ErrUncorrectable}) })
-		return
+		return ReadResult{At: cellDone, Retries: steps, Err: ErrUncorrectable}
 	}
 
 	ch := d.channelOf(p)
@@ -314,27 +317,38 @@ func (d *Device) ReadPage(lpn mem.PageNum, done func(ReadResult)) {
 	d.chans[ch] = finish
 
 	d.ReadLatHist.Record(finish - now)
-	d.eng.At(finish, func() { done(ReadResult{At: finish, Retries: steps}) })
+	return ReadResult{At: finish, Retries: steps}
 }
 
-// Read fetches logical page lpn and calls done(completionTime) when the
-// page has crossed the channel. Uncorrectable reads are transparently
-// reconstructed from the FTL's redundancy (ReadRecovered), so done always
-// fires; callers that need to see faults use ReadPage.
+// Read is the callback form of a fault-transparent read: done fires with
+// the completion time once the page has crossed the channel, an
+// uncorrectable read being reconstructed by ReadRecovered first. The
+// simulator's own callers use ReadPage and schedule their own events;
+// Read serves callers outside the hot path, such as microbenchmarks.
 func (d *Device) Read(lpn mem.PageNum, done func(at int64)) {
-	d.ReadPage(lpn, func(r ReadResult) {
+	r := d.ReadPage(lpn)
+	d.eng.At(r.At, func() {
 		if r.Err != nil {
-			d.ReadRecovered(lpn, done)
+			at := d.ReadRecovered(lpn)
+			d.eng.At(at, func() { done(at) })
 			return
 		}
 		done(r.At)
 	})
 }
 
-// Write programs logical page lpn (log-structured: a fresh physical page
-// is allocated and any previous copy is invalidated) and calls done when
-// the program completes. Writes may trigger garbage collection.
+// Write is the callback form of WritePage: done fires with the program's
+// completion time. Like Read it serves callers outside the hot path.
 func (d *Device) Write(lpn mem.PageNum, done func(at int64)) {
+	at := d.WritePage(lpn)
+	d.eng.At(at, func() { done(at) })
+}
+
+// WritePage programs logical page lpn (log-structured: a fresh physical
+// page is allocated and any previous copy is invalidated) and returns the
+// time the program completes; as with ReadPage, the caller schedules any
+// completion event. Writes may trigger garbage collection.
+func (d *Device) WritePage(lpn mem.PageNum) int64 {
 	d.checkLPN(lpn)
 	now := d.eng.Now()
 	p := d.nextPl
@@ -370,7 +384,7 @@ func (d *Device) Write(lpn mem.PageNum, done func(at int64)) {
 
 	d.Writes.Inc()
 	d.WriteLatHist.Record(finish - now)
-	d.eng.At(finish, func() { done(finish) })
+	return finish
 }
 
 // program updates FTL state for a write into plane p.
@@ -399,25 +413,24 @@ func (d *Device) program(p int, lpn mem.PageNum) {
 // rotateActive makes a fresh erased block the active write target.
 func (d *Device) rotateActive(p int) {
 	pl := &d.planes[p]
-	if len(pl.freeBlocks) == 0 {
+	if pl.freeBlocks.Len() == 0 {
 		// Forced synchronous GC: the log is full. maybeGC keeps free
 		// blocks above water in normal operation, so this indicates
 		// sustained overload; reclaim immediately.
 		d.collect(p, d.eng.Now())
 	}
-	if len(pl.freeBlocks) == 0 {
+	if pl.freeBlocks.Len() == 0 {
 		panic(fmt.Sprintf("flash: no reclaimable blocks (%d retired as bad); device over-filled beyond overprovisioning",
 			d.BadBlocks.Value()))
 	}
-	pl.active = pl.freeBlocks[0]
-	pl.freeBlocks = pl.freeBlocks[1:]
+	pl.active = pl.freeBlocks.Pop()
 }
 
 // maybeGC triggers garbage collection when a plane's free-block pool is at
 // or below the low-water mark.
 func (d *Device) maybeGC(p int, at int64) {
 	pl := &d.planes[p]
-	if len(pl.freeBlocks) > d.cfg.GCLowWater {
+	if pl.freeBlocks.Len() > d.cfg.GCLowWater {
 		return
 	}
 	d.collect(p, at)
@@ -477,7 +490,7 @@ func (d *Device) collect(p int, at int64) {
 	} else {
 		vb.writePtr = 0
 		vb.eraseCount++
-		pl.freeBlocks = append(pl.freeBlocks, victim)
+		pl.freeBlocks.Push(victim)
 	}
 
 	end := at + dur
@@ -574,7 +587,7 @@ func (d *Device) CheckFTLInvariants() string {
 		if pl.blocks[pl.active].bad {
 			return fmt.Sprintf("plane %d active block %d is bad", p, pl.active)
 		}
-		for _, b := range pl.freeBlocks {
+		for _, b := range pl.freeBlocks.Items() {
 			if pl.blocks[b].bad {
 				return fmt.Sprintf("plane %d free list contains bad block %d", p, b)
 			}

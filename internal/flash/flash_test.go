@@ -326,3 +326,29 @@ func TestWriteAmplification(t *testing.T) {
 		t.Fatal(msg)
 	}
 }
+
+// TestDeviceOpsAllocFree pins the device's hot calls at zero heap
+// allocations once warm: ReadPage (ladder, uncorrectables and remaps
+// included), ReadRecovered, and WritePage with the garbage collection,
+// program failures and block retirements it triggers.
+func TestDeviceOpsAllocFree(t *testing.T) {
+	eng := sim.NewEngine()
+	d := NewDevice(eng, faultyConfig(4e-3, 1e-3, 11))
+	ops := func() {
+		for i := 0; i < 256; i++ {
+			lpn := mem.PageNum(i % 48)
+			d.ReadPage(lpn)
+			d.ReadRecovered(lpn)
+			d.WritePage(lpn)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		ops()
+	}
+	if got := testing.AllocsPerRun(20, ops); got != 0 {
+		t.Fatalf("%.1f allocations per 256 read/recover/write rounds, want 0", got)
+	}
+	if d.GCRuns.Value() == 0 || d.Uncorrectables.Value() == 0 {
+		t.Fatalf("gc runs %d, uncorrectables %d: want both exercised", d.GCRuns.Value(), d.Uncorrectables.Value())
+	}
+}

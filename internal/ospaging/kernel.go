@@ -171,7 +171,8 @@ func (k *Kernel) PerMissOverhead() int64 {
 	return k.costs.PageFaultEntry + k.costs.ContextSwitch
 }
 
-// Task is one OS-visible thread in the run queue model.
+// Task is one OS-visible thread in the run queue model. The caller owns
+// its memory (Spawn initialises it), so it can live in a pooled record.
 type Task struct {
 	ID      uint64
 	Payload any
@@ -185,7 +186,7 @@ type Task struct {
 // aging or priorities — the paper's OS-Swap baseline relies on default
 // kernel scheduling.
 type RunQueue struct {
-	runnable []*Task
+	runnable sim.Queue[*Task]
 	running  *Task
 	nextID   uint64
 
@@ -196,11 +197,11 @@ type RunQueue struct {
 // NewRunQueue returns an empty run queue.
 func NewRunQueue() *RunQueue { return &RunQueue{} }
 
-// Spawn enqueues a new task.
-func (q *RunQueue) Spawn(payload any, now sim.Time) *Task {
+// Spawn initialises t as a new task and enqueues it. It returns t.
+func (q *RunQueue) Spawn(t *Task, payload any, now sim.Time) *Task {
 	q.nextID++
-	t := &Task{ID: q.nextID, Payload: payload, EnqueuedAt: now}
-	q.runnable = append(q.runnable, t)
+	*t = Task{ID: q.nextID, Payload: payload, EnqueuedAt: now}
+	q.runnable.Push(t)
 	q.Spawned.Inc()
 	return t
 }
@@ -209,7 +210,7 @@ func (q *RunQueue) Spawn(payload any, now sim.Time) *Task {
 func (q *RunQueue) Running() *Task { return q.running }
 
 // Runnable returns the run-queue depth.
-func (q *RunQueue) Runnable() int { return len(q.runnable) }
+func (q *RunQueue) Runnable() int { return q.runnable.Len() }
 
 // Block deschedules the running task (page fault submitted).
 func (q *RunQueue) Block(now sim.Time) *Task {
@@ -224,7 +225,7 @@ func (q *RunQueue) Block(now sim.Time) *Task {
 }
 
 // Wake re-queues a blocked task after its page installed.
-func (q *RunQueue) Wake(t *Task) { q.runnable = append(q.runnable, t) }
+func (q *RunQueue) Wake(t *Task) { q.runnable.Push(t) }
 
 // OldestNewAge returns the age at now of the oldest never-scheduled task,
 // or 0 — the head-of-line queueing delay an admission controller bounds.
@@ -232,7 +233,7 @@ func (q *RunQueue) Wake(t *Task) { q.runnable = append(q.runnable, t) }
 // first dispatch already happened. New tasks enter in arrival order, so
 // the first never-blocked task in the queue is the oldest.
 func (q *RunQueue) OldestNewAge(now sim.Time) int64 {
-	for _, t := range q.runnable {
+	for _, t := range q.runnable.Items() {
 		if t.BlockedAt == 0 {
 			return int64(now - t.EnqueuedAt)
 		}
@@ -245,11 +246,10 @@ func (q *RunQueue) PickNext() *Task {
 	if q.running != nil {
 		panic("ospaging: PickNext while a task is running")
 	}
-	if len(q.runnable) == 0 {
+	if q.runnable.Len() == 0 {
 		return nil
 	}
-	t := q.runnable[0]
-	q.runnable = q.runnable[1:]
+	t := q.runnable.Pop()
 	q.running = t
 	return t
 }

@@ -120,8 +120,8 @@ func TestKernelValidation(t *testing.T) {
 
 func TestRunQueueFIFO(t *testing.T) {
 	q := NewRunQueue()
-	a := q.Spawn("a", 0)
-	b := q.Spawn("b", 0)
+	a := q.Spawn(new(Task), "a", 0)
+	b := q.Spawn(new(Task), "b", 0)
 	if q.PickNext() != a {
 		t.Fatal("FIFO order violated")
 	}
@@ -158,8 +158,8 @@ func TestRunQueueMisusePanics(t *testing.T) {
 		"finish-idle": func() { NewRunQueue().Finish() },
 		"double-pick": func() {
 			q := NewRunQueue()
-			q.Spawn("a", 0)
-			q.Spawn("b", 0)
+			q.Spawn(new(Task), "a", 0)
+			q.Spawn(new(Task), "b", 0)
 			q.PickNext()
 			q.PickNext()
 		},

@@ -15,9 +15,12 @@ import (
 // multi-million-sample runs are cheap to query and memory stays constant.
 //
 // Buckets live in a dense slice indexed by bucket number — Record is a
-// shift, a mask, and an array increment, with no hashing and no
-// allocation; the bucket index space for int64 values is small (~2 KB of
-// counters at the default precision).
+// shift, a mask, and an array increment, with no hashing; the bucket
+// index space for int64 values is small (~15 KB of counters at the
+// default precision). The slice is allocated by the first Record, not by
+// NewHistogram: a simulated machine registers dozens of histograms and
+// most configurations never record into many of them, so eager buckets
+// were half of a small machine's construction bytes.
 type Histogram struct {
 	subBits uint
 	buckets []uint64
@@ -37,7 +40,6 @@ func numBuckets(subBits uint) int { return (64 - int(subBits)) << subBits }
 func NewHistogram() *Histogram {
 	return &Histogram{
 		subBits: defaultSubBits,
-		buckets: make([]uint64, numBuckets(defaultSubBits)),
 		min:     math.MaxInt64,
 		max:     math.MinInt64,
 	}
@@ -69,6 +71,9 @@ func (h *Histogram) bucketLow(b int) int64 {
 func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
+	}
+	if h.buckets == nil {
+		h.buckets = make([]uint64, numBuckets(h.subBits))
 	}
 	h.buckets[h.bucketOf(v)]++
 	h.count++
@@ -187,7 +192,7 @@ type HistogramWindow struct {
 // NewHistogramWindow starts a window view at src's current contents:
 // observations already recorded are excluded from the first Advance.
 func NewHistogramWindow(src *Histogram) *HistogramWindow {
-	w := &HistogramWindow{src: src, prev: make([]uint64, len(src.buckets))}
+	w := &HistogramWindow{src: src, prev: make([]uint64, numBuckets(src.subBits))}
 	copy(w.prev, src.buckets)
 	w.prevCount = src.count
 	w.prevSum = src.sum
@@ -245,6 +250,9 @@ func (w *HistogramWindow) Advance(thresholds ...int64) WindowStats {
 func (h *Histogram) Merge(other *Histogram) {
 	if other.subBits != h.subBits {
 		panic("stats: merging histograms with different precision")
+	}
+	if h.buckets == nil && other.buckets != nil {
+		h.buckets = make([]uint64, len(other.buckets))
 	}
 	for k, c := range other.buckets {
 		h.buckets[k] += c

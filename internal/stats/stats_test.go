@@ -404,3 +404,29 @@ func TestHistogramWindowAbove(t *testing.T) {
 		t.Fatalf("window 2 = %+v, want count 1 above 1", st)
 	}
 }
+
+// Buckets are allocated by the first Record; every query, window and
+// merge must treat a histogram that never recorded as empty.
+func TestHistogramBucketsAllocatedOnFirstRecord(t *testing.T) {
+	h := NewHistogram()
+	if h.buckets != nil {
+		t.Fatal("NewHistogram allocated buckets")
+	}
+	w := NewHistogramWindow(h)
+	if h.CountAbove(0) != 0 || h.Percentile(99) != 0 {
+		t.Fatal("empty histogram reported observations")
+	}
+	h.Record(100)
+	if st := w.Advance(50); st.Count != 1 || st.Above[0] != 1 {
+		t.Fatalf("window after first record: %+v", st)
+	}
+	into := NewHistogram()
+	into.Merge(NewHistogram())
+	if into.buckets != nil || into.Count() != 0 {
+		t.Fatal("merging an empty histogram allocated or counted")
+	}
+	into.Merge(h)
+	if into.Count() != 1 || into.Percentile(50) != h.Percentile(50) {
+		t.Fatalf("merge into empty: count %d, p50 %d", into.Count(), into.Percentile(50))
+	}
+}

@@ -46,6 +46,25 @@ type jobState struct {
 	// dcIssued carries the step's DRAM-cache issue instant across the
 	// flattened path's allocation-free reply events (flat.go).
 	dcIssued sim.Time
+	// th and tk are the job's user-level thread (user-thread modes) and
+	// OS task (OS-Swap): Spawn initialises them and freeJob clears them,
+	// so they pool with the job.
+	th uthread.Thread
+	tk ospaging.Task
+	// syncStart is when the job's sync wait began. A parked thread's
+	// wait uses missAt instead: a job can hold both registrations on one
+	// page at once (parked, then aged-promoted into a sync wait), and
+	// both fire in the same wake.
+	syncStart sim.Time
+	// waits counts the page-ready registrations and OS install events
+	// naming the job. A job can retire with one outstanding: under
+	// footprint fetching an aged-promoted thread hits the block its
+	// parked wait is still fetching. It is then recycled by the last
+	// registration to fire, never earlier.
+	waits   int
+	retired bool
+	// gen counts the record's lives; freeJob bumps it.
+	gen uint64
 }
 
 // coreState is one simulated core.
@@ -98,11 +117,18 @@ func (b *dcBackend) AccessPT(p mem.PageNum, done func(at sim.Time)) {
 			return
 		}
 		// Serialized walk: wait for the fill and re-read.
-		b.dc.OnPageReady(mem.PageOf(mem.PageBase(p)), func(sim.Time) {
-			b.AccessPT(p, done)
-		})
+		b.dc.OnPageReady(mem.PageOf(mem.PageBase(p)), ptPageReady, &ptRetry{b: b, p: p, done: done})
 	})
 }
+
+// ptRetry is a walk level waiting for its table page to arrive.
+type ptRetry struct {
+	b    *dcBackend
+	p    mem.PageNum
+	done func(at sim.Time)
+}
+
+func ptPageReady(a any, _ sim.Time) { r := a.(*ptRetry); r.b.AccessPT(r.p, r.done) }
 
 func (s *System) newCore(id int) *coreState {
 	c := &coreState{
@@ -115,7 +141,7 @@ func (s *System) newCore(id int) *coreState {
 		page := mem.PageOf(mem.Addr(block * mem.BlockSize))
 		if !s.dc.MarkDirty(page) && s.cfg.Mode != DRAMOnly {
 			// Writeback raced the page's eviction: forward to flash.
-			s.flash.Write(page, func(sim.Time) {})
+			s.eng.AtFunc(s.flash.WritePage(page), nopEvent, nil)
 		}
 	}
 	var backend tlbvm.PTBackend
@@ -151,14 +177,19 @@ func jobDRAMAccessEvent(a any) { j := a.(*jobState); j.core.dramAccess(j) }
 func jobStepDoneEvent(a any)   { j := a.(*jobState); j.core.stepDone(j) }
 func coreKickEvent(a any)      { a.(*coreState).kick() }
 
+// nopEvent completes a flash write nothing waits for; the event is kept
+// so event counts and tie-breaks match a device that schedules its own
+// completions.
+func nopEvent(any) {}
+
 // enqueue adds a new job to the core's scheduler.
 func (c *coreState) enqueue(job *jobState) {
 	now := c.s.eng.Now()
 	switch {
 	case c.sched != nil:
-		c.sched.Spawn(job, now)
+		c.sched.Spawn(&job.th, job, now)
 	case c.runq != nil:
-		c.runq.Spawn(job, now)
+		c.runq.Spawn(&job.tk, job, now)
 	default:
 		c.fifoPush(job)
 	}
@@ -474,14 +505,20 @@ func (c *coreState) onDRAMMiss(job *jobState) {
 // syncWait blocks the core until the page arrives, then retries the
 // access (Flash-Sync, and the forced-progress path in AstriFlash).
 func (c *coreState) syncWait(job *jobState) {
-	page := job.steps[job.pc].Access.Page()
-	start := c.s.eng.Now()
-	c.s.dc.OnPageReady(page, func(at sim.Time) {
-		c.s.noteFlashExpiry(job, start, at)
-		c.s.attr.add(c.s, attrFlash, at-start)
-		c.span(job, obs.StageSyncWait, uint64(page), start, at)
-		c.dramAccess(job)
-	})
+	job.syncStart = c.s.eng.Now()
+	c.s.awaitPage(job, syncPageReady)
+}
+
+// syncPageReady retries a sync-waiting job's access once its page is in.
+func syncPageReady(a any, at sim.Time) {
+	job := liveJob(a)
+	c := job.core
+	start := job.syncStart
+	c.s.noteFlashExpiry(job, start, at)
+	c.s.attr.add(c.s, attrFlash, at-start)
+	c.span(job, obs.StageSyncWait, uint64(job.steps[job.pc].Access.Page()), start, at)
+	c.dramAccess(job)
+	c.s.waitDone(job)
 }
 
 // userThreadMiss is the AstriFlash switch-on-miss path: flush the
@@ -496,9 +533,6 @@ func (c *coreState) userThreadMiss(job *jobState) {
 		return
 	}
 	now := c.s.eng.Now()
-	th := c.sched.Running()
-	page := job.steps[job.pc].Access.Page()
-
 	if _, switched := c.sched.OnMiss(now); !switched {
 		// Pending queue full: block on this thread synchronously.
 		if c.s.measuring {
@@ -510,15 +544,7 @@ func (c *coreState) userThreadMiss(job *jobState) {
 	job.atAccess = true
 	job.missAt = now
 	job.readyAt = 0
-	c.s.dc.OnPageReady(page, func(at sim.Time) {
-		c.s.noteFlashExpiry(job, job.missAt, at)
-		job.readyAt = at
-		c.s.attr.add(c.s, attrFlash, at-job.missAt)
-		c.sched.NotifyReady(th, at)
-		if !c.busy {
-			c.kick()
-		}
-	})
+	c.s.awaitPage(job, parkedPageReady)
 	c.setBusy(false)
 	c.cur, c.curTh = nil, nil
 	// Pipeline flush (the ROB is half full on average when the miss signal
@@ -526,6 +552,21 @@ func (c *coreState) userThreadMiss(job *jobState) {
 	cost := c.missCost()
 	c.s.attr.add(c.s, attrSched, cost)
 	c.s.eng.AfterFunc(cost, coreKickEvent, c)
+}
+
+// parkedPageReady notifies the scheduler that a parked thread's page is
+// in, and runs the core if it is idle.
+func parkedPageReady(a any, at sim.Time) {
+	job := liveJob(a)
+	c := job.core
+	c.s.noteFlashExpiry(job, job.missAt, at)
+	job.readyAt = at
+	c.s.attr.add(c.s, attrFlash, at-job.missAt)
+	c.sched.NotifyReady(&job.th, at)
+	if !c.busy {
+		c.kick()
+	}
+	c.s.waitDone(job)
 }
 
 // osFault is the OS-Swap path: kernel fault entry under the VM lock, a
@@ -539,29 +580,12 @@ func (c *coreState) osFault(job *jobState) {
 		return
 	}
 	now := c.s.eng.Now()
-	page := job.steps[job.pc].Access.Page()
-	tk := c.runq.Running()
-
 	faultDone := c.s.kernel.PageFault(now)
 	job.atAccess = true
 	job.missAt = now
 	job.readyAt = 0
 	c.runq.Block(now)
-	c.s.dc.OnPageReady(page, func(at sim.Time) {
-		c.s.noteFlashExpiry(job, job.missAt, at)
-		c.s.attr.add(c.s, attrFlash, at-job.missAt)
-		installDone := c.s.kernel.InstallPage(at)
-		c.s.attr.add(c.s, attrOS, installDone-at)
-		c.span(job, obs.StageFlashWait, uint64(page), job.missAt, at)
-		c.span(job, obs.StageOSInstall, uint64(page), at, installDone)
-		c.s.eng.At(installDone, func() {
-			job.readyAt = installDone
-			c.runq.Wake(tk)
-			if !c.busy {
-				c.kick()
-			}
-		})
-	})
+	c.s.awaitPage(job, faultPageReady)
 	c.setBusy(false)
 	c.cur, c.curTk = nil, nil
 	// The core spends the fault path plus one context switch before the
@@ -569,6 +593,62 @@ func (c *coreState) osFault(job *jobState) {
 	resumeAt := faultDone + c.s.kernel.ContextSwitch()
 	c.s.attr.add(c.s, attrOS, resumeAt-now)
 	c.s.eng.AtFunc(resumeAt, coreKickEvent, c)
+}
+
+// faultPageReady is the OS fault path's page arrival: the kernel installs
+// the page (mapping plus shootdown), then wakes the task.
+func faultPageReady(a any, at sim.Time) {
+	job := liveJob(a)
+	c := job.core
+	c.s.noteFlashExpiry(job, job.missAt, at)
+	c.s.attr.add(c.s, attrFlash, at-job.missAt)
+	installDone := c.s.kernel.InstallPage(at)
+	c.s.attr.add(c.s, attrOS, installDone-at)
+	page := uint64(job.steps[job.pc].Access.Page())
+	c.span(job, obs.StageFlashWait, page, job.missAt, at)
+	c.span(job, obs.StageOSInstall, page, at, installDone)
+	job.waits++
+	c.s.eng.AtFunc(installDone, osInstallEvent, job)
+	c.s.waitDone(job)
+}
+
+// osInstallEvent requeues a faulted task once the kernel installed its
+// page.
+func osInstallEvent(a any) {
+	job := liveJob(a)
+	c := job.core
+	job.readyAt = c.s.eng.Now()
+	c.runq.Wake(&job.tk)
+	if !c.busy {
+		c.kick()
+	}
+	c.s.waitDone(job)
+}
+
+// awaitPage registers fn to run when the page of the job's current access
+// is ready.
+func (s *System) awaitPage(job *jobState, fn func(any, sim.Time)) {
+	job.waits++
+	s.dc.OnPageReady(job.steps[job.pc].Access.Page(), fn, job)
+}
+
+// liveJob returns the job a firing registration names, panicking if the
+// job was recycled.
+func liveJob(a any) *jobState {
+	job := a.(*jobState)
+	if job.waits <= 0 {
+		panic(fmt.Sprintf("system: page waiter fired against recycled job (request %d, gen %d)", job.req.ID, job.gen))
+	}
+	return job
+}
+
+// waitDone retires a fired registration, recycling a job that retired
+// while the registration was outstanding.
+func (s *System) waitDone(job *jobState) {
+	job.waits--
+	if job.waits == 0 && job.retired {
+		s.freeJob(job)
+	}
 }
 
 // noteFlashExpiry counts a request whose deadline fell inside a flash

@@ -76,9 +76,9 @@ func TestFlatMatchesLegacyOpenLoop(t *testing.T) {
 }
 
 // TestFlatSteadyStateZeroAllocs is the hot-loop regression guard: once
-// pools are warm, a saturated DRAM-only run must not allocate at all —
-// jobs, steps, fifo slots, and events are all reused. The AstriFlash
-// variant allows only the miss machinery's per-miss state.
+// pools are warm, a saturated run must not allocate — jobs with their
+// threads and tasks, steps, queue slots, events, and the DRAM cache's
+// fetch records and waiter slices are all reused.
 func TestFlatSteadyStateZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement needs a settled heap")
@@ -98,7 +98,7 @@ func TestFlatSteadyStateZeroAllocs(t *testing.T) {
 			}
 		}
 		// Warm every pool: job slabs, step buffers, histogram buckets,
-		// event-heap capacity, MSHR and BC tables.
+		// event-heap capacity, MSHR and BC tables, fetch records.
 		next := int64(5_000_000)
 		s.eng.RunUntil(next)
 		return testing.AllocsPerRun(5, func() {
@@ -106,16 +106,20 @@ func TestFlatSteadyStateZeroAllocs(t *testing.T) {
 			s.eng.RunUntil(next)
 		})
 	}
-	if got := measure(DRAMOnly); got != 0 {
-		t.Errorf("DRAM-only steady state allocated %.1f objects per ms of simulated time, want 0", got)
-	}
-	// The full system allocates only in the miss/wait machinery: a uthread
-	// Thread per spawn and, per DRAM-cache miss, the page-ready callback,
-	// its scheduler-wake closure, and the flash fetch chain. Pooling
-	// threads is unsafe while a pending fetch callback can resurrect a
-	// recycled one, so hold the line at the measured cost (~2.6k/ms at
-	// this configuration's miss rate) rather than at zero.
-	if got := measure(AstriFlash); got > 3000 {
-		t.Errorf("AstriFlash steady state allocated %.1f objects per ms of simulated time, want <= 3000", got)
+	// The miss path may not allocate: a page waiter is a (func, arg) pair
+	// whose state lives in the job it names, and a job, like a fetch
+	// record, is recycled only after every event and waiter naming it has
+	// fired. What AstriFlash still allocates (about one object per
+	// simulated ms here) is growth of simulated state, not per-miss cost:
+	// B+tree splits from tatp's inserts, a step buffer meeting a longer
+	// job, FTL map entries for pages written for the first time, and
+	// pools reaching a new high-water mark.
+	for _, c := range []struct {
+		mode Mode
+		max  float64
+	}{{DRAMOnly, 0}, {AstriFlash, 1}, {FlashSync, 0}, {OSSwap, 0}} {
+		if got := measure(c.mode); got > c.max {
+			t.Errorf("%v steady state allocated %.1f objects per ms of simulated time, want <= %.0f", c.mode, got, c.max)
+		}
 	}
 }

@@ -112,12 +112,16 @@ func (s *System) newJob() *jobState {
 	return &jobState{}
 }
 
-// freeJob returns a retired job record to the pool. Callers guarantee no
-// event or callback still references it (complete and the expired-drop
-// shed are the chain's terminal points).
+// freeJob returns a retired job record to the pool (complete and the
+// expired-drop shed are the chain's terminal points). While page
+// registrations still name the job it is only marked retired; the last
+// to fire recycles it (waitDone).
 func (s *System) freeJob(job *jobState) {
-	steps := job.steps[:0]
-	*job = jobState{steps: steps}
+	if job.waits > 0 {
+		job.retired = true
+		return
+	}
+	*job = jobState{steps: job.steps[:0], gen: job.gen + 1}
 	s.jobPool = append(s.jobPool, job)
 }
 

@@ -11,5 +11,5 @@ func (s *Scheduler) RegisterMetrics(r *obs.Registry, prefix string) {
 	r.Counter(prefix+"ready_promotions", &s.ReadyPromos)
 	r.Counter(prefix+"blocked_on_full", &s.BlockedFull)
 	r.Gauge(prefix+"avg_flash_response_ns", func() float64 { return s.avgFlash })
-	r.Gauge(prefix+"pending_depth", func() float64 { return float64(len(s.pending)) })
+	r.Gauge(prefix+"pending_depth", func() float64 { return float64(s.pending.Len()) })
 }

@@ -66,7 +66,7 @@ func (c *Ctx) Thread() *Thread { return c.th }
 // Go spawns fn as a cooperative thread. It may be called before Run or
 // from inside another worker.
 func (rt *Runtime) Go(fn func(*Ctx)) *Thread {
-	th := rt.sched.Spawn(nil, rt.logical)
+	th := rt.sched.Spawn(new(Thread), nil, rt.logical)
 	resume := make(chan struct{})
 	rt.resumes[th] = resume
 	ctx := &Ctx{rt: rt, th: th, resume: resume}

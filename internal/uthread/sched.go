@@ -41,7 +41,9 @@ func (p Policy) String() string {
 }
 
 // Thread is one user-level execution context. The payload is opaque to
-// the scheduler; the system layer stores its job state there.
+// the scheduler; the system layer stores its job state there. The caller
+// owns a Thread's memory (Spawn initialises it), so it can be embedded in
+// a pooled record and reused once the thread has finished.
 type Thread struct {
 	ID      uint64
 	Payload any
@@ -93,8 +95,8 @@ func DefaultConfig() Config {
 // Scheduler is the per-core user-level scheduler.
 type Scheduler struct {
 	cfg     Config
-	newQ    []*Thread
-	pending []*Thread
+	newQ    sim.Queue[*Thread]
+	pending sim.Queue[*Thread]
 	running *Thread
 	nextID  uint64
 
@@ -126,11 +128,12 @@ func NewScheduler(cfg Config) *Scheduler {
 // Config returns the scheduler's configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
 
-// Spawn creates a thread for a new job and queues it.
-func (s *Scheduler) Spawn(payload any, now sim.Time) *Thread {
+// Spawn initialises th as a new job's thread and queues it. It returns
+// th; the scheduler holds it until Finish retires it.
+func (s *Scheduler) Spawn(th *Thread, payload any, now sim.Time) *Thread {
 	s.nextID++
-	th := &Thread{ID: s.nextID, Payload: payload, EnqueuedAt: now}
-	s.newQ = append(s.newQ, th)
+	*th = Thread{ID: s.nextID, Payload: payload, EnqueuedAt: now}
+	s.newQ.Push(th)
 	s.Spawned.Inc()
 	return th
 }
@@ -139,13 +142,13 @@ func (s *Scheduler) Spawn(payload any, now sim.Time) *Thread {
 func (s *Scheduler) Running() *Thread { return s.running }
 
 // QueuedNew returns the number of never-scheduled jobs.
-func (s *Scheduler) QueuedNew() int { return len(s.newQ) }
+func (s *Scheduler) QueuedNew() int { return s.newQ.Len() }
 
 // QueuedPending returns the number of miss-blocked threads.
-func (s *Scheduler) QueuedPending() int { return len(s.pending) }
+func (s *Scheduler) QueuedPending() int { return s.pending.Len() }
 
 // PendingFull reports whether a new miss must block instead of switching.
-func (s *Scheduler) PendingFull() bool { return len(s.pending) >= s.cfg.PendingLimit }
+func (s *Scheduler) PendingFull() bool { return s.pending.Len() >= s.cfg.PendingLimit }
 
 // AvgFlashResponse returns the current aging threshold in nanoseconds.
 func (s *Scheduler) AvgFlashResponse() int64 { return int64(s.avgFlash) }
@@ -173,7 +176,7 @@ func (s *Scheduler) OnMiss(now sim.Time) (blockOn *Thread, switched bool) {
 	th.PendingSince = now
 	th.Ready = false
 	th.Switches++
-	s.pending = append(s.pending, th)
+	s.pending.Push(th)
 	s.running = nil
 	s.missEvent = true
 	s.SwitchCount.Inc()
@@ -217,8 +220,8 @@ func (s *Scheduler) PickNext(now sim.Time) *Thread {
 // after every request; promote it when ready or over-age, otherwise run a
 // new job; fall back to the pending head when no new work exists.
 func (s *Scheduler) pickPriorityAging(now sim.Time) *Thread {
-	if len(s.pending) > 0 {
-		head := s.pending[0]
+	if s.pending.Len() > 0 {
+		head := s.pending.Head()
 		age := now - head.PendingSince
 		if head.Ready || float64(age) > s.cfg.AgingFactor*s.avgFlash {
 			if head.Ready {
@@ -226,19 +229,20 @@ func (s *Scheduler) pickPriorityAging(now sim.Time) *Thread {
 			} else {
 				s.AgedPromos.Inc()
 			}
-			s.pending = s.pending[1:]
-			return head
+			return s.pending.Pop()
 		}
 	}
-	if len(s.newQ) > 0 {
-		th := s.newQ[0]
-		s.newQ = s.newQ[1:]
-		return th
+	return s.pickNewThenPending()
+}
+
+// pickNewThenPending runs the oldest new job, or else the pending head,
+// or nothing.
+func (s *Scheduler) pickNewThenPending() *Thread {
+	if s.newQ.Len() > 0 {
+		return s.newQ.Pop()
 	}
-	if len(s.pending) > 0 {
-		th := s.pending[0]
-		s.pending = s.pending[1:]
-		return th
+	if s.pending.Len() > 0 {
+		return s.pending.Pop()
 	}
 	return nil
 }
@@ -250,38 +254,18 @@ func (s *Scheduler) pickPriorityAging(now sim.Time) *Thread {
 func (s *Scheduler) pickFIFO() *Thread {
 	if s.missEvent {
 		s.missEvent = false
-		if len(s.pending) > 0 && s.pending[0].Ready {
-			th := s.pending[0]
-			s.pending = s.pending[1:]
-			return th
+		if s.pending.Len() > 0 && s.pending.Head().Ready {
+			return s.pending.Pop()
 		}
 	}
-	if len(s.newQ) > 0 {
-		th := s.newQ[0]
-		s.newQ = s.newQ[1:]
-		return th
-	}
-	if len(s.pending) > 0 {
-		th := s.pending[0]
-		s.pending = s.pending[1:]
-		return th
-	}
-	return nil
+	return s.pickNewThenPending()
 }
 
 // Unblock removes a specific thread from the pending queue (used when the
 // scheduler decided to block on it synchronously after PendingFull, or by
 // forced-progress resumption paths). It reports whether the thread was
 // found.
-func (s *Scheduler) Unblock(th *Thread) bool {
-	for i, p := range s.pending {
-		if p == th {
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
+func (s *Scheduler) Unblock(th *Thread) bool { return s.pending.Remove(th) }
 
 // Finish retires the running thread.
 func (s *Scheduler) Finish() {
@@ -303,16 +287,16 @@ func (s *Scheduler) ResumeDirect(th *Thread) {
 // OldestNewAge returns the age of the oldest never-scheduled job at now,
 // or 0 — the head-of-line queueing delay an admission controller bounds.
 func (s *Scheduler) OldestNewAge(now sim.Time) int64 {
-	if len(s.newQ) == 0 {
+	if s.newQ.Len() == 0 {
 		return 0
 	}
-	return now - s.newQ[0].EnqueuedAt
+	return now - s.newQ.Head().EnqueuedAt
 }
 
 // OldestPendingAge returns the age of the pending head at now, or 0.
 func (s *Scheduler) OldestPendingAge(now sim.Time) int64 {
-	if len(s.pending) == 0 {
+	if s.pending.Len() == 0 {
 		return 0
 	}
-	return now - s.pending[0].PendingSince
+	return now - s.pending.Head().PendingSince
 }

@@ -14,7 +14,7 @@ func newSched(policy Policy) *Scheduler {
 
 func TestSpawnAndPick(t *testing.T) {
 	s := newSched(PriorityAging)
-	th := s.Spawn("job-a", 0)
+	th := s.Spawn(new(Thread), "job-a", 0)
 	if s.QueuedNew() != 1 {
 		t.Fatalf("queued = %d", s.QueuedNew())
 	}
@@ -33,7 +33,7 @@ func TestSpawnAndPick(t *testing.T) {
 
 func TestOnMissParksThread(t *testing.T) {
 	s := newSched(PriorityAging)
-	th := s.Spawn("a", 0)
+	th := s.Spawn(new(Thread), "a", 0)
 	s.PickNext(0)
 	blockOn, switched := s.OnMiss(100)
 	if !switched || blockOn != nil {
@@ -54,8 +54,8 @@ func TestPendingFullBlocks(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PendingLimit = 1
 	s := NewScheduler(cfg)
-	a := s.Spawn("a", 0)
-	b := s.Spawn("b", 0)
+	a := s.Spawn(new(Thread), "a", 0)
+	b := s.Spawn(new(Thread), "b", 0)
 	s.PickNext(0)
 	s.OnMiss(10) // a parks
 	if s.PickNext(10) != b {
@@ -73,8 +73,8 @@ func TestPendingFullBlocks(t *testing.T) {
 
 func TestNotifyReadyPromotesPendingHead(t *testing.T) {
 	s := newSched(PriorityAging)
-	a := s.Spawn("a", 0)
-	s.Spawn("b", 0)
+	a := s.Spawn(new(Thread), "a", 0)
+	s.Spawn(new(Thread), "b", 0)
 	s.PickNext(0)
 	s.OnMiss(10) // a pending
 	s.NotifyReady(a, 60_010)
@@ -90,9 +90,9 @@ func TestNotifyReadyPromotesPendingHead(t *testing.T) {
 
 func TestAgingPromotesStarvingHead(t *testing.T) {
 	s := newSched(PriorityAging)
-	a := s.Spawn("a", 0)
+	a := s.Spawn(new(Thread), "a", 0)
 	for i := 0; i < 10; i++ {
-		s.Spawn(i, 0)
+		s.Spawn(new(Thread), i, 0)
 	}
 	s.PickNext(0)
 	s.OnMiss(10) // a pending, never notified
@@ -116,7 +116,7 @@ func TestAgingPromotesStarvingHead(t *testing.T) {
 
 func TestFIFOPolicyStarvesPending(t *testing.T) {
 	s := newSched(FIFONoPriority)
-	a := s.Spawn("a", 0)
+	a := s.Spawn(new(Thread), "a", 0)
 	s.PickNext(0)
 	s.OnMiss(10)
 	s.NotifyReady(a, 20)
@@ -128,7 +128,7 @@ func TestFIFOPolicyStarvesPending(t *testing.T) {
 	s.OnMiss(30) // a parks again, not yet ready
 	// At the miss event the head is not ready, so a new job wins and the
 	// event is consumed.
-	b0 := s.Spawn("b0", 0)
+	b0 := s.Spawn(new(Thread), "b0", 0)
 	if s.PickNext(31) != b0 {
 		t.Fatal("unready pending head should lose to a new job")
 	}
@@ -137,7 +137,7 @@ func TestFIFOPolicyStarvesPending(t *testing.T) {
 	// Away from miss events, fresh jobs always win under FIFO/noPS even
 	// though a is ready — the starvation Table II quantifies.
 	for i := 0; i < 5; i++ {
-		b := s.Spawn(i, 0)
+		b := s.Spawn(new(Thread), i, 0)
 		if s.PickNext(sim.Time(50+i)) != b {
 			t.Fatal("FIFO did not prefer the new job away from miss events")
 		}
@@ -151,7 +151,7 @@ func TestFIFOPolicyStarvesPending(t *testing.T) {
 
 func TestPriorityFallsBackToPendingWhenNoNewJobs(t *testing.T) {
 	s := newSched(PriorityAging)
-	a := s.Spawn("a", 0)
+	a := s.Spawn(new(Thread), "a", 0)
 	s.PickNext(0)
 	s.OnMiss(10)
 	got := s.PickNext(11) // not ready, not aged, but nothing else to do
@@ -170,7 +170,7 @@ func TestPickNextEmpty(t *testing.T) {
 func TestAvgFlashEWMAAdapts(t *testing.T) {
 	s := newSched(PriorityAging)
 	before := s.AvgFlashResponse()
-	th := s.Spawn("a", 0)
+	th := s.Spawn(new(Thread), "a", 0)
 	s.PickNext(0)
 	s.OnMiss(0)
 	s.NotifyReady(th, 200_000) // much slower than the 50 us estimate
@@ -188,7 +188,7 @@ func TestAvgFlashEWMAAdapts(t *testing.T) {
 			t.Fatal("ready thread not schedulable")
 		}
 		s.Finish()
-		s.Spawn(i, 0) // keep shapes realistic
+		s.Spawn(new(Thread), i, 0) // keep shapes realistic
 	}
 	if s.AvgFlashResponse() > 100_000 {
 		t.Fatalf("EWMA stuck high: %d", s.AvgFlashResponse())
@@ -197,7 +197,7 @@ func TestAvgFlashEWMAAdapts(t *testing.T) {
 
 func TestUnblock(t *testing.T) {
 	s := newSched(PriorityAging)
-	a := s.Spawn("a", 0)
+	a := s.Spawn(new(Thread), "a", 0)
 	s.PickNext(0)
 	s.OnMiss(10)
 	if !s.Unblock(a) {
@@ -217,8 +217,8 @@ func TestSchedulerPanicsOnMisuse(t *testing.T) {
 		"finish-idle": func() { newSched(PriorityAging).Finish() },
 		"pick-while-running": func() {
 			s := newSched(PriorityAging)
-			s.Spawn("a", 0)
-			s.Spawn("b", 0)
+			s.Spawn(new(Thread), "a", 0)
+			s.Spawn(new(Thread), "b", 0)
 			s.PickNext(0)
 			s.PickNext(0)
 		},
@@ -243,14 +243,14 @@ func TestNoStarvationProperty(t *testing.T) {
 	rng := sim.NewRNG(42)
 	for trial := 0; trial < 100; trial++ {
 		s := newSched(PriorityAging)
-		victim := s.Spawn("victim", 0)
+		victim := s.Spawn(new(Thread), "victim", 0)
 		s.PickNext(0)
 		s.OnMiss(0)
 		now := sim.Time(0)
 		picksUntilVictim := 0
 		for {
 			// Adversarial load: always have fresh jobs available.
-			s.Spawn(picksUntilVictim, now)
+			s.Spawn(new(Thread), picksUntilVictim, now)
 			now += sim.Time(1000 + rng.Intn(20_000))
 			got := s.PickNext(now)
 			if got == victim {
@@ -261,6 +261,44 @@ func TestNoStarvationProperty(t *testing.T) {
 			if picksUntilVictim > 1000 {
 				t.Fatal("victim starved for 1000 scheduling rounds")
 			}
+		}
+	}
+}
+
+// TestSchedulerCycleAllocFree pins the switch-on-miss cycle at zero heap
+// allocations once warm: the caller owns the threads, and both queues
+// reuse their backing arrays.
+func TestSchedulerCycleAllocFree(t *testing.T) {
+	for _, policy := range []Policy{PriorityAging, FIFONoPriority} {
+		cfg := DefaultConfig()
+		cfg.Policy = policy
+		s := NewScheduler(cfg)
+		ths := make([]Thread, cfg.PendingLimit)
+		now := sim.Time(0)
+		cycle := func() {
+			for i := range ths {
+				s.Spawn(&ths[i], nil, now)
+			}
+			for range ths {
+				s.PickNext(now)
+				if _, switched := s.OnMiss(now); !switched {
+					t.Fatal("pending queue full")
+				}
+			}
+			now += 1000
+			for i := range ths {
+				s.NotifyReady(&ths[i], now)
+			}
+			for range ths {
+				if s.PickNext(now) == nil {
+					t.Fatal("ready thread not picked")
+				}
+				s.Finish()
+			}
+		}
+		cycle()
+		if got := testing.AllocsPerRun(20, cycle); got != 0 {
+			t.Errorf("%v: %.1f allocations per spawn/miss/pick/finish cycle, want 0", policy, got)
 		}
 	}
 }
