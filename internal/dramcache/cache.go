@@ -800,7 +800,7 @@ func (c *Cache) installBypass(p mem.PageNum, at sim.Time, reqTime sim.Time) {
 				c.adm.OnEvict(e.page, e.hits > 0)
 				if e.dirty {
 					c.BypassDirtyWB.Inc()
-					c.eng.AtFunc(c.flash.WritePage(e.page), nopEvent, nil)
+					c.eng.AtFunc(c.flash.WritePage(e.page), flash.NopDone, nil)
 				}
 			}
 		}

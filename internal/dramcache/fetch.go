@@ -62,11 +62,6 @@ func wakeEvent(a any)        { f := live(a); f.c.runWake(f); f.c.unref(f) }
 // write-back program completed.
 func writebackDoneEvent(a any) { a.(*Cache).evictBuf-- }
 
-// nopEvent completes a write-back nothing waits for. The event is kept so
-// the engine's event count and tie-break sequence stay as they were when
-// every flash operation scheduled its own completion.
-func nopEvent(any) {}
-
 // live returns the record an event names, panicking if it was released.
 func live(a any) *fetch {
 	f := a.(*fetch)

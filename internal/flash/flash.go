@@ -344,6 +344,11 @@ func (d *Device) Write(lpn mem.PageNum, done func(at int64)) {
 	d.eng.At(at, func() { done(at) })
 }
 
+// NopDone is the completion event for a WritePage nothing waits for.
+// Callers still schedule it so the engine's event count and tie-break
+// sequence match a device that schedules its own completions.
+func NopDone(any) {}
+
 // WritePage programs logical page lpn (log-structured: a fresh physical
 // page is allocated and any previous copy is invalidated) and returns the
 // time the program completes; as with ReadPage, the caller schedules any

@@ -5,6 +5,7 @@ import (
 
 	"astriflash/internal/cachehier"
 	"astriflash/internal/dramcache"
+	"astriflash/internal/flash"
 	"astriflash/internal/loadgen"
 	"astriflash/internal/mem"
 	"astriflash/internal/obs"
@@ -75,15 +76,12 @@ type coreState struct {
 	tlb  *tlbvm.TLB
 	wkr  *tlbvm.Walker
 
-	sched *uthread.Scheduler // user-thread modes
-	runq  *ospaging.RunQueue // OS-Swap
-	// fifo is the DRAM-only / Flash-Sync simple queue, a head-indexed
-	// ring over one slice so steady-state push/pop never reallocates.
-	fifo     []*jobState
-	fifoHead int
-	cur      *jobState       // job owning the core right now
-	curTh    *uthread.Thread // its thread (user-thread modes)
-	curTk    *ospaging.Task  // its task (OS-Swap)
+	sched *uthread.Scheduler   // user-thread modes
+	runq  *ospaging.RunQueue   // OS-Swap
+	fifo  sim.Queue[*jobState] // DRAM-only / Flash-Sync simple queue
+	cur   *jobState            // job owning the core right now
+	curTh *uthread.Thread      // its thread (user-thread modes)
+	curTk *ospaging.Task       // its task (OS-Swap)
 
 	busy       bool
 	busySince  sim.Time
@@ -141,7 +139,7 @@ func (s *System) newCore(id int) *coreState {
 		page := mem.PageOf(mem.Addr(block * mem.BlockSize))
 		if !s.dc.MarkDirty(page) && s.cfg.Mode != DRAMOnly {
 			// Writeback raced the page's eviction: forward to flash.
-			s.eng.AtFunc(s.flash.WritePage(page), nopEvent, nil)
+			s.eng.AtFunc(s.flash.WritePage(page), flash.NopDone, nil)
 		}
 	}
 	var backend tlbvm.PTBackend
@@ -177,11 +175,6 @@ func jobDRAMAccessEvent(a any) { j := a.(*jobState); j.core.dramAccess(j) }
 func jobStepDoneEvent(a any)   { j := a.(*jobState); j.core.stepDone(j) }
 func coreKickEvent(a any)      { a.(*coreState).kick() }
 
-// nopEvent completes a flash write nothing waits for; the event is kept
-// so event counts and tie-breaks match a device that schedules its own
-// completions.
-func nopEvent(any) {}
-
 // enqueue adds a new job to the core's scheduler.
 func (c *coreState) enqueue(job *jobState) {
 	now := c.s.eng.Now()
@@ -191,7 +184,7 @@ func (c *coreState) enqueue(job *jobState) {
 	case c.runq != nil:
 		c.runq.Spawn(&job.tk, job, now)
 	default:
-		c.fifoPush(job)
+		c.fifo.Push(job)
 	}
 	if !c.busy {
 		c.kick()
@@ -225,41 +218,12 @@ func (c *coreState) kick() {
 		}
 		c.start(tk.Payload.(*jobState), nil, tk)
 	default:
-		if c.fifoLen() == 0 {
+		if c.fifo.Len() == 0 {
 			return
 		}
-		c.start(c.fifoPop(), nil, nil)
+		c.start(c.fifo.Pop(), nil, nil)
 	}
 }
-
-// fifoPush appends a job to the simple queue, compacting the ring when
-// the slice is full but has consumed head slots to reclaim.
-func (c *coreState) fifoPush(job *jobState) {
-	if len(c.fifo) == cap(c.fifo) && c.fifoHead > 0 {
-		n := copy(c.fifo, c.fifo[c.fifoHead:])
-		for i := n; i < len(c.fifo); i++ {
-			c.fifo[i] = nil
-		}
-		c.fifo = c.fifo[:n]
-		c.fifoHead = 0
-	}
-	c.fifo = append(c.fifo, job)
-}
-
-// fifoPop removes and returns the head job.
-func (c *coreState) fifoPop() *jobState {
-	job := c.fifo[c.fifoHead]
-	c.fifo[c.fifoHead] = nil
-	c.fifoHead++
-	if c.fifoHead == len(c.fifo) {
-		c.fifo = c.fifo[:0]
-		c.fifoHead = 0
-	}
-	return job
-}
-
-// fifoLen is the number of queued jobs.
-func (c *coreState) fifoLen() int { return len(c.fifo) - c.fifoHead }
 
 // start installs a job on the core and continues its execution.
 func (c *coreState) start(job *jobState, th *uthread.Thread, tk *ospaging.Task) {
@@ -371,8 +335,10 @@ func (c *coreState) complete(job *jobState) {
 		c.s.onJobDone(c)
 	}
 	c.kick()
-	// Every event and callback referencing the job has fired by now (the
-	// completion is the chain's last event), so the record can be reused.
+	// The completion is the job's last step event. freeJob recycles the
+	// record now, or, while a page registration is still outstanding (an
+	// aged-promoted thread can retire before its parked wait fires), marks
+	// it retired so waitDone recycles it when the last one fires.
 	c.s.freeJob(job)
 }
 
@@ -669,8 +635,8 @@ func (c *coreState) oldestNewAgeNs(now sim.Time) int64 {
 		return c.sched.OldestNewAge(now)
 	case c.runq != nil:
 		return c.runq.OldestNewAge(now)
-	case c.fifoLen() > 0:
-		return int64(now - c.fifo[c.fifoHead].req.ArrivedAt)
+	case c.fifo.Len() > 0:
+		return int64(now - c.fifo.Head().req.ArrivedAt)
 	}
 	return 0
 }
@@ -683,7 +649,7 @@ func (c *coreState) queuedNew() int {
 	case c.runq != nil:
 		return c.runq.Runnable()
 	default:
-		return c.fifoLen()
+		return c.fifo.Len()
 	}
 }
 
