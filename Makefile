@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test verify vet race verify-race lint-docs fmt-check bench-harness bench bench-engine bench-json bench-diff figures trace-smoke timeline-smoke overload-smoke economics-smoke
+.PHONY: build test verify vet race verify-race lint-docs fmt-check bench-harness bench bench-engine bench-build bench-json bench-diff figures trace-smoke timeline-smoke overload-smoke economics-smoke
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,12 @@ bench-harness:
 ## Engine/stats microbenchmarks (allocation counts included).
 bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkHistogram' -benchmem ./internal/sim ./internal/stats
+
+## Workload construction microbenchmarks: ns/op and allocs/op of building
+## each registered workload at 32 MiB. BENCHFLAGS passes extra go test
+## flags (CI runs `make bench-build BENCHFLAGS='-benchtime 1x'`).
+bench-build:
+	$(GO) test -run '^$$' -bench BenchmarkWorkloadBuild -benchmem $(BENCHFLAGS) ./internal/workload
 
 ## The full figure-suite benchmark harness.
 bench:

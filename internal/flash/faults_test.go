@@ -24,11 +24,10 @@ func TestFaultsOffCountersStayZero(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		lpn := mem.PageNum(rng.Intn(64))
 		if rng.Float64() < 0.5 {
-			d.Write(lpn, func(int64) {})
+			writeSync(eng, d, lpn)
 		} else {
-			d.Read(lpn, func(int64) {})
+			readSync(eng, d, lpn)
 		}
-		eng.Run()
 	}
 	if d.RetriedReads.Value() != 0 || d.Uncorrectables.Value() != 0 ||
 		d.RecoveredReads.Value() != 0 || d.BadBlocks.Value() != 0 || d.RemapMoves.Value() != 0 {
@@ -46,8 +45,7 @@ func TestReadRetryLadderEngagesAndAddsLatency(t *testing.T) {
 	d := NewDevice(eng, faultyConfig(2e-3, 0, 11))
 	var faulty []int64
 	for i := 0; i < 400; i++ {
-		d.Read(mem.PageNum(i%64), func(at int64) { faulty = append(faulty, at) })
-		eng.Run()
+		faulty = append(faulty, readSync(eng, d, mem.PageNum(i%64)))
 	}
 	if d.RetriedReads.Value() == 0 {
 		t.Fatal("no reads engaged the retry ladder at RBER=2e-3")
@@ -60,8 +58,7 @@ func TestReadRetryLadderEngagesAndAddsLatency(t *testing.T) {
 	clean := NewDevice(engOK, smallConfig())
 	var nominal []int64
 	for i := 0; i < 400; i++ {
-		clean.Read(mem.PageNum(i%64), func(at int64) { nominal = append(nominal, at) })
-		engOK.Run()
+		nominal = append(nominal, readSync(engOK, clean, mem.PageNum(i%64)))
 	}
 	var sumF, sumN int64
 	for i := range faulty {
@@ -110,12 +107,7 @@ func TestUncorrectableReadSurfacesErrorAndRemaps(t *testing.T) {
 func TestReadNeverFailsViaRecovery(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewDevice(eng, faultyConfig(0.5, 0, 5))
-	done := int64(0)
-	d.Read(9, func(at int64) { done = at })
-	eng.Run()
-	if done == 0 {
-		t.Fatal("Read with uncorrectable cells never completed")
-	}
+	done := readSync(eng, d, 9)
 	if d.RecoveredReads.Value() != 1 {
 		t.Fatalf("recovered-read counter = %d, want 1", d.RecoveredReads.Value())
 	}
@@ -131,8 +123,7 @@ func TestRetryHookObservesLadderAndRecovery(t *testing.T) {
 	d := NewDevice(eng, faultyConfig(0.5, 0, 5))
 	var hookNs int64
 	d.RetryHook = func(ns int64) { hookNs += ns }
-	d.Read(2, func(int64) {})
-	eng.Run()
+	readSync(eng, d, 2)
 	want := int64(d.cfg.ReadRetrySteps)*d.cfg.ReadRetryLatency + d.cfg.RecoveryLatency
 	if hookNs != want {
 		t.Fatalf("RetryHook observed %d ns, want %d", hookNs, want)
@@ -153,11 +144,10 @@ func TestFTLInvariantsUnderFaultChurn(t *testing.T) {
 		for i := 0; i < 3000; i++ {
 			lpn := mem.PageNum(rng.Intn(256))
 			if rng.Float64() < 0.5 {
-				d.Write(lpn, func(int64) {})
+				writeSync(eng, d, lpn)
 			} else {
-				d.Read(lpn, func(int64) {})
+				readSync(eng, d, lpn)
 			}
-			eng.Run()
 			if i%500 == 0 {
 				if msg := d.CheckFTLInvariants(); msg != "" {
 					t.Fatalf("seed %d op %d: %s", seed, i, msg)
@@ -188,11 +178,10 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 		for i := 0; i < 800; i++ {
 			lpn := mem.PageNum(rng.Intn(128))
 			if rng.Float64() < 0.4 {
-				d.Write(lpn, func(at int64) { out = append(out, at) })
+				out = append(out, writeSync(eng, d, lpn))
 			} else {
-				d.Read(lpn, func(at int64) { out = append(out, at) })
+				out = append(out, readSync(eng, d, lpn))
 			}
-			eng.Run()
 		}
 		return out, d.RetriedReads.Value(), d.BadBlocks.Value()
 	}

@@ -19,12 +19,33 @@ func smallConfig() Config {
 	return c
 }
 
+// readSync reads lpn at the engine's current time and advances the clock
+// to the read's completion, which it returns. A read that settles
+// uncorrectable is reconstructed from redundancy at that moment, as the
+// DRAM cache does.
+func readSync(eng *sim.Engine, d *Device, lpn mem.PageNum) int64 {
+	r := d.ReadPage(lpn)
+	eng.RunUntil(r.At)
+	if r.Err == nil {
+		return r.At
+	}
+	at := d.ReadRecovered(lpn)
+	eng.RunUntil(at)
+	return at
+}
+
+// writeSync programs lpn at the engine's current time and advances the
+// clock to the program's completion, which it returns.
+func writeSync(eng *sim.Engine, d *Device, lpn mem.PageNum) int64 {
+	at := d.WritePage(lpn)
+	eng.RunUntil(at)
+	return at
+}
+
 func TestReadLatencyIncludesCellAndTransfer(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewDevice(eng, smallConfig())
-	var doneAt int64
-	d.Read(0, func(at int64) { doneAt = at })
-	eng.Run()
+	doneAt := readSync(eng, d, 0)
 	want := d.cfg.ReadLatency + d.cfg.ChannelTransfer
 	if doneAt != want {
 		t.Fatalf("read completed at %d, want %d", doneAt, want)
@@ -39,10 +60,8 @@ func TestReadsToSamePlaneSerialize(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Channels, cfg.PlanesPerDie = 1, 1 // single plane
 	d := NewDevice(eng, cfg)
-	var t1, t2 int64
-	d.Read(0, func(at int64) { t1 = at })
-	d.Read(1, func(at int64) { t2 = at })
-	eng.Run()
+	t1 := d.ReadPage(0).At
+	t2 := d.ReadPage(1).At
 	if t2 < t1+d.cfg.ReadLatency {
 		t.Fatalf("plane did not serialize cell reads: %d then %d", t1, t2)
 	}
@@ -53,9 +72,8 @@ func TestReadsToDifferentPlanesOverlap(t *testing.T) {
 	d := NewDevice(eng, smallConfig())
 	var times []int64
 	for i := 0; i < d.Planes(); i++ {
-		d.Read(mem.PageNum(i), func(at int64) { times = append(times, at) })
+		times = append(times, d.ReadPage(mem.PageNum(i)).At)
 	}
-	eng.Run()
 	// With one read per plane, completions must not be fully serialized:
 	// the last one ends well before planes*readLatency.
 	var max int64
@@ -73,8 +91,7 @@ func TestWriteInvalidatesOldCopy(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewDevice(eng, smallConfig())
 	for i := 0; i < 5; i++ {
-		d.Write(42, func(int64) {})
-		eng.Run()
+		writeSync(eng, d, 42)
 	}
 	// Exactly one live copy of lpn 42 must exist.
 	live := 0
@@ -106,8 +123,7 @@ func TestGarbageCollectionReclaims(t *testing.T) {
 	// Hammer a small set of logical pages far beyond physical capacity;
 	// without GC the log would fill after 32 programs.
 	for i := 0; i < 500; i++ {
-		d.Write(mem.PageNum(i%4), func(int64) {})
-		eng.Run()
+		writeSync(eng, d, mem.PageNum(i%4))
 	}
 	if d.GCRuns.Value() == 0 {
 		t.Fatal("no GC ran despite log churn")
@@ -130,13 +146,12 @@ func TestGCBlocksReads(t *testing.T) {
 	cfg.LocalGC = false
 	d := NewDevice(eng, cfg)
 	for i := 0; i < 200; i++ {
-		d.Write(mem.PageNum(i%4), func(int64) {})
+		d.WritePage(mem.PageNum(i % 4))
 	}
 	// Reads issued while GC passes are pending should be counted blocked.
 	for i := 0; i < 50; i++ {
-		d.Read(mem.PageNum(i%4), func(int64) {})
+		d.ReadPage(mem.PageNum(i % 4))
 	}
-	eng.Run()
 	if d.GCRuns.Value() == 0 {
 		t.Skip("GC never triggered under this sequence")
 	}
@@ -156,12 +171,11 @@ func TestLocalGCDoesNotBlockReads(t *testing.T) {
 		cfg.LocalGC = local
 		d := NewDevice(eng, cfg)
 		for i := 0; i < 200; i++ {
-			d.Write(mem.PageNum(i%4), func(int64) {})
+			d.WritePage(mem.PageNum(i % 4))
 		}
 		for i := 0; i < 50; i++ {
-			d.Read(mem.PageNum(i%4), func(int64) {})
+			d.ReadPage(mem.PageNum(i % 4))
 		}
-		eng.Run()
 		return d.BlockedByGC.Value()
 	}
 	if blocked := run(true); blocked != 0 {
@@ -182,12 +196,11 @@ func TestMorePlanesReduceBlockedFraction(t *testing.T) {
 		rng := sim.NewRNG(7)
 		for i := 0; i < 2000; i++ {
 			if rng.Float64() < 0.3 {
-				d.Write(mem.PageNum(rng.Intn(16)), func(int64) {})
+				d.WritePage(mem.PageNum(rng.Intn(16)))
 			} else {
-				d.Read(mem.PageNum(rng.Intn(16)), func(int64) {})
+				d.ReadPage(mem.PageNum(rng.Intn(16)))
 			}
 		}
-		eng.Run()
 		return d.BlockedReadFraction()
 	}
 	small, big := run(1), run(8)
@@ -218,8 +231,7 @@ func TestWearLeveling(t *testing.T) {
 	cfg.GCLowWater = 2
 	d := NewDevice(eng, cfg)
 	for i := 0; i < 2000; i++ {
-		d.Write(mem.PageNum(i%8), func(int64) {})
-		eng.Run()
+		writeSync(eng, d, mem.PageNum(i%8))
 	}
 	total, max := d.TotalEraseCount(), d.MaxEraseCount()
 	if total == 0 {
@@ -259,8 +271,8 @@ func TestLPNOutOfRangePanics(t *testing.T) {
 		}()
 		fn()
 	}
-	check("read", func() { d.Read(huge, func(int64) {}) })
-	check("write", func() { d.Write(huge, func(int64) {}) })
+	check("read", func() { d.ReadPage(huge) })
+	check("write", func() { d.WritePage(huge) })
 }
 
 func TestDeterministicLatencies(t *testing.T) {
@@ -272,12 +284,11 @@ func TestDeterministicLatencies(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			lpn := mem.PageNum(rng.Intn(64))
 			if rng.Float64() < 0.5 {
-				d.Write(lpn, func(at int64) { out = append(out, at) })
+				out = append(out, d.WritePage(lpn))
 			} else {
-				d.Read(lpn, func(at int64) { out = append(out, at) })
+				out = append(out, d.ReadPage(lpn).At)
 			}
 		}
-		eng.Run()
 		return out
 	}
 	a, b := run(), run()
@@ -312,8 +323,7 @@ func TestWriteAmplification(t *testing.T) {
 		} else {
 			lpn = mem.PageNum(8 + (i/2)%12) // colder: longer-lived
 		}
-		d.Write(lpn, func(int64) {})
-		eng.Run()
+		writeSync(eng, d, lpn)
 	}
 	wa := d.WriteAmplification()
 	if wa <= 1 {

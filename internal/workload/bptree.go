@@ -183,15 +183,23 @@ func (t *BPTree) Insert(key, val uint64, tr *Tracer) {
 }
 
 // insert descends recursively; on split it returns the promoted separator
-// key and the new right sibling.
+// key and the new right sibling. Without a search, a key at or above an
+// internal node's last separator descends into its last child, and a key
+// above a leaf's last key is appended: findChild and lowerBound return
+// len(keys) there, so ascending loads (every TATP and TPC-C table, TPC-C's
+// order logs) build the same tree and trace the same pages. A key equal to
+// a leaf's last key takes the search, which finds it and overwrites.
 func (t *BPTree) insert(n *bpNode, key, val uint64, tr *Tracer) (uint64, *bpNode) {
 	tr.Touch(n.addr, false)
 	if n.leaf {
-		i := lowerBound(n.keys, key)
-		if i < len(n.keys) && n.keys[i] == key {
-			n.vals[i] = val
-			tr.Touch(n.addr, true)
-			return 0, nil
+		i := len(n.keys)
+		if i > 0 && n.keys[i-1] >= key {
+			i = lowerBound(n.keys, key)
+			if n.keys[i] == key {
+				n.vals[i] = val
+				tr.Touch(n.addr, true)
+				return 0, nil
+			}
 		}
 		if len(n.keys) == cap(n.keys) {
 			t.growLeaf(n)
@@ -209,7 +217,10 @@ func (t *BPTree) insert(n *bpNode, key, val uint64, tr *Tracer) (uint64, *bpNode
 		}
 		return t.splitLeaf(n, tr)
 	}
-	ci := findChild(n.keys, key)
+	ci := len(n.keys)
+	if n.keys[ci-1] > key {
+		ci = findChild(n.keys, key)
+	}
 	promoted, newChild := t.insert(n.children[ci], key, val, tr)
 	if newChild == nil {
 		return 0, nil
@@ -231,17 +242,16 @@ func (t *BPTree) insert(n *bpNode, key, val uint64, tr *Tracer) (uint64, *bpNode
 // TATP and TPC-C bulk-load every table in ascending key order, so inserts
 // keep landing in the right half and never reach the left one again: the
 // left half gets exact-size copies (128 entries fill a 1 KB size class at
-// fanout 256), and the right half takes over the full-size arrays with
-// its entries shifted to the front. A random insert into a trimmed left
-// half regrows it once, in growLeaf.
+// fanout 256; append, unlike make, skips zeroing what it overwrites), and
+// the right half takes over the full-size arrays with its entries shifted
+// to the front. A random insert into a trimmed left half regrows it once,
+// in growLeaf.
 func (t *BPTree) splitLeaf(n *bpNode, tr *Tracer) (uint64, *bpNode) {
 	mid := len(n.keys) / 2
 	right := t.newNode(true)
 	keys, vals := n.keys, n.vals
-	n.keys = make([]uint64, mid)
-	n.vals = make([]uint64, mid)
-	copy(n.keys, keys)
-	copy(n.vals, vals)
+	n.keys = append([]uint64(nil), keys[:mid]...)
+	n.vals = append([]uint64(nil), vals[:mid]...)
 	right.keys = keys[:copy(keys, keys[mid:])]
 	right.vals = vals[:copy(vals, vals[mid:])]
 	right.next = n.next

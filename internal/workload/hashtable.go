@@ -120,14 +120,9 @@ func NewHashTableWorkload(cfg Config) *HashTableWorkload {
 	arena := mem.NewArena(0, max(cfg.DatasetBytes+cfg.DatasetBytes/2, tableBytes))
 	ht := NewHashTable(arena, slots)
 	keys := ht.Capacity() * 7 / 10
-	sink := NewTracer(1)
 	for i := uint64(0); i < keys; i++ {
-		ht.Put(scrambleKey(i), i, sink)
-		if sink.Len() > 1<<16 {
-			sink.Discard()
-		}
+		ht.Put(scrambleKey(i), i, nil)
 	}
-	sink.Discard()
 	rng := newRNG(cfg, 0x47a5)
 	return &HashTableWorkload{
 		cfg:   cfg,

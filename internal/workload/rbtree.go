@@ -282,17 +282,12 @@ func NewRBT(cfg Config) *RBTWorkload {
 	arena := mem.NewArena(0, cfg.DatasetBytes)
 	tree := NewRBTree(arena)
 	rng := newRNG(cfg, 0x2b7)
-	sink := NewTracer(1)
 	// Insert keys in scrambled order so the tree is not degenerate on
 	// the build path and pages mix key ranges.
 	for i := uint64(0); i < keys; i++ {
 		k := scrambleKey(i)
-		tree.Insert(k, i, sink)
-		if sink.Len() > 1<<16 {
-			sink.Discard()
-		}
+		tree.Insert(k, i, nil)
 	}
-	sink.Discard()
 	return &RBTWorkload{
 		cfg:   cfg,
 		tree:  tree,

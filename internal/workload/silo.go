@@ -196,15 +196,10 @@ func NewSilo(cfg Config) *SiloWorkload {
 	// at observed leaf fill); budget 128 B per key for slack.
 	keys := cfg.DatasetBytes / 128
 	db := NewSiloDB(arena)
-	sink := NewTracer(1)
 	rng := newRNG(cfg, 0x5170)
 	for i := uint64(0); i < keys; i++ {
-		db.Load(scrambleKey(i), i, sink)
-		if sink.Len() > 1<<16 {
-			sink.Discard()
-		}
+		db.Load(scrambleKey(i), i, nil)
 	}
-	sink.Discard()
 	return &SiloWorkload{
 		cfg:   cfg,
 		db:    db,

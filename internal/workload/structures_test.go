@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -230,10 +232,8 @@ func bpLeaves(t *BPTree) []*bpNode {
 
 func TestBPTreeAscendingLoadTrimsLeaves(t *testing.T) {
 	tree := NewBPTree(testArena(), 256)
-	sink := NewTracer(1)
 	for i := uint64(0); i < 100_000; i++ {
-		tree.Insert(i, i, sink)
-		sink.Discard()
+		tree.Insert(i, i, nil)
 	}
 	leaves := bpLeaves(tree)
 	if len(leaves) < 100 {
@@ -255,8 +255,8 @@ func TestBPTreeAccessesOnePagePerLevel(t *testing.T) {
 	}
 	tr := NewTracer(1)
 	tree.Get(2500, tr)
-	if tr.Len() != tree.Height() {
-		t.Fatalf("get traced %d accesses for height %d", tr.Len(), tree.Height())
+	if n := len(tr.Take()); n != tree.Height() {
+		t.Fatalf("get traced %d accesses for height %d", n, tree.Height())
 	}
 }
 
@@ -351,8 +351,8 @@ func TestMasstreeLayering(t *testing.T) {
 	if v, ok := mt.Get(a, tr); !ok || v != 1 {
 		t.Fatalf("a = %d,%v", v, ok)
 	}
-	if tr.Len() < 2 {
-		t.Fatalf("two-layer get traced %d accesses", tr.Len())
+	if n := len(tr.Take()); n < 2 {
+		t.Fatalf("two-layer get traced %d accesses", n)
 	}
 	if v, ok := mt.Get(b, NewTracer(1)); !ok || v != 2 {
 		t.Fatalf("b = %d,%v", v, ok)
@@ -407,4 +407,91 @@ func TestMasstreePropertyRoundTrip(t *testing.T) {
 	}, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzBPTree decodes ops into mixes of ascending runs, re-inserts of the
+// current maximum key, random inserts, updates, gets and scans over a
+// small-fanout tree, and checks every result against a Go map.
+func FuzzBPTree(f *testing.F) {
+	f.Fuzz(func(t *testing.T, fan byte, ops []byte) {
+		fanout := 4 << (fan % 3) // 4, 8, 16: halves fill size classes exactly
+		tree := NewBPTree(testArena(), fanout)
+		ref := map[uint64]uint64{}
+		var maxKey, val uint64
+		insert := func(k uint64) {
+			val++
+			tree.Insert(k, val, nil)
+			ref[k] = val
+			maxKey = max(maxKey, k)
+		}
+		for n := 0; len(ops) >= 2 && n < 512; n++ {
+			op, arg := ops[0], uint64(ops[1])
+			ops = ops[2:]
+			key := arg // a small key space, so inserts collide
+			switch op % 6 {
+			case 0: // ascending run above the maximum
+				start := maxKey + 1
+				if len(ref) == 0 {
+					start = key
+				}
+				for i := range arg%16 + 1 {
+					insert(start + i*(arg%3+1))
+				}
+			case 1: // re-insert the maximum: overwrites, never appends
+				if len(ref) > 0 {
+					insert(maxKey)
+				}
+			case 2:
+				insert(key)
+			case 3:
+				val++
+				_, had := ref[key]
+				if tree.Update(key, val, nil) != had {
+					t.Fatalf("Update(%d) reported %v, map has it: %v", key, !had, had)
+				}
+				if had {
+					ref[key] = val
+				}
+			case 4:
+				v, ok := tree.Get(key, nil)
+				if want, had := ref[key]; ok != had || v != want {
+					t.Fatalf("Get(%d) = %d,%v; map has %d,%v", key, v, ok, want, had)
+				}
+			case 5:
+				count := int(arg%32) + 1
+				got := tree.Scan(key, count, nil)
+				var keys []uint64
+				for k := range ref {
+					if k >= key {
+						keys = append(keys, k)
+					}
+				}
+				sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+				want := []uint64{}
+				for _, k := range keys[:min(count, len(keys))] {
+					want = append(want, ref[k])
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("Scan(%d, %d) = %v, want %v", key, count, got, want)
+				}
+			}
+			if tree.Size() != uint64(len(ref)) {
+				t.Fatalf("size %d, map holds %d", tree.Size(), len(ref))
+			}
+		}
+		if msg := tree.CheckInvariants(); msg != "" {
+			t.Fatal(msg)
+		}
+		for k, want := range ref {
+			if v, ok := tree.Get(k, nil); !ok || v != want {
+				t.Fatalf("Get(%d) = %d,%v, want %d", k, v, ok, want)
+			}
+		}
+		for _, n := range bpLeaves(tree) {
+			if c := cap(n.keys); c != len(n.keys) && c != fanout+1 || cap(n.vals) != c {
+				t.Fatalf("leaf arrays len %d, cap %d/%d; want exact or %d",
+					len(n.keys), c, cap(n.vals), fanout+1)
+			}
+		}
+	})
 }

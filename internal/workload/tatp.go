@@ -44,22 +44,17 @@ func NewTATP(cfg Config) *TATP {
 		specialFac:  NewBPTree(arena, 256),
 		subs:        subs,
 	}
-	sink := NewTracer(1)
 	rng := newRNG(cfg, 0x7a79)
 	for s := uint64(0); s < subs; s++ {
-		t.subscribers.Insert(s, rng.Uint64(), sink)
+		t.subscribers.Insert(s, rng.Uint64(), nil)
 		// 1-4 access-info rows per subscriber in real TATP; model 2.
-		t.accessInfo.Insert(s*4, rng.Uint64(), sink)
-		t.accessInfo.Insert(s*4+1, rng.Uint64(), sink)
+		t.accessInfo.Insert(s*4, rng.Uint64(), nil)
+		t.accessInfo.Insert(s*4+1, rng.Uint64(), nil)
 		// One special-facility row in two.
 		if s%2 == 0 {
-			t.specialFac.Insert(s, rng.Uint64(), sink)
-		}
-		if sink.Len() > 1<<16 {
-			sink.Discard()
+			t.specialFac.Insert(s, rng.Uint64(), nil)
 		}
 	}
-	sink.Discard()
 	// Subscriber ids key the trees directly, so hot subscribers occupy
 	// contiguous leaves (~50 effective items per hot page across the
 	// three tables).

@@ -72,30 +72,22 @@ func NewTPCC(cfg Config) *TPCC {
 		items:      items,
 		custPerD:   custPerD,
 	}
-	sink := NewTracer(1)
 	rng := newRNG(cfg, 0x79cc)
 	for w := uint64(0); w < warehouses; w++ {
-		t.warehouse.Insert(w, rng.Uint64(), sink)
+		t.warehouse.Insert(w, rng.Uint64(), nil)
 		for d := uint64(0); d < tpccDistrictsPerW; d++ {
-			t.district.Insert(w*tpccDistrictsPerW+d, rng.Uint64(), sink)
+			t.district.Insert(w*tpccDistrictsPerW+d, rng.Uint64(), nil)
 			for c := uint64(0); c < custPerD; c++ {
-				t.customer.Insert(t.custKey(w, d, c), rng.Uint64(), sink)
+				t.customer.Insert(t.custKey(w, d, c), rng.Uint64(), nil)
 			}
-		}
-		if sink.Len() > 1<<16 {
-			sink.Discard()
 		}
 	}
 	for i := uint64(0); i < items; i++ {
-		t.item.Insert(i, rng.Uint64(), sink)
+		t.item.Insert(i, rng.Uint64(), nil)
 		for w := uint64(0); w < warehouses; w++ {
-			t.stock.Insert(t.stockKey(w, i), rng.Uint64(), sink)
-		}
-		if sink.Len() > 1<<16 {
-			sink.Discard()
+			t.stock.Insert(t.stockKey(w, i), rng.Uint64(), nil)
 		}
 	}
-	sink.Discard()
 	// Customer and item keys are contiguous; stock spreads each hot item
 	// over one leaf range per warehouse.
 	t.custZipf = newSampler(cfg, rng, warehouses*tpccDistrictsPerW*custPerD, hotPageBudget(cfg)*20)

@@ -57,7 +57,9 @@ type StepReuser interface {
 
 // Tracer collects the access trace a data-structure operation produces.
 // Structures call Touch for every node they visit; the per-access compute
-// cost models the instructions executed between references.
+// cost models the instructions executed between references. A nil
+// *Tracer records nothing: builds pass nil, since no one reads their
+// trace.
 type Tracer struct {
 	steps     []Step
 	computeNs int64
@@ -84,12 +86,18 @@ func (t *Tracer) Reset(computeNs int64, buf []Step) {
 
 // Touch records one reference.
 func (t *Tracer) Touch(a mem.Addr, write bool) {
+	if t == nil {
+		return
+	}
 	t.steps = append(t.steps, Step{ComputeNs: t.computeNs, Access: mem.Access{Addr: a, Write: write}})
 }
 
 // Compute records extra computation with no memory reference by charging
 // it to the previous step (pure compute between accesses).
 func (t *Tracer) Compute(ns int64) {
+	if t == nil {
+		return
+	}
 	if len(t.steps) == 0 {
 		t.steps = append(t.steps, Step{ComputeNs: ns, Access: mem.Access{}})
 		return
@@ -103,18 +111,6 @@ func (t *Tracer) Take() []Step {
 	t.steps = nil
 	return s
 }
-
-// Discard drops the accumulated trace but keeps the backing array for the
-// next recording. Population loops that trace into a throwaway sink must
-// drain with Discard, not Take: Take hands the array away, so each drain
-// cycle regrows the slice from nil — across a multi-GB build that slice
-// churn dominates construction time.
-func (t *Tracer) Discard() {
-	t.steps = t.steps[:0]
-}
-
-// Len returns the number of recorded steps.
-func (t *Tracer) Len() int { return len(t.steps) }
 
 // Config is shared workload tuning.
 type Config struct {

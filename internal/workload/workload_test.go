@@ -229,8 +229,21 @@ func TestTracerComputeAttachment(t *testing.T) {
 	if steps[1].ComputeNs != 60 {
 		t.Fatalf("attached compute = %d, want 10+50", steps[1].ComputeNs)
 	}
-	if tr.Len() != 0 {
+	if len(tr.Take()) != 0 {
 		t.Fatal("Take did not reset")
+	}
+}
+
+func TestNilTracerRecordsNothing(t *testing.T) {
+	var tr *Tracer
+	tr.Touch(0x40, true)
+	tr.Compute(10)
+	tree := NewBPTree(testArena(), 8)
+	for i := uint64(0); i < 100; i++ {
+		tree.Insert(i, i, tr)
+	}
+	if v, ok := tree.Get(42, tr); !ok || v != 42 {
+		t.Fatalf("Get(42) = %d,%v through a nil tracer", v, ok)
 	}
 }
 
