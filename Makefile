@@ -42,9 +42,11 @@ bench-harness:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
-## Engine/stats microbenchmarks (allocation counts included).
+## Engine, stats and Zipf-draw microbenchmarks (allocation counts
+## included). BENCHFLAGS passes extra go test flags (CI runs
+## `make bench-engine BENCHFLAGS='-benchtime 1x'`).
 bench-engine:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkHistogram' -benchmem ./internal/sim ./internal/stats
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkHistogram|BenchmarkZipfNext|BenchmarkHotColdNext' -benchmem $(BENCHFLAGS) ./internal/sim ./internal/stats ./internal/mem
 
 ## Workload construction microbenchmarks: ns/op and allocs/op of building
 ## each registered workload at 32 MiB. BENCHFLAGS passes extra go test

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math"
+	"math/bits"
 
 	"astriflash/internal/sim"
 )
@@ -24,6 +25,8 @@ type Zipf struct {
 	zetan float64
 	eta   float64
 	zeta2 float64
+	// rank1 is 1 + 0.5^theta: draws with u*zetan below it are rank 1.
+	rank1 float64
 	rng   *sim.RNG
 	// scramble mixes rank into position so popular items are not
 	// physically adjacent.
@@ -54,6 +57,7 @@ func NewZipf(rng *sim.RNG, n uint64, theta float64) *Zipf {
 	z.zeta2 = zetaApprox(2, theta)
 	z.zetan = zetaApprox(n, theta)
 	z.alpha = 1 / (1 - theta)
+	z.rank1 = 1 + math.Pow(0.5, theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
 	return z
 }
@@ -87,7 +91,7 @@ func (z *Zipf) Rank() uint64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.rank1 {
 		return 1
 	}
 	r := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
@@ -107,42 +111,29 @@ func (z *Zipf) Next() uint64 {
 // pos = (rank*key + off) mod n with gcd(key, n) == 1, so every rank maps
 // to a unique position and consecutive hot ranks land far apart.
 func (z *Zipf) scramble(rank uint64) uint64 {
-	r := rank % z.n
-	if z.n <= 1<<32 {
+	n := z.n
+	r := rank
+	if r >= n {
+		r %= n
+	}
+	var x uint64
+	if n <= 1<<32 {
 		// Product fits in 64 bits; this is the hot path for all
 		// practical domains (<= 4G pages).
-		return (r*z.scrambleKey%z.n + z.scrambleOff) % z.n
+		x = r * z.scrambleKey % n
+	} else {
+		// r < n and key <= n, so the high word is below n and Div64
+		// cannot overflow.
+		hi, lo := bits.Mul64(r, z.scrambleKey)
+		_, x = bits.Div64(hi, lo, n)
 	}
-	hi, lo := mul64(r, z.scrambleKey)
-	return (mod128(hi, lo, z.n) + z.scrambleOff) % z.n
-}
-
-// mul64 returns the 128-bit product of a and b.
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	al, ah := a&mask, a>>32
-	bl, bh := b&mask, b>>32
-	t := al*bh + (al*bl)>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += ah * bl
-	hi = ah*bh + w2 + (w1 >> 32)
-	lo = a * b
-	return
-}
-
-// mod128 returns (hi*2^64 + lo) mod m by long division.
-func mod128(hi, lo, m uint64) uint64 {
-	r := hi % m
-	for i := 63; i >= 0; i-- {
-		r <<= 1
-		r |= (lo >> uint(i)) & 1
-		// r can overflow only if m > 2^63; workload domains never are.
-		if r >= m {
-			r -= m
-		}
+	// Both terms are residues, so one subtract reduces their sum (exact
+	// for n <= 2^63, where the sum cannot wrap).
+	x += z.scrambleOff
+	if x >= n {
+		x -= n
 	}
-	return r
+	return x
 }
 
 // gcd returns the greatest common divisor of a and b.

@@ -8,11 +8,19 @@
 // The event queue is a monomorphic 4-ary min-heap stored in a plain slice.
 // Compared to container/heap, this removes the per-event interface boxing
 // (heap.Interface traffics in `any`, allocating every Push) and halves the
-// sift depth; the slice's capacity is retained across pops, so a warmed-up
-// engine schedules events with zero heap allocations. For hot paths, the
-// AtFunc/AfterFunc variants also avoid the caller-side closure: they take a
-// package-level func(any) plus a pointer-shaped argument, neither of which
-// allocates.
+// sift depth; the slice's capacity is retained across removals, so a
+// warmed-up engine schedules events with zero heap allocations. For hot
+// paths, the AtFunc/AfterFunc variants also avoid the caller-side closure:
+// they take a package-level func(any) plus a pointer-shaped argument,
+// neither of which allocates.
+//
+// Events fire in place. Step reads the root without popping it and marks
+// its slot vacant while the callback runs. Most callbacks schedule exactly
+// one successor (a core's next step), and that first push takes the vacant
+// root and sifts down once, where a pop followed by a push would sift
+// twice. A callback that pushes nothing has its slot removed after it
+// returns. Keys (at, pri, seq) are unique, so every valid heap fires
+// events in the same order, and runs are unchanged bit for bit.
 package sim
 
 import (
@@ -71,9 +79,12 @@ type Engine struct {
 	now Time
 	seq uint64
 	// events is a 4-ary min-heap ordered by (at, pri, seq). Entries are stored
-	// by value; the slice doubles as a free list, since popped slots are
+	// by value; the slice doubles as a free list, since removed slots are
 	// reused by later pushes without reallocating.
 	events []event
+	// vacant marks events[0] as the event now firing: it still holds the
+	// slot but is no longer queued. See Step.
+	vacant bool
 	// Stopped is set by Stop; Run drains no further events once set.
 	stopped bool
 	// fired counts executed events, for diagnostics and runaway detection.
@@ -101,14 +112,27 @@ func (e *Engine) Now() Time { return e.now }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of queued, unexecuted events.
-func (e *Engine) Pending() int { return len(e.events) }
+// Pending returns the number of queued, unexecuted events. A vacant root
+// is the event now firing and does not count.
+func (e *Engine) Pending() int {
+	if e.vacant {
+		return len(e.events) - 1
+	}
+	return len(e.events)
+}
 
-// push appends ev and sifts it up the 4-ary heap. The sift moves
-// displaced parents down into the hole instead of swapping, so each
-// level costs one event copy rather than two; the comparison sequence
-// (and therefore heap layout and determinism) is identical.
+// push adds ev to the 4-ary heap. While Step is firing a vacated root,
+// the first push takes the root's slot and sifts down from there, so a
+// callback that schedules its successor costs one sift instead of a pop
+// plus a push. Otherwise ev is appended and sifted up. Both sifts move
+// displaced entries into the hole instead of swapping, so each level
+// costs one event copy rather than two.
 func (e *Engine) push(ev event) {
+	if e.vacant {
+		e.vacant = false
+		siftDown(e.events, ev)
+		return
+	}
 	h := append(e.events, ev)
 	i := len(h) - 1
 	for i > 0 {
@@ -123,15 +147,10 @@ func (e *Engine) push(ev event) {
 	e.events = h
 }
 
-// pop removes and returns the minimum event, sifting the last entry down
-// with the same hole-moving technique as push.
-func (e *Engine) pop() event {
-	h := e.events
-	root := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{} // drop callback references so fired closures can be GC'd
-	h = h[:n]
+// siftDown places ev in the hole at the root of h, whose other entries
+// form a valid heap, and moves it down to its place.
+func siftDown(h []event, ev event) {
+	n := len(h)
 	i := 0
 	for {
 		c := i<<2 + 1
@@ -148,17 +167,29 @@ func (e *Engine) pop() event {
 				best = j
 			}
 		}
-		if !h[best].before(&last) {
+		if !h[best].before(&ev) {
 			break
 		}
 		h[i] = h[best]
 		i = best
 	}
+	h[i] = ev
+}
+
+// removeRoot deletes the vacated root: the last entry fills the hole
+// and sifts down. The freed tail slot is cleared so fired closures can
+// be GC'd.
+func (e *Engine) removeRoot() {
+	e.vacant = false
+	h := e.events
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
 	if n > 0 {
-		h[i] = last
+		siftDown(h, last)
 	}
 	e.events = h
-	return root
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is an
@@ -220,23 +251,46 @@ func (e *Engine) AfterFunc(d Time, fn func(any), arg any) {
 
 // Step executes the next event, if any, advancing the clock to its time.
 // It reports whether an event was executed.
+//
+// The event fires in place: its root slot stays in the heap, marked
+// vacant, while the callback runs. The callback's first push fills the
+// slot (see push); if it pushes nothing, the slot is removed after it
+// returns. A Step or RunUntil nested inside a callback, or called after
+// a callback panicked, first removes the vacant slot, so both keep the
+// behaviour of a queue that pops the event before firing it.
 func (e *Engine) Step() bool {
+	if e.vacant {
+		e.removeRoot()
+	}
 	if e.stopped || len(e.events) == 0 {
 		return false
 	}
-	ev := e.pop()
-	e.now = ev.at
+	root := &e.events[0]
+	e.now = root.at
+	fn, arg := root.fn, root.arg
+	e.vacant = true
 	e.fired++
+	if e.fired&(deadlineStride-1) == 0 || e.Limit != 0 {
+		e.checkLimits()
+	}
+	fn(arg)
+	if e.vacant {
+		e.removeRoot()
+	}
+	return true
+}
+
+// checkLimits panics if the event limit or the wall-clock deadline has
+// been passed.
+func (e *Engine) checkLimits() {
 	if e.Limit != 0 && e.fired > e.Limit {
 		panic(fmt.Sprintf("sim: event limit %d exceeded (now=%d, pending=%d, fired=%d)",
 			e.Limit, e.Now(), e.Pending(), e.fired))
 	}
-	if !e.deadline.IsZero() && e.fired&(deadlineStride-1) == 0 && time.Now().After(e.deadline) {
+	if e.fired&(deadlineStride-1) == 0 && !e.deadline.IsZero() && time.Now().After(e.deadline) {
 		panic(fmt.Sprintf("sim: wall-clock deadline exceeded (now=%d, pending=%d, fired=%d)",
 			e.Now(), e.Pending(), e.fired))
 	}
-	ev.fn(ev.arg)
-	return true
 }
 
 // Deadline arms runaway protection: once wall-clock time advances by d,
@@ -262,6 +316,9 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamps <= t, then sets the clock to t
 // (if it has not already passed t). Events scheduled beyond t remain queued.
 func (e *Engine) RunUntil(t Time) {
+	if e.vacant {
+		e.removeRoot()
+	}
 	for !e.stopped && len(e.events) > 0 && e.events[0].at <= t {
 		e.Step()
 	}

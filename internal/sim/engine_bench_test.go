@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkEngineScheduleFire measures the engine's hot loop: schedule one
 // event and fire it, the pattern every simulated memory access repeats
@@ -46,5 +49,47 @@ func BenchmarkEngineScheduleFireDepth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.After(300, func() {})
 		e.Step()
+	}
+}
+
+// chainLink is one self-rescheduling event chain: the simulator's core
+// loop, where each fired step schedules the core's next one.
+type chainLink struct {
+	e *Engine
+	i int
+}
+
+// chainDelays are the chains' pseudo-random horizons, 1-40 ns.
+var chainDelays = func() (d [256]Time) {
+	r := NewRNG(3)
+	for i := range d {
+		d[i] = Time(1 + r.Intn(40))
+	}
+	return d
+}()
+
+func chainStep(a any) {
+	c := a.(*chainLink)
+	c.i++
+	c.e.AfterFunc(chainDelays[c.i&255], chainStep, c)
+}
+
+// BenchmarkEngineChain measures the pattern that dominates real runs:
+// depth standing chains whose every event, fired by Step, schedules its
+// own successor 1-40 ns ahead. One op is one Step.
+func BenchmarkEngineChain(b *testing.B) {
+	for _, depth := range []int{8, 64, 128} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			e := NewEngine()
+			for i := 0; i < depth; i++ {
+				c := &chainLink{e: e, i: i * 37}
+				e.AfterFunc(chainDelays[c.i&255], chainStep, c)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
 	}
 }

@@ -340,3 +340,28 @@ func TestRNGSplitIndependence(t *testing.T) {
 		t.Fatalf("split stream mirrors parent (%d/100 matches)", same)
 	}
 }
+
+// TestEngineContinuesAfterCallbackPanic checks that an event whose
+// callback panics counts as fired: once the panic is recovered, Pending
+// excludes it and the next Step fires the next event, not it again.
+func TestEngineContinuesAfterCallbackPanic(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	e.At(1, func() { got = append(got, 1); panic("boom") })
+	e.At(2, func() { got = append(got, 2) })
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("callback panic was not propagated")
+			}
+		}()
+		e.Step()
+	}()
+	if e.Pending() != 1 {
+		t.Fatalf("pending = %d after the panicking event, want 1", e.Pending())
+	}
+	e.Run()
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 || e.Pending() != 0 {
+		t.Fatalf("fired %v, pending %d; want [1 2], 0", got, e.Pending())
+	}
+}
