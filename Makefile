@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test verify vet race verify-race lint-docs fmt-check bench-harness bench bench-engine bench-build bench-json bench-diff figures trace-smoke timeline-smoke overload-smoke economics-smoke
+.PHONY: build test verify vet race verify-race lint-docs fmt-check fuzz-smoke bench-harness bench bench-engine bench-build bench-json bench-diff figures trace-smoke timeline-smoke overload-smoke economics-smoke
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,16 @@ lint-docs:
 ## Formatting gate: fails listing every file gofmt would rewrite.
 fmt-check:
 	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
+
+## Fuzz smoke: each native fuzzer runs FUZZTIME (default 10s) past its
+## seed corpus (plain `go test` runs only the seeds): the B+tree and the
+## FTL against reference models, the event engine against its firing
+## order. A failure writes the input under the package's testdata/fuzz/.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzBPTree$$' -fuzztime $(FUZZTIME) ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzFTL$$' -fuzztime $(FUZZTIME) ./internal/flash
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
 
 ## The benchmark harness is its own module (benchmark/go.mod), so root
 ## `go test ./...` skips it; this vets and tests it against the current

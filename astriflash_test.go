@@ -74,6 +74,39 @@ func TestRunOverloadRejectsDropExpiredWithoutDeadline(t *testing.T) {
 	}
 }
 
+// TestNewMachineRejectsBadFlashGeometry: a flash geometry the device
+// cannot be built with is an error from NewMachine, not a panic while the
+// device is built.
+func TestNewMachineRejectsBadFlashGeometry(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(o *Options)
+		want string
+	}{
+		{"one block per plane", func(o *Options) { o.FlashBlocksPerPlane = 1 }, "blocks per plane"},
+		// Too small for the dataset, so sizing would double the blocks:
+		// the configured geometry is rejected before that.
+		{"one block per plane, grown to fit", func(o *Options) {
+			o.FlashChannels, o.FlashBlocksPerPlane = 1, 1
+		}, "blocks per plane"},
+		{"beyond 32-bit owners", func(o *Options) {
+			o.FlashChannels, o.FlashBlocksPerPlane, o.FlashPagesPerBlock = 1<<12, 1<<10, 1<<8
+		}, "32-bit"},
+		// Three channels per core: 196,608 channels of 16 planes.
+		{"channels scaled past 32-bit owners", func(o *Options) { o.Cores = 1 << 16 }, "32-bit"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			o := DefaultOptions(AstriFlash, "tatp")
+			o.Cores = 2
+			o.DatasetBytes = 8 << 20
+			c.set(&o)
+			if _, err := NewMachine(o); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want one mentioning %q", err, c.want)
+			}
+		})
+	}
+}
+
 // TestNewMachineRejectsTooSmallDataset: a dataset below a workload's
 // fixed table floor is an error naming the workload and its minimum, not
 // an arena-exhaustion panic during the build; at the minimum, the machine

@@ -193,7 +193,7 @@ func (d *Device) retireBlock(p, b int) int {
 		dst.writePtr++
 		dst.owners[s] = owner
 		dst.validCount++
-		d.ftl[owner] = physLoc{plane: p, block: pl.active, page: s}
+		d.ftl[mem.PageNum(owner)] = physLoc{plane: p, block: pl.active, page: s}
 	}
 	d.RemapMoves.Add(uint64(moves))
 	return moves

@@ -96,10 +96,12 @@ type physLoc struct {
 	page  int
 }
 
-const invalidLPN = ^mem.PageNum(0)
+// invalidLPN marks a free or stale slot in a block's owner array. Owners
+// are 32-bit, so Config.Validate bounds the device's page counts below it.
+const invalidLPN = ^uint32(0)
 
 type block struct {
-	owners     []mem.PageNum // logical page stored in each physical slot
+	owners     []uint32 // logical page stored in each physical slot
 	validCount int
 	writePtr   int // next free slot; PagesPerBlock means full
 	eraseCount uint64
@@ -159,12 +161,34 @@ type Device struct {
 	WriteLatHist   *stats.Histogram
 }
 
-// NewDevice builds the SSD on the given engine.
-func NewDevice(eng *sim.Engine, cfg Config) *Device {
-	np := cfg.Channels * cfg.DiesPerChannel * cfg.PlanesPerDie
-	if np <= 0 || cfg.BlocksPerPlane <= 1 || cfg.PagesPerBlock <= 0 {
-		panic(fmt.Sprintf("flash: invalid config %+v", cfg))
+// Validate rejects geometries the device cannot be built with: no planes,
+// fewer than two blocks per plane (GC needs a spare), no pages per block,
+// or more physical or logical pages than a 32-bit block owner can name
+// below invalidLPN.
+func (c Config) Validate() error {
+	if c.Channels <= 0 || c.DiesPerChannel <= 0 || c.PlanesPerDie <= 0 {
+		return fmt.Errorf("flash: %d channels x %d dies x %d planes: need at least one plane",
+			c.Channels, c.DiesPerChannel, c.PlanesPerDie)
 	}
+	if c.BlocksPerPlane <= 1 {
+		return fmt.Errorf("flash: %d blocks per plane: need at least 2, one spare for GC", c.BlocksPerPlane)
+	}
+	if c.PagesPerBlock <= 0 {
+		return fmt.Errorf("flash: %d pages per block: need at least 1", c.PagesPerBlock)
+	}
+	if n := max(c.physicalPages(), c.LogicalPages()); n > uint64(invalidLPN) {
+		return fmt.Errorf("flash: %d pages exceed the %d a 32-bit block owner can name", n, uint64(invalidLPN))
+	}
+	return nil
+}
+
+// NewDevice builds the SSD on the given engine. It panics on a geometry
+// Config.Validate rejects.
+func NewDevice(eng *sim.Engine, cfg Config) *Device {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	np := cfg.Channels * cfg.DiesPerChannel * cfg.PlanesPerDie
 	if cfg.GCLowWater < 1 {
 		cfg.GCLowWater = 1
 	}
@@ -180,7 +204,7 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 	// One owner slab for the whole device, sliced per block: building a
 	// device costs a handful of allocations instead of one per block, so
 	// sweeps that construct a machine per point churn far less memory.
-	owners := make([]mem.PageNum, np*cfg.BlocksPerPlane*cfg.PagesPerBlock)
+	owners := make([]uint32, np*cfg.BlocksPerPlane*cfg.PagesPerBlock)
 	for i := range owners {
 		owners[i] = invalidLPN
 	}
@@ -208,12 +232,16 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 	return d
 }
 
+// physicalPages returns the geometry's raw page count.
+func (c Config) physicalPages() uint64 {
+	np := c.Channels * c.DiesPerChannel * c.PlanesPerDie
+	return uint64(np) * uint64(c.BlocksPerPlane) * uint64(c.PagesPerBlock)
+}
+
 // LogicalPages returns the advertised logical capacity (in 4 KB pages) a
 // device with this geometry would have, without building it.
 func (c Config) LogicalPages() uint64 {
-	np := c.Channels * c.DiesPerChannel * c.PlanesPerDie
-	phys := uint64(np) * uint64(c.BlocksPerPlane) * uint64(c.PagesPerBlock)
-	return uint64(float64(phys) / (1 + c.OverprovisionPct))
+	return uint64(float64(c.physicalPages()) / (1 + c.OverprovisionPct))
 }
 
 // LogicalPages returns the device's advertised capacity in 4 KB pages.
@@ -395,10 +423,12 @@ func (d *Device) WritePage(lpn mem.PageNum) int64 {
 // program updates FTL state for a write into plane p.
 func (d *Device) program(p int, lpn mem.PageNum) {
 	pl := &d.planes[p]
-	// Invalidate the old copy, wherever it lives.
+	// Invalidate the old copy, wherever it lives. checkLPN has bounded
+	// lpn below invalidLPN, so the 32-bit owner holds it exactly.
+	owner := uint32(lpn)
 	if old, ok := d.ftl[lpn]; ok {
 		ob := &d.planes[old.plane].blocks[old.block]
-		if ob.owners[old.page] == lpn {
+		if ob.owners[old.page] == owner {
 			ob.owners[old.page] = invalidLPN
 			ob.validCount--
 		}
@@ -410,7 +440,7 @@ func (d *Device) program(p int, lpn mem.PageNum) {
 	}
 	slot := blk.writePtr
 	blk.writePtr++
-	blk.owners[slot] = lpn
+	blk.owners[slot] = owner
 	blk.validCount++
 	d.ftl[lpn] = physLoc{plane: p, block: pl.active, page: slot}
 }
@@ -485,7 +515,7 @@ func (d *Device) collect(p int, at int64) {
 		blk.writePtr++
 		blk.owners[s] = owner
 		blk.validCount++
-		d.ftl[owner] = physLoc{plane: p, block: pl.active, page: s}
+		d.ftl[mem.PageNum(owner)] = physLoc{plane: p, block: pl.active, page: s}
 	}
 	dur := int64(moves)*(d.cfg.ReadLatency+d.cfg.ProgramLatency) + d.cfg.EraseLatency
 	vb.validCount = 0
@@ -578,8 +608,11 @@ func (d *Device) CheckFTLInvariants() string {
 		if loc.plane >= len(d.planes) {
 			return fmt.Sprintf("lpn %d maps to plane %d out of range", lpn, loc.plane)
 		}
+		if uint64(lpn) >= uint64(invalidLPN) {
+			return fmt.Sprintf("lpn %d does not fit a 32-bit block owner", lpn)
+		}
 		blk := &d.planes[loc.plane].blocks[loc.block]
-		if loc.page >= len(blk.owners) || blk.owners[loc.page] != lpn {
+		if loc.page >= len(blk.owners) || blk.owners[loc.page] != uint32(lpn) {
 			return fmt.Sprintf("lpn %d FTL entry not mirrored by block owner", lpn)
 		}
 		if blk.bad {

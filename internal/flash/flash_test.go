@@ -253,6 +253,37 @@ func TestInvalidConfigPanics(t *testing.T) {
 	NewDevice(sim.NewEngine(), Config{})
 }
 
+func TestConfigValidate(t *testing.T) {
+	// 3*5*17*257*65537 = 2^32-1 pages: every LPN fits below invalidLPN.
+	edge := smallConfig()
+	edge.Channels, edge.DiesPerChannel, edge.PlanesPerDie = 3, 5, 17
+	edge.BlocksPerPlane, edge.PagesPerBlock = 257, 65537
+	if err := edge.Validate(); err != nil {
+		t.Fatalf("2^32-1 physical pages rejected: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		set  func(c *Config)
+		want string
+	}{
+		{"no channels", func(c *Config) { c.Channels = 0 }, "at least one plane"},
+		{"no planes", func(c *Config) { c.PlanesPerDie = 0 }, "at least one plane"},
+		{"one block", func(c *Config) { c.BlocksPerPlane = 1 }, "blocks per plane"},
+		{"no pages", func(c *Config) { c.PagesPerBlock = 0 }, "pages per block"},
+		{"one page past 32 bits", func(c *Config) { *c = edge; c.PagesPerBlock++ }, "32-bit"},
+		{"logical past 32 bits", func(c *Config) { *c = edge; c.OverprovisionPct = -0.01 }, "32-bit"},
+	} {
+		cfg := smallConfig()
+		c.set(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", c.name, err, c.want)
+		}
+	}
+	if err := smallConfig().Validate(); err != nil {
+		t.Fatalf("small config rejected: %v", err)
+	}
+}
+
 func TestLPNOutOfRangePanics(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewDevice(eng, smallConfig())

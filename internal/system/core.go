@@ -376,8 +376,11 @@ func (c *coreState) chipAccess(job *jobState) {
 	c.span(job, obs.StageOnChip, 0, now, now+r.Latency)
 	if !r.ToDRAM {
 		// The reference is served on chip; refresh the page's recency so
-		// the DRAM cache's replacement policy sees the reuse.
-		c.s.dc.Touch(step.Access.Page())
+		// the DRAM cache's replacement policy sees the reuse. DRAM-only
+		// mode never installs a page, so there is nothing to refresh.
+		if c.s.cfg.Mode != DRAMOnly {
+			c.s.dc.Touch(step.Access.Page())
+		}
 		c.s.eng.AfterFunc(r.Latency, jobStepDoneEvent, job)
 		return
 	}

@@ -187,6 +187,9 @@ func (c Config) Validate() error {
 	if _, err := dramcache.NewAdmissionPolicy(c.Admission); err != nil {
 		return err
 	}
+	if err := c.Flash.Validate(); err != nil {
+		return err
+	}
 	if c.CustomWorkload == nil {
 		if err := c.Workload.Validate(); err != nil {
 			return err
@@ -313,6 +316,11 @@ func New(cfg Config) (*System, error) {
 	// run seed; fault-free devices never consult it.
 	if cfg.Flash.Seed == 0 {
 		cfg.Flash.Seed = cfg.Seed
+	}
+	// Scaling channels with the core count, or blocks with the dataset,
+	// can take the geometry past what 32-bit block owners address.
+	if err := cfg.Flash.Validate(); err != nil {
+		return nil, err
 	}
 	fl := flash.NewDevice(eng, cfg.Flash)
 	cachePages := uint64(float64(datasetPages) * cfg.DRAMCacheFraction)

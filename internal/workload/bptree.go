@@ -9,17 +9,18 @@ import (
 // bpNode is one B+-tree node occupying a full 4 KB arena page, so each
 // level of a traversal is one page access — the layout in-memory
 // databases (Silo, Masstree's layer trees, the TATP/TPC-C indexes) use.
+// Leaves hold keys only: the simulated row payload lives on the node's
+// arena page, and every trace derives from node addresses and keys.
 type bpNode struct {
 	addr     mem.Addr
 	leaf     bool
 	keys     []uint64
 	children []*bpNode // internal nodes
-	vals     []uint64  // leaves
 	next     *bpNode   // leaf chain for scans
 }
 
-// BPTree is a B+-tree with page-sized, arena-addressed nodes and traced
-// traversals.
+// BPTree is a key-only B+-tree with page-sized, arena-addressed nodes and
+// traced traversals.
 type BPTree struct {
 	root   *bpNode
 	arena  *mem.Arena
@@ -62,15 +63,13 @@ func (t *BPTree) newNode(leaf bool) *bpNode {
 	return n
 }
 
-// growLeaf gives a leaf arrays of the split size fanout+1: the new root
-// up front, and a left half trimmed by splitLeaf on its first insert, in
-// one step where append's doubling would overshoot to 2*len.
+// growLeaf gives a leaf a key array of the split size fanout+1: the new
+// root up front, and a left half trimmed by splitLeaf on its first insert,
+// in one step where append's doubling would overshoot to 2*len.
 func (t *BPTree) growLeaf(n *bpNode) {
 	keys := make([]uint64, len(n.keys), t.fanout+1)
-	vals := make([]uint64, len(n.vals), t.fanout+1)
 	copy(keys, n.keys)
-	copy(vals, n.vals)
-	n.keys, n.vals = keys, vals
+	n.keys = keys
 }
 
 // Size returns the number of stored keys.
@@ -111,8 +110,9 @@ func lowerBound(keys []uint64, key uint64) int {
 	return i
 }
 
-// Get searches for key, tracing one access per level.
-func (t *BPTree) Get(key uint64, tr *Tracer) (uint64, bool) {
+// find descends to key's leaf, tracing one access per level, and reports
+// whether the leaf holds key.
+func (t *BPTree) find(key uint64, tr *Tracer) (*bpNode, bool) {
 	n := t.root
 	for !n.leaf {
 		tr.Touch(n.addr, false)
@@ -120,32 +120,28 @@ func (t *BPTree) Get(key uint64, tr *Tracer) (uint64, bool) {
 	}
 	tr.Touch(n.addr, false)
 	i := lowerBound(n.keys, key)
-	if i < len(n.keys) && n.keys[i] == key {
-		return n.vals[i], true
-	}
-	return 0, false
+	return n, i < len(n.keys) && n.keys[i] == key
 }
 
-// Update overwrites an existing key's value, tracing the path and the
-// leaf write. It reports whether the key existed.
-func (t *BPTree) Update(key, val uint64, tr *Tracer) bool {
-	n := t.root
-	for !n.leaf {
-		tr.Touch(n.addr, false)
-		n = n.children[findChild(n.keys, key)]
-	}
-	tr.Touch(n.addr, false)
-	i := lowerBound(n.keys, key)
-	if i < len(n.keys) && n.keys[i] == key {
-		n.vals[i] = val
+// Get searches for key, tracing one access per level. It reports whether
+// the key is present.
+func (t *BPTree) Get(key uint64, tr *Tracer) bool {
+	_, ok := t.find(key, tr)
+	return ok
+}
+
+// Update rewrites an existing key's row, tracing the path and the leaf
+// write. It reports whether the key existed.
+func (t *BPTree) Update(key uint64, tr *Tracer) bool {
+	n, ok := t.find(key, tr)
+	if ok {
 		tr.Touch(n.addr, true)
-		return true
 	}
-	return false
+	return ok
 }
 
 // Scan reads up to count consecutive keys starting at key, tracing the
-// descent and each leaf page touched. It returns the values read.
+// descent and each leaf page touched. It returns the keys read.
 func (t *BPTree) Scan(key uint64, count int, tr *Tracer) []uint64 {
 	n := t.root
 	for !n.leaf {
@@ -157,7 +153,7 @@ func (t *BPTree) Scan(key uint64, count int, tr *Tracer) []uint64 {
 	tr.Touch(n.addr, false)
 	for n != nil && len(out) < count {
 		for ; i < len(n.keys) && len(out) < count; i++ {
-			out = append(out, n.vals[i])
+			out = append(out, n.keys[i])
 		}
 		n = n.next
 		i = 0
@@ -168,10 +164,10 @@ func (t *BPTree) Scan(key uint64, count int, tr *Tracer) []uint64 {
 	return out
 }
 
-// Insert adds or overwrites key, tracing the path, leaf write, and any
-// splits.
-func (t *BPTree) Insert(key, val uint64, tr *Tracer) {
-	promoted, newChild := t.insert(t.root, key, val, tr)
+// Insert adds key, or rewrites its row if present, tracing the path, leaf
+// write, and any splits.
+func (t *BPTree) Insert(key uint64, tr *Tracer) {
+	promoted, newChild := t.insert(t.root, key, tr)
 	if newChild != nil {
 		newRoot := t.newNode(false)
 		newRoot.keys = append(newRoot.keys, promoted)
@@ -188,15 +184,14 @@ func (t *BPTree) Insert(key, val uint64, tr *Tracer) {
 // above a leaf's last key is appended: findChild and lowerBound return
 // len(keys) there, so ascending loads (every TATP and TPC-C table, TPC-C's
 // order logs) build the same tree and trace the same pages. A key equal to
-// a leaf's last key takes the search, which finds it and overwrites.
-func (t *BPTree) insert(n *bpNode, key, val uint64, tr *Tracer) (uint64, *bpNode) {
+// a leaf's last key takes the search, which finds it and rewrites its row.
+func (t *BPTree) insert(n *bpNode, key uint64, tr *Tracer) (uint64, *bpNode) {
 	tr.Touch(n.addr, false)
 	if n.leaf {
 		i := len(n.keys)
 		if i > 0 && n.keys[i-1] >= key {
 			i = lowerBound(n.keys, key)
 			if n.keys[i] == key {
-				n.vals[i] = val
 				tr.Touch(n.addr, true)
 				return 0, nil
 			}
@@ -207,9 +202,6 @@ func (t *BPTree) insert(n *bpNode, key, val uint64, tr *Tracer) (uint64, *bpNode
 		n.keys = append(n.keys, 0)
 		copy(n.keys[i+1:], n.keys[i:])
 		n.keys[i] = key
-		n.vals = append(n.vals, 0)
-		copy(n.vals[i+1:], n.vals[i:])
-		n.vals[i] = val
 		t.size++
 		tr.Touch(n.addr, true)
 		if len(n.keys) <= t.fanout {
@@ -221,7 +213,7 @@ func (t *BPTree) insert(n *bpNode, key, val uint64, tr *Tracer) (uint64, *bpNode
 	if n.keys[ci-1] > key {
 		ci = findChild(n.keys, key)
 	}
-	promoted, newChild := t.insert(n.children[ci], key, val, tr)
+	promoted, newChild := t.insert(n.children[ci], key, tr)
 	if newChild == nil {
 		return 0, nil
 	}
@@ -241,19 +233,17 @@ func (t *BPTree) insert(n *bpNode, key, val uint64, tr *Tracer) (uint64, *bpNode
 // splitLeaf moves the upper half of a full leaf to a new right sibling.
 // TATP and TPC-C bulk-load every table in ascending key order, so inserts
 // keep landing in the right half and never reach the left one again: the
-// left half gets exact-size copies (128 entries fill a 1 KB size class at
+// left half gets an exact-size copy (128 keys fill a 1 KB size class at
 // fanout 256; append, unlike make, skips zeroing what it overwrites), and
-// the right half takes over the full-size arrays with its entries shifted
-// to the front. A random insert into a trimmed left half regrows it once,
-// in growLeaf.
+// the right half takes over the full-size array with its keys shifted to
+// the front. A random insert into a trimmed left half regrows it once, in
+// growLeaf.
 func (t *BPTree) splitLeaf(n *bpNode, tr *Tracer) (uint64, *bpNode) {
 	mid := len(n.keys) / 2
 	right := t.newNode(true)
-	keys, vals := n.keys, n.vals
+	keys := n.keys
 	n.keys = append([]uint64(nil), keys[:mid]...)
-	n.vals = append([]uint64(nil), vals[:mid]...)
 	right.keys = keys[:copy(keys, keys[mid:])]
-	right.vals = vals[:copy(vals, vals[mid:])]
 	right.next = n.next
 	n.next = right
 	tr.Touch(n.addr, true)
@@ -317,9 +307,6 @@ func (t *BPTree) check(n *bpNode, lo, hi *uint64) string {
 		}
 	}
 	if n.leaf {
-		if len(n.vals) != len(n.keys) {
-			return "leaf vals/keys mismatch"
-		}
 		return ""
 	}
 	if len(n.children) != len(n.keys)+1 {

@@ -11,10 +11,10 @@ func init() { register("masstree", func(cfg Config) Workload { return NewMasstre
 
 // Masstree is a trie of B+-trees (Mao et al., EuroSys'12; the Tailbench
 // masstree workload the paper ports): keys are byte strings consumed
-// eight bytes per layer, each layer a B+-tree whose values either hold
-// data or point at the next layer's tree. Long keys therefore chase
-// through multiple tree descents — the deepest pointer-chasing pattern in
-// the suite.
+// eight bytes per layer, each layer a B+-tree of slices whose entries
+// either end a key (vals) or lead to the next layer's tree (next). Long
+// keys therefore chase through multiple tree descents — the deepest
+// pointer-chasing pattern in the suite.
 type Masstree struct {
 	arena *mem.Arena
 	root  *mtLayer
@@ -67,12 +67,12 @@ func (m *Masstree) Put(key []byte, val uint64, tr *Tracer) {
 				m.size++
 			}
 			layer.vals[s] = val
-			layer.tree.Insert(s, val, tr)
+			layer.tree.Insert(s, tr)
 			return
 		}
 		// Ensure the slice exists in this layer's tree and descend.
 		if _, ok := layer.next[s]; !ok {
-			layer.tree.Insert(s, uint64(len(layer.next)+1), tr)
+			layer.tree.Insert(s, tr)
 			layer.next[s] = newMTLayer(m.arena)
 		} else {
 			layer.tree.Get(s, tr)
@@ -87,7 +87,7 @@ func (m *Masstree) Get(key []byte, tr *Tracer) (uint64, bool) {
 	layer := m.root
 	for i, s := range ss {
 		last := i == len(ss)-1
-		if _, ok := layer.tree.Get(s, tr); !ok {
+		if !layer.tree.Get(s, tr) {
 			return 0, false
 		}
 		if last {
@@ -114,9 +114,9 @@ func (m *Masstree) Update(key []byte, val uint64, tr *Tracer) bool {
 				return false
 			}
 			layer.vals[s] = val
-			return layer.tree.Update(s, val, tr)
+			return layer.tree.Update(s, tr)
 		}
-		if _, ok := layer.tree.Get(s, tr); !ok {
+		if !layer.tree.Get(s, tr) {
 			return false
 		}
 		nxt, ok := layer.next[s]

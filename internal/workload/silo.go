@@ -42,7 +42,7 @@ func NewSiloDB(arena *mem.Arena) *SiloDB {
 func (db *SiloDB) Load(key, value uint64, tr *Tracer) {
 	r := &record{addr: db.arena.Alloc(64, 64), value: value, version: 1}
 	db.records[key] = r
-	db.index.Insert(key, uint64(r.addr), tr)
+	db.index.Insert(key, tr)
 }
 
 // Size returns the record count.
@@ -72,7 +72,7 @@ func (t *Txn) Read(key uint64) (uint64, bool) {
 	if v, ok := t.writeSet[key]; ok {
 		return v, true // read-your-writes
 	}
-	if _, ok := t.db.index.Get(key, t.tr); !ok {
+	if !t.db.index.Get(key, t.tr) {
 		return 0, false
 	}
 	r := t.db.records[key]
@@ -116,7 +116,7 @@ func (t *Txn) Commit() bool {
 	}
 	// Phase 1: lock write set.
 	for _, k := range t.order {
-		if _, ok := t.db.index.Get(k, t.tr); !ok {
+		if !t.db.index.Get(k, t.tr) {
 			return abort()
 		}
 		r := t.db.records[k]

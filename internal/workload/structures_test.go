@@ -139,7 +139,7 @@ func TestBPTreeInsertGetScan(t *testing.T) {
 	tr := NewTracer(1)
 	const n = 1000
 	for i := uint64(0); i < n; i++ {
-		tree.Insert(i*3%n, i, tr)
+		tree.Insert(i*3%n, tr)
 	}
 	if msg := tree.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
@@ -148,41 +148,54 @@ func TestBPTreeInsertGetScan(t *testing.T) {
 		t.Fatalf("height = %d; splits did not cascade", tree.Height())
 	}
 	for i := uint64(0); i < n; i += 17 {
-		if _, ok := tree.Get(i*3%n, tr); !ok {
+		if !tree.Get(i*3%n, tr) {
 			t.Fatalf("lost key %d", i*3%n)
 		}
 	}
-	vals := tree.Scan(0, 10, tr)
-	if len(vals) != 10 {
-		t.Fatalf("scan returned %d values", len(vals))
+	if got := fmt.Sprint(tree.Scan(0, 10, tr)); got != "[0 1 2 3 4 5 6 7 8 9]" {
+		t.Fatalf("scan returned %s", got)
 	}
+}
+
+// lastWrite reports whether tr's last traced access is a write.
+func lastWrite(tr *Tracer) bool {
+	steps := tr.Take()
+	return len(steps) > 0 && steps[len(steps)-1].Access.Write
 }
 
 func TestBPTreeUpdate(t *testing.T) {
 	tree := NewBPTree(testArena(), 16)
 	tr := NewTracer(1)
-	tree.Insert(42, 1, tr)
-	if !tree.Update(42, 2, tr) {
+	tree.Insert(42, tr)
+	tr.Take()
+	if !tree.Update(42, tr) {
 		t.Fatal("update missed key")
 	}
-	if v, _ := tree.Get(42, tr); v != 2 {
-		t.Fatalf("value = %d", v)
+	if !lastWrite(tr) {
+		t.Fatal("update of a present key traced no leaf write")
 	}
-	if tree.Update(43, 9, tr) {
+	if tree.Update(43, tr) {
 		t.Fatal("update hit absent key")
+	}
+	if lastWrite(tr) {
+		t.Fatal("update of an absent key traced a write")
 	}
 }
 
 func TestBPTreeDuplicateInsertOverwrites(t *testing.T) {
 	tree := NewBPTree(testArena(), 8)
 	tr := NewTracer(1)
-	tree.Insert(5, 1, tr)
-	tree.Insert(5, 2, tr)
+	tree.Insert(5, tr)
+	tr.Take()
+	tree.Insert(5, tr)
+	if !lastWrite(tr) {
+		t.Fatal("duplicate insert traced no leaf write")
+	}
 	if tree.Size() != 1 {
 		t.Fatalf("size = %d after duplicate insert", tree.Size())
 	}
-	if v, _ := tree.Get(5, tr); v != 2 {
-		t.Fatalf("value = %d", v)
+	if !tree.Get(5, tr) {
+		t.Fatal("lost key 5")
 	}
 }
 
@@ -192,22 +205,21 @@ func TestBPTreePropertyOrderAndPresence(t *testing.T) {
 		tr := NewTracer(1)
 		seen := map[uint64]bool{}
 		for _, k := range keys {
-			tree.Insert(uint64(k), uint64(k), tr)
+			tree.Insert(uint64(k), tr)
 			seen[uint64(k)] = true
 		}
 		if tree.CheckInvariants() != "" {
 			return false
 		}
 		for k := range seen {
-			if _, ok := tree.Get(k, tr); !ok {
+			if !tree.Get(k, tr) {
 				return false
 			}
 		}
-		// A leaf either holds exact-size arrays (trimmed by a split and
-		// not inserted into since) or split-size ones, never more.
+		// A leaf either holds an exact-size key array (trimmed by a split
+		// and not inserted into since) or a split-size one, never more.
 		for _, n := range bpLeaves(tree) {
-			c := cap(n.keys)
-			if c != len(n.keys) && c != tree.fanout+1 || cap(n.vals) != c {
+			if c := cap(n.keys); c != len(n.keys) && c != tree.fanout+1 {
 				return false
 			}
 		}
@@ -233,16 +245,15 @@ func bpLeaves(t *BPTree) []*bpNode {
 func TestBPTreeAscendingLoadTrimsLeaves(t *testing.T) {
 	tree := NewBPTree(testArena(), 256)
 	for i := uint64(0); i < 100_000; i++ {
-		tree.Insert(i, i, nil)
+		tree.Insert(i, nil)
 	}
 	leaves := bpLeaves(tree)
 	if len(leaves) < 100 {
 		t.Fatalf("%d leaves; the load did not split", len(leaves))
 	}
 	for i, n := range leaves[:len(leaves)-1] {
-		if len(n.keys) != 128 || cap(n.keys) != 128 || len(n.vals) != 128 || cap(n.vals) != 128 {
-			t.Fatalf("leaf %d: keys len/cap %d/%d, vals %d/%d; want 128 exact",
-				i, len(n.keys), cap(n.keys), len(n.vals), cap(n.vals))
+		if len(n.keys) != 128 || cap(n.keys) != 128 {
+			t.Fatalf("leaf %d: keys len/cap %d/%d; want 128 exact", i, len(n.keys), cap(n.keys))
 		}
 	}
 }
@@ -251,7 +262,7 @@ func TestBPTreeAccessesOnePagePerLevel(t *testing.T) {
 	tree := NewBPTree(testArena(), 8)
 	sink := NewTracer(1)
 	for i := uint64(0); i < 5000; i++ {
-		tree.Insert(i, i, sink)
+		tree.Insert(i, sink)
 	}
 	tr := NewTracer(1)
 	tree.Get(2500, tr)
@@ -411,17 +422,17 @@ func TestMasstreePropertyRoundTrip(t *testing.T) {
 
 // FuzzBPTree decodes ops into mixes of ascending runs, re-inserts of the
 // current maximum key, random inserts, updates, gets and scans over a
-// small-fanout tree, and checks every result against a Go map.
+// small-fanout tree, and checks every found bit and scanned key against a
+// Go map.
 func FuzzBPTree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, fan byte, ops []byte) {
 		fanout := 4 << (fan % 3) // 4, 8, 16: halves fill size classes exactly
 		tree := NewBPTree(testArena(), fanout)
-		ref := map[uint64]uint64{}
-		var maxKey, val uint64
+		ref := map[uint64]bool{}
+		var maxKey uint64
 		insert := func(k uint64) {
-			val++
-			tree.Insert(k, val, nil)
-			ref[k] = val
+			tree.Insert(k, nil)
+			ref[k] = true
 			maxKey = max(maxKey, k)
 		}
 		for n := 0; len(ops) >= 2 && n < 512; n++ {
@@ -437,25 +448,19 @@ func FuzzBPTree(f *testing.F) {
 				for i := range arg%16 + 1 {
 					insert(start + i*(arg%3+1))
 				}
-			case 1: // re-insert the maximum: overwrites, never appends
+			case 1: // re-insert the maximum: rewrites, never appends
 				if len(ref) > 0 {
 					insert(maxKey)
 				}
 			case 2:
 				insert(key)
 			case 3:
-				val++
-				_, had := ref[key]
-				if tree.Update(key, val, nil) != had {
+				if had := ref[key]; tree.Update(key, nil) != had {
 					t.Fatalf("Update(%d) reported %v, map has it: %v", key, !had, had)
 				}
-				if had {
-					ref[key] = val
-				}
 			case 4:
-				v, ok := tree.Get(key, nil)
-				if want, had := ref[key]; ok != had || v != want {
-					t.Fatalf("Get(%d) = %d,%v; map has %d,%v", key, v, ok, want, had)
+				if had := ref[key]; tree.Get(key, nil) != had {
+					t.Fatalf("Get(%d) reported %v, map has it: %v", key, !had, had)
 				}
 			case 5:
 				count := int(arg%32) + 1
@@ -467,10 +472,7 @@ func FuzzBPTree(f *testing.F) {
 					}
 				}
 				sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-				want := []uint64{}
-				for _, k := range keys[:min(count, len(keys))] {
-					want = append(want, ref[k])
-				}
+				want := keys[:min(count, len(keys))]
 				if fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("Scan(%d, %d) = %v, want %v", key, count, got, want)
 				}
@@ -482,15 +484,14 @@ func FuzzBPTree(f *testing.F) {
 		if msg := tree.CheckInvariants(); msg != "" {
 			t.Fatal(msg)
 		}
-		for k, want := range ref {
-			if v, ok := tree.Get(k, nil); !ok || v != want {
-				t.Fatalf("Get(%d) = %d,%v, want %d", k, v, ok, want)
+		for k := range ref {
+			if !tree.Get(k, nil) {
+				t.Fatalf("lost key %d", k)
 			}
 		}
 		for _, n := range bpLeaves(tree) {
-			if c := cap(n.keys); c != len(n.keys) && c != fanout+1 || cap(n.vals) != c {
-				t.Fatalf("leaf arrays len %d, cap %d/%d; want exact or %d",
-					len(n.keys), c, cap(n.vals), fanout+1)
+			if c := cap(n.keys); c != len(n.keys) && c != fanout+1 {
+				t.Fatalf("leaf keys len %d, cap %d; want exact or %d", len(n.keys), c, fanout+1)
 			}
 		}
 	})

@@ -45,14 +45,20 @@ func NewTATP(cfg Config) *TATP {
 		subs:        subs,
 	}
 	rng := newRNG(cfg, 0x7a79)
+	// Each row draws a payload no tree stores: the draws fix the stream the
+	// sampler's seed and every job's operations are taken from.
 	for s := uint64(0); s < subs; s++ {
-		t.subscribers.Insert(s, rng.Uint64(), nil)
+		rng.Uint64()
+		t.subscribers.Insert(s, nil)
 		// 1-4 access-info rows per subscriber in real TATP; model 2.
-		t.accessInfo.Insert(s*4, rng.Uint64(), nil)
-		t.accessInfo.Insert(s*4+1, rng.Uint64(), nil)
+		rng.Uint64()
+		t.accessInfo.Insert(s*4, nil)
+		rng.Uint64()
+		t.accessInfo.Insert(s*4+1, nil)
 		// One special-facility row in two.
 		if s%2 == 0 {
-			t.specialFac.Insert(s, rng.Uint64(), nil)
+			rng.Uint64()
+			t.specialFac.Insert(s, nil)
 		}
 	}
 	// Subscriber ids key the trees directly, so hot subscribers occupy
@@ -84,6 +90,8 @@ func (t *TATP) NewJob() Job { return Job{Steps: t.NewJobSteps(nil)} }
 func (t *TATP) NewJobSteps(buf []Step) []Step {
 	t.jobTr.Reset(t.cfg.ComputePerAccessNs, buf)
 	tr := &t.jobTr
+	// Updates draw the new row payload, unstored, so later operations
+	// take the same draws.
 	for op := 0; op < t.cfg.OpsPerJob; op++ {
 		s := t.zipf.Next()
 		switch p := t.rng.Float64(); {
@@ -95,12 +103,16 @@ func (t *TATP) NewJobSteps(buf []Step) []Step {
 			t.specialFac.Get(s&^1, tr)
 			t.accessInfo.Get((s&^1)*4, tr)
 		case p < 0.94: // UPDATE_LOCATION
-			t.subscribers.Update(s, t.rng.Uint64(), tr)
+			t.rng.Uint64()
+			t.subscribers.Update(s, tr)
 		case p < 0.96: // UPDATE_SUBSCRIBER_DATA
-			t.subscribers.Update(s, t.rng.Uint64(), tr)
-			t.specialFac.Update(s&^1, t.rng.Uint64(), tr)
+			t.rng.Uint64()
+			t.subscribers.Update(s, tr)
+			t.rng.Uint64()
+			t.specialFac.Update(s&^1, tr)
 		default: // INSERT/DELETE_CALL_FORWARDING shape
-			t.specialFac.Update(s&^1, t.rng.Uint64(), tr)
+			t.rng.Uint64()
+			t.specialFac.Update(s&^1, tr)
 		}
 	}
 	return tr.Take()

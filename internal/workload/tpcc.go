@@ -73,19 +73,26 @@ func NewTPCC(cfg Config) *TPCC {
 		custPerD:   custPerD,
 	}
 	rng := newRNG(cfg, 0x79cc)
+	// Each row draws a payload no tree stores: the draws fix the stream the
+	// samplers' seeds and every job's operations are taken from.
 	for w := uint64(0); w < warehouses; w++ {
-		t.warehouse.Insert(w, rng.Uint64(), nil)
+		rng.Uint64()
+		t.warehouse.Insert(w, nil)
 		for d := uint64(0); d < tpccDistrictsPerW; d++ {
-			t.district.Insert(w*tpccDistrictsPerW+d, rng.Uint64(), nil)
+			rng.Uint64()
+			t.district.Insert(w*tpccDistrictsPerW+d, nil)
 			for c := uint64(0); c < custPerD; c++ {
-				t.customer.Insert(t.custKey(w, d, c), rng.Uint64(), nil)
+				rng.Uint64()
+				t.customer.Insert(t.custKey(w, d, c), nil)
 			}
 		}
 	}
 	for i := uint64(0); i < items; i++ {
-		t.item.Insert(i, rng.Uint64(), nil)
+		rng.Uint64()
+		t.item.Insert(i, nil)
 		for w := uint64(0); w < warehouses; w++ {
-			t.stock.Insert(t.stockKey(w, i), rng.Uint64(), nil)
+			rng.Uint64()
+			t.stock.Insert(t.stockKey(w, i), nil)
 		}
 	}
 	// Customer and item keys are contiguous; stock spreads each hot item
@@ -136,20 +143,24 @@ func (t *TPCC) newOrder(tr *Tracer) {
 	cust := t.custZipf.Next()
 
 	t.warehouse.Get(w, tr)
-	// District read-modify-write: next_o_id allocation.
-	t.district.Update(w*tpccDistrictsPerW+d, t.rng.Uint64(), tr)
+	// District read-modify-write: next_o_id allocation. Each update draws
+	// its new row payload, unstored, so later operations take the same
+	// draws.
+	t.rng.Uint64()
+	t.district.Update(w*tpccDistrictsPerW+d, tr)
 	t.customer.Get(cust%(t.warehouses*tpccDistrictsPerW*t.custPerD), tr)
 
 	t.nextOrder++
-	t.orders.Insert(t.nextOrder, cust, tr)
+	t.orders.Insert(t.nextOrder, tr)
 
 	lines := 5 + t.rng.Intn(tpccOLPerOrder+1) // 5..15 per spec
 	for l := 0; l < lines; l++ {
 		item := t.itemZipf.Next()
 		t.item.Get(item, tr)
-		t.stock.Update(t.stockKey(w, item), t.rng.Uint64(), tr)
+		t.rng.Uint64()
+		t.stock.Update(t.stockKey(w, item), tr)
 		t.nextOL++
-		t.orderLines.Insert(t.nextOL, item, tr)
+		t.orderLines.Insert(t.nextOL, tr)
 		tr.Compute(t.cfg.ComputePerAccessNs) // pricing arithmetic
 	}
 }
@@ -160,7 +171,11 @@ func (t *TPCC) payment(tr *Tracer) {
 	d := uint64(t.rng.Intn(tpccDistrictsPerW))
 	cust := t.custZipf.Next() % (t.warehouses * tpccDistrictsPerW * t.custPerD)
 
-	t.warehouse.Update(w, t.rng.Uint64(), tr)
-	t.district.Update(w*tpccDistrictsPerW+d, t.rng.Uint64(), tr)
-	t.customer.Update(cust, t.rng.Uint64(), tr)
+	// Each update draws its new row payload, unstored, as newOrder does.
+	t.rng.Uint64()
+	t.warehouse.Update(w, tr)
+	t.rng.Uint64()
+	t.district.Update(w*tpccDistrictsPerW+d, tr)
+	t.rng.Uint64()
+	t.customer.Update(cust, tr)
 }

@@ -240,10 +240,10 @@ func TestNilTracerRecordsNothing(t *testing.T) {
 	tr.Compute(10)
 	tree := NewBPTree(testArena(), 8)
 	for i := uint64(0); i < 100; i++ {
-		tree.Insert(i, i, tr)
+		tree.Insert(i, tr)
 	}
-	if v, ok := tree.Get(42, tr); !ok || v != 42 {
-		t.Fatalf("Get(42) = %d,%v through a nil tracer", v, ok)
+	if !tree.Get(42, tr) {
+		t.Fatal("Get(42) missed through a nil tracer")
 	}
 }
 
@@ -277,9 +277,11 @@ func TestTPCCIsMostComputeIntensive(t *testing.T) {
 }
 
 // TestBPTreeWorkloadHeapPerSimulatedByte guards the host heap the B+tree
-// workloads hold after the build: at most 0.6 host bytes per simulated
-// byte. Leaves whose arrays stayed sized for fanout+1 after a split held
-// about 0.95 (tatp) and 1.19 (tpcc).
+// workloads hold after the build: at most 0.35 host bytes per simulated
+// byte. Key-only leaves hold about 0.23 (tatp) and 0.29 (tpcc); leaves
+// that also stored a value per key held about 0.44 and 0.55, and leaves
+// whose arrays stayed sized for fanout+1 after a split about 0.95 and
+// 1.19.
 func TestBPTreeWorkloadHeapPerSimulatedByte(t *testing.T) {
 	for _, name := range []string{"tatp", "tpcc"} {
 		cfg := DefaultConfig()
@@ -296,8 +298,8 @@ func TestBPTreeWorkloadHeapPerSimulatedByte(t *testing.T) {
 		runtime.KeepAlive(w)
 		perByte := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(cfg.DatasetBytes)
 		t.Logf("%s: %.2f host heap bytes per simulated byte", name, perByte)
-		if perByte > 0.6 {
-			t.Errorf("%s holds %.2f host heap bytes per simulated byte, want <= 0.6", name, perByte)
+		if perByte > 0.35 {
+			t.Errorf("%s holds %.2f host heap bytes per simulated byte, want <= 0.35", name, perByte)
 		}
 	}
 }
