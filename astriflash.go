@@ -526,23 +526,30 @@ func (r OverloadRun) source() (system.SourceConfig, error) {
 		return system.SourceConfig{}, fmt.Errorf("astriflash: DropExpired needs a positive DeadlineNs")
 	}
 	var arrivals func(rng *sim.RNG) loadgen.Arrivals
+	var err error
 	switch r.Shape {
 	case "", "poisson":
 		arrivals = func(rng *sim.RNG) loadgen.Arrivals { return loadgen.NewPoisson(rng, r.MeanGapNs) }
 	case "mmpp":
+		err = loadgen.CheckMMPP(r.MeanGapNs, r.Burstiness, r.DwellNs)
 		arrivals = func(rng *sim.RNG) loadgen.Arrivals {
 			return loadgen.NewMMPP(rng, r.MeanGapNs, r.Burstiness, r.DwellNs)
 		}
 	case "diurnal":
+		err = loadgen.CheckDiurnal(r.MeanGapNs, r.Amplitude, r.PeriodNs)
 		arrivals = func(rng *sim.RNG) loadgen.Arrivals {
 			return loadgen.NewDiurnal(rng, r.MeanGapNs, r.Amplitude, r.PeriodNs)
 		}
 	case "flashcrowd":
+		err = loadgen.CheckFlashCrowd(r.MeanGapNs, r.Surge, r.SurgeStartNs, r.SurgeDurNs)
 		arrivals = func(rng *sim.RNG) loadgen.Arrivals {
 			return loadgen.NewFlashCrowd(rng, r.MeanGapNs, r.Surge, r.SurgeStartNs, r.SurgeDurNs)
 		}
 	default:
-		return system.SourceConfig{}, fmt.Errorf("astriflash: unknown arrival shape %q", r.Shape)
+		err = fmt.Errorf("astriflash: unknown arrival shape %q", r.Shape)
+	}
+	if err != nil {
+		return system.SourceConfig{}, err
 	}
 	var ctl overload.Controller
 	switch r.Controller {

@@ -74,6 +74,42 @@ func TestRunOverloadRejectsDropExpiredWithoutDeadline(t *testing.T) {
 	}
 }
 
+// TestRunOverloadRejectsBadShapeParameters: every arrival-shape parameter
+// the shape's constructor would reject is an error before the run starts.
+func TestRunOverloadRejectsBadShapeParameters(t *testing.T) {
+	o := DefaultOptions(AstriFlash, "tatp")
+	o.Cores = 2
+	o.DatasetBytes = 8 << 20
+	m, err := NewMachine(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mmpp := OverloadRun{Shape: "mmpp", Burstiness: 0.5, DwellNs: 1e5}
+	diurnal := OverloadRun{Shape: "diurnal", Amplitude: 0.5, PeriodNs: 1e6}
+	crowd := OverloadRun{Shape: "flashcrowd", Surge: 3, SurgeDurNs: 1e5}
+	for _, c := range []struct {
+		name string
+		run  OverloadRun
+		set  func(r *OverloadRun)
+		want string
+	}{
+		{"Burstiness 1", mmpp, func(r *OverloadRun) { r.Burstiness = 1 }, "burstiness"},
+		{"DwellNs 0", mmpp, func(r *OverloadRun) { r.DwellNs = 0 }, "dwell"},
+		{"Amplitude 1", diurnal, func(r *OverloadRun) { r.Amplitude = 1 }, "amplitude"},
+		{"PeriodNs 0", diurnal, func(r *OverloadRun) { r.PeriodNs = 0 }, "period"},
+		{"Surge 0", crowd, func(r *OverloadRun) { r.Surge = 0 }, "surge"},
+		{"SurgeDurNs 0", crowd, func(r *OverloadRun) { r.SurgeDurNs = 0 }, "window"},
+	} {
+		r := c.run
+		r.MeanGapNs, r.WarmupNs, r.MeasureNs = 1000, 100_000, 100_000
+		c.set(&r)
+		_, err := m.RunOverload(r)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s %s: error %v, want one naming %q", r.Shape, c.name, err, c.want)
+		}
+	}
+}
+
 // TestNewMachineRejectsBadFlashGeometry: a flash geometry the device
 // cannot be built with is an error from NewMachine, not a panic while the
 // device is built.

@@ -83,6 +83,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *rate < 0 {
+		fmt.Fprintf(os.Stderr, "astrisim: -rate must not be negative, got %v\n", *rate)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var slos []timeline.SLO
 	for _, spec := range strings.Split(*sloFlag, ",") {

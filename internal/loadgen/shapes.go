@@ -32,18 +32,25 @@ type MMPP struct {
 	untilSwitch float64
 }
 
+// CheckMMPP reports why NewMMPP would reject its parameters, or nil.
+func CheckMMPP(meanGapNs, burstiness, meanDwellNs float64) error {
+	switch {
+	case meanGapNs <= 0:
+		return fmt.Errorf("loadgen: MMPP mean gap %v must be positive", meanGapNs)
+	case burstiness < 0 || burstiness >= 1:
+		return fmt.Errorf("loadgen: MMPP burstiness %v out of [0,1)", burstiness)
+	case meanDwellNs <= 0:
+		return fmt.Errorf("loadgen: MMPP dwell %v must be positive", meanDwellNs)
+	}
+	return nil
+}
+
 // NewMMPP returns a bursty on/off process with overall mean inter-arrival
 // meanGapNs. burstiness in [0,1) sets the rate split between the states;
 // meanDwellNs is the mean sojourn in each state.
 func NewMMPP(rng *sim.RNG, meanGapNs, burstiness, meanDwellNs float64) *MMPP {
-	if meanGapNs <= 0 {
-		panic(fmt.Sprintf("loadgen: MMPP mean gap %v must be positive", meanGapNs))
-	}
-	if burstiness < 0 || burstiness >= 1 {
-		panic(fmt.Sprintf("loadgen: MMPP burstiness %v out of [0,1)", burstiness))
-	}
-	if meanDwellNs <= 0 {
-		panic(fmt.Sprintf("loadgen: MMPP dwell %v must be positive", meanDwellNs))
+	if err := CheckMMPP(meanGapNs, burstiness, meanDwellNs); err != nil {
+		panic(err)
 	}
 	rate := 1 / meanGapNs
 	m := &MMPP{rng: rng, dwell: meanDwellNs}
@@ -83,18 +90,25 @@ type Diurnal struct {
 	now       float64 // virtual elapsed ns
 }
 
+// CheckDiurnal reports why NewDiurnal would reject its parameters, or nil.
+func CheckDiurnal(meanGapNs, amplitude, periodNs float64) error {
+	switch {
+	case meanGapNs <= 0:
+		return fmt.Errorf("loadgen: diurnal mean gap %v must be positive", meanGapNs)
+	case amplitude < 0 || amplitude >= 1:
+		return fmt.Errorf("loadgen: diurnal amplitude %v out of [0,1)", amplitude)
+	case periodNs <= 0:
+		return fmt.Errorf("loadgen: diurnal period %v must be positive", periodNs)
+	}
+	return nil
+}
+
 // NewDiurnal returns a sinusoidally modulated process with overall mean
 // inter-arrival meanGapNs, relative amplitude in [0,1), and the given
 // period (the "day" length, scaled into simulated time).
 func NewDiurnal(rng *sim.RNG, meanGapNs, amplitude, periodNs float64) *Diurnal {
-	if meanGapNs <= 0 {
-		panic(fmt.Sprintf("loadgen: diurnal mean gap %v must be positive", meanGapNs))
-	}
-	if amplitude < 0 || amplitude >= 1 {
-		panic(fmt.Sprintf("loadgen: diurnal amplitude %v out of [0,1)", amplitude))
-	}
-	if periodNs <= 0 {
-		panic(fmt.Sprintf("loadgen: diurnal period %v must be positive", periodNs))
+	if err := CheckDiurnal(meanGapNs, amplitude, periodNs); err != nil {
+		panic(err)
 	}
 	return &Diurnal{rng: rng, baseRate: 1 / meanGapNs, amplitude: amplitude, period: periodNs}
 }
@@ -127,17 +141,25 @@ type FlashCrowd struct {
 	now      float64 // virtual elapsed ns
 }
 
+// CheckFlashCrowd reports why NewFlashCrowd would reject its parameters,
+// or nil.
+func CheckFlashCrowd(meanGapNs, surge, startNs, durationNs float64) error {
+	switch {
+	case meanGapNs <= 0:
+		return fmt.Errorf("loadgen: flash-crowd mean gap %v must be positive", meanGapNs)
+	case surge <= 0:
+		return fmt.Errorf("loadgen: flash-crowd surge %v must be positive", surge)
+	case startNs < 0 || durationNs <= 0:
+		return fmt.Errorf("loadgen: flash-crowd window [%v,+%v) invalid", startNs, durationNs)
+	}
+	return nil
+}
+
 // NewFlashCrowd returns a stepped process: baseline mean gap meanGapNs,
 // rate multiplied by surge (> 0) from startNs for durationNs.
 func NewFlashCrowd(rng *sim.RNG, meanGapNs, surge float64, startNs, durationNs float64) *FlashCrowd {
-	if meanGapNs <= 0 {
-		panic(fmt.Sprintf("loadgen: flash-crowd mean gap %v must be positive", meanGapNs))
-	}
-	if surge <= 0 {
-		panic(fmt.Sprintf("loadgen: flash-crowd surge %v must be positive", surge))
-	}
-	if startNs < 0 || durationNs <= 0 {
-		panic(fmt.Sprintf("loadgen: flash-crowd window [%v,+%v) invalid", startNs, durationNs))
+	if err := CheckFlashCrowd(meanGapNs, surge, startNs, durationNs); err != nil {
+		panic(err)
 	}
 	return &FlashCrowd{rng: rng, baseGap: meanGapNs, surge: surge, start: startNs, duration: durationNs}
 }

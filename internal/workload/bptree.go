@@ -27,6 +27,11 @@ type BPTree struct {
 	fanout int
 	size   uint64
 	height int
+	// tail is the rightmost leaf, where untraced ascending inserts append.
+	// Its key array always has split size (the root's from growLeaf, or
+	// the array a split hands its right half), so an append below fanout
+	// never regrows it.
+	tail *bpNode
 	// slab is the current node chunk; nodes are handed out as pointers
 	// into it (stable: a full chunk is replaced, never regrown), so bulk
 	// loading a store costs one allocation per chunk instead of one per
@@ -43,6 +48,7 @@ func NewBPTree(arena *mem.Arena, fanout int) *BPTree {
 	t := &BPTree{arena: arena, fanout: fanout, height: 1}
 	t.root = t.newNode(true)
 	t.growLeaf(t.root)
+	t.tail = t.root
 	return t
 }
 
@@ -165,8 +171,17 @@ func (t *BPTree) Scan(key uint64, count int, tr *Tracer) []uint64 {
 }
 
 // Insert adds key, or rewrites its row if present, tracing the path, leaf
-// write, and any splits.
+// write, and any splits. An untraced key above the maximum appends to the
+// tail leaf when that leaf has room: the descent would reach the same
+// leaf and append at len(keys) without splitting, so ascending loads
+// (every TATP and TPC-C table) build the same tree without walking it.
 func (t *BPTree) Insert(key uint64, tr *Tracer) {
+	if n := t.tail; tr == nil && len(n.keys) < t.fanout &&
+		(len(n.keys) == 0 || n.keys[len(n.keys)-1] < key) {
+		n.keys = append(n.keys, key)
+		t.size++
+		return
+	}
 	promoted, newChild := t.insert(t.root, key, tr)
 	if newChild != nil {
 		newRoot := t.newNode(false)
@@ -179,22 +194,14 @@ func (t *BPTree) Insert(key uint64, tr *Tracer) {
 }
 
 // insert descends recursively; on split it returns the promoted separator
-// key and the new right sibling. Without a search, a key at or above an
-// internal node's last separator descends into its last child, and a key
-// above a leaf's last key is appended: findChild and lowerBound return
-// len(keys) there, so ascending loads (every TATP and TPC-C table, TPC-C's
-// order logs) build the same tree and trace the same pages. A key equal to
-// a leaf's last key takes the search, which finds it and rewrites its row.
+// key and the new right sibling.
 func (t *BPTree) insert(n *bpNode, key uint64, tr *Tracer) (uint64, *bpNode) {
 	tr.Touch(n.addr, false)
 	if n.leaf {
-		i := len(n.keys)
-		if i > 0 && n.keys[i-1] >= key {
-			i = lowerBound(n.keys, key)
-			if n.keys[i] == key {
-				tr.Touch(n.addr, true)
-				return 0, nil
-			}
+		i := lowerBound(n.keys, key)
+		if i < len(n.keys) && n.keys[i] == key {
+			tr.Touch(n.addr, true)
+			return 0, nil
 		}
 		if len(n.keys) == cap(n.keys) {
 			t.growLeaf(n)
@@ -209,10 +216,7 @@ func (t *BPTree) insert(n *bpNode, key uint64, tr *Tracer) (uint64, *bpNode) {
 		}
 		return t.splitLeaf(n, tr)
 	}
-	ci := len(n.keys)
-	if n.keys[ci-1] > key {
-		ci = findChild(n.keys, key)
-	}
+	ci := findChild(n.keys, key)
 	promoted, newChild := t.insert(n.children[ci], key, tr)
 	if newChild == nil {
 		return 0, nil
@@ -246,6 +250,9 @@ func (t *BPTree) splitLeaf(n *bpNode, tr *Tracer) (uint64, *bpNode) {
 	right.keys = keys[:copy(keys, keys[mid:])]
 	right.next = n.next
 	n.next = right
+	if t.tail == n {
+		t.tail = right
+	}
 	tr.Touch(n.addr, true)
 	tr.Touch(right.addr, true)
 	return right.keys[0], right

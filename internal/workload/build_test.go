@@ -1,9 +1,6 @@
 package workload
 
 import (
-	"encoding/binary"
-	"hash"
-	"hash/fnv"
 	"sort"
 	"testing"
 )
@@ -16,15 +13,30 @@ func buildConfig() Config {
 	return cfg
 }
 
-type treeHasher struct{ h hash.Hash64 }
+// treeHasher is FNV-1a 64 (hash/fnv's New64a) over the little-endian
+// bytes of each value put, computed in place: hash.Hash64's Write costs an
+// interface call and a buffer per put, and FuzzBPTree hashes two trees
+// after every op.
+type treeHasher struct{ h *uint64 }
+
+func newTreeHasher() treeHasher {
+	h := uint64(14695981039346656037)
+	return treeHasher{&h}
+}
 
 func (th treeHasher) put(xs ...uint64) {
-	var b [8]byte
+	h := *th.h
 	for _, x := range xs {
-		binary.LittleEndian.PutUint64(b[:], x)
-		th.h.Write(b[:])
+		for range 8 {
+			h ^= x & 0xff
+			h *= 1099511628211
+			x >>= 8
+		}
 	}
+	*th.h = h
 }
+
+func (th treeHasher) sum() uint64 { return *th.h }
 
 // tree hashes every node of t depth-first: arena address, leaf bit, key
 // array length, capacity and contents, and internal nodes' children.
@@ -120,12 +132,12 @@ func TestBuiltTreesMatchParent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		th := treeHasher{fnv.New64a()}
+		th := newTreeHasher()
 		c.hash(th, w)
 		th.jobs(w, 2000)
 		// Hash the trees again: TPC-C's jobs insert orders and order lines.
 		c.hash(th, w)
-		if got := th.h.Sum64(); got != c.want {
+		if got := th.sum(); got != c.want {
 			t.Errorf("%s: tree hash %#016x, want %#016x", c.name, got, c.want)
 		}
 	}

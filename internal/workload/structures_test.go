@@ -242,20 +242,54 @@ func bpLeaves(t *BPTree) []*bpNode {
 	return out
 }
 
+// TestBPTreeAscendingLoadTrimsLeaves loads the same keys untraced (the
+// tail append) and through a sink (the searched descent), and requires
+// identical, exactly trimmed leaves from both.
 func TestBPTreeAscendingLoadTrimsLeaves(t *testing.T) {
-	tree := NewBPTree(testArena(), 256)
-	for i := uint64(0); i < 100_000; i++ {
-		tree.Insert(i, nil)
+	load := func(tr *Tracer) []*bpNode {
+		tree := NewBPTree(testArena(), 256)
+		for i := uint64(0); i < 100_000; i++ {
+			tree.Insert(i, tr)
+			if tr != nil {
+				tr.Take()
+			}
+		}
+		return bpLeaves(tree)
 	}
-	leaves := bpLeaves(tree)
+	leaves, traced := load(nil), load(NewTracer(1))
 	if len(leaves) < 100 {
 		t.Fatalf("%d leaves; the load did not split", len(leaves))
 	}
-	for i, n := range leaves[:len(leaves)-1] {
-		if len(n.keys) != 128 || cap(n.keys) != 128 {
+	if len(leaves) != len(traced) {
+		t.Fatalf("untraced load built %d leaves, traced %d", len(leaves), len(traced))
+	}
+	for i, n := range leaves {
+		m := traced[i]
+		if n.addr != m.addr || cap(n.keys) != cap(m.keys) || fmt.Sprint(n.keys) != fmt.Sprint(m.keys) {
+			t.Fatalf("leaf %d: untraced page %#x len/cap %d/%d, traced page %#x len/cap %d/%d",
+				i, n.addr, len(n.keys), cap(n.keys), m.addr, len(m.keys), cap(m.keys))
+		}
+		if i < len(leaves)-1 && (len(n.keys) != 128 || cap(n.keys) != 128) {
 			t.Fatalf("leaf %d: keys len/cap %d/%d; want 128 exact", i, len(n.keys), cap(n.keys))
 		}
 	}
+}
+
+// loadedTree keeps BenchmarkBPTreeAscendingLoad's result reachable.
+var loadedTree *BPTree
+
+// BenchmarkBPTreeAscendingLoad times an untraced ascending load of 1M
+// keys at fanout 256, the shape of every TATP and TPC-C table build.
+func BenchmarkBPTreeAscendingLoad(b *testing.B) {
+	const keys = 1 << 20
+	b.ReportAllocs()
+	for range b.N {
+		loadedTree = NewBPTree(testArena(), 256)
+		for k := range uint64(keys) {
+			loadedTree.Insert(k, nil)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*keys), "ns/key")
 }
 
 func TestBPTreeAccessesOnePagePerLevel(t *testing.T) {
@@ -423,17 +457,27 @@ func TestMasstreePropertyRoundTrip(t *testing.T) {
 // FuzzBPTree decodes ops into mixes of ascending runs, re-inserts of the
 // current maximum key, random inserts, updates, gets and scans over a
 // small-fanout tree, and checks every found bit and scanned key against a
-// Go map.
+// Go map. A traced twin takes every insert through the searched descent;
+// after each op both trees must hash equal, and the untraced tree's tail
+// must be its last leaf.
 func FuzzBPTree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, fan byte, ops []byte) {
 		fanout := 4 << (fan % 3) // 4, 8, 16: halves fill size classes exactly
 		tree := NewBPTree(testArena(), fanout)
+		twin, sink := NewBPTree(testArena(), fanout), NewTracer(1)
 		ref := map[uint64]bool{}
 		var maxKey uint64
 		insert := func(k uint64) {
 			tree.Insert(k, nil)
+			twin.Insert(k, sink)
+			sink.Take()
 			ref[k] = true
 			maxKey = max(maxKey, k)
+		}
+		hash := func(t *BPTree) uint64 {
+			th := newTreeHasher()
+			th.tree(t)
+			return th.sum()
 		}
 		for n := 0; len(ops) >= 2 && n < 512; n++ {
 			op, arg := ops[0], uint64(ops[1])
@@ -479,6 +523,12 @@ func FuzzBPTree(f *testing.F) {
 			}
 			if tree.Size() != uint64(len(ref)) {
 				t.Fatalf("size %d, map holds %d", tree.Size(), len(ref))
+			}
+			if hash(tree) != hash(twin) {
+				t.Fatalf("op %d: untraced tree differs from its traced twin", n)
+			}
+			if leaves := bpLeaves(tree); tree.tail != leaves[len(leaves)-1] {
+				t.Fatalf("op %d: tail is not the last of %d leaves", n, len(leaves))
 			}
 		}
 		if msg := tree.CheckInvariants(); msg != "" {
