@@ -59,11 +59,12 @@ bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkHistogram|BenchmarkZipfNext|BenchmarkHotColdNext' -benchmem $(BENCHFLAGS) ./internal/sim ./internal/stats ./internal/mem
 
 ## Workload construction microbenchmarks: ns/op and allocs/op of building
-## each registered workload at 32 MiB, and ns per key of a 1M-key
-## ascending B+tree load. BENCHFLAGS passes extra go test flags (CI runs
+## each registered workload at 32 MiB and ns per key of a 1M-key
+## ascending B+tree load, plus ns per untraced random Get over such a
+## tree (hits and misses). BENCHFLAGS passes extra go test flags (CI runs
 ## `make bench-build BENCHFLAGS='-benchtime 1x'`).
 bench-build:
-	$(GO) test -run '^$$' -bench 'BenchmarkWorkloadBuild|BenchmarkBPTreeAscendingLoad' -benchmem $(BENCHFLAGS) ./internal/workload
+	$(GO) test -run '^$$' -bench 'BenchmarkWorkloadBuild|BenchmarkBPTreeAscendingLoad|BenchmarkBPTreeGet' -benchmem $(BENCHFLAGS) ./internal/workload
 
 ## The full figure-suite benchmark harness.
 bench:

@@ -11,12 +11,59 @@ import (
 // databases (Silo, Masstree's layer trees, the TATP/TPC-C indexes) use.
 // Leaves hold keys only: the simulated row payload lives on the node's
 // arena page, and every trace derives from node addresses and keys.
+//
+// A leaf stores its keys in one of two forms: wide, the keys themselves
+// in keys, or packed, when splitLeaf froze a left half whose keys span
+// at most maxPackedSpan: key i is base+offs[i], and keys is nil. Readers
+// go through search, numKeys and keyAt, which read both forms.
 type bpNode struct {
 	addr     mem.Addr
 	leaf     bool
 	keys     []uint64
+	base     uint64    // packed leaves: the first key
+	offs     []uint16  // packed leaves: each key's offset from base
 	children []*bpNode // internal nodes
 	next     *bpNode   // leaf chain for scans
+}
+
+// maxPackedSpan is the largest key span a packed leaf holds: the largest
+// 16-bit offset.
+const maxPackedSpan = 0xffff
+
+// numKeys returns the number of keys a node holds, in either form.
+func (n *bpNode) numKeys() int {
+	if n.offs != nil {
+		return len(n.offs)
+	}
+	return len(n.keys)
+}
+
+// keyAt returns a node's i'th key, in either form.
+func (n *bpNode) keyAt(i int) uint64 {
+	if n.offs != nil {
+		return n.base + uint64(n.offs[i])
+	}
+	return n.keys[i]
+}
+
+// search returns the smallest i with keyAt(i) >= key and whether
+// keyAt(i) is key: lowerBound's position and found bit over either form.
+// A key below a packed leaf's base sorts before all of its keys, and one
+// more than maxPackedSpan above it after all of them.
+func (n *bpNode) search(key uint64) (int, bool) {
+	if n.offs == nil {
+		i := lowerBound(n.keys, key)
+		return i, i < len(n.keys) && n.keys[i] == key
+	}
+	if key < n.base {
+		return 0, false
+	}
+	if key-n.base > maxPackedSpan {
+		return len(n.offs), false
+	}
+	off := uint16(key - n.base)
+	i := lowerBound(n.offs, off)
+	return i, i < len(n.offs) && n.offs[i] == off
 }
 
 // BPTree is a key-only B+-tree with page-sized, arena-addressed nodes and
@@ -69,12 +116,20 @@ func (t *BPTree) newNode(leaf bool) *bpNode {
 	return n
 }
 
-// growLeaf gives a leaf a key array of the split size fanout+1: the new
-// root up front, and a left half trimmed by splitLeaf on its first insert,
-// in one step where append's doubling would overshoot to 2*len.
+// growLeaf gives a leaf a wide key array of the split size fanout+1: the
+// new root up front, and a left half frozen by splitLeaf (trimmed or
+// packed) on its first insert, in one step where append's doubling would
+// overshoot to 2*len.
 func (t *BPTree) growLeaf(n *bpNode) {
-	keys := make([]uint64, len(n.keys), t.fanout+1)
-	copy(keys, n.keys)
+	keys := make([]uint64, n.numKeys(), t.fanout+1)
+	if n.offs == nil {
+		copy(keys, n.keys)
+	} else {
+		for i, off := range n.offs {
+			keys[i] = n.base + uint64(off)
+		}
+		n.base, n.offs = 0, nil
+	}
 	n.keys = keys
 }
 
@@ -102,8 +157,8 @@ func findChild(keys []uint64, key uint64) int {
 }
 
 // lowerBound returns the smallest i with keys[i] >= key, with the same
-// probe sequence as sort.Search.
-func lowerBound(keys []uint64, key uint64) int {
+// probe sequence as sort.Search, over keys or a packed leaf's offsets.
+func lowerBound[K uint16 | uint64](keys []K, key K) int {
 	i, j := 0, len(keys)
 	for i < j {
 		h := int(uint(i+j) >> 1)
@@ -125,8 +180,8 @@ func (t *BPTree) find(key uint64, tr *Tracer) (*bpNode, bool) {
 		n = n.children[findChild(n.keys, key)]
 	}
 	tr.Touch(n.addr, false)
-	i := lowerBound(n.keys, key)
-	return n, i < len(n.keys) && n.keys[i] == key
+	_, ok := n.search(key)
+	return n, ok
 }
 
 // Get searches for key, tracing one access per level. It reports whether
@@ -155,11 +210,11 @@ func (t *BPTree) Scan(key uint64, count int, tr *Tracer) []uint64 {
 		n = n.children[findChild(n.keys, key)]
 	}
 	var out []uint64
-	i := lowerBound(n.keys, key)
+	i, _ := n.search(key)
 	tr.Touch(n.addr, false)
 	for n != nil && len(out) < count {
-		for ; i < len(n.keys) && len(out) < count; i++ {
-			out = append(out, n.keys[i])
+		for ; i < n.numKeys() && len(out) < count; i++ {
+			out = append(out, n.keyAt(i))
 		}
 		n = n.next
 		i = 0
@@ -198,11 +253,13 @@ func (t *BPTree) Insert(key uint64, tr *Tracer) {
 func (t *BPTree) insert(n *bpNode, key uint64, tr *Tracer) (uint64, *bpNode) {
 	tr.Touch(n.addr, false)
 	if n.leaf {
-		i := lowerBound(n.keys, key)
-		if i < len(n.keys) && n.keys[i] == key {
+		i, ok := n.search(key)
+		if ok {
 			tr.Touch(n.addr, true)
 			return 0, nil
 		}
+		// A packed leaf has no key array (len and cap 0), so this is
+		// also where it unpacks.
 		if len(n.keys) == cap(n.keys) {
 			t.growLeaf(n)
 		}
@@ -237,16 +294,26 @@ func (t *BPTree) insert(n *bpNode, key uint64, tr *Tracer) (uint64, *bpNode) {
 // splitLeaf moves the upper half of a full leaf to a new right sibling.
 // TATP and TPC-C bulk-load every table in ascending key order, so inserts
 // keep landing in the right half and never reach the left one again: the
-// left half gets an exact-size copy (128 keys fill a 1 KB size class at
-// fanout 256; append, unlike make, skips zeroing what it overwrites), and
-// the right half takes over the full-size array with its keys shifted to
-// the front. A random insert into a trimmed left half regrows it once, in
-// growLeaf.
+// left half is frozen at its exact size, and the right half takes over
+// the full-size array with its keys shifted to the front. A left half
+// whose keys span at most maxPackedSpan is packed into 16-bit offsets
+// from its first key (128 offsets fill a 256 B size class at fanout 256,
+// a quarter of the keys); a wider one gets an exact-size copy of its keys
+// (append, unlike make, skips zeroing what it overwrites). A random insert
+// into a frozen left half regrows it once, in growLeaf.
 func (t *BPTree) splitLeaf(n *bpNode, tr *Tracer) (uint64, *bpNode) {
 	mid := len(n.keys) / 2
 	right := t.newNode(true)
 	keys := n.keys
-	n.keys = append([]uint64(nil), keys[:mid]...)
+	if base := keys[0]; keys[mid-1]-base <= maxPackedSpan {
+		offs := make([]uint16, mid)
+		for i, k := range keys[:mid] {
+			offs[i] = uint16(k - base)
+		}
+		n.keys, n.base, n.offs = nil, base, offs
+	} else {
+		n.keys = append([]uint64(nil), keys[:mid]...)
+	}
 	right.keys = keys[:copy(keys, keys[mid:])]
 	right.next = n.next
 	n.next = right
@@ -271,9 +338,15 @@ func (t *BPTree) splitInternal(n *bpNode, tr *Tracer) (uint64, *bpNode) {
 	return promoted, right
 }
 
-// CheckInvariants validates sortedness, fanout bounds, and leaf-chain
-// order. It returns "" when consistent.
+// CheckInvariants validates sortedness, fanout bounds, leaf-chain order
+// and the packed form: offsets strictly ascending from 0 (so the span,
+// the last offset, is at most maxPackedSpan by type), base plus span
+// within uint64, and an unpacked tail. It returns "" when consistent, and
+// a message, never a panic, for a malformed node.
 func (t *BPTree) CheckInvariants() string {
+	if t.tail.offs != nil {
+		return "tail leaf packed"
+	}
 	msg := t.check(t.root, nil, nil)
 	if msg != "" {
 		return msg
@@ -286,7 +359,8 @@ func (t *BPTree) CheckInvariants() string {
 	prev := uint64(0)
 	first := true
 	for ; n != nil; n = n.next {
-		for _, k := range n.keys {
+		for i := range n.numKeys() {
+			k := n.keyAt(i)
 			if !first && k <= prev {
 				return "leaf chain out of order"
 			}
@@ -296,16 +370,45 @@ func (t *BPTree) CheckInvariants() string {
 	return ""
 }
 
+// checkPacked validates a packed leaf's offsets.
+func checkPacked(n *bpNode) string {
+	switch {
+	case !n.leaf:
+		return "internal node packed"
+	case n.keys != nil:
+		return "packed leaf also holds keys"
+	case len(n.offs) == 0:
+		return "packed leaf empty"
+	case n.offs[0] != 0:
+		return "packed leaf offsets do not start at 0"
+	}
+	for i := 1; i < len(n.offs); i++ {
+		if n.offs[i-1] >= n.offs[i] {
+			return "packed leaf offsets not ascending"
+		}
+	}
+	if n.base > ^uint64(0)-uint64(n.offs[len(n.offs)-1]) {
+		return "packed leaf span past 2^64"
+	}
+	return ""
+}
+
 func (t *BPTree) check(n *bpNode, lo, hi *uint64) string {
-	if len(n.keys) > t.fanout {
+	if n.offs != nil {
+		if msg := checkPacked(n); msg != "" {
+			return msg
+		}
+	}
+	if n.numKeys() > t.fanout {
 		return "node over fanout"
 	}
-	for i := 1; i < len(n.keys); i++ {
-		if n.keys[i-1] >= n.keys[i] {
+	for i := 1; i < n.numKeys(); i++ {
+		if n.keyAt(i-1) >= n.keyAt(i) {
 			return "keys unsorted"
 		}
 	}
-	for _, k := range n.keys {
+	for i := range n.numKeys() {
+		k := n.keyAt(i)
 		if lo != nil && k < *lo {
 			return "key below subtree bound"
 		}

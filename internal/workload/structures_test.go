@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -216,10 +217,8 @@ func TestBPTreePropertyOrderAndPresence(t *testing.T) {
 				return false
 			}
 		}
-		// A leaf either holds an exact-size key array (trimmed by a split
-		// and not inserted into since) or a split-size one, never more.
 		for _, n := range bpLeaves(tree) {
-			if c := cap(n.keys); c != len(n.keys) && c != tree.fanout+1 {
+			if leafStorageError(tree, n) != "" {
 				return false
 			}
 		}
@@ -227,6 +226,28 @@ func TestBPTreePropertyOrderAndPresence(t *testing.T) {
 	}, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// leafStorageError reports how leaf n breaks the storage rule, or "". A
+// left half frozen by a split and not inserted into since is packed, with
+// one offset per key and no spare capacity, when its keys span at most
+// maxPackedSpan, and an exact-size wide copy when they span more. Every
+// other leaf holds a wide array of the split size fanout+1. The tail is
+// never packed.
+func leafStorageError(t *BPTree, n *bpNode) string {
+	switch {
+	case n.offs != nil && n == t.tail:
+		return "tail leaf packed"
+	case n.offs != nil && len(n.offs) != cap(n.offs):
+		return fmt.Sprintf("packed leaf offsets len %d, cap %d; want exact", len(n.offs), cap(n.offs))
+	case n.offs != nil, cap(n.keys) == t.fanout+1:
+		return ""
+	case cap(n.keys) != len(n.keys):
+		return fmt.Sprintf("leaf keys len %d, cap %d; want exact or %d", len(n.keys), cap(n.keys), t.fanout+1)
+	case n.keys[len(n.keys)-1]-n.keys[0] <= maxPackedSpan:
+		return fmt.Sprintf("exact-size leaf spans %#x, within the packed span", n.keys[len(n.keys)-1]-n.keys[0])
+	}
+	return ""
 }
 
 // bpLeaves returns the tree's leaves in key order.
@@ -244,7 +265,8 @@ func bpLeaves(t *BPTree) []*bpNode {
 
 // TestBPTreeAscendingLoadTrimsLeaves loads the same keys untraced (the
 // tail append) and through a sink (the searched descent), and requires
-// identical, exactly trimmed leaves from both.
+// identical leaves from both: every leaf but the tail packed into exactly
+// 128 offsets, and the tail wide at the split size.
 func TestBPTreeAscendingLoadTrimsLeaves(t *testing.T) {
 	load := func(tr *Tracer) []*bpNode {
 		tree := NewBPTree(testArena(), 256)
@@ -265,12 +287,140 @@ func TestBPTreeAscendingLoadTrimsLeaves(t *testing.T) {
 	}
 	for i, n := range leaves {
 		m := traced[i]
-		if n.addr != m.addr || cap(n.keys) != cap(m.keys) || fmt.Sprint(n.keys) != fmt.Sprint(m.keys) {
-			t.Fatalf("leaf %d: untraced page %#x len/cap %d/%d, traced page %#x len/cap %d/%d",
-				i, n.addr, len(n.keys), cap(n.keys), m.addr, len(m.keys), cap(m.keys))
+		if n.addr != m.addr || n.base != m.base || fmt.Sprint(n.offs) != fmt.Sprint(m.offs) ||
+			cap(n.keys) != cap(m.keys) || fmt.Sprint(n.keys) != fmt.Sprint(m.keys) {
+			t.Fatalf("leaf %d: untraced page %#x base %d offs %d keys len/cap %d/%d, traced page %#x base %d offs %d keys len/cap %d/%d",
+				i, n.addr, n.base, len(n.offs), len(n.keys), cap(n.keys),
+				m.addr, m.base, len(m.offs), len(m.keys), cap(m.keys))
 		}
-		if i < len(leaves)-1 && (len(n.keys) != 128 || cap(n.keys) != 128) {
-			t.Fatalf("leaf %d: keys len/cap %d/%d; want 128 exact", i, len(n.keys), cap(n.keys))
+		if i == len(leaves)-1 {
+			if n.offs != nil || cap(n.keys) != 257 {
+				t.Fatalf("tail: packed %v, keys cap %d; want wide at 257", n.offs != nil, cap(n.keys))
+			}
+			continue
+		}
+		if n.keys != nil || len(n.offs) != 128 || cap(n.offs) != 128 || n.base != uint64(i*128) {
+			t.Fatalf("leaf %d: base %d, offsets len/cap %d/%d, keys %d; want packed at %d into 128 exact",
+				i, n.base, len(n.offs), cap(n.offs), len(n.keys), i*128)
+		}
+	}
+}
+
+// TestBPTreePackingFollowsSpan loads ascending keys at strides either
+// side of the packed span and checks which form the frozen left halves
+// take: 128 keys at stride 516 span 0xfffc and pack, at stride 517 they
+// span 0x1007b and stay wide.
+func TestBPTreePackingFollowsSpan(t *testing.T) {
+	for _, c := range []struct {
+		stride uint64
+		packed bool
+	}{{516, true}, {517, false}} {
+		tree := NewBPTree(testArena(), 256)
+		for i := range uint64(10_000) {
+			tree.Insert(i*c.stride, nil)
+		}
+		leaves := bpLeaves(tree)
+		for i, n := range leaves[:len(leaves)-1] {
+			if (n.offs != nil) != c.packed {
+				t.Fatalf("stride %d, leaf %d: packed %v, want %v", c.stride, i, n.offs != nil, c.packed)
+			}
+			if msg := leafStorageError(tree, n); msg != "" {
+				t.Fatalf("stride %d, leaf %d: %s", c.stride, i, msg)
+			}
+		}
+		if msg := tree.CheckInvariants(); msg != "" {
+			t.Fatalf("stride %d: %s", c.stride, msg)
+		}
+		for i := range uint64(10_000) {
+			if !tree.Get(i*c.stride, nil) || tree.Get(i*c.stride+1, nil) {
+				t.Fatalf("stride %d: Get around key %d wrong", c.stride, i*c.stride)
+			}
+		}
+	}
+}
+
+// TestBPTreePackedLeafEdges probes a packed leaf at the edges of its
+// span. The leaf holds 128 keys from base at stride 2 and is followed by a
+// leaf starting 1<<18 higher, so every probe descends to it: base-1 sorts
+// before it, base+0xffff is the last offset it could hold and base+0x10000
+// the first it could not. Each probe misses, and inserting it unpacks the
+// leaf and keeps every key findable. Re-inserting a present key only
+// traces the write and leaves the leaf packed.
+func TestBPTreePackedLeafEdges(t *testing.T) {
+	const base = 1 << 20
+	var keys []uint64
+	for i := range uint64(128) {
+		keys = append(keys, base+2*i)
+	}
+	for i := range uint64(129) {
+		keys = append(keys, base+1<<18+i)
+	}
+	for _, probe := range []uint64{base - 1, base + 0xffff, base + 0x10000, base + 3} {
+		tree := NewBPTree(testArena(), 256)
+		for _, k := range keys {
+			tree.Insert(k, nil)
+		}
+		n := bpLeaves(tree)[0]
+		if n.offs == nil || n.base != base || len(n.offs) != 128 {
+			t.Fatalf("first leaf: packed %v base %d with %d offsets; want packed at %d with 128",
+				n.offs != nil, n.base, len(n.offs), base)
+		}
+		tr := NewTracer(1)
+		if tree.Insert(base+2, tr); !lastWrite(tr) || n.offs == nil || tree.Size() != uint64(len(keys)) {
+			t.Fatal("re-inserting a present key unpacked the leaf or traced no write")
+		}
+		if tree.Get(probe, nil) {
+			t.Fatalf("Get(base%+d) found an absent key", int64(probe-base))
+		}
+		if tree.Update(probe, tr) || lastWrite(tr) {
+			t.Fatalf("Update(base%+d) rewrote an absent key", int64(probe-base))
+		}
+		tree.Insert(probe, tr)
+		if n.offs != nil {
+			t.Fatalf("inserting base%+d left the leaf packed", int64(probe-base))
+		}
+		if msg := tree.CheckInvariants(); msg != "" {
+			t.Fatal(msg)
+		}
+		for _, k := range append(keys, probe) {
+			if !tree.Get(k, nil) {
+				t.Fatalf("after inserting base%+d: lost key %d", int64(probe-base), k)
+			}
+		}
+		if tree.Size() != uint64(len(keys)+1) {
+			t.Fatalf("size %d, want %d", tree.Size(), len(keys)+1)
+		}
+	}
+}
+
+// TestBPTreeCheckInvariantsRejectsMalformedPacked corrupts a packed leaf
+// (and the tail) in each way CheckInvariants must catch, and requires a
+// message rather than a panic.
+func TestBPTreeCheckInvariantsRejectsMalformedPacked(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		corrupt func(tree *BPTree, n *bpNode)
+	}{
+		{"empty", func(_ *BPTree, n *bpNode) { n.offs = n.offs[:0] }},
+		{"first offset not 0", func(_ *BPTree, n *bpNode) { n.offs[0] = 1 }},
+		{"offsets not ascending", func(_ *BPTree, n *bpNode) { n.offs[5] = n.offs[4] }},
+		{"span past 2^64", func(_ *BPTree, n *bpNode) { n.base = ^uint64(0) - 3 }},
+		{"keys and offsets", func(_ *BPTree, n *bpNode) { n.keys = []uint64{n.base} }},
+		{"tail packed", func(tree *BPTree, _ *bpNode) {
+			tree.tail.base, tree.tail.offs = tree.tail.keys[0], []uint16{0}
+		}},
+		{"internal packed", func(tree *BPTree, _ *bpNode) { tree.root.offs = []uint16{0} }},
+	} {
+		tree := NewBPTree(testArena(), 16)
+		for k := range uint64(100) {
+			tree.Insert(k, nil)
+		}
+		if msg := tree.CheckInvariants(); msg != "" {
+			t.Fatalf("%s: before corrupting: %s", c.name, msg)
+		}
+		c.corrupt(tree, bpLeaves(tree)[0])
+		if tree.CheckInvariants() == "" {
+			t.Errorf("%s: CheckInvariants passed a malformed tree", c.name)
 		}
 	}
 }
@@ -290,6 +440,34 @@ func BenchmarkBPTreeAscendingLoad(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*keys), "ns/key")
+}
+
+// BenchmarkBPTreeGet times untraced random Gets over a 1M-key tree
+// loaded in ascending order with TATP access-info keys (s*4 and s*4+1 per
+// subscriber s), so frozen leaves are packed. Half the probes hit, and
+// half miss at s*4+2 or s*4+3.
+func BenchmarkBPTreeGet(b *testing.B) {
+	const subscribers = 1 << 19
+	tree := NewBPTree(testArena(), 256)
+	for s := range uint64(subscribers) {
+		tree.Insert(s*4, nil)
+		tree.Insert(s*4+1, nil)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	probes := make([]uint64, 1<<16)
+	for i := range probes {
+		probes[i] = rng.Uint64N(subscribers * 4)
+	}
+	b.ResetTimer()
+	hits := 0
+	for i := range b.N {
+		if tree.Get(probes[i&(len(probes)-1)], nil) {
+			hits++
+		}
+	}
+	if b.N >= len(probes) && (hits < b.N/3 || hits > 2*b.N/3) {
+		b.Fatalf("%d hits in %d gets; want about half", hits, b.N)
+	}
 }
 
 func TestBPTreeAccessesOnePagePerLevel(t *testing.T) {
@@ -454,11 +632,13 @@ func TestMasstreePropertyRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzBPTree decodes ops into mixes of ascending runs, re-inserts of the
-// current maximum key, random inserts, updates, gets and scans over a
-// small-fanout tree, and checks every found bit and scanned key against a
-// Go map. A traced twin takes every insert through the searched descent;
-// after each op both trees must hash equal, and the untraced tree's tail
+// FuzzBPTree decodes ops into mixes of ascending runs (dense, or sparse
+// enough that frozen left halves span more than a packed leaf holds),
+// re-inserts of the current maximum key, random inserts, probes of packed
+// leaves' span edges, updates, gets and scans over a small-fanout tree,
+// and checks every found bit and scanned key against a Go map. A traced
+// twin takes every insert through the searched descent; after each op both
+// trees must hash equal, keys and storage, and the untraced tree's tail
 // must be its last leaf.
 func FuzzBPTree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, fan byte, ops []byte) {
@@ -477,13 +657,19 @@ func FuzzBPTree(f *testing.F) {
 		hash := func(t *BPTree) uint64 {
 			th := newTreeHasher()
 			th.tree(t)
+			th.storage(t)
 			return th.sum()
+		}
+		get := func(k uint64) {
+			if had := ref[k]; tree.Get(k, nil) != had {
+				t.Fatalf("Get(%d) reported %v, map has it: %v", k, !had, had)
+			}
 		}
 		for n := 0; len(ops) >= 2 && n < 512; n++ {
 			op, arg := ops[0], uint64(ops[1])
 			ops = ops[2:]
 			key := arg // a small key space, so inserts collide
-			switch op % 6 {
+			switch op % 8 {
 			case 0: // ascending run above the maximum
 				start := maxKey + 1
 				if len(ref) == 0 {
@@ -503,9 +689,7 @@ func FuzzBPTree(f *testing.F) {
 					t.Fatalf("Update(%d) reported %v, map has it: %v", key, !had, had)
 				}
 			case 4:
-				if had := ref[key]; tree.Get(key, nil) != had {
-					t.Fatalf("Get(%d) reported %v, map has it: %v", key, !had, had)
-				}
+				get(key)
 			case 5:
 				count := int(arg%32) + 1
 				got := tree.Scan(key, count, nil)
@@ -520,6 +704,27 @@ func FuzzBPTree(f *testing.F) {
 				if fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("Scan(%d, %d) = %v, want %v", key, count, got, want)
 				}
+			case 6: // sparse ascending run: gaps of 2^12-2^17, each power -1, +0 or +1
+				gap := uint64(1)<<(12+arg%6) - 1 + arg/6%3
+				for range arg/18 + 1 {
+					insert(maxKey + gap)
+				}
+			case 7: // a packed leaf's span edges, or a key inside its span
+				var packed []*bpNode
+				for _, n := range bpLeaves(tree) {
+					if n.offs != nil {
+						packed = append(packed, n)
+					}
+				}
+				if len(packed) == 0 {
+					break
+				}
+				n := packed[int(arg/4)%len(packed)]
+				span := uint64(n.offs[len(n.offs)-1])
+				k := [...]uint64{n.base - 1, n.base + maxPackedSpan, n.base + maxPackedSpan + 1,
+					n.base + arg*span/255}[arg%4]
+				get(k)
+				insert(k)
 			}
 			if tree.Size() != uint64(len(ref)) {
 				t.Fatalf("size %d, map holds %d", tree.Size(), len(ref))
@@ -540,8 +745,8 @@ func FuzzBPTree(f *testing.F) {
 			}
 		}
 		for _, n := range bpLeaves(tree) {
-			if c := cap(n.keys); c != len(n.keys) && c != fanout+1 {
-				t.Fatalf("leaf keys len %d, cap %d; want exact or %d", len(n.keys), c, fanout+1)
+			if msg := leafStorageError(tree, n); msg != "" {
+				t.Fatal(msg)
 			}
 		}
 	})

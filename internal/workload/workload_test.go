@@ -277,11 +277,12 @@ func TestTPCCIsMostComputeIntensive(t *testing.T) {
 }
 
 // TestBPTreeWorkloadHeapPerSimulatedByte guards the host heap the B+tree
-// workloads hold after the build: at most 0.35 host bytes per simulated
-// byte. Key-only leaves hold about 0.23 (tatp) and 0.29 (tpcc); leaves
-// that also stored a value per key held about 0.44 and 0.55, and leaves
-// whose arrays stayed sized for fanout+1 after a split about 0.95 and
-// 1.19.
+// workloads hold after the build: at most 0.13 host bytes per simulated
+// byte. With frozen leaves packed into 16-bit offsets they hold about
+// 0.079 (tatp) and 0.101 (tpcc); key-only leaves stored as eight-byte
+// keys held about 0.23 and 0.29, leaves that also stored a value per key
+// about 0.44 and 0.55, and leaves whose arrays stayed sized for fanout+1
+// after a split about 0.95 and 1.19.
 func TestBPTreeWorkloadHeapPerSimulatedByte(t *testing.T) {
 	for _, name := range []string{"tatp", "tpcc"} {
 		cfg := DefaultConfig()
@@ -297,9 +298,9 @@ func TestBPTreeWorkloadHeapPerSimulatedByte(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		runtime.KeepAlive(w)
 		perByte := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(cfg.DatasetBytes)
-		t.Logf("%s: %.2f host heap bytes per simulated byte", name, perByte)
-		if perByte > 0.35 {
-			t.Errorf("%s holds %.2f host heap bytes per simulated byte, want <= 0.35", name, perByte)
+		t.Logf("%s: %.3f host heap bytes per simulated byte", name, perByte)
+		if perByte > 0.13 {
+			t.Errorf("%s holds %.3f host heap bytes per simulated byte, want <= 0.13", name, perByte)
 		}
 	}
 }
