@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test verify vet race verify-race lint-docs fmt-check fuzz-smoke bench-harness bench bench-engine bench-build bench-json bench-diff figures trace-smoke timeline-smoke overload-smoke economics-smoke
+.PHONY: build test verify vet race verify-race lint-docs fmt-check fuzz-smoke bench-harness bench bench-engine bench-build figures trace-smoke timeline-smoke overload-smoke economics-smoke
 
 build:
 	$(GO) build ./...
@@ -38,12 +38,16 @@ fmt-check:
 ## Fuzz smoke: each native fuzzer runs FUZZTIME (default 10s) past its
 ## seed corpus (plain `go test` runs only the seeds): the B+tree and the
 ## FTL against reference models, the event engine against its firing
-## order. A failure writes the input under the package's testdata/fuzz/.
+## order, the timeline CSV reader against its writer and the SLO parser
+## against the objectives it may return. A failure writes the input under
+## the package's testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBPTree$$' -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzFTL$$' -fuzztime $(FUZZTIME) ./internal/flash
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/obs/timeline
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSLO$$' -fuzztime $(FUZZTIME) ./internal/obs/timeline
 
 ## The benchmark harness is its own module (benchmark/go.mod), so root
 ## `go test ./...` skips it; this vets and tests it against the current
@@ -98,16 +102,3 @@ overload-smoke:
 ## amplification; `make figures` runs the full-size grid.
 economics-smoke:
 	$(GO) run ./cmd/astribench -exp economics -cores 4 -dataset 16 -measure 8 | tee economics-report.txt
-
-## Self-profiling suite: events/sec, allocs, wall time per experiment,
-## written to the dated BENCH_<date>.json the repo commits as its
-## performance trajectory.
-bench-json:
-	$(GO) run ./cmd/astribench -benchjson BENCH_$$(date +%F).json
-
-## Regenerate the suite into an untracked file and diff it against the
-## newest committed baseline; fails on a >15% events/sec regression in any
-## saturated experiment (the CI perf gate).
-bench-diff:
-	$(GO) run ./cmd/astribench -benchjson bench-current.json
-	$(GO) run ./tools/benchdiff -fail-regression 15 $$(ls BENCH_*.json | sort | tail -1) bench-current.json

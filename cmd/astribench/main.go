@@ -15,8 +15,6 @@
 // sampled AstriFlash load points) and may be combined: -trace writes its
 // span trace, -timeline its per-window timeline CSV with SLO burn-rate
 // verdicts, -openmetrics the same windows for Prometheus-family tooling.
-// -benchjson runs the self-profiling suite behind `make bench-json`,
-// emitting the BENCH_<date>.json performance-trajectory report.
 package main
 
 import (
@@ -45,7 +43,6 @@ func main() {
 		tlOut     = flag.String("timeline", "", "instead of -exp, run the fig-10-style observed run and write its timeline CSV to this file; view with 'astritrace timeline -in FILE'")
 		omOut     = flag.String("openmetrics", "", "instead of -exp, run the fig-10-style observed run and export its timeline in OpenMetrics text format to this file")
 		sloFlag   = flag.String("slo", "", "with -trace/-timeline/-openmetrics, extra comma-separated objectives (e.g. 'p99<150us') on top of the derived p99<1.5x-DRAM-only SLO")
-		benchOut  = flag.String("benchjson", "", "instead of -exp, run the self-profiling suite and write the BENCH json report to this file ('-' for stdout)")
 		sloStrict = flag.Bool("slo-strict", false, "exit non-zero on SLO failure: with -trace/-timeline/-openmetrics, any FAIL verdict; with -exp overload, the adaptive controller letting p99 escape its threshold")
 	)
 	flag.Parse()
@@ -62,13 +59,6 @@ func main() {
 
 	if *traceOut != "" || *tlOut != "" || *omOut != "" {
 		if err := runTail(cfg, *traceOut, *tlOut, *omOut, *sloFlag, *sloStrict); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchOut != "" {
-		if err := runBenchJSON(cfg, *benchOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -278,24 +268,6 @@ func runTail(cfg astriflash.ExpConfig, tracePath, csvPath, omPath, sloSpecs stri
 			}
 		}
 	}
-	return nil
-}
-
-// runBenchJSON runs the self-profiling suite and writes the trajectory
-// report ("-" writes to stdout).
-func runBenchJSON(cfg astriflash.ExpConfig, path string) error {
-	rep, err := astriflash.BenchSuite(cfg, time.Now().Format("2006-01-02"))
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		return rep.Write(os.Stdout)
-	}
-	if err := writeFile(path, rep.Write); err != nil {
-		return err
-	}
-	fmt.Print(rep.String())
-	fmt.Printf("wrote %s\n", path)
 	return nil
 }
 

@@ -10,9 +10,8 @@ import (
 // TestFullScaleProbe times one full-scale paper-config point (16 cores,
 // 2 GB dataset) end to end — construction and saturated run separately —
 // and logs the machine's live host heap after the build, events/sec and
-// simulated-ns/sec. It is the manual companion to the
-// full-scale/astriflash/tatp bench-json record: run it with FULLSCALE=1
-// when construction, host memory or hot-path cost at scale is in question.
+// simulated-ns/sec. Run it with FULLSCALE=1 when construction, host
+// memory or hot-path cost at scale is in question.
 func TestFullScaleProbe(t *testing.T) {
 	if os.Getenv("FULLSCALE") == "" {
 		t.Skip("set FULLSCALE=1")

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -118,9 +119,9 @@ func ReadCSV(r io.Reader) (*Capture, error) {
 			if len(parts) != 5 {
 				return nil, fmt.Errorf("timeline: bad slo line %q", line)
 			}
-			pct, err1 := strconv.ParseFloat(parts[2], 64)
+			pct, err1 := parseFloat(parts[2])
 			thr, err2 := strconv.ParseInt(parts[3], 10, 64)
-			tgt, err3 := strconv.ParseFloat(parts[4], 64)
+			tgt, err3 := parseFloat(parts[4])
 			if err1 != nil || err2 != nil || err3 != nil {
 				return nil, fmt.Errorf("timeline: bad slo line %q", line)
 			}
@@ -135,12 +136,12 @@ func ReadCSV(r io.Reader) (*Capture, error) {
 		break
 	}
 
+	cols, err := parseHeader(headerLine, tl.SLOs)
+	if err != nil {
+		return nil, err
+	}
 	cr := csv.NewReader(br)
 	cr.ReuseRecord = true
-	header := strings.Split(headerLine, ",")
-	if len(header) < 4 || header[0] != "point" {
-		return nil, fmt.Errorf("timeline: unexpected CSV header %q", headerLine)
-	}
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -149,8 +150,8 @@ func ReadCSV(r io.Reader) (*Capture, error) {
 		if err != nil {
 			return nil, fmt.Errorf("timeline: reading CSV: %w", err)
 		}
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("timeline: row has %d fields, header has %d", len(rec), len(header))
+		if len(rec) != len(cols)+4 {
+			return nil, fmt.Errorf("timeline: row has %d fields, header has %d", len(rec), len(cols)+4)
 		}
 		s := Sample{
 			Counters: map[string]uint64{},
@@ -173,7 +174,7 @@ func ReadCSV(r io.Reader) (*Capture, error) {
 			return n
 		}
 		getf := func(v string) float64 {
-			n, err := strconv.ParseFloat(v, 64)
+			n, err := parseFloat(v)
 			if err != nil && err4 == nil {
 				err4 = err
 			}
@@ -183,18 +184,16 @@ func ReadCSV(r io.Reader) (*Capture, error) {
 		s.Window = int(geti(rec[1]))
 		s.StartNs = geti(rec[2])
 		s.EndNs = geti(rec[3])
-		for i := 4; i < len(header); i++ {
-			col, val := header[i], rec[i]
-			switch {
-			case strings.HasPrefix(col, "c."):
-				s.Counters[col[2:]] = getu(val)
-			case strings.HasPrefix(col, "g."):
-				s.Gauges[col[2:]] = getf(val)
-			case strings.HasPrefix(col, "h."):
-				dot := strings.LastIndex(col, ".")
-				name, field := col[2:dot], col[dot+1:]
-				h := s.Hists[name]
-				switch field {
+		for i, c := range cols {
+			val := rec[i+4]
+			switch c.kind {
+			case 'c':
+				s.Counters[c.name] = getu(val)
+			case 'g':
+				s.Gauges[c.name] = getf(val)
+			case 'h':
+				h := s.Hists[c.name]
+				switch c.field {
 				case "count":
 					h.Count = getu(val)
 				case "mean":
@@ -205,17 +204,13 @@ func ReadCSV(r io.Reader) (*Capture, error) {
 					h.P99Ns = geti(val)
 				case "p999_ns":
 					h.P999Ns = geti(val)
-				default:
-					return nil, fmt.Errorf("timeline: unknown histogram field %q", col)
 				}
-				s.Hists[name] = h
-			case strings.HasPrefix(col, "slo.") && strings.HasSuffix(col, ".bad"):
+				s.Hists[c.name] = h
+			case 's':
 				if s.Bad == nil {
 					s.Bad = map[string]uint64{}
 				}
-				s.Bad[col[4:len(col)-4]] = getu(val)
-			default:
-				return nil, fmt.Errorf("timeline: unknown CSV column %q", col)
+				s.Bad[c.name] = getu(val)
 			}
 		}
 		if err4 != nil {
@@ -224,6 +219,77 @@ func ReadCSV(r io.Reader) (*Capture, error) {
 		tl.Samples = append(tl.Samples, s)
 	}
 	return tl, nil
+}
+
+// csvColumn is one metric column of a timeline CSV header: kind 'c'
+// (counter), 'g' (gauge), 'h' (histogram field) or 's' (an SLO's bad
+// count), the metric or SLO name, and for histograms the field.
+type csvColumn struct {
+	kind        byte
+	name, field string
+}
+
+// parseHeader decodes the header line past its four fixed columns. Every
+// column needs a known kind and a non-empty name, every histogram column a
+// known field, and the SLO columns must name exactly the declared SLOs.
+func parseHeader(line string, slos []SLO) ([]csvColumn, error) {
+	header := strings.Split(line, ",")
+	if len(header) < 4 || strings.Join(header[:4], ",") != "point,window,start_ns,end_ns" {
+		return nil, fmt.Errorf("timeline: unexpected CSV header %q", line)
+	}
+	declared := map[string]bool{}
+	for _, s := range slos {
+		declared[s.Name] = false
+	}
+	cols := make([]csvColumn, 0, len(header)-4)
+	for _, col := range header[4:] {
+		var c csvColumn
+		switch {
+		case strings.HasPrefix(col, "c."), strings.HasPrefix(col, "g."):
+			c = csvColumn{kind: col[0], name: col[2:]}
+		case strings.HasPrefix(col, "h."):
+			dot := strings.LastIndex(col, ".")
+			if dot < 2 {
+				return nil, fmt.Errorf("timeline: histogram column %q has no field", col)
+			}
+			c = csvColumn{kind: 'h', name: col[2:dot], field: col[dot+1:]}
+			switch c.field {
+			case "count", "mean", "p50_ns", "p99_ns", "p999_ns":
+			default:
+				return nil, fmt.Errorf("timeline: unknown histogram field %q", col)
+			}
+		case strings.HasPrefix(col, "slo.") && strings.HasSuffix(col[4:], ".bad"):
+			c = csvColumn{kind: 's', name: col[4 : len(col)-4]}
+		default:
+			return nil, fmt.Errorf("timeline: unknown CSV column %q", col)
+		}
+		if c.name == "" {
+			return nil, fmt.Errorf("timeline: CSV column %q has an empty name", col)
+		}
+		if c.kind == 's' {
+			if _, ok := declared[c.name]; !ok {
+				return nil, fmt.Errorf("timeline: column %q names no declared SLO", col)
+			}
+			declared[c.name] = true
+		}
+		cols = append(cols, c)
+	}
+	for name, seen := range declared {
+		if !seen {
+			return nil, fmt.Errorf("timeline: declared SLO %q has no column", name)
+		}
+	}
+	return cols, nil
+}
+
+// parseFloat parses a float column. NaN is rejected: no timeline value is
+// NaN, and a NaN would not compare equal to itself after a round trip.
+func parseFloat(v string) (float64, error) {
+	f, err := strconv.ParseFloat(v, 64)
+	if err == nil && math.IsNaN(f) {
+		err = fmt.Errorf("NaN value %q", v)
+	}
+	return f, err
 }
 
 // WriteOpenMetrics renders the timeline in OpenMetrics text format:

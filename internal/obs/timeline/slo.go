@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -96,7 +97,7 @@ func ParseSLO(spec string) (SLO, error) {
 		return SLO{}, fmt.Errorf("timeline: SLO %q: percentile must look like p99", spec)
 	}
 	pct, err := strconv.ParseFloat(pctStr[1:], 64)
-	if err != nil || pct <= 0 || pct >= 100 {
+	if err != nil || !(pct > 0 && pct < 100) {
 		return SLO{}, fmt.Errorf("timeline: SLO %q: bad percentile %q", spec, pctStr)
 	}
 	thr, err := parseDurNs(strings.TrimSpace(s[lt+1:]))
@@ -108,6 +109,8 @@ func ParseSLO(spec string) (SLO, error) {
 }
 
 // parseDurNs parses "150us", "1.5ms", "2s", "300" (bare ns) to nanoseconds.
+// The result must be a positive int64: NaN, infinities, overflow and
+// durations under 1 ns are rejected.
 func parseDurNs(s string) (int64, error) {
 	mult := float64(1)
 	switch {
@@ -121,10 +124,12 @@ func parseDurNs(s string) (int64, error) {
 		s, mult = s[:len(s)-1], 1e9
 	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil || v < 0 {
+	ns := v * mult
+	// float64(math.MaxInt64) is 2^63, the first value int64 cannot hold.
+	if err != nil || !(ns >= 1 && ns < math.MaxInt64) {
 		return 0, fmt.Errorf("bad duration %q", s)
 	}
-	return int64(v * mult), nil
+	return int64(ns), nil
 }
 
 // fmtDurNs renders nanoseconds compactly ("150us", "1.5ms").

@@ -131,7 +131,8 @@ func TestParseSLO(t *testing.T) {
 	if s.Metric != "system.service_ns" || s.Percentile != 99.9 || s.ThresholdNs != 1_500_000 {
 		t.Fatalf("bad parse: %+v", s)
 	}
-	for _, bad := range []string{"", "p99", "99<1ms", "p0<1ms", "p100<1ms", "p99<weird"} {
+	for _, bad := range []string{"", "p99", "99<1ms", "p0<1ms", "p100<1ms", "pNaN<1ms", "p99<weird",
+		"p99<NaN", "p99<Inf", "p99<1e30s", "p99<0", "p99<0.5ns", "p99<-1ms"} {
 		if _, err := ParseSLO(bad); err == nil {
 			t.Errorf("ParseSLO(%q) should fail", bad)
 		}
@@ -260,6 +261,37 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("re-encoded CSV differs from original")
+	}
+}
+
+// TestReadCSVRejectsMalformedHeader feeds headers that name no metric, an
+// unknown histogram field or an undeclared SLO, and a NaN value; each must
+// be an error.
+func TestReadCSVRejectsMalformedHeader(t *testing.T) {
+	const prologue = "# astriflash timeline v1\n# interval_ns 1000\n"
+	for _, header := range []string{
+		"point,window,start_ns,end_ns,h.x",
+		"point,window,start_ns,end_ns,h..count",
+		"point,window,start_ns,end_ns,h.x.p90_ns",
+		"point,window,start_ns,end_ns,c.",
+		"point,window,start_ns,end_ns,g.",
+		"point,window,start_ns,end_ns,slo.bad",
+		"point,window,start_ns,end_ns,slo.p99<1ms.bad",
+		"point,start_ns,window,end_ns",
+	} {
+		if _, err := ReadCSV(strings.NewReader(prologue + header + "\n")); err == nil {
+			t.Errorf("ReadCSV accepted header %q", header)
+		}
+	}
+	if _, err := ReadCSV(strings.NewReader(prologue + "point,window,start_ns,end_ns,g.x\n0,0,0,1000,NaN\n")); err == nil {
+		t.Error("ReadCSV accepted a NaN gauge")
+	}
+	declared := prologue + "# slo p99<1ms|sys.lat_ns|99|1000000|0.99\n"
+	if _, err := ReadCSV(strings.NewReader(declared + "point,window,start_ns,end_ns\n")); err == nil {
+		t.Error("ReadCSV accepted a declared SLO with no column")
+	}
+	if _, err := ReadCSV(strings.NewReader(declared + "point,window,start_ns,end_ns,slo.p99<1ms.bad\n0,0,0,1000,2\n")); err != nil {
+		t.Errorf("ReadCSV rejected a declared SLO's column: %v", err)
 	}
 }
 

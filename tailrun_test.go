@@ -406,36 +406,3 @@ func TestGoldenTimelineReproducible(t *testing.T) {
 		t.Fatal("regenerated timeline CSV diverged from the committed golden file")
 	}
 }
-
-// TestBenchReportSchema guards the trajectory format: the suite must stamp
-// the schema constant and a record per experiment with nonzero profiling.
-func TestBenchReportSchema(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench suite in -short")
-	}
-	cfg := quickExpConfig()
-	rep, err := BenchSuite(cfg, "2026-01-01")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != BenchSchema || rep.Date != "2026-01-01" {
-		t.Fatalf("header wrong: %+v", rep)
-	}
-	if len(rep.Records) == 0 {
-		t.Fatal("no records")
-	}
-	for _, r := range rep.Records {
-		if r.Points == 0 || r.Events == 0 || r.EventsPerSec <= 0 {
-			t.Fatalf("record %s not profiled: %+v", r.Name, r)
-		}
-	}
-	var buf bytes.Buffer
-	if err := rep.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"schema": "astriflash-bench/v1"`, `"events_per_sec"`, `"experiments"`} {
-		if !strings.Contains(buf.String(), key) {
-			t.Fatalf("JSON missing %s:\n%s", key, buf.String())
-		}
-	}
-}
