@@ -48,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/obs/timeline
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSLO$$' -fuzztime $(FUZZTIME) ./internal/obs/timeline
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) ./internal/obs
 
 ## The benchmark harness is its own module (benchmark/go.mod), so root
 ## `go test ./...` skips it; this vets and tests it against the current

@@ -301,11 +301,10 @@ func (c *Cache) Preload(p mem.PageNum) {
 // the on-chip hierarchy. FC opens the set's row, reads the tag column, and
 // on a hit transfers the requested 64 B block; on a miss it hands the page
 // to BC and sends a miss reply. The probe, set update, and any miss
-// machinery (MSR allocate, victim prep, flash fetch) all happen now,
-// exactly as in the callback form; the returned Result says whether the
-// access hit and when the reply (hit data or miss signal) reaches the
-// requester. Flattened callers consume the Result inline instead of
-// paying an event hop for the reply.
+// machinery (MSR allocate, victim prep, flash fetch) all happen now; the
+// returned Result says whether the access hit and when the reply (hit
+// data or miss signal) reaches the requester, which schedules its own
+// reply event for that instant.
 func (c *Cache) AccessSync(a mem.Access) Result {
 	now := c.eng.Now()
 	p := a.Page()
@@ -384,13 +383,6 @@ func (c *Cache) AccessSync(a mem.Access) Result {
 	return Result{Hit: false, At: missAt}
 }
 
-// Access is the callback form of AccessSync: done fires as its own event
-// at the time the reply reaches the requester.
-func (c *Cache) Access(a mem.Access, done func(Result)) {
-	r := c.AccessSync(a)
-	c.eng.At(r.At, func() { done(r) })
-}
-
 // Pin increments page p's pin count: pinned pages are skipped during
 // victim selection, modeling the OS page reference a fault path holds
 // until the faulting task consumes the page.
@@ -464,12 +456,6 @@ func (c *Cache) AccessAlwaysHitSync(a mem.Access) Result {
 	c.Accesses.Hit()
 	c.HitLat.Record(at - now)
 	return Result{Hit: true, At: at}
-}
-
-// AccessAlwaysHit is the callback form of AccessAlwaysHitSync.
-func (c *Cache) AccessAlwaysHit(a mem.Access, done func(Result)) {
-	r := c.AccessAlwaysHitSync(a)
-	c.eng.At(r.At, func() { done(r) })
 }
 
 // OnPageReady registers fn(arg, at) to run when page p is installed (or,

@@ -20,6 +20,12 @@ func newCache(t *testing.T, pages uint64) (*sim.Engine, *Cache, *flash.Device) {
 	return eng, c, fl
 }
 
+// access probes the cache and runs done with the reply at its instant.
+func access(c *Cache, a mem.Access, done func(Result)) {
+	r := c.AccessSync(a)
+	c.eng.At(r.At, func() { done(r) })
+}
+
 func TestMSRAllocateLifecycle(t *testing.T) {
 	m := NewMSR(4, 2)
 	if r := m.Allocate(10); r != AllocNew {
@@ -77,7 +83,7 @@ func TestMSRResultString(t *testing.T) {
 func TestCacheMissThenHit(t *testing.T) {
 	eng, c, _ := newCache(t, 64)
 	var first, second Result
-	c.Access(mem.Access{Addr: mem.PageBase(7)}, func(r Result) { first = r })
+	access(c, mem.Access{Addr: mem.PageBase(7)}, func(r Result) { first = r })
 	eng.Run()
 	if first.Hit {
 		t.Fatal("cold access hit")
@@ -85,7 +91,7 @@ func TestCacheMissThenHit(t *testing.T) {
 	if !c.Contains(7) {
 		t.Fatal("page not installed after miss completed")
 	}
-	c.Access(mem.Access{Addr: mem.PageBase(7) + 64}, func(r Result) { second = r })
+	access(c, mem.Access{Addr: mem.PageBase(7) + 64}, func(r Result) { second = r })
 	eng.Run()
 	if !second.Hit {
 		t.Fatal("access after install missed")
@@ -100,7 +106,7 @@ func TestHitLatencyIsNsScaleMissSignalFast(t *testing.T) {
 	c.Preload(3)
 	start := eng.Now()
 	var hitAt sim.Time
-	c.Access(mem.Access{Addr: mem.PageBase(3)}, func(r Result) { hitAt = r.At })
+	access(c, mem.Access{Addr: mem.PageBase(3)}, func(r Result) { hitAt = r.At })
 	eng.Run()
 	hitLat := hitAt - start
 	if hitLat <= 0 || hitLat > 500 {
@@ -109,7 +115,7 @@ func TestHitLatencyIsNsScaleMissSignalFast(t *testing.T) {
 	// Miss signal turnaround must also be ns-scale; the flash wait is
 	// not part of the reply.
 	var missAt sim.Time
-	c.Access(mem.Access{Addr: mem.PageBase(999)}, func(r Result) { missAt = r.At })
+	access(c, mem.Access{Addr: mem.PageBase(999)}, func(r Result) { missAt = r.At })
 	prev := eng.Now()
 	eng.Run()
 	if missAt-prev > 1000 {
@@ -120,7 +126,7 @@ func TestHitLatencyIsNsScaleMissSignalFast(t *testing.T) {
 func TestOnPageReadyFiresAfterFlashLatency(t *testing.T) {
 	eng, c, _ := newCache(t, 64)
 	var missSignal, ready sim.Time
-	c.Access(mem.Access{Addr: mem.PageBase(11)}, func(r Result) { missSignal = r.At })
+	access(c, mem.Access{Addr: mem.PageBase(11)}, func(r Result) { missSignal = r.At })
 	c.OnPageReady(11, func(_ any, at sim.Time) { ready = at }, nil)
 	eng.Run()
 	if ready == 0 {
@@ -145,7 +151,7 @@ func TestOnPageReadyForResidentPage(t *testing.T) {
 func TestDuplicateMissesMerge(t *testing.T) {
 	eng, c, fl := newCache(t, 64)
 	for i := 0; i < 4; i++ {
-		c.Access(mem.Access{Addr: mem.PageBase(21)}, func(Result) {})
+		access(c, mem.Access{Addr: mem.PageBase(21)}, func(Result) {})
 	}
 	woken := 0
 	c.OnPageReady(21, func(any, sim.Time) { woken++ }, nil)
@@ -165,7 +171,7 @@ func TestEvictionMakesRoom(t *testing.T) {
 	eng, c, _ := newCache(t, 8) // 1 set x 8 ways
 	// Fill beyond capacity.
 	for p := mem.PageNum(0); p < 12; p++ {
-		c.Access(mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
+		access(c, mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
 		eng.Run()
 	}
 	if c.Resident() > 8 {
@@ -183,10 +189,10 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	eng, c, fl := newCache(t, 8)
 	// Dirty every page, then overflow the set.
 	for p := mem.PageNum(0); p < 12; p++ {
-		c.Access(mem.Access{Addr: mem.PageBase(p), Write: true}, func(Result) {})
+		access(c, mem.Access{Addr: mem.PageBase(p), Write: true}, func(Result) {})
 		eng.Run()
 		// Touch again to mark resident copy dirty via a write hit.
-		c.Access(mem.Access{Addr: mem.PageBase(p), Write: true}, func(Result) {})
+		access(c, mem.Access{Addr: mem.PageBase(p), Write: true}, func(Result) {})
 		eng.Run()
 	}
 	if c.DirtyWB.Value() == 0 {
@@ -202,7 +208,7 @@ func TestOnEvictCoherenceHook(t *testing.T) {
 	var evicted []mem.PageNum
 	c.OnEvict = func(p mem.PageNum) { evicted = append(evicted, p) }
 	for p := mem.PageNum(0); p < 12; p++ {
-		c.Access(mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
+		access(c, mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
 		eng.Run()
 	}
 	if len(evicted) == 0 {
@@ -220,7 +226,7 @@ func TestMSRFullStallsThenDrains(t *testing.T) {
 	done := 0
 	for p := mem.PageNum(0); p < 6; p++ {
 		pp := p
-		c.Access(mem.Access{Addr: mem.PageBase(pp)}, func(Result) {})
+		access(c, mem.Access{Addr: mem.PageBase(pp)}, func(Result) {})
 		c.OnPageReady(pp, func(any, sim.Time) { done++ }, nil)
 	}
 	eng.Run()
@@ -240,16 +246,16 @@ func TestLRUVictimSelection(t *testing.T) {
 	// Install pages 0..7 (fills the single set), touch 0..6 again so 7
 	// is LRU, then bring in page 100: victim must be 7.
 	for p := mem.PageNum(0); p < 8; p++ {
-		c.Access(mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
+		access(c, mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
 		eng.Run()
 	}
 	for p := mem.PageNum(0); p < 7; p++ {
-		c.Access(mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
+		access(c, mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
 		eng.Run()
 	}
 	var gone mem.PageNum
 	c.OnEvict = func(p mem.PageNum) { gone = p }
-	c.Access(mem.Access{Addr: mem.PageBase(100)}, func(Result) {})
+	access(c, mem.Access{Addr: mem.PageBase(100)}, func(Result) {})
 	eng.Run()
 	if gone != 7 {
 		t.Fatalf("victim = %d, want LRU page 7", gone)
@@ -278,7 +284,7 @@ func TestDeterministicRefills(t *testing.T) {
 		var out []int64
 		for i := 0; i < 100; i++ {
 			p := mem.PageNum(rng.Intn(200))
-			c.Access(mem.Access{Addr: mem.PageBase(p)}, func(r Result) { out = append(out, r.At) })
+			access(c, mem.Access{Addr: mem.PageBase(p)}, func(r Result) { out = append(out, r.At) })
 			c.OnPageReady(p, func(_ any, at sim.Time) { out = append(out, at) }, nil)
 			eng.Run()
 		}
@@ -316,16 +322,16 @@ func TestFIFOEvictsOldestDespiteReuse(t *testing.T) {
 	// Install pages 0..15 in order, then touch page 0 repeatedly: under
 	// LRU it would be protected, under FIFO it is still the oldest.
 	for p := mem.PageNum(0); p < 16; p++ {
-		c.Access(mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
+		access(c, mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
 		eng.Run()
 	}
 	for i := 0; i < 10; i++ {
-		c.Access(mem.Access{Addr: mem.PageBase(0)}, func(Result) {})
+		access(c, mem.Access{Addr: mem.PageBase(0)}, func(Result) {})
 		eng.Run()
 	}
 	var gone mem.PageNum = 999
 	c.OnEvict = func(p mem.PageNum) { gone = p }
-	c.Access(mem.Access{Addr: mem.PageBase(100)}, func(Result) {})
+	access(c, mem.Access{Addr: mem.PageBase(100)}, func(Result) {})
 	eng.Run()
 	if gone != 0 {
 		t.Fatalf("FIFO victim = %d, want oldest page 0", gone)
@@ -340,7 +346,7 @@ func TestRandomPolicyStaysWithinSet(t *testing.T) {
 	cfg.Replacement = ReplRandom
 	c := New(eng, cfg, dev, fl)
 	for p := mem.PageNum(0); p < 64; p++ {
-		c.Access(mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
+		access(c, mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
 		eng.Run()
 	}
 	if c.Resident() > 16 {

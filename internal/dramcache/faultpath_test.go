@@ -30,7 +30,7 @@ func newFaultyCache(t *testing.T, retries int, timeoutNs int64) (*sim.Engine, *C
 func TestUncorrectableMissRetriesThenFallsBack(t *testing.T) {
 	eng, c, fl := newFaultyCache(t, 2, 0)
 	p := mem.PageNum(9)
-	c.Access(mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
+	access(c, mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
 	eng.Run()
 	if !c.Contains(p) {
 		t.Fatal("miss never completed: page not installed after fallback")
@@ -60,7 +60,7 @@ func TestUncorrectableMissRetriesThenFallsBack(t *testing.T) {
 func TestZeroRetriesFallsBackImmediately(t *testing.T) {
 	eng, c, _ := newFaultyCache(t, 0, 0)
 	p := mem.PageNum(4)
-	c.Access(mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
+	access(c, mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
 	eng.Run()
 	if !c.Contains(p) {
 		t.Fatal("page not installed")
@@ -84,7 +84,7 @@ func TestWatchdogTimeoutReissuesRead(t *testing.T) {
 	c := New(eng, cfg, dev, fl)
 
 	p := mem.PageNum(17)
-	c.Access(mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
+	access(c, mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
 	eng.Run()
 	if !c.Contains(p) {
 		t.Fatal("page not installed after timeouts")
@@ -110,7 +110,7 @@ func TestWatchdogDisabledOnFaultFreeDeviceIsInvisible(t *testing.T) {
 	// and misses complete exactly as before the fault layer existed.
 	eng, c, _ := newCache(t, 64)
 	p := mem.PageNum(30)
-	c.Access(mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
+	access(c, mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
 	eng.Run()
 	if !c.Contains(p) {
 		t.Fatal("miss did not complete")

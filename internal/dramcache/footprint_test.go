@@ -38,7 +38,7 @@ func TestBlockSetBasics(t *testing.T) {
 func TestFootprintFetchesPartialPage(t *testing.T) {
 	eng, c := newFPCache(t)
 	addr := mem.PageBase(9) // no history: default window
-	c.Access(mem.Access{Addr: addr}, func(Result) {})
+	access(c, mem.Access{Addr: addr}, func(Result) {})
 	eng.Run()
 	fp := c.Footprint()
 	if fp.BlocksFetched.Value() == 0 {
@@ -55,10 +55,10 @@ func TestFootprintFetchesPartialPage(t *testing.T) {
 func TestFootprintHitOnFetchedBlock(t *testing.T) {
 	eng, c := newFPCache(t)
 	addr := mem.PageBase(3)
-	c.Access(mem.Access{Addr: addr}, func(Result) {})
+	access(c, mem.Access{Addr: addr}, func(Result) {})
 	eng.Run()
 	var hit bool
-	c.Access(mem.Access{Addr: addr}, func(r Result) { hit = r.Hit })
+	access(c, mem.Access{Addr: addr}, func(r Result) { hit = r.Hit })
 	eng.Run()
 	if !hit {
 		t.Fatal("access to fetched block missed")
@@ -72,13 +72,13 @@ func TestFootprintUnderprediction(t *testing.T) {
 	eng, c := newFPCache(t)
 	base := mem.PageBase(7)
 	// First access at block 0 fetches the default window [0, 32).
-	c.Access(mem.Access{Addr: base}, func(Result) {})
+	access(c, mem.Access{Addr: base}, func(Result) {})
 	eng.Run()
 	// Block 40 was not fetched: underprediction, miss signal, then a
 	// secondary fetch makes it resident.
 	far := base + mem.Addr(40*mem.BlockSize)
 	var first Result
-	c.Access(mem.Access{Addr: far}, func(r Result) { first = r })
+	access(c, mem.Access{Addr: far}, func(r Result) { first = r })
 	ready := false
 	c.OnPageReady(7, func(any, sim.Time) { ready = true }, nil)
 	eng.Run()
@@ -92,7 +92,7 @@ func TestFootprintUnderprediction(t *testing.T) {
 		t.Fatalf("underpredictions = %d", c.Footprint().Underpredictions.Value())
 	}
 	var second Result
-	c.Access(mem.Access{Addr: far}, func(r Result) { second = r })
+	access(c, mem.Access{Addr: far}, func(r Result) { second = r })
 	eng.Run()
 	if !second.Hit {
 		t.Fatal("block still missing after secondary fetch")
@@ -110,7 +110,7 @@ func TestFootprintLearnsAcrossGenerations(t *testing.T) {
 
 	base := mem.PageBase(1)
 	touch := func(block uint64) {
-		c.Access(mem.Access{Addr: base + mem.Addr(block*mem.BlockSize)}, func(Result) {})
+		access(c, mem.Access{Addr: base + mem.Addr(block*mem.BlockSize)}, func(Result) {})
 		eng.Run()
 	}
 	// Generation 1: touch blocks 0 and 40 (one underprediction).
@@ -118,7 +118,7 @@ func TestFootprintLearnsAcrossGenerations(t *testing.T) {
 	touch(40)
 	// Churn the set until page 1 is evicted.
 	for p := mem.PageNum(100); c.Contains(1); p++ {
-		c.Access(mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
+		access(c, mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
 		eng.Run()
 	}
 	before := c.Footprint().Underpredictions.Value()
@@ -140,10 +140,10 @@ func TestFootprintDisabledByDefault(t *testing.T) {
 		t.Fatal("footprint enabled without opt-in")
 	}
 	// Whole-page semantics: any block of a resident page hits.
-	c.Access(mem.Access{Addr: mem.PageBase(5)}, func(Result) {})
+	access(c, mem.Access{Addr: mem.PageBase(5)}, func(Result) {})
 	eng.Run()
 	var hit bool
-	c.Access(mem.Access{Addr: mem.PageBase(5) + 40*mem.BlockSize}, func(r Result) { hit = r.Hit })
+	access(c, mem.Access{Addr: mem.PageBase(5) + 40*mem.BlockSize}, func(r Result) { hit = r.Hit })
 	eng.Run()
 	if !hit {
 		t.Fatal("whole-page fetch should cover all blocks")
@@ -172,7 +172,7 @@ func TestFootprintHistoryBounded(t *testing.T) {
 	c.EnableFootprint(FootprintConfig{Enabled: true, HistoryEntries: 4, DefaultBlocks: 8})
 	// Churn many pages through the tiny cache; history must stay bounded.
 	for p := mem.PageNum(0); p < 200; p++ {
-		c.Access(mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
+		access(c, mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
 		eng.Run()
 	}
 	if len(c.fp.history) > 4 {

@@ -87,6 +87,23 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+func TestReadTraceRejectsMalformed(t *testing.T) {
+	for name, in := range map[string]string{
+		"end before start": `[{"name":"compute","args":{"start_ns":10,"end_ns":5}}]`,
+		"trailing bracket": `[]]garbage`,
+		"trailing value":   "[]\n{}",
+	} {
+		if spans, err := ReadTrace(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: %q accepted as %+v", name, in, spans)
+		}
+	}
+	// Zero-length spans (queue, complete) and trailing whitespace are legal.
+	in := `[{"name":"queue","args":{"start_ns":7,"end_ns":7}}]` + " \n\t"
+	if _, err := ReadTrace(strings.NewReader(in)); err != nil {
+		t.Errorf("%q rejected: %v", in, err)
+	}
+}
+
 // TestTracerIsPassive pins the no-perturbation contract: emitting spans
 // must not allocate per-call state beyond the growing span slice, consume
 // randomness, or schedule events — Emit only appends.

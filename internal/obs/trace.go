@@ -105,7 +105,10 @@ func WriteTrace(w io.Writer, spans []Span) error {
 	return bw.Flush()
 }
 
-// ReadTrace parses a trace written by WriteTrace back into spans.
+// ReadTrace parses a trace written by WriteTrace back into spans. It
+// rejects spans that end before they start (zero-length spans are legal:
+// queue spans and the complete marker) and anything but whitespace after
+// the closing bracket.
 func ReadTrace(r io.Reader) ([]Span, error) {
 	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<16))
 	tok, err := dec.Token()
@@ -125,6 +128,10 @@ func ReadTrace(r io.Reader) ([]Span, error) {
 		if !ok {
 			return nil, fmt.Errorf("obs: unknown stage %q in trace event %d", ev.Name, len(spans))
 		}
+		if ev.Args.EndNs < ev.Args.StartNs {
+			return nil, fmt.Errorf("obs: trace event %d ends at %d ns before it starts at %d ns",
+				len(spans), ev.Args.EndNs, ev.Args.StartNs)
+		}
 		spans = append(spans, Span{
 			Point: ev.Pid,
 			Req:   ev.Args.Req,
@@ -138,6 +145,9 @@ func ReadTrace(r io.Reader) ([]Span, error) {
 	}
 	if _, err := dec.Token(); err != nil {
 		return nil, fmt.Errorf("obs: reading trace close: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("obs: trailing data after trace array")
 	}
 	return spans, nil
 }

@@ -47,10 +47,10 @@ const (
 // pri is the event's scheduling time: the instant it was (logically)
 // pushed. For At/AtFunc it is simply Now() at push time, which makes the
 // (at, pri, seq) order identical to the historical (at, seq) order —
-// seq already increases with push time. AtFuncPri lets flattened hot
-// paths push an event early while stamping it with the time an unflattened
-// event chain would have pushed it, so same-instant events from different
-// cores still fire in the exact order the original chain produced.
+// seq already increases with push time. AtFuncPri lets the folded
+// per-access path push an event early, stamped with the time the per-stage
+// chain it replaced pushed it, so same-instant events fire in the order
+// that chain recorded (internal/system's output fixture).
 type event struct {
 	at  Time
 	pri Time
@@ -223,10 +223,10 @@ func (e *Engine) AtFunc(t Time, fn func(any), arg any) {
 }
 
 // AtFuncPri schedules fn(arg) at absolute time t with an explicit logical
-// push time pri. Flattened per-access code uses it to schedule an event
+// push time pri. The folded per-access path uses it to schedule an event
 // "from the future": the callback fires at t but ties against other
 // time-t events as if it had been pushed at pri, reproducing the firing
-// order of the unflattened event chain exactly. pri is clamped to t
+// order recorded from the one-event-per-stage chain. pri is clamped to t
 // (an event cannot logically be pushed after it fires) and, like every
 // scheduling call, t must not precede the clock.
 func (e *Engine) AtFuncPri(t, pri Time, fn func(any), arg any) {

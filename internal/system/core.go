@@ -44,8 +44,8 @@ type jobState struct {
 	// deadline is the absolute completion deadline (0 = none). A request
 	// finishing past it is counted as a deadline miss, not a good job.
 	deadline sim.Time
-	// dcIssued carries the step's DRAM-cache issue instant across the
-	// flattened path's allocation-free reply events (flat.go).
+	// dcIssued is the step's DRAM-cache issue instant, read by the
+	// allocation-free reply event (flat.go) to price the DRAM stage.
 	dcIssued sim.Time
 	// th and tk are the job's user-level thread (user-thread modes) and
 	// OS task (OS-Swap): Spawn initialises them and freeJob clears them,
@@ -105,28 +105,35 @@ func (c *coreState) setBusy(b bool) {
 // dcBackend routes page-table accesses through the DRAM cache: the
 // AstriFlash-noDP configuration, where cold table pages come from flash.
 type dcBackend struct {
-	dc *dramcache.Cache
+	eng *sim.Engine
+	dc  *dramcache.Cache
 }
 
 func (b *dcBackend) AccessPT(p mem.PageNum, done func(at sim.Time)) {
-	b.dc.Access(mem.Access{Addr: mem.PageBase(p)}, func(r dramcache.Result) {
-		if r.Hit {
-			done(r.At)
-			return
-		}
-		// Serialized walk: wait for the fill and re-read.
-		b.dc.OnPageReady(mem.PageOf(mem.PageBase(p)), ptPageReady, &ptRetry{b: b, p: p, done: done})
-	})
+	r := &ptAccess{b: b, p: p, done: done, r: b.dc.AccessSync(mem.Access{Addr: mem.PageBase(p)})}
+	b.eng.AtFunc(r.r.At, ptReplyEvent, r)
 }
 
-// ptRetry is a walk level waiting for its table page to arrive.
-type ptRetry struct {
+// ptAccess is one walk level's table-page read.
+type ptAccess struct {
 	b    *dcBackend
 	p    mem.PageNum
 	done func(at sim.Time)
+	r    dramcache.Result
 }
 
-func ptPageReady(a any, _ sim.Time) { r := a.(*ptRetry); r.b.AccessPT(r.p, r.done) }
+// ptReplyEvent delivers the DRAM cache's reply to a table-page read.
+func ptReplyEvent(a any) {
+	r := a.(*ptAccess)
+	if r.r.Hit {
+		r.done(r.r.At)
+		return
+	}
+	// Serialized walk: wait for the fill and re-read.
+	r.b.dc.OnPageReady(r.p, ptPageReady, r)
+}
+
+func ptPageReady(a any, _ sim.Time) { r := a.(*ptAccess); r.b.AccessPT(r.p, r.done) }
 
 func (s *System) newCore(id int) *coreState {
 	c := &coreState{
@@ -144,7 +151,7 @@ func (s *System) newCore(id int) *coreState {
 	}
 	var backend tlbvm.PTBackend
 	if s.cfg.Mode == AstriFlashNoDP {
-		backend = &dcBackend{dc: s.dc}
+		backend = &dcBackend{eng: s.eng, dc: s.dc}
 	} else {
 		backend = &tlbvm.FlatBackend{Eng: s.eng, Latency: s.cfg.FlatPTAccessNs}
 	}
@@ -169,7 +176,6 @@ func (s *System) newCore(id int) *coreState {
 // Package-level event callbacks for the per-access hot path: scheduling
 // (top-level func, pointer arg) pairs through AfterFunc avoids a closure
 // allocation on every simulated compute/access/step transition.
-func jobAccessEvent(a any)     { j := a.(*jobState); j.core.access(j) }
 func jobChipAccessEvent(a any) { j := a.(*jobState); j.core.chipAccess(j) }
 func jobDRAMAccessEvent(a any) { j := a.(*jobState); j.core.dramAccess(j) }
 func jobStepDoneEvent(a any)   { j := a.(*jobState); j.core.stepDone(j) }
@@ -275,34 +281,19 @@ func (c *coreState) start(job *jobState, th *uthread.Thread, tk *ospaging.Task) 
 	}
 	if job.atAccess {
 		job.atAccess = false
-		c.emitMissTail(job, c.s.eng.Now())
+		now := c.s.eng.Now()
+		c.emitMissTail(job, now)
 		if job.readyAt > 0 {
 			// Time between the page arriving and the thread regaining
 			// the core is scheduling delay.
-			c.s.attr.add(c.s, attrSched, c.s.eng.Now()-job.readyAt)
+			c.s.attr.add(c.s, attrSched, now-job.readyAt)
 			job.readyAt = 0
 		}
-		c.access(job)
+		// The saved access re-issues at once: no compute precedes it.
+		c.flatAccess(job, now, now, true)
 		return
 	}
 	c.runStep(job)
-}
-
-// runStep executes the compute phase of the job's next step.
-func (c *coreState) runStep(job *jobState) {
-	if c.s.flat {
-		c.flatAdvance(job, c.s.eng.Now())
-		return
-	}
-	if job.pc >= len(job.steps) {
-		c.complete(job)
-		return
-	}
-	step := job.steps[job.pc]
-	c.s.attr.add(c.s, attrCompute, step.ComputeNs)
-	now := c.s.eng.Now()
-	c.span(job, obs.StageCompute, 0, now, now+step.ComputeNs)
-	c.s.eng.AfterFunc(step.ComputeNs, jobAccessEvent, job)
 }
 
 // complete retires the job and frees the core.
@@ -342,31 +333,6 @@ func (c *coreState) complete(job *jobState) {
 	c.s.freeJob(job)
 }
 
-// access performs the job's current step's memory reference: TLB, on-chip
-// hierarchy, then the DRAM cache.
-func (c *coreState) access(job *jobState) {
-	if c.s.flat {
-		now := c.s.eng.Now()
-		c.flatAccess(job, now, now, true)
-		return
-	}
-	step := job.steps[job.pc]
-	vpn := step.Access.Page()
-	if lat, hit := c.tlb.Lookup(vpn); hit {
-		now := c.s.eng.Now()
-		c.span(job, obs.StageTLB, uint64(vpn), now, now+lat)
-		c.s.eng.AfterFunc(lat, jobChipAccessEvent, job)
-		return
-	}
-	walkStart := c.s.eng.Now()
-	c.wkr.Walk(c.s.eng, vpn, func(at sim.Time) {
-		c.s.attr.add(c.s, attrWalk, at-walkStart)
-		c.span(job, obs.StageTLB, uint64(vpn), walkStart, at)
-		c.tlb.Insert(vpn)
-		c.chipAccess(job)
-	})
-}
-
 // chipAccess probes the on-chip hierarchy.
 func (c *coreState) chipAccess(job *jobState) {
 	step := job.steps[job.pc]
@@ -385,41 +351,6 @@ func (c *coreState) chipAccess(job *jobState) {
 		return
 	}
 	c.s.eng.AfterFunc(r.Latency, jobDRAMAccessEvent, job)
-}
-
-// dramAccess probes the DRAM cache (or flat DRAM for DRAM-only).
-func (c *coreState) dramAccess(job *jobState) {
-	if c.s.flat {
-		c.flatDRAMAccess(job)
-		return
-	}
-	step := job.steps[job.pc]
-	issued := c.s.eng.Now()
-	if c.s.cfg.Mode == DRAMOnly {
-		c.s.dc.AccessAlwaysHit(step.Access, func(r dramcache.Result) {
-			c.s.attr.add(c.s, attrDRAM, r.At-issued)
-			c.span(job, obs.StageDRAM, uint64(step.Access.Page()), issued, r.At)
-			c.hier.Fill(step.Access)
-			c.stepDone(job)
-		})
-		return
-	}
-	c.s.dc.Access(step.Access, func(r dramcache.Result) {
-		if r.Hit {
-			c.s.attr.add(c.s, attrDRAM, r.At-issued)
-			c.span(job, obs.StageDRAM, uint64(step.Access.Page()), issued, r.At)
-			job.faultRetries = 0
-			if job.hasPin {
-				c.s.dc.Unpin(job.pinnedPage)
-				job.hasPin = false
-			}
-			c.hier.Fill(step.Access)
-			c.stepDone(job)
-			return
-		}
-		c.span(job, obs.StageMissSignal, uint64(step.Access.Page()), issued, r.At)
-		c.onDRAMMiss(job)
-	})
 }
 
 // stepDone advances the job past a completed access.

@@ -92,21 +92,21 @@ func (s *System) tr() *obs.Tracer {
 }
 
 // measuredAt reports whether an event at logical time t lies inside the
-// run's measurement window. The flattened path (flat.go) executes stage
+// run's measurement window. The per-access path (flat.go) executes stage
 // code ahead of its logical event time, so gating on the measuring flag
 // (the clock's view) would mis-window inline stages; the bounds are known
-// before the run starts, so logical-time gating reproduces exactly what
-// an event firing at t would have observed. The window is half-open on
-// the left because the drivers flip measuring after draining events at
-// the warmup instant itself.
+// before the run starts, so logical-time gating observes exactly what an
+// event firing at t would have. The window is half-open on the left
+// because the drivers flip measuring after draining events at the warmup
+// instant itself.
 func (s *System) measuredAt(t sim.Time) bool {
 	return t > s.mStart && t <= s.mEnd
 }
 
 // spanAt records a request-scoped span emitted at logical event time
-// evTime: the flattened path's span helper, gated on the measurement
-// window by logical time (measuredAt) so inline-executed stages trace
-// exactly as their unflattened events would have.
+// evTime: the span helper for stages the per-access path runs inline,
+// gated on the measurement window by logical time (measuredAt) so each
+// traces as if its own event had fired at evTime.
 func (c *coreState) spanAt(evTime sim.Time, job *jobState, st obs.Stage, page uint64, start, end sim.Time) {
 	if c.s.trace == nil || end <= start || !c.s.measuredAt(evTime) {
 		return

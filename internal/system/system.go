@@ -123,12 +123,6 @@ type Config struct {
 	// single run exceeds this much wall-clock time. 0 means no deadline.
 	RunDeadline time.Duration
 
-	// LegacyEvents restores the unflattened per-access event chain (one
-	// event per pipeline stage). The flattened path (flat.go) is the
-	// default and produces bit-identical results; the legacy chain is
-	// kept as the oracle for differential tests.
-	LegacyEvents bool
-
 	// FlatPTAccessNs prices one page-table level in the flat DRAM
 	// partition (all modes except noDP).
 	FlatPTAccessNs int64
@@ -184,6 +178,13 @@ func (c Config) Validate() error {
 	if c.DRAMCacheFraction <= 0 || c.DRAMCacheFraction > 1 {
 		return fmt.Errorf("system: DRAM cache fraction %v out of (0,1]", c.DRAMCacheFraction)
 	}
+	if c.FlatPTAccessNs < 0 {
+		return fmt.Errorf("system: negative flat page-table access latency %d ns", c.FlatPTAccessNs)
+	}
+	if c.CPU.FlushBase < 0 || c.CPU.FlushPerEntry < 0 || c.CPU.ROBEntries < 0 {
+		return fmt.Errorf("system: negative pipeline-flush parameter (FlushBase %d, FlushPerEntry %d, ROBEntries %d)",
+			c.CPU.FlushBase, c.CPU.FlushPerEntry, c.CPU.ROBEntries)
+	}
 	if _, err := dramcache.NewAdmissionPolicy(c.Admission); err != nil {
 		return err
 	}
@@ -220,8 +221,6 @@ type System struct {
 	// of the clock-driven measuring flag (measuredAt in observe.go). Set
 	// by the drivers before any event runs.
 	mStart, mEnd sim.Time
-	// flat selects the flattened per-access path (default; flat.go).
-	flat bool
 	// flatWalkNs is the deterministic page-table walk latency for modes
 	// with the flat DRAM partition; 0 for noDP, where walks go through
 	// the DRAM cache and stay event-simulated.
@@ -346,7 +345,6 @@ func New(cfg Config) (*System, error) {
 		MissInterval: stats.NewHistogram(),
 	}
 	s.pt = pt
-	s.flat = !cfg.LegacyEvents
 	if cfg.Mode != AstriFlashNoDP {
 		s.flatWalkNs = int64(pt.Levels()) * cfg.FlatPTAccessNs
 	}
