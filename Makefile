@@ -36,14 +36,16 @@ fmt-check:
 	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 ## Fuzz smoke: each native fuzzer runs FUZZTIME (default 10s) past its
-## seed corpus (plain `go test` runs only the seeds): the B+tree and the
-## FTL against reference models, the event engine against its firing
-## order, the timeline CSV reader against its writer and the SLO parser
-## against the objectives it may return. A failure writes the input under
-## the package's testdata/fuzz/.
+## seed corpus (plain `go test` runs only the seeds): the B+tree, the
+## red-black tree, the hash table and the FTL against reference models,
+## the event engine against its firing order, the timeline CSV reader
+## against its writer and the SLO parser against the objectives it may
+## return. A failure writes the input under the package's testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBPTree$$' -fuzztime $(FUZZTIME) ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzRBTree$$' -fuzztime $(FUZZTIME) ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzHashTable$$' -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzFTL$$' -fuzztime $(FUZZTIME) ./internal/flash
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/obs/timeline

@@ -168,32 +168,23 @@ func (d *Device) maybeFailProgram(p int, at int64) int64 {
 func (d *Device) retireBlock(p, b int) int {
 	pl := &d.planes[p]
 	blk := &pl.blocks[b]
-	blk.bad = true
 	// A bad block must never become a GC victim or a write target again;
-	// pin its writePtr at "full" so rotate/collect bookkeeping stays sane.
-	blk.writePtr = d.cfg.PagesPerBlock
+	// retiredPtr reads as full, so rotate/collect bookkeeping stays sane.
+	blk.writePtr = retiredPtr
 	d.BadBlocks.Inc()
 	if pl.active == b {
 		d.rotateActive(p)
 	}
 	moves := 0
-	for slot, owner := range blk.owners {
+	owners := d.owners(blk)
+	for slot, owner := range owners {
 		if owner == invalidLPN {
 			continue
 		}
-		blk.owners[slot] = invalidLPN
+		owners[slot] = invalidLPN
 		blk.validCount--
 		moves++
-		dst := &pl.blocks[pl.active]
-		if dst.writePtr >= d.cfg.PagesPerBlock {
-			d.rotateActive(p)
-			dst = &pl.blocks[pl.active]
-		}
-		s := dst.writePtr
-		dst.writePtr++
-		dst.owners[s] = owner
-		dst.validCount++
-		d.ftl[mem.PageNum(owner)] = physLoc{plane: p, block: pl.active, page: s}
+		d.appendOwner(p, owner)
 	}
 	d.RemapMoves.Add(uint64(moves))
 	return moves
@@ -206,9 +197,7 @@ func (d *Device) maybeFailErase(p, b int) bool {
 	if !d.faultsOn || d.cfg.PEFailProb <= 0 || d.rng.Float64() >= d.cfg.PEFailProb {
 		return false
 	}
-	blk := &d.planes[p].blocks[b]
-	blk.bad = true
-	blk.writePtr = d.cfg.PagesPerBlock
+	d.planes[p].blocks[b].writePtr = retiredPtr
 	d.BadBlocks.Inc()
 	return true
 }

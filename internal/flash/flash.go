@@ -9,6 +9,7 @@ package flash
 
 import (
 	"fmt"
+	"math/bits"
 
 	"astriflash/internal/mem"
 	"astriflash/internal/sim"
@@ -89,32 +90,48 @@ func DefaultConfig() Config {
 	}
 }
 
-// physLoc addresses one physical flash page.
+// physLoc addresses one physical flash page. Config.Validate bounds every
+// page count below invalidLPN, so each index fits 32 bits.
 type physLoc struct {
-	plane int
-	block int
-	page  int
+	plane uint32
+	block uint32
+	page  uint32
 }
 
 // invalidLPN marks a free or stale slot in a block's owner array. Owners
 // are 32-bit, so Config.Validate bounds the device's page counts below it.
 const invalidLPN = ^uint32(0)
 
+// retiredPtr is a bad block's writePtr: a program or erase failed in it,
+// its live pages were migrated away, and it never serves writes or GC
+// again. It reads as full, and no real writePtr reaches it: a block holds
+// at most half of the device's fewer than invalidLPN pages.
+const retiredPtr = ^uint32(0)
+
+// ownerChunkSlots is how many owner slots one allocation carves into
+// blocks (16 KiB of owners). A block gets its slots only when it first
+// becomes a plane's active block, so an erased block that was never
+// written holds none, and a write-heavy run pays one allocation per chunk
+// rather than one per block.
+const ownerChunkSlots = 1 << 12
+
+// block is one erase unit: 16 bytes, one per physical block of the device.
+// Its validCount and writePtr stay at most PagesPerBlock, which
+// Config.Validate bounds below invalidLPN.
 type block struct {
-	owners     []uint32 // logical page stored in each physical slot
-	validCount int
-	writePtr   int // next free slot; PagesPerBlock means full
-	eraseCount uint64
-	// bad marks a retired block: a program or erase failed in it, its live
-	// pages were migrated away, and it never serves writes or GC again.
-	bad bool
+	slots      uint32 // 1 + index of its owner slots (Device.owners); 0: none yet
+	validCount uint32
+	writePtr   uint32 // next free slot; PagesPerBlock means full, retiredPtr bad
+	eraseCount uint32
 }
+
+func (b *block) bad() bool { return b.writePtr == retiredPtr }
 
 type plane struct {
 	blocks     []block
-	active     int            // block currently accepting writes
-	freeBlocks sim.Queue[int] // fully erased blocks, oldest first
-	busyUntil  int64          // read-path occupancy
+	active     int              // block currently accepting writes
+	freeBlocks sim.Queue[int32] // fully erased blocks, oldest first
+	busyUntil  int64            // read-path occupancy
 	// writeBusyUntil tracks program operations separately: writebacks are
 	// de-prioritized against reads (Section IV-B2), so programs queue
 	// among themselves and in GC windows without delaying reads.
@@ -133,6 +150,14 @@ type Device struct {
 	chans  []int64 // per-channel busy-until for page transfers
 	ftl    map[mem.PageNum]physLoc
 	nextPl int // round-robin write striping across planes
+
+	// ownerChunks hold the blocks' owner slots: block slot set k (its
+	// slots field minus one) is the k&chunkMask'th PagesPerBlock run of
+	// ownerChunks[k>>chunkShift]. slotted counts the sets handed out.
+	ownerChunks [][]uint32
+	chunkShift  uint
+	chunkMask   int
+	slotted     uint32
 
 	logicalPages uint64
 
@@ -164,7 +189,8 @@ type Device struct {
 // Validate rejects geometries the device cannot be built with: no planes,
 // fewer than two blocks per plane (GC needs a spare), no pages per block,
 // or more physical or logical pages than a 32-bit block owner can name
-// below invalidLPN.
+// below invalidLPN. That bound also keeps every page, block and slot-set
+// index, and a block's validCount and writePtr, within 32 bits.
 func (c Config) Validate() error {
 	if c.Channels <= 0 || c.DiesPerChannel <= 0 || c.PlanesPerDie <= 0 {
 		return fmt.Errorf("flash: %d channels x %d dies x %d planes: need at least one plane",
@@ -183,7 +209,9 @@ func (c Config) Validate() error {
 }
 
 // NewDevice builds the SSD on the given engine. It panics on a geometry
-// Config.Validate rejects.
+// Config.Validate rejects. Every block starts erased; only each plane's
+// first active block gets owner slots, so construction costs a few
+// allocations and memory in proportion to the planes, not to the pages.
 func NewDevice(eng *sim.Engine, cfg Config) *Device {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -201,26 +229,19 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 		ReadLatHist:  stats.NewHistogram(),
 		WriteLatHist: stats.NewHistogram(),
 	}
-	// One owner slab for the whole device, sliced per block: building a
-	// device costs a handful of allocations instead of one per block, so
-	// sweeps that construct a machine per point churn far less memory.
-	owners := make([]uint32, np*cfg.BlocksPerPlane*cfg.PagesPerBlock)
-	for i := range owners {
-		owners[i] = invalidLPN
-	}
+	d.chunkShift = uint(bits.Len(uint(max(1, ownerChunkSlots/cfg.PagesPerBlock))) - 1)
+	d.chunkMask = 1<<d.chunkShift - 1
 	blocks := make([]block, np*cfg.BlocksPerPlane)
-	freeBlocks := make([]int, np*(cfg.BlocksPerPlane-1))
+	freeBlocks := make([]int32, np*(cfg.BlocksPerPlane-1))
 	for p := range d.planes {
 		pl := &d.planes[p]
 		pl.blocks, blocks = blocks[:cfg.BlocksPerPlane:cfg.BlocksPerPlane], blocks[cfg.BlocksPerPlane:]
 		pl.freeBlocks, freeBlocks = sim.NewQueue(freeBlocks[:0:cfg.BlocksPerPlane-1]), freeBlocks[cfg.BlocksPerPlane-1:]
-		for b := range pl.blocks {
-			pl.blocks[b].owners, owners = owners[:cfg.PagesPerBlock:cfg.PagesPerBlock], owners[cfg.PagesPerBlock:]
-			if b != 0 {
-				pl.freeBlocks.Push(b)
-			}
+		for b := 1; b < cfg.BlocksPerPlane; b++ {
+			pl.freeBlocks.Push(int32(b))
 		}
 		pl.active = 0
+		d.giveSlots(&pl.blocks[0])
 	}
 	d.logicalPages = cfg.LogicalPages()
 	seed := cfg.Seed
@@ -230,6 +251,37 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 	d.rng = sim.NewRNG(seed ^ 0xf1a5_4b5e_ed00_0001)
 	d.resolveFaults()
 	return d
+}
+
+// giveSlots hands b its owner slots, all invalidLPN, unless it has them.
+// Slots are carved from ownerChunks in order. A chunk holds the slots of a
+// power-of-two number of blocks, at most ownerChunkSlots slots (one
+// block's if a block has more), cut to the blocks the device has left.
+// An erased block keeps its slots for its next turn as the active block.
+func (d *Device) giveSlots(b *block) {
+	if b.slots != 0 {
+		return
+	}
+	k := int(d.slotted)
+	if k&d.chunkMask == 0 {
+		blocks := min(d.chunkMask+1, len(d.planes)*d.cfg.BlocksPerPlane-k)
+		c := make([]uint32, blocks*d.cfg.PagesPerBlock)
+		for i := range c {
+			c[i] = invalidLPN
+		}
+		d.ownerChunks = append(d.ownerChunks, c)
+	}
+	d.slotted++
+	b.slots = d.slotted
+}
+
+// owners returns b's owner slots: the logical page stored in each
+// physical page, or invalidLPN. b must have slots (giveSlots).
+func (d *Device) owners(b *block) []uint32 {
+	k := int(b.slots) - 1
+	ppb := d.cfg.PagesPerBlock
+	off := (k & d.chunkMask) * ppb
+	return d.ownerChunks[k>>d.chunkShift][off : off+ppb : off+ppb]
 }
 
 // physicalPages returns the geometry's raw page count.
@@ -263,7 +315,7 @@ func (d *Device) channelOf(planeIdx int) int {
 // materializing an FTL entry per cold page until first write.
 func (d *Device) planeForRead(lpn mem.PageNum) int {
 	if loc, ok := d.ftl[lpn]; ok {
-		return loc.plane
+		return int(loc.plane)
 	}
 	return int(uint64(lpn) % uint64(len(d.planes)))
 }
@@ -422,30 +474,38 @@ func (d *Device) WritePage(lpn mem.PageNum) int64 {
 
 // program updates FTL state for a write into plane p.
 func (d *Device) program(p int, lpn mem.PageNum) {
-	pl := &d.planes[p]
 	// Invalidate the old copy, wherever it lives. checkLPN has bounded
 	// lpn below invalidLPN, so the 32-bit owner holds it exactly.
 	owner := uint32(lpn)
 	if old, ok := d.ftl[lpn]; ok {
 		ob := &d.planes[old.plane].blocks[old.block]
-		if ob.owners[old.page] == owner {
-			ob.owners[old.page] = invalidLPN
+		if owners := d.owners(ob); owners[old.page] == owner {
+			owners[old.page] = invalidLPN
 			ob.validCount--
 		}
 	}
+	d.appendOwner(p, owner)
+}
+
+// appendOwner writes owner into the next free page of plane p's active
+// block, rotating to a fresh block first if the active one is full, and
+// points the FTL at it.
+func (d *Device) appendOwner(p int, owner uint32) {
+	pl := &d.planes[p]
 	blk := &pl.blocks[pl.active]
-	if blk.writePtr >= d.cfg.PagesPerBlock {
+	if blk.writePtr >= uint32(d.cfg.PagesPerBlock) {
 		d.rotateActive(p)
 		blk = &pl.blocks[pl.active]
 	}
 	slot := blk.writePtr
 	blk.writePtr++
-	blk.owners[slot] = owner
+	d.owners(blk)[slot] = owner
 	blk.validCount++
-	d.ftl[lpn] = physLoc{plane: p, block: pl.active, page: slot}
+	d.ftl[mem.PageNum(owner)] = physLoc{plane: uint32(p), block: uint32(pl.active), page: slot}
 }
 
-// rotateActive makes a fresh erased block the active write target.
+// rotateActive makes a fresh erased block the active write target, giving
+// it owner slots if it has never been written.
 func (d *Device) rotateActive(p int) {
 	pl := &d.planes[p]
 	if pl.freeBlocks.Len() == 0 {
@@ -458,7 +518,8 @@ func (d *Device) rotateActive(p int) {
 		panic(fmt.Sprintf("flash: no reclaimable blocks (%d retired as bad); device over-filled beyond overprovisioning",
 			d.BadBlocks.Value()))
 	}
-	pl.active = pl.freeBlocks.Pop()
+	pl.active = int(pl.freeBlocks.Pop())
+	d.giveSlots(&pl.blocks[pl.active])
 }
 
 // maybeGC triggers garbage collection when a plane's free-block pool is at
@@ -478,13 +539,14 @@ func (d *Device) maybeGC(p int, at int64) {
 func (d *Device) collect(p int, at int64) {
 	pl := &d.planes[p]
 	victim := -1
-	best := d.cfg.PagesPerBlock + 1
+	ppb := uint32(d.cfg.PagesPerBlock)
+	best := ppb + 1
 	for b := range pl.blocks {
-		if b == pl.active || pl.blocks[b].bad {
+		blk := &pl.blocks[b]
+		if b == pl.active || blk.bad() {
 			continue
 		}
-		blk := &pl.blocks[b]
-		if blk.writePtr < d.cfg.PagesPerBlock {
+		if blk.writePtr < ppb {
 			continue // not yet full; not a GC candidate
 		}
 		if blk.validCount < best {
@@ -497,25 +559,17 @@ func (d *Device) collect(p int, at int64) {
 	}
 	vb := &pl.blocks[victim]
 	moves := 0
-	for slot, owner := range vb.owners {
+	owners := d.owners(vb)
+	for slot, owner := range owners {
 		if owner == invalidLPN {
 			continue
 		}
-		vb.owners[slot] = invalidLPN
+		owners[slot] = invalidLPN
 		vb.validCount--
 		moves++
 		// Relocate into the active block of the same plane (local GC
 		// keeps erasure and relocation in-plane, paper Section IV-B).
-		blk := &pl.blocks[pl.active]
-		if blk.writePtr >= d.cfg.PagesPerBlock {
-			d.rotateActive(p)
-			blk = &pl.blocks[pl.active]
-		}
-		s := blk.writePtr
-		blk.writePtr++
-		blk.owners[s] = owner
-		blk.validCount++
-		d.ftl[mem.PageNum(owner)] = physLoc{plane: p, block: pl.active, page: s}
+		d.appendOwner(p, owner)
 	}
 	dur := int64(moves)*(d.cfg.ReadLatency+d.cfg.ProgramLatency) + d.cfg.EraseLatency
 	vb.validCount = 0
@@ -525,7 +579,7 @@ func (d *Device) collect(p int, at int64) {
 	} else {
 		vb.writePtr = 0
 		vb.eraseCount++
-		pl.freeBlocks.Push(victim)
+		pl.freeBlocks.Push(int32(victim))
 	}
 
 	end := at + dur
@@ -549,7 +603,7 @@ func (d *Device) MaxEraseCount() uint64 {
 	var max uint64
 	for p := range d.planes {
 		for b := range d.planes[p].blocks {
-			if c := d.planes[p].blocks[b].eraseCount; c > max {
+			if c := uint64(d.planes[p].blocks[b].eraseCount); c > max {
 				max = c
 			}
 		}
@@ -562,7 +616,7 @@ func (d *Device) TotalEraseCount() uint64 {
 	var sum uint64
 	for p := range d.planes {
 		for b := range d.planes[p].blocks {
-			sum += d.planes[p].blocks[b].eraseCount
+			sum += uint64(d.planes[p].blocks[b].eraseCount)
 		}
 	}
 	return sum
@@ -601,47 +655,68 @@ func (d *Device) BlockedReadFraction() float64 {
 // on live pages (no live slot without an FTL entry pointing at it), valid
 // counts match the owner maps, and retired (bad) blocks hold no live
 // pages, are never the active write target, and never sit in a free list.
-// It returns an error description or "" when consistent. Tests and the
-// property suite call this after workloads run.
+// Owner slots are handed out lazily: every active block has its own, and
+// a block without them is erased and unwritten (writePtr and validCount
+// zero). It returns an error description or "" when consistent. Tests and
+// the property suite call this after workloads run.
 func (d *Device) CheckFTLInvariants() string {
 	for lpn, loc := range d.ftl {
-		if loc.plane >= len(d.planes) {
-			return fmt.Sprintf("lpn %d maps to plane %d out of range", lpn, loc.plane)
+		if int(loc.plane) >= len(d.planes) || int(loc.block) >= d.cfg.BlocksPerPlane {
+			return fmt.Sprintf("lpn %d maps to plane %d block %d out of range", lpn, loc.plane, loc.block)
 		}
 		if uint64(lpn) >= uint64(invalidLPN) {
 			return fmt.Sprintf("lpn %d does not fit a 32-bit block owner", lpn)
 		}
 		blk := &d.planes[loc.plane].blocks[loc.block]
-		if loc.page >= len(blk.owners) || blk.owners[loc.page] != uint32(lpn) {
+		if blk.slots == 0 {
+			return fmt.Sprintf("lpn %d mapped onto block %d of plane %d, which has no owner slots",
+				lpn, loc.block, loc.plane)
+		}
+		if int(loc.page) >= d.cfg.PagesPerBlock || d.owners(blk)[loc.page] != uint32(lpn) {
 			return fmt.Sprintf("lpn %d FTL entry not mirrored by block owner", lpn)
 		}
-		if blk.bad {
+		if blk.bad() {
 			return fmt.Sprintf("lpn %d mapped onto bad block %d of plane %d", lpn, loc.block, loc.plane)
 		}
 	}
 	live := 0
+	slotsSeen := make([]bool, d.slotted)
 	for p := range d.planes {
 		pl := &d.planes[p]
-		if pl.blocks[pl.active].bad {
+		if pl.blocks[pl.active].bad() {
 			return fmt.Sprintf("plane %d active block %d is bad", p, pl.active)
 		}
+		if pl.blocks[pl.active].slots == 0 {
+			return fmt.Sprintf("plane %d active block %d has no owner slots", p, pl.active)
+		}
 		for _, b := range pl.freeBlocks.Items() {
-			if pl.blocks[b].bad {
+			if pl.blocks[b].bad() {
 				return fmt.Sprintf("plane %d free list contains bad block %d", p, b)
 			}
 		}
 		for b := range pl.blocks {
 			blk := &pl.blocks[b]
+			if blk.slots == 0 {
+				if blk.writePtr != 0 || blk.validCount != 0 {
+					return fmt.Sprintf("plane %d block %d has no owner slots but writePtr %d, validCount %d",
+						p, b, blk.writePtr, blk.validCount)
+				}
+				continue
+			}
+			if blk.slots > d.slotted || slotsSeen[blk.slots-1] {
+				return fmt.Sprintf("plane %d block %d owner slots %d out of range or shared", p, b, blk.slots)
+			}
+			slotsSeen[blk.slots-1] = true
 			n := 0
-			for _, o := range blk.owners {
+			for _, o := range d.owners(blk) {
 				if o != invalidLPN {
 					n++
 				}
 			}
-			if n != blk.validCount {
+			if uint32(n) != blk.validCount {
 				return fmt.Sprintf("plane %d block %d validCount %d != owners %d", p, b, blk.validCount, n)
 			}
-			if blk.bad && n != 0 {
+			if blk.bad() && n != 0 {
 				return fmt.Sprintf("plane %d bad block %d still holds %d live pages", p, b, n)
 			}
 			live += n

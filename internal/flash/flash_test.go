@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"astriflash/internal/mem"
 	"astriflash/internal/sim"
@@ -97,9 +98,11 @@ func TestWriteInvalidatesOldCopy(t *testing.T) {
 	live := 0
 	for p := range d.planes {
 		for b := range d.planes[p].blocks {
-			for _, o := range d.planes[p].blocks[b].owners {
-				if o == 42 {
-					live++
+			if blk := &d.planes[p].blocks[b]; blk.slots != 0 {
+				for _, o := range d.owners(blk) {
+					if o == 42 {
+						live++
+					}
 				}
 			}
 		}
@@ -109,6 +112,72 @@ func TestWriteInvalidatesOldCopy(t *testing.T) {
 	}
 	if msg := d.CheckFTLInvariants(); msg != "" {
 		t.Fatal(msg)
+	}
+}
+
+// TestOwnerSlotsOnlyForWrittenBlocks checks that a block gets owner slots
+// only when it first becomes a plane's active block: a fresh device holds
+// one block's slots per plane, and a plane's next block gets its own only
+// when a write no longer fits the first.
+func TestOwnerSlotsOnlyForWrittenBlocks(t *testing.T) {
+	if size := unsafe.Sizeof(block{}); size > 16 {
+		t.Errorf("block is %d bytes, want at most 16", size)
+	}
+	cfg := DefaultConfig()
+	cfg.Channels = 3 * 8 // the system's geometry for 8 cores
+	d := NewDevice(sim.NewEngine(), cfg)
+	if d.Planes() != 384 {
+		t.Fatalf("%d planes, want 384", d.Planes())
+	}
+	slotted := func() (blocks, slots int) {
+		for p := range d.planes {
+			for b := range d.planes[p].blocks {
+				if blk := &d.planes[p].blocks[b]; blk.slots != 0 {
+					blocks++
+					slots += len(d.owners(blk))
+				}
+			}
+		}
+		return blocks, slots
+	}
+	if blocks, slots := slotted(); blocks != d.Planes() || slots != d.Planes()*cfg.PagesPerBlock {
+		t.Fatalf("new device: %d blocks hold %d owner slots, want %d and %d",
+			blocks, slots, d.Planes(), d.Planes()*cfg.PagesPerBlock)
+	}
+	allocated := 0
+	for _, c := range d.ownerChunks {
+		allocated += len(c)
+	}
+	if allocated >= d.Planes()*cfg.PagesPerBlock+ownerChunkSlots {
+		t.Fatalf("new device allocated %d owner slots for %d in use: more than one chunk spare",
+			allocated, d.Planes()*cfg.PagesPerBlock)
+	}
+
+	for i := range cfg.PagesPerBlock {
+		d.program(0, mem.PageNum(i))
+	}
+	if blocks, _ := slotted(); blocks != d.Planes() {
+		t.Fatalf("a full first block gave %d blocks slots, want %d", blocks, d.Planes())
+	}
+	d.program(0, mem.PageNum(cfg.PagesPerBlock))
+	if blocks, _ := slotted(); blocks != d.Planes()+1 {
+		t.Fatalf("writing past plane 0's first block gave %d blocks slots, want %d", blocks, d.Planes()+1)
+	}
+	if msg := d.CheckFTLInvariants(); msg != "" {
+		t.Fatal(msg)
+	}
+
+	// The checker rejects a written block without slots and an active
+	// block without slots.
+	pl := &d.planes[1]
+	pl.blocks[5].writePtr = 1
+	if msg := d.CheckFTLInvariants(); !strings.Contains(msg, "no owner slots") {
+		t.Errorf("unslotted block with writePtr 1: CheckFTLInvariants = %q", msg)
+	}
+	pl.blocks[5].writePtr = 0
+	pl.active = 5
+	if msg := d.CheckFTLInvariants(); !strings.Contains(msg, "active block 5 has no owner slots") {
+		t.Errorf("unslotted active block: CheckFTLInvariants = %q", msg)
 	}
 }
 

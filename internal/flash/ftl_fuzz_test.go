@@ -76,7 +76,7 @@ func maxBadPerPlane(d *Device) int {
 	for p := range d.planes {
 		n := 0
 		for b := range d.planes[p].blocks {
-			if d.planes[p].blocks[b].bad {
+			if d.planes[p].blocks[b].bad() {
 				n++
 			}
 		}
