@@ -38,9 +38,11 @@ fmt-check:
 ## Fuzz smoke: each native fuzzer runs FUZZTIME (default 10s) past its
 ## seed corpus (plain `go test` runs only the seeds): the B+tree, the
 ## red-black tree, the hash table and the FTL against reference models,
-## the event engine against its firing order, the timeline CSV reader
-## against its writer and the SLO parser against the objectives it may
-## return. A failure writes the input under the package's testdata/fuzz/.
+## the event engine against an (at, seq) firing-order reference and a
+## clock that never goes back, the timeline CSV reader against its writer,
+## the SLO parser against the objectives it may return and the span-trace
+## reader against malformed input. A failure writes the input under the
+## package's testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBPTree$$' -fuzztime $(FUZZTIME) ./internal/workload

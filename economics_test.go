@@ -53,10 +53,13 @@ func TestAdmitAllBitIdentity(t *testing.T) {
 }
 
 // TestWriteThresholdMonotone tightens the write-threshold bar and checks
-// that flash writes never increase: a stricter admission filter can only
-// divert more cold fetches to the bypass ring, never create new write
-// traffic. Each run is deterministic, so this is a fixed property of the
-// policy, not a statistical assertion.
+// that flash writes do not increase at this configuration and seed: a
+// stricter admission filter diverts more cold fetches to the bypass ring.
+// Each run is deterministic, so the check gives the same answer every
+// time, but it is not a property of the policy. A stricter bar also
+// changes which pages stay resident, and so what later misses and is
+// written back: with Seed 3 the same configuration writes 174 pages at
+// bar 1 and 188 at bar 2.
 func TestWriteThresholdMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four simulation points")

@@ -1,9 +1,11 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // All AstriFlash components (cores, controllers, devices, schedulers) share
-// one Engine. Time is measured in integer nanoseconds. Events scheduled for
-// the same instant fire in scheduling order, so a run is bit-reproducible
-// given a fixed seed.
+// one Engine. Time is measured in integer nanoseconds. Events fire in
+// (at, seq) order: by time, and events scheduled for the same instant in
+// scheduling order, so a run is bit-reproducible given a fixed seed. The
+// clock never goes back: scheduling before Now panics, and RunUntil
+// fires every event up to the time it moves the clock to.
 //
 // The event queue is a monomorphic 4-ary min-heap stored in a plain slice.
 // Compared to container/heap, this removes the per-event interface boxing
@@ -19,8 +21,8 @@
 // one successor (a core's next step), and that first push takes the vacant
 // root and sifts down once, where a pop followed by a push would sift
 // twice. A callback that pushes nothing has its slot removed after it
-// returns. Keys (at, pri, seq) are unique, so every valid heap fires
-// events in the same order, and runs are unchanged bit for bit.
+// returns. Keys (at, seq) are unique, so every valid heap fires events
+// in the same order, and runs are unchanged bit for bit.
 package sim
 
 import (
@@ -43,17 +45,8 @@ const (
 // plus argument: AtFunc events carry the caller's func and arg directly
 // (no allocation for package-level funcs and pointer args), while At
 // events carry the closure itself as the argument of a static trampoline.
-//
-// pri is the event's scheduling time: the instant it was (logically)
-// pushed. For At/AtFunc it is simply Now() at push time, which makes the
-// (at, pri, seq) order identical to the historical (at, seq) order —
-// seq already increases with push time. AtFuncPri lets the folded
-// per-access path push an event early, stamped with the time the per-stage
-// chain it replaced pushed it, so same-instant events fire in the order
-// that chain recorded (internal/system's output fixture).
 type event struct {
 	at  Time
-	pri Time
 	seq uint64
 	fn  func(any)
 	arg any
@@ -62,14 +55,11 @@ type event struct {
 // callClosure is the trampoline for At/After: the closure rides in arg.
 func callClosure(a any) { a.(func())() }
 
-// before orders events by time, then by logical push time, then by actual
-// scheduling order, so same-instant events fire deterministically.
+// before orders events by time, then by scheduling order, so same-instant
+// events fire deterministically.
 func (e *event) before(o *event) bool {
 	if e.at != o.at {
 		return e.at < o.at
-	}
-	if e.pri != o.pri {
-		return e.pri < o.pri
 	}
 	return e.seq < o.seq
 }
@@ -78,15 +68,13 @@ func (e *event) before(o *event) bool {
 type Engine struct {
 	now Time
 	seq uint64
-	// events is a 4-ary min-heap ordered by (at, pri, seq). Entries are stored
+	// events is a 4-ary min-heap ordered by (at, seq). Entries are stored
 	// by value; the slice doubles as a free list, since removed slots are
 	// reused by later pushes without reallocating.
 	events []event
 	// vacant marks events[0] as the event now firing: it still holds the
 	// slot but is no longer queued. See Step.
 	vacant bool
-	// Stopped is set by Stop; Run drains no further events once set.
-	stopped bool
 	// fired counts executed events, for diagnostics and runaway detection.
 	fired uint64
 	// Limit, if nonzero, aborts Run with a panic after this many events.
@@ -199,7 +187,7 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
 	e.seq++
-	e.push(event{at: t, pri: e.now, seq: e.seq, fn: callClosure, arg: fn})
+	e.push(event{at: t, seq: e.seq, fn: callClosure, arg: fn})
 }
 
 // After schedules fn to run d nanoseconds from now. Negative d panics.
@@ -219,25 +207,7 @@ func (e *Engine) AtFunc(t Time, fn func(any), arg any) {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
 	e.seq++
-	e.push(event{at: t, pri: e.now, seq: e.seq, fn: fn, arg: arg})
-}
-
-// AtFuncPri schedules fn(arg) at absolute time t with an explicit logical
-// push time pri. The folded per-access path uses it to schedule an event
-// "from the future": the callback fires at t but ties against other
-// time-t events as if it had been pushed at pri, reproducing the firing
-// order recorded from the one-event-per-stage chain. pri is clamped to t
-// (an event cannot logically be pushed after it fires) and, like every
-// scheduling call, t must not precede the clock.
-func (e *Engine) AtFuncPri(t, pri Time, fn func(any), arg any) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
-	}
-	if pri > t {
-		pri = t
-	}
-	e.seq++
-	e.push(event{at: t, pri: pri, seq: e.seq, fn: fn, arg: arg})
+	e.push(event{at: t, seq: e.seq, fn: fn, arg: arg})
 }
 
 // AfterFunc schedules fn(arg) d nanoseconds from now, allocation-free for
@@ -262,7 +232,7 @@ func (e *Engine) Step() bool {
 	if e.vacant {
 		e.removeRoot()
 	}
-	if e.stopped || len(e.events) == 0 {
+	if len(e.events) == 0 {
 		return false
 	}
 	root := &e.events[0]
@@ -307,7 +277,7 @@ func (e *Engine) Deadline(d time.Duration) {
 	e.deadline = time.Now().Add(d)
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
@@ -319,20 +289,10 @@ func (e *Engine) RunUntil(t Time) {
 	if e.vacant {
 		e.removeRoot()
 	}
-	for !e.stopped && len(e.events) > 0 && e.events[0].at <= t {
+	for len(e.events) > 0 && e.events[0].at <= t {
 		e.Step()
 	}
 	if e.now < t {
 		e.now = t
 	}
 }
-
-// Stop halts Run/RunUntil after the current event completes. Queued events
-// are retained; Resume allows stepping again.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Resume clears a Stop.
-func (e *Engine) Resume() { e.stopped = false }
-
-// Stopped reports whether Stop has been called without a matching Resume.
-func (e *Engine) Stopped() bool { return e.stopped }

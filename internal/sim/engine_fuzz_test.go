@@ -3,9 +3,9 @@ package sim
 import "testing"
 
 // orderModel runs a byte-coded program against an Engine and checks every
-// firing against a reference: a plain list of the queued (at, pri, seq)
-// keys, searched linearly for the minimum. Events are numbered by their
-// push order, which is the engine's seq.
+// firing against a reference: a plain list of the queued (at, seq) keys,
+// searched linearly for the minimum. Events are numbered by their push
+// order, which is the engine's seq.
 type orderModel struct {
 	t      *testing.T
 	e      *Engine
@@ -15,11 +15,13 @@ type orderModel struct {
 	seq    uint64
 	fired  int
 	nested bool
+	// clock is the latest time observed on the engine.
+	clock Time
 }
 
 type orderKey struct {
-	at, pri Time
-	seq     uint64
+	at  Time
+	seq uint64
 }
 
 // orderArg is the AtFunc argument: the model and the event's number.
@@ -52,41 +54,31 @@ func (m *orderModel) next() byte {
 	return b
 }
 
-// schedule pushes one event through At, AtFunc or AtFuncPri, chosen by the
-// next byte along with its delay and logical push time.
+// schedule pushes one event through At or AtFunc, chosen by the next
+// byte along with its delay.
 func (m *orderModel) schedule() {
 	b := m.next()
-	now := m.e.Now()
-	at := now + orderDelays[b&7]
-	pri := now
+	at := m.e.Now() + orderDelays[b&7]
 	m.seq++
 	seq := m.seq
-	switch (b >> 3) % 3 {
-	case 0:
+	if b&8 == 0 {
 		m.e.At(at, func() { m.fire(seq) })
-	case 1:
+	} else {
 		m.e.AtFunc(at, fireOrderArg, &orderArg{m, seq})
-	default:
-		// A logical push time up to 3 ns early or 4 ns late; AtFuncPri
-		// clamps a late one to at.
-		pri = now + Time(b>>5) - 3
-		m.e.AtFuncPri(at, pri, fireOrderArg, &orderArg{m, seq})
-		if pri > at {
-			pri = at
-		}
 	}
-	m.queue = append(m.queue, orderKey{at, pri, seq})
+	m.queue = append(m.queue, orderKey{at, seq})
 }
 
 // fire is every event's callback. It checks that the event is the
-// reference's minimum and that Pending excludes it, then pushes 0-3
-// successors, and may call Stop or a nested Step.
+// reference's minimum, that the clock has not gone back and that Pending
+// excludes the event, then pushes 0-3 successors, and may call a nested
+// Step.
 func (m *orderModel) fire(seq uint64) {
 	m.fired++
 	best := 0
 	for i, k := range m.queue {
 		b := m.queue[best]
-		if k.at < b.at || k.at == b.at && (k.pri < b.pri || k.pri == b.pri && k.seq < b.seq) {
+		if k.at < b.at || k.at == b.at && k.seq < b.seq {
 			best = i
 		}
 	}
@@ -96,15 +88,13 @@ func (m *orderModel) fire(seq uint64) {
 	if m.e.Now() != m.queue[best].at {
 		m.t.Fatalf("event %d fired at %d, want %d", seq, m.e.Now(), m.queue[best].at)
 	}
+	m.checkClock("event")
 	m.queue = append(m.queue[:best], m.queue[best+1:]...)
 	m.checkPending("callback entry")
 	b := m.next()
 	for i := 0; i < int(b&3) && m.seq < orderBudget; i++ {
 		m.schedule()
 		m.checkPending("callback push")
-	}
-	if b&0xe0 == 0xe0 {
-		m.e.Stop()
 	}
 	if b&0x1c == 0x1c && !m.nested {
 		m.nested = true
@@ -113,16 +103,25 @@ func (m *orderModel) fire(seq uint64) {
 	}
 }
 
+// checkClock fails if the engine's clock is behind a time it showed
+// before.
+func (m *orderModel) checkClock(where string) {
+	if now := m.e.Now(); now < m.clock {
+		m.t.Fatalf("%s: clock went back from %d to %d", where, m.clock, now)
+	}
+	m.clock = m.e.Now()
+}
+
 func (m *orderModel) checkPending(where string) {
 	if got := m.e.Pending(); got != len(m.queue) {
 		m.t.Fatalf("%s: Pending() = %d, reference holds %d", where, got, len(m.queue))
 	}
 }
 
-// step calls Step and checks it fires exactly when the engine is running
-// and the reference holds an event.
+// step calls Step and checks it fires exactly when the reference holds an
+// event.
 func (m *orderModel) step(where string) {
-	want := !m.e.Stopped() && len(m.queue) > 0
+	want := len(m.queue) > 0
 	before := m.fired
 	got := m.e.Step()
 	if got != want || (m.fired > before) != want {
@@ -131,10 +130,10 @@ func (m *orderModel) step(where string) {
 	m.checkPending(where)
 }
 
-// FuzzEngineOrder checks that the engine fires events in exactly (at, pri,
-// seq) order, whatever mix of At, AtFunc and AtFuncPri calls a program
-// makes from outside and inside callbacks, and across RunUntil, Step, Stop
-// and Resume.
+// FuzzEngineOrder checks that the engine fires events in exactly (at, seq)
+// order, with a clock that never goes back, whatever mix of At and AtFunc
+// calls a program makes from outside and inside callbacks, and across
+// RunUntil and Step.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4})
 	f.Add([]byte{0x18, 0x03, 0x0b, 0x13, 0x1b, 0x23, 0xff, 0x1f, 0x04, 0x05, 0x03})
@@ -142,7 +141,7 @@ func FuzzEngineOrder(f *testing.F) {
 		m := &orderModel{t: t, e: NewEngine(), prog: prog}
 		for m.pc < len(m.prog) {
 			op := m.next()
-			switch op % 6 {
+			switch op % 5 {
 			case 0, 1, 2:
 				if m.seq < orderBudget {
 					m.schedule()
@@ -153,24 +152,18 @@ func FuzzEngineOrder(f *testing.F) {
 				if m.e.Now() < until {
 					t.Fatalf("RunUntil(%d) left the clock at %d", until, m.e.Now())
 				}
-				if !m.e.Stopped() {
-					for _, k := range m.queue {
-						if k.at <= until {
-							t.Fatalf("RunUntil(%d) left event %d at %d queued", until, k.seq, k.at)
-						}
+				for _, k := range m.queue {
+					if k.at <= until {
+						t.Fatalf("RunUntil(%d) left event %d at %d queued", until, k.seq, k.at)
 					}
 				}
 			case 4:
 				m.step("Step")
-			case 5:
-				m.e.Resume()
 			}
+			m.checkClock("top level")
 			m.checkPending("top level")
 		}
-		for len(m.queue) > 0 {
-			m.e.Resume()
-			m.e.Run()
-		}
+		m.e.Run()
 		m.checkPending("drained")
 		if uint64(m.fired) != m.seq || m.e.Fired() != m.seq {
 			t.Fatalf("fired %d (engine %d) of %d scheduled events", m.fired, m.e.Fired(), m.seq)

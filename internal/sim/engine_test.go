@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineOrdersEventsByTime(t *testing.T) {
@@ -96,22 +97,11 @@ func TestEnginePanicsOnNegativeDelay(t *testing.T) {
 	e.After(-1, func() {})
 }
 
-func TestEngineStopResume(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.At(10, func() { fired++; e.Stop() })
-	e.At(20, func() { fired++ })
-	e.Run()
-	if fired != 1 {
-		t.Fatalf("fired = %d after Stop, want 1", fired)
-	}
-	if !e.Stopped() {
-		t.Fatal("engine should report stopped")
-	}
-	e.Resume()
-	e.Run()
-	if fired != 2 {
-		t.Fatalf("fired = %d after Resume, want 2", fired)
+// TestEventSize caps the queue entry at 40 bytes: the heap copies one
+// event per sift level, so every word in it is paid on every push.
+func TestEventSize(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size > 40 {
+		t.Errorf("event is %d bytes, want at most 40", size)
 	}
 }
 

@@ -290,7 +290,7 @@ func (c *coreState) start(job *jobState, th *uthread.Thread, tk *ospaging.Task) 
 			job.readyAt = 0
 		}
 		// The saved access re-issues at once: no compute precedes it.
-		c.flatAccess(job, now, now, true)
+		c.flatAccess(job, now, true)
 		return
 	}
 	c.runStep(job)

@@ -13,7 +13,8 @@ package system
 //
 // Its outputs are bit-identical to the one-event-per-stage chain it was
 // folded from, whose outputs testdata/outputs.txt records (checked by
-// the TestFlatMatchesLegacy tests). Three rules keep them identical:
+// the TestFlatMatchesLegacy tests). Three rules say what folding may
+// change:
 //
 //  1. Private state may move. A core's TLB is touched only by that
 //     core's one running job (shootdowns are priced, never applied), and
@@ -23,15 +24,20 @@ package system
 //     DRAM-cache recency refresh, and the probe itself all stay at their
 //     exact per-stage instants.
 //
-//  2. Elided events must not shift event-queue tie-breaks. The engine
-//     orders (at, pri, push-sequence); pri is the pushing event's time,
-//     so an event pushed early from folded code carries the push time the
-//     per-stage chain gave it, via AtFuncPri. Push *sequence* ties resolve
-//     identically because every surviving event sits at the same
-//     (at, pri) as in the chain and every push happens from an event whose
-//     (at, pri) equals the elided pusher's parent: comparing the ancestor
-//     chains shifted by one generation yields the same order. pri serves
-//     only this; dropping it means re-recording the fixture.
+//  2. Same-instant events fire in push order (the engine orders by time,
+//     then push sequence). The folded step pushes jobChipAccessEvent at
+//     the instant the step starts, earlier than the chain did, so it can
+//     trade places with another core's event at the same instant, mostly
+//     jobStepDoneEvent. This is a measured fact, not a proof. Against the
+//     chain's order, over the fixture's 14 configurations, 0.06-2.0% of
+//     firing positions change; with jobChipAccessEvent left out the two
+//     firing sequences are equal, every instant fires the same multiset
+//     of events, and every output is unchanged. chipAccess can reach
+//     shared state whose order matters: dramcache.Cache.Touch bumps the
+//     cache's recency stamp counter, and a dirty LLC victim goes through
+//     the hierarchy's WritebackSink to the DRAM cache or to flash. The
+//     TestFlatMatchesLegacy tests catch a swap that moves an output only
+//     in the configurations they run.
 //
 //  3. Observation follows logical time. Attribution and spans for
 //     inline-executed stages are gated by measuredAt on the instant the
@@ -65,33 +71,31 @@ func (c *coreState) runStep(job *jobState) {
 	step := job.steps[job.pc]
 	c.s.attr.add(c.s, attrCompute, step.ComputeNs)
 	c.span(job, obs.StageCompute, 0, t0, t0+step.ComputeNs)
-	c.flatAccess(job, t0, t0+step.ComputeNs, false)
+	c.flatAccess(job, t0+step.ComputeNs, false)
 }
 
-// flatAccess performs the step's memory reference. t0 is when the
-// per-stage chain scheduled its access event, t1 when that event fired
-// (the TLB probe instant). resume marks the re-issued access of a thread
-// regaining the core: the chain ran that probe inline at the current
-// instant, so a noDP walk must also start inline.
-func (c *coreState) flatAccess(job *jobState, t0, t1 sim.Time, resume bool) {
+// flatAccess performs the step's memory reference. t1 is when the
+// per-stage chain's access event fired (the TLB probe instant). resume
+// marks the re-issued access of a thread regaining the core: the chain
+// ran that probe inline at the current instant, so a noDP walk must also
+// start inline.
+func (c *coreState) flatAccess(job *jobState, t1 sim.Time, resume bool) {
 	step := job.steps[job.pc]
 	vpn := step.Access.Page()
 	if lat, hit := c.tlb.Lookup(vpn); hit {
 		c.spanAt(t1, job, obs.StageTLB, uint64(vpn), t1, t1+lat)
-		c.s.eng.AtFuncPri(t1+lat, t1, jobChipAccessEvent, job)
+		c.s.eng.AtFunc(t1+lat, jobChipAccessEvent, job)
 		return
 	}
 	if c.s.flatWalkNs > 0 {
 		// Flat-partition walk: a deterministic sum (levels x flat-DRAM
-		// access) folded into straight-line code. The chip probe that
-		// follows carries the priority of the walk's last backend event,
-		// which is what pushed it in the per-stage chain.
+		// access) folded into straight-line code.
 		t2 := t1 + c.s.flatWalkNs
 		c.wkr.NoteWalk(c.s.flatWalkNs)
 		c.s.attrAt(attrWalk, c.s.flatWalkNs, t2)
 		c.spanAt(t2, job, obs.StageTLB, uint64(vpn), t1, t2)
 		c.tlb.Insert(vpn)
-		c.s.eng.AtFuncPri(t2, t2-c.s.cfg.FlatPTAccessNs, jobChipAccessEvent, job)
+		c.s.eng.AtFunc(t2, jobChipAccessEvent, job)
 		return
 	}
 	// noDP: the walk reads page-table pages through the DRAM cache
@@ -101,7 +105,7 @@ func (c *coreState) flatAccess(job *jobState, t0, t1 sim.Time, resume bool) {
 		c.flatWalkStart(job)
 		return
 	}
-	c.s.eng.AtFuncPri(t1, t0, jobWalkEvent, job)
+	c.s.eng.AtFunc(t1, jobWalkEvent, job)
 }
 
 // flatWalkStart begins an event-simulated page-table walk at the current

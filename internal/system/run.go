@@ -125,19 +125,15 @@ func (s *System) freeJob(job *jobState) {
 	s.jobPool = append(s.jobPool, job)
 }
 
-// nextJobSteps generates the next job's trace, writing into buf's backing
-// array when the workload supports in-place generation. Both paths
-// consume the workload RNG identically. Fresh buffers start with room for
-// the longest trace any stock workload emits, so a pooled buffer that
-// first held a short job never regrows when it later draws a long one.
+// nextJobSteps generates the next job's trace into buf's backing array.
+// Fresh buffers start with room for the longest trace any stock workload
+// emits, so a pooled buffer that first held a short job never regrows
+// when it later draws a long one.
 func (s *System) nextJobSteps(buf []workload.Step) []workload.Step {
-	if s.stepReuser != nil {
-		if cap(buf) == 0 {
-			buf = make([]workload.Step, 0, 4*s.cfg.Workload.OpsPerJob+8)
-		}
-		return s.stepReuser.NewJobSteps(buf)
+	if cap(buf) == 0 {
+		buf = make([]workload.Step, 0, 4*s.cfg.Workload.OpsPerJob+8)
 	}
-	return s.wl.NewJob().Steps
+	return s.wl.NewJobSteps(buf)
 }
 
 // snapshot freezes the registry's cumulative counters at measurement

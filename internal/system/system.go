@@ -225,11 +225,8 @@ type System struct {
 	// with the flat DRAM partition; 0 for noDP, where walks go through
 	// the DRAM cache and stay event-simulated.
 	flatWalkNs int64
-	// jobPool recycles retired jobState records and their step slices;
-	// stepReuser is the workload's in-place trace generator, nil when
-	// the workload does not implement workload.StepReuser.
-	jobPool    []*jobState
-	stepReuser workload.StepReuser
+	// jobPool recycles retired jobState records and their step slices.
+	jobPool []*jobState
 	// onJobDone, when set by a driver, fires after each completion
 	// (closed-loop replenishment).
 	onJobDone func(c *coreState)
@@ -348,7 +345,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.Mode != AstriFlashNoDP {
 		s.flatWalkNs = int64(pt.Levels()) * cfg.FlatPTAccessNs
 	}
-	s.stepReuser, _ = wl.(workload.StepReuser)
 	// Retry-ladder and recovery time surfaces as its own attribution
 	// bucket (a sub-slice of flash-wait, zero when faults are off).
 	fl.RetryHook = func(ns int64) { s.attr.add(s, attrFlashRetry, ns) }

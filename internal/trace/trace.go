@@ -49,9 +49,10 @@ func (t *Trace) Job(i int) []Record {
 // Capture runs the workload for jobs requests and records the stream.
 func Capture(w workload.Workload, jobs int) *Trace {
 	t := &Trace{}
+	var steps []workload.Step
 	for j := 0; j < jobs; j++ {
-		job := w.NewJob()
-		for _, s := range job.Steps {
+		steps = w.NewJobSteps(steps)
+		for _, s := range steps {
 			t.Records = append(t.Records, Record{
 				ComputeNs: s.ComputeNs,
 				Addr:      s.Access.Addr,
@@ -206,11 +207,12 @@ func (r *Replayer) Name() string { return "trace-replay" }
 // DatasetPages implements workload.Workload.
 func (r *Replayer) DatasetPages() uint64 { return r.pages }
 
-// NewJob replays the next captured job.
-func (r *Replayer) NewJob() workload.Job {
+// NewJobSteps implements workload.StepReuser: it replays the next
+// captured job into buf.
+func (r *Replayer) NewJobSteps(buf []workload.Step) []workload.Step {
 	recs := r.trace.Job(r.next)
 	r.next = (r.next + 1) % r.trace.Jobs()
-	steps := make([]workload.Step, 0, len(recs))
+	steps := buf[:0]
 	for _, rec := range recs {
 		compute := rec.ComputeNs
 		if compute <= 0 {
@@ -221,5 +223,5 @@ func (r *Replayer) NewJob() workload.Job {
 			Access:    mem.Access{Addr: rec.Addr, Write: rec.Write},
 		})
 	}
-	return workload.Job{Steps: steps}
+	return steps
 }

@@ -257,13 +257,13 @@ func TestReplayerDrivesSystem(t *testing.T) {
 	}
 	// Replayed jobs must match the captured stream, cycling.
 	for i := 0; i < tr.Jobs()*2; i++ {
-		job := rep.NewJob()
+		steps := rep.NewJobSteps(nil)
 		orig := tr.Job(i % tr.Jobs())
-		if len(job.Steps) != len(orig) {
-			t.Fatalf("job %d length %d vs %d", i, len(job.Steps), len(orig))
+		if len(steps) != len(orig) {
+			t.Fatalf("job %d length %d vs %d", i, len(steps), len(orig))
 		}
 		for k := range orig {
-			if job.Steps[k].Access.Addr != orig[k].Addr {
+			if steps[k].Access.Addr != orig[k].Addr {
 				t.Fatalf("job %d step %d addr mismatch", i, k)
 			}
 		}

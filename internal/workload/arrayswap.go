@@ -46,10 +46,8 @@ func (w *ArraySwap) DatasetPages() uint64 { return w.arena.Pages() }
 
 func (w *ArraySwap) addrOf(idx uint64) mem.Addr { return w.base + mem.Addr(idx*8) }
 
-// NewJob produces OpsPerJob swaps: read i, read j, write i, write j.
-func (w *ArraySwap) NewJob() Job { return Job{Steps: w.NewJobSteps(nil)} }
-
-// NewJobSteps implements StepReuser: NewJob's trace, written into buf.
+// NewJobSteps produces OpsPerJob swaps: read i, read j, write i, write j.
+// The trace is written into buf.
 func (w *ArraySwap) NewJobSteps(buf []Step) []Step {
 	w.jobTr.Reset(w.cfg.ComputePerAccessNs, buf)
 	tr := &w.jobTr

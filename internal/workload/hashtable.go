@@ -145,10 +145,8 @@ func (w *HashTableWorkload) DatasetPages() uint64 { return w.arena.Pages() }
 // Table exposes the structure for tests.
 func (w *HashTableWorkload) Table() *HashTable { return w.table }
 
-// NewJob performs OpsPerJob lookups with a WriteFraction update mix.
-func (w *HashTableWorkload) NewJob() Job { return Job{Steps: w.NewJobSteps(nil)} }
-
-// NewJobSteps implements StepReuser: NewJob's trace, written into buf.
+// NewJobSteps performs OpsPerJob lookups with a WriteFraction update mix.
+// The trace is written into buf.
 func (w *HashTableWorkload) NewJobSteps(buf []Step) []Step {
 	w.jobTr.Reset(w.cfg.ComputePerAccessNs, buf)
 	tr := &w.jobTr

@@ -199,10 +199,8 @@ func (w *MasstreeWorkload) DatasetPages() uint64 { return w.arena.Pages() }
 // Trie exposes the structure for tests.
 func (w *MasstreeWorkload) Trie() *Masstree { return w.trie }
 
-// NewJob performs OpsPerJob operations.
-func (w *MasstreeWorkload) NewJob() Job { return Job{Steps: w.NewJobSteps(nil)} }
-
-// NewJobSteps implements StepReuser: NewJob's trace, written into buf.
+// NewJobSteps performs OpsPerJob operations.
+// The trace is written into buf.
 func (w *MasstreeWorkload) NewJobSteps(buf []Step) []Step {
 	w.jobTr.Reset(w.cfg.ComputePerAccessNs, buf)
 	tr := &w.jobTr

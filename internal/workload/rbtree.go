@@ -317,11 +317,9 @@ func (w *RBTWorkload) DatasetPages() uint64 { return w.arena.Pages() }
 // Tree exposes the underlying structure for invariant tests.
 func (w *RBTWorkload) Tree() *RBTree { return w.tree }
 
-// NewJob performs OpsPerJob operations: mostly lookups, WriteFraction
+// NewJobSteps performs OpsPerJob operations: mostly lookups, WriteFraction
 // updates.
-func (w *RBTWorkload) NewJob() Job { return Job{Steps: w.NewJobSteps(nil)} }
-
-// NewJobSteps implements StepReuser: NewJob's trace, written into buf.
+// The trace is written into buf.
 func (w *RBTWorkload) NewJobSteps(buf []Step) []Step {
 	w.jobTr.Reset(w.cfg.ComputePerAccessNs, buf)
 	tr := &w.jobTr

@@ -221,11 +221,9 @@ func (w *SiloWorkload) DatasetPages() uint64 { return w.arena.Pages() }
 // DB exposes the store for tests.
 func (w *SiloWorkload) DB() *SiloDB { return w.db }
 
-// NewJob runs one OCC transaction: OpsPerJob reads with WriteFraction of
+// NewJobSteps runs one OCC transaction: OpsPerJob reads with WriteFraction of
 // them promoted to read-modify-writes, then commit.
-func (w *SiloWorkload) NewJob() Job { return Job{Steps: w.NewJobSteps(nil)} }
-
-// NewJobSteps implements StepReuser: NewJob's trace, written into buf.
+// The trace is written into buf.
 func (w *SiloWorkload) NewJobSteps(buf []Step) []Step {
 	w.jobTr.Reset(w.cfg.ComputePerAccessNs, buf)
 	tr := &w.jobTr

@@ -78,15 +78,14 @@ func (t *TATP) DatasetPages() uint64 { return t.arena.Pages() }
 // Subscribers returns the subscriber count, for tests.
 func (t *TATP) Subscribers() uint64 { return t.subs }
 
-// NewJob runs one TATP transaction drawn from the standard mix:
+// NewJobSteps runs one TATP transaction drawn from the standard mix:
 //
 //	35% GET_SUBSCRIBER_DATA, 35% GET_ACCESS_DATA, 10% GET_NEW_DESTINATION,
 //	14% UPDATE_LOCATION, 2% UPDATE_SUBSCRIBER_DATA, 4% forwarding ops
 //	(modeled as special-facility updates; the real insert/delete pair has
 //	the same access shape).
-func (t *TATP) NewJob() Job { return Job{Steps: t.NewJobSteps(nil)} }
-
-// NewJobSteps implements StepReuser: NewJob's trace, written into buf.
+//
+// The trace is written into buf.
 func (t *TATP) NewJobSteps(buf []Step) []Step {
 	t.jobTr.Reset(t.cfg.ComputePerAccessNs, buf)
 	tr := &t.jobTr

@@ -75,12 +75,10 @@ func (w *TinyKVWorkload) addrOf(i uint64) mem.Addr {
 	return w.base + mem.Addr(i*w.size)
 }
 
-// NewJob performs OpsPerJob object operations with a WriteFraction
+// NewJobSteps performs OpsPerJob object operations with a WriteFraction
 // update mix: a get reads the object's header block; a put reads it and
 // writes it back (read-modify-write, the small-object store pattern).
-func (w *TinyKVWorkload) NewJob() Job { return Job{Steps: w.NewJobSteps(nil)} }
-
-// NewJobSteps implements StepReuser: NewJob's trace, written into buf.
+// The trace is written into buf.
 func (w *TinyKVWorkload) NewJobSteps(buf []Step) []Step {
 	w.jobTr.Reset(w.cfg.ComputePerAccessNs, buf)
 	tr := &w.jobTr

@@ -118,11 +118,9 @@ func (t *TPCC) DatasetPages() uint64 { return t.arena.Pages() }
 // Items returns the item-table cardinality, for tests.
 func (t *TPCC) Items() uint64 { return t.items }
 
-// NewJob runs one transaction: 50% NewOrder, 50% Payment (the paper's
+// NewJobSteps runs one transaction: 50% NewOrder, 50% Payment (the paper's
 // pair; the spec's full mix weights NewOrder+Payment at ~88%).
-func (t *TPCC) NewJob() Job { return Job{Steps: t.NewJobSteps(nil)} }
-
-// NewJobSteps implements StepReuser: NewJob's trace, written into buf.
+// The trace is written into buf.
 func (t *TPCC) NewJobSteps(buf []Step) []Step {
 	// TPC-C rows carry far more computation per access (pricing, tax,
 	// string handling); triple the per-access compute.

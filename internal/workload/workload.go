@@ -21,36 +21,19 @@ type Step struct {
 	Access    mem.Access
 }
 
-// Job is one request: a finite step trace plus bookkeeping.
-type Job struct {
-	Steps []Step
-}
-
-// TotalCompute returns the job's compute-only service time.
-func (j Job) TotalCompute() int64 {
-	var t int64
-	for _, s := range j.Steps {
-		t += s.ComputeNs
-	}
-	return t
-}
-
 // Workload generates jobs against a fixed dataset.
 type Workload interface {
 	// Name returns the workload's short identifier.
 	Name() string
-	// NewJob produces the next request's step trace.
-	NewJob() Job
+	StepReuser
 	// DatasetPages returns the dataset footprint backing flash must hold.
 	DatasetPages() uint64
 }
 
-// StepReuser is an optional Workload extension for hot sweep loops:
-// NewJobSteps writes the next job's trace into buf's backing array
-// (growing it only when a job outsizes every previous one) instead of
-// allocating a fresh slice per job. Implementations must consume exactly
-// the randomness NewJob does, so pooled and unpooled runs are
-// bit-identical.
+// StepReuser generates a workload's jobs: NewJobSteps writes the next
+// request's step trace into buf's backing array (growing it only when a
+// job outsizes every previous one), so a hot loop that passes its last
+// trace back in allocates nothing per job. A nil buf gets a fresh slice.
 type StepReuser interface {
 	NewJobSteps(buf []Step) []Step
 }

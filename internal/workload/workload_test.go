@@ -128,11 +128,13 @@ func TestEveryWorkloadEmitsValidJobs(t *testing.T) {
 				t.Fatal("zero dataset")
 			}
 			for j := 0; j < 50; j++ {
-				job := w.NewJob()
-				if len(job.Steps) == 0 {
+				steps := w.NewJobSteps(nil)
+				if len(steps) == 0 {
 					t.Fatal("empty job")
 				}
-				for _, s := range job.Steps {
+				var compute int64
+				for _, s := range steps {
+					compute += s.ComputeNs
 					if s.ComputeNs <= 0 {
 						t.Fatalf("non-positive compute %d", s.ComputeNs)
 					}
@@ -141,7 +143,7 @@ func TestEveryWorkloadEmitsValidJobs(t *testing.T) {
 							s.Access.Page(), limit)
 					}
 				}
-				if job.TotalCompute() <= 0 {
+				if compute <= 0 {
 					t.Fatal("job has no compute")
 				}
 			}
@@ -161,7 +163,7 @@ func TestWorkloadsAreSkewed(t *testing.T) {
 		counts := map[mem.PageNum]int{}
 		total := 0
 		for j := 0; j < 400; j++ {
-			for _, s := range w.NewJob().Steps {
+			for _, s := range w.NewJobSteps(nil) {
 				counts[s.Access.Page()]++
 				total++
 			}
@@ -201,12 +203,12 @@ func TestJobsAreDeterministicPerSeed(t *testing.T) {
 		a, _ := New(n, smallConfig())
 		b, _ := New(n, smallConfig())
 		for j := 0; j < 10; j++ {
-			ja, jb := a.NewJob(), b.NewJob()
-			if len(ja.Steps) != len(jb.Steps) {
+			ja, jb := a.NewJobSteps(nil), b.NewJobSteps(nil)
+			if len(ja) != len(jb) {
 				t.Fatalf("%s: job %d lengths differ", n, j)
 			}
-			for i := range ja.Steps {
-				if ja.Steps[i] != jb.Steps[i] {
+			for i := range ja {
+				if ja[i] != jb[i] {
 					t.Fatalf("%s: job %d step %d differs", n, j, i)
 				}
 			}
@@ -265,9 +267,11 @@ func TestTPCCIsMostComputeIntensive(t *testing.T) {
 	meanCompute := func(w Workload) float64 {
 		var total, n int64
 		for j := 0; j < 100; j++ {
-			job := w.NewJob()
-			total += job.TotalCompute()
-			n += int64(len(job.Steps))
+			steps := w.NewJobSteps(nil)
+			for _, s := range steps {
+				total += s.ComputeNs
+			}
+			n += int64(len(steps))
 		}
 		return float64(total) / float64(n)
 	}
