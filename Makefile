@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test verify vet race verify-race lint-docs fmt-check fuzz-smoke bench-harness bench bench-engine bench-build figures trace-smoke timeline-smoke overload-smoke economics-smoke
+.PHONY: build test verify vet race verify-race lint-docs fmt-check fuzz-smoke bench-harness bench bench-engine bench-build figures trace-smoke timeline-smoke overload-smoke economics-smoke examples-smoke
 
 build:
 	$(GO) build ./...
@@ -107,3 +107,10 @@ overload-smoke:
 ## amplification; `make figures` runs the full-size grid.
 economics-smoke:
 	$(GO) run ./cmd/astribench -exp economics -cores 4 -dataset 16 -measure 8 | tee economics-report.txt
+
+## Runs every program under examples/ (about 12 s in total on 2 vCPUs);
+## any non-zero exit fails the target. The examples are the runnable
+## consumers of the public API besides the benchmark harness.
+EXAMPLES := $(sort $(dir $(wildcard examples/*/main.go)))
+examples-smoke:
+	@set -e; for d in $(EXAMPLES); do echo "== $$d"; $(GO) run ./$$d; done

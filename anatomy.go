@@ -4,27 +4,18 @@ import (
 	"fmt"
 
 	"astriflash/internal/runner"
+	"astriflash/internal/system"
 )
 
 // BucketShare is one latency-attribution bucket's share of total request
 // time.
-type BucketShare struct {
-	Bucket   string
-	Ns       int64
-	Fraction float64
-}
+type BucketShare = system.Breakdown
 
 // LatencyBreakdown returns where request time went in the machine's last
 // measurement window: compute, on-chip caches, page-table walks,
 // DRAM-cache service, flash waits, scheduling, and OS paging. It is the
 // quantitative form of the paper's Section II-C overhead taxonomy.
-func (m *Machine) LatencyBreakdown() []BucketShare {
-	var out []BucketShare
-	for _, b := range m.sys.LatencyBreakdown() {
-		out = append(out, BucketShare{Bucket: b.Bucket, Ns: b.Ns, Fraction: b.Fraction})
-	}
-	return out
-}
+func (m *Machine) LatencyBreakdown() []BucketShare { return m.sys.LatencyBreakdown() }
 
 // AnatomyRow is one configuration's request-time anatomy.
 type AnatomyRow struct {

@@ -31,56 +31,31 @@ import (
 )
 
 // Mode selects one of the paper's evaluated configurations (Section V-B).
-type Mode int
+// Its String method returns the paper's name for the configuration.
+type Mode = system.Mode
 
 // The evaluated configurations.
 const (
 	// DRAMOnly holds the whole dataset in DRAM: the ideal baseline.
-	DRAMOnly Mode = iota
+	DRAMOnly = system.DRAMOnly
 	// AstriFlash is the full proposal: hardware-managed DRAM cache,
 	// switch-on-miss, priority scheduling with aging.
-	AstriFlash
+	AstriFlash = system.AstriFlash
 	// AstriFlashIdeal is AstriFlash with free thread switches.
-	AstriFlashIdeal
+	AstriFlashIdeal = system.AstriFlashIdeal
 	// AstriFlashNoPS replaces the priority scheduler with FIFO.
-	AstriFlashNoPS
+	AstriFlashNoPS = system.AstriFlashNoPS
 	// AstriFlashNoDP removes DRAM partitioning: page-table walks can hit
 	// flash.
-	AstriFlashNoDP
+	AstriFlashNoDP = system.AstriFlashNoDP
 	// OSSwap is traditional demand paging over the same flash.
-	OSSwap
+	OSSwap = system.OSSwap
 	// FlashSync accesses flash synchronously (FlatFlash-style).
-	FlashSync
+	FlashSync = system.FlashSync
 )
 
 // Modes returns all configurations in presentation order.
-func Modes() []Mode {
-	return []Mode{DRAMOnly, AstriFlash, AstriFlashIdeal, AstriFlashNoPS, AstriFlashNoDP, OSSwap, FlashSync}
-}
-
-// String returns the paper's name for the configuration.
-func (m Mode) String() string { return m.internal().String() }
-
-func (m Mode) internal() system.Mode {
-	switch m {
-	case DRAMOnly:
-		return system.DRAMOnly
-	case AstriFlash:
-		return system.AstriFlash
-	case AstriFlashIdeal:
-		return system.AstriFlashIdeal
-	case AstriFlashNoPS:
-		return system.AstriFlashNoPS
-	case AstriFlashNoDP:
-		return system.AstriFlashNoDP
-	case OSSwap:
-		return system.OSSwap
-	case FlashSync:
-		return system.FlashSync
-	default:
-		panic(fmt.Sprintf("astriflash: unknown mode %d", int(m)))
-	}
-}
+func Modes() []Mode { return system.Modes() }
 
 // Workloads returns the evaluation workload names in the paper's order:
 // arrayswap, rbt, hashtable, tatp, tpcc, silo, masstree.
@@ -206,7 +181,7 @@ func (o Options) build() (system.Config, error) {
 	if o.Workload == "" {
 		return system.Config{}, fmt.Errorf("astriflash: no workload selected")
 	}
-	cfg := system.DefaultConfig(o.Mode.internal(), o.Workload)
+	cfg := system.DefaultConfig(o.Mode, o.Workload)
 	if o.Cores > 0 {
 		cfg.Cores = o.Cores
 	}
@@ -289,130 +264,7 @@ func (o Options) build() (system.Config, error) {
 }
 
 // Metrics summarizes one run's measurement window.
-type Metrics struct {
-	Mode     string
-	Workload string
-
-	// SimulatedNs is the measured window of simulated time.
-	SimulatedNs int64
-	// Jobs is the number of requests completed in the window.
-	Jobs uint64
-	// ThroughputJPS is completed requests per simulated second.
-	ThroughputJPS float64
-
-	// Latency percentiles in nanoseconds. Service covers first-schedule
-	// to completion (includes flash waits, excludes queue time); Response
-	// covers arrival to completion.
-	MeanServiceNs, P50ServiceNs, P99ServiceNs int64
-	P50ResponseNs, P99ResponseNs              int64
-	P50QueueNs, P99QueueNs                    int64
-
-	// DRAMCacheMissRatio is misses over DRAM-cache accesses in the
-	// window.
-	DRAMCacheMissRatio float64
-	// MeanMissIntervalNs is the average per-core spacing between DRAM-
-	// cache misses (the paper's 5-25 us calibration target).
-	MeanMissIntervalNs int64
-
-	FlashReads, FlashWrites uint64
-	GCRuns                  uint64
-	GCBlockedFraction       float64
-	ForcedSyncCount         uint64
-	// P99FlashReadNs is the device-level read tail (queueing + retry
-	// ladder + channel transfer), cumulative over the run.
-	P99FlashReadNs int64
-
-	// Fault-injection observables; all zero when RBER and PEFailProb are 0.
-	FlashRetriedReads   uint64
-	FlashUncorrectables uint64
-	FlashRecovered      uint64
-	FlashRemapMoves     uint64
-	FlashBadBlocks      uint64
-	BCRetries           uint64
-	BCTimeouts          uint64
-	BCFallbacks         uint64
-	WriteAmplification  float64
-
-	// Admission-filter observables; all zero under admit-all.
-	AdmissionBypassed uint64 // fetches diverted to the bypass ring
-	BypassHits        uint64 // accesses served from the bypass ring
-	BypassWritebacks  uint64 // dirty ring evictions written to flash
-	// FlashPrograms is total page programs in the window (host writes +
-	// GC moves + remap copies) — the wear quantity the economics model
-	// prices.
-	FlashPrograms uint64
-
-	// Open-loop admission and deadline observables (RunOverload runs; all
-	// zero for closed-loop and plain Poisson runs).
-	Offered        uint64 // arrivals the source generated in the window
-	Admitted       uint64 // arrivals past the front door
-	AdmissionSheds uint64 // rejected by the admission controller
-	QueueFullDrops uint64 // rejected by the bounded admission queue
-	ExpiredDrops   uint64 // shed at dispatch: deadline passed while queued
-	DeadlineMisses uint64 // served, but past their deadline
-	GoodJobs       uint64 // served within their deadline
-	ExpiredInFlash uint64 // deadline expired during a flash wait
-	// GoodputJPS is within-deadline completions per simulated second
-	// (zero when the run had no deadlines).
-	GoodputJPS float64
-
-	// Counters is the metrics registry's full window view: every
-	// registered counter's delta over the measurement window, keyed by
-	// dotted name (system.*, dramcache.*, flash.*, uthread.coreN.*). The
-	// named fields above are stable views into the same registry.
-	Counters map[string]uint64
-}
-
-func fromResult(r system.Result) Metrics {
-	return Metrics{
-		Mode:               r.Mode,
-		Workload:           r.Workload,
-		SimulatedNs:        r.SimulatedNs,
-		Jobs:               r.Jobs,
-		ThroughputJPS:      r.ThroughputJPS,
-		MeanServiceNs:      r.MeanServiceNs,
-		P50ServiceNs:       r.P50ServiceNs,
-		P99ServiceNs:       r.P99ServiceNs,
-		P50ResponseNs:      r.P50RespNs,
-		P99ResponseNs:      r.P99RespNs,
-		P50QueueNs:         r.P50QueueNs,
-		P99QueueNs:         r.P99QueueNs,
-		DRAMCacheMissRatio: r.DRAMCacheMissRatio,
-		MeanMissIntervalNs: r.MeanMissIntervalNs,
-		FlashReads:         r.FlashReads,
-		FlashWrites:        r.FlashWrites,
-		GCRuns:             r.GCRuns,
-		GCBlockedFraction:  r.GCBlockedFraction,
-		ForcedSyncCount:    r.ForcedSyncCount,
-		P99FlashReadNs:     r.P99FlashReadNs,
-
-		FlashRetriedReads:   r.FlashRetriedReads,
-		FlashUncorrectables: r.FlashUncorrectables,
-		FlashRecovered:      r.FlashRecovered,
-		FlashRemapMoves:     r.FlashRemapMoves,
-		FlashBadBlocks:      r.FlashBadBlocks,
-		BCRetries:           r.BCRetries,
-		BCTimeouts:          r.BCTimeouts,
-		BCFallbacks:         r.BCFallbacks,
-		WriteAmplification:  r.WriteAmplification,
-		AdmissionBypassed:   r.AdmissionBypassed,
-		BypassHits:          r.BypassHits,
-		BypassWritebacks:    r.BypassWritebacks,
-		FlashPrograms:       r.FlashPrograms,
-
-		Offered:        r.Offered,
-		Admitted:       r.Admitted,
-		AdmissionSheds: r.AdmissionSheds,
-		QueueFullDrops: r.QueueFullDrops,
-		ExpiredDrops:   r.ExpiredDrops,
-		DeadlineMisses: r.DeadlineMisses,
-		GoodJobs:       r.GoodJobs,
-		ExpiredInFlash: r.ExpiredInFlash,
-		GoodputJPS:     r.GoodputJPS,
-
-		Counters: r.Counters,
-	}
-}
+type Metrics = system.Result
 
 // simRuns counts completed simulation points process-wide (each Machine
 // run is one point). cmd/astribench reports it as points/sec so sweep

@@ -57,6 +57,9 @@ func TestRunRejectsBadOptions(t *testing.T) {
 	if _, err := Run(o); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
+	if _, err := NewMachine(DefaultOptions(Mode(99), "tatp")); err == nil {
+		t.Fatal("unknown mode accepted")
+	}
 }
 
 // TestRunOverloadRejectsDropExpiredWithoutDeadline: a CLI-reachable

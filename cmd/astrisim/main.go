@@ -30,16 +30,6 @@ import (
 	"astriflash/internal/stats"
 )
 
-var modeNames = map[string]astriflash.Mode{
-	"dram-only":        astriflash.DRAMOnly,
-	"astriflash":       astriflash.AstriFlash,
-	"astriflash-ideal": astriflash.AstriFlashIdeal,
-	"astriflash-nops":  astriflash.AstriFlashNoPS,
-	"astriflash-nodp":  astriflash.AstriFlashNoDP,
-	"os-swap":          astriflash.OSSwap,
-	"flash-sync":       astriflash.FlashSync,
-}
-
 func main() {
 	var (
 		modeFlag  = flag.String("mode", "astriflash", "system configuration")
@@ -103,13 +93,9 @@ func main() {
 	}
 	sampling := *tlOut != "" || len(slos) > 0
 
-	mode, ok := modeNames[strings.ToLower(*modeFlag)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown mode %q; one of:", *modeFlag)
-		for name := range modeNames {
-			fmt.Fprintf(os.Stderr, " %s", name)
-		}
-		fmt.Fprintln(os.Stderr)
+	mode, err := parseMode(*modeFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -257,6 +243,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "astrisim: SLO verdict FAIL (-slo-strict)")
 		os.Exit(1)
 	}
+}
+
+// parseMode resolves a -mode name: the paper's configuration name in any
+// case (dram-only, astriflash, ..., flash-sync).
+func parseMode(name string) (astriflash.Mode, error) {
+	var names []string
+	for _, m := range astriflash.Modes() {
+		if strings.EqualFold(name, m.String()) {
+			return m, nil
+		}
+		names = append(names, strings.ToLower(m.String()))
+	}
+	return 0, fmt.Errorf("unknown mode %q; one of: %s", name, strings.Join(names, " "))
 }
 
 // printRegistry renders the full registry view: counter deltas over the

@@ -84,9 +84,7 @@ func fixtureEntry(t *testing.T, fc fixtureCase) string {
 	}
 	spans := tr.Spans()
 	obs.SortSpans(spans)
-	// plain drops Result's String method so %+v prints every field.
-	type plain Result
-	return fmt.Sprintf("case %s\nresult %+v\nspans %d fnv1a %016x\n", fc.name(), plain(r), len(spans), spanHash(spans))
+	return fmt.Sprintf("case %s\nresult %+v\nspans %d fnv1a %016x\n", fc.name(), r, len(spans), spanHash(spans))
 }
 
 // spanHash is FNV-1a 64 over every field of every span, hashed in place

@@ -1,7 +1,6 @@
 package system
 
 import (
-	"fmt"
 	"math"
 
 	"astriflash/internal/loadgen"
@@ -10,39 +9,46 @@ import (
 	"astriflash/internal/workload"
 )
 
-// Result summarizes one run's measurement window.
+// Result summarizes one run's measurement window. The root package
+// re-exports it as astriflash.Metrics.
+//
+// Result must not have a String method: the output fixture and the
+// benchmark digest print it with %+v, which would then print only the
+// method's summary instead of every field.
 type Result struct {
 	Mode     string
 	Workload string
 
+	// SimulatedNs is the measured window of simulated time.
 	SimulatedNs int64
-	Jobs        uint64
-	// ThroughputJPS is completed jobs per second of simulated time.
+	// Jobs is the number of requests completed in the window.
+	Jobs uint64
+	// ThroughputJPS is completed requests per simulated second.
 	ThroughputJPS float64
 
-	MeanServiceNs int64
-	P50ServiceNs  int64
-	P99ServiceNs  int64
-	P50RespNs     int64
-	P99RespNs     int64
-	P50QueueNs    int64
-	P99QueueNs    int64
+	// Latency percentiles in nanoseconds. Service covers first-schedule
+	// to completion (includes flash waits, excludes queue time); Response
+	// covers arrival to completion.
+	MeanServiceNs, P50ServiceNs, P99ServiceNs int64
+	P50ResponseNs, P99ResponseNs              int64
+	P50QueueNs, P99QueueNs                    int64
 
+	// DRAMCacheMissRatio is misses over DRAM-cache accesses in the
+	// window.
 	DRAMCacheMissRatio float64
-	MissIntervalP50Ns  int64
 	// MeanMissIntervalNs is the average per-core spacing between DRAM-
-	// cache misses — the paper's "miss every 5-25 us" calibration target.
+	// cache misses (the paper's 5-25 us calibration target).
 	MeanMissIntervalNs int64
-	FlashReads         uint64
-	FlashWrites        uint64
-	GCRuns             uint64
-	GCBlockedFraction  float64
-	ForcedSyncCount    uint64
-	// P99FlashReadNs is the device-level read-latency tail (queueing +
-	// retry ladder + transfer), cumulative over the whole run.
+
+	FlashReads, FlashWrites uint64
+	GCRuns                  uint64
+	GCBlockedFraction       float64
+	ForcedSyncCount         uint64
+	// P99FlashReadNs is the device-level read tail (queueing + retry
+	// ladder + channel transfer), cumulative over the run.
 	P99FlashReadNs int64
 
-	// Fault-injection observables (all zero on fault-free runs).
+	// Fault-injection observables; all zero when RBER and PEFailProb are 0.
 	FlashRetriedReads   uint64 // reads that needed >=1 read-retry step
 	FlashUncorrectables uint64 // reads that defeated the whole ladder
 	FlashRecovered      uint64 // reads served from the FTL's recovered copy
@@ -53,17 +59,18 @@ type Result struct {
 	BCFallbacks         uint64 // exhausted-retry recovered-copy completions
 	WriteAmplification  float64
 
-	// Admission-filter observables (all zero under admit-all).
-	AdmissionBypassed uint64 // fetches the policy diverted to the bypass ring
+	// Admission-filter observables; all zero under admit-all.
+	AdmissionBypassed uint64 // fetches diverted to the bypass ring
 	BypassHits        uint64 // accesses served from the bypass ring
 	BypassWritebacks  uint64 // dirty ring evictions written to flash
-	// FlashPrograms is total page programs (host writes + GC moves +
-	// remap copies) in the window — the wear quantity the economics
-	// model prices.
+	// FlashPrograms is total page programs in the window (host writes +
+	// GC moves + remap copies) — the wear quantity the economics model
+	// prices.
 	FlashPrograms uint64
 
-	// Open-loop admission and deadline observables (RunSource runs; all
-	// zero for closed-loop and unlimited open-loop runs).
+	// Open-loop admission and deadline observables (RunSource runs, the
+	// root package's RunOverload; all zero for closed-loop and plain
+	// Poisson runs).
 	Offered        uint64 // arrivals the source generated in the window
 	Admitted       uint64 // arrivals past the front door
 	AdmissionSheds uint64 // rejected by the admission controller
@@ -72,21 +79,15 @@ type Result struct {
 	DeadlineMisses uint64 // served, but past their deadline
 	GoodJobs       uint64 // served within their deadline
 	ExpiredInFlash uint64 // deadline expired during a flash wait
-	// GoodputJPS is within-deadline completions per second of simulated
-	// time (zero when the run had no deadlines).
+	// GoodputJPS is within-deadline completions per simulated second
+	// (zero when the run had no deadlines).
 	GoodputJPS float64
 
-	// Counters is the full registry view of the measurement window: every
-	// registered counter's delta over the window, keyed by dotted name
-	// (system.*, dramcache.*, flash.*, uthread.coreN.*). The named fields
-	// above are views into the same registry, kept for stable access.
+	// Counters is the metrics registry's full window view: every
+	// registered counter's delta over the measurement window, keyed by
+	// dotted name (system.*, dramcache.*, flash.*, uthread.coreN.*). The
+	// named fields above are stable views into the same registry.
 	Counters map[string]uint64
-}
-
-func (r Result) String() string {
-	return fmt.Sprintf("%s/%s: %.0f jobs/s, p99 resp %d us, p99 svc %d us, miss %.2f%%",
-		r.Mode, r.Workload, r.ThroughputJPS,
-		r.P99RespNs/1000, r.P99ServiceNs/1000, r.DRAMCacheMissRatio*100)
 }
 
 // spawnJob materializes a fresh workload request for core c at time now,
@@ -166,12 +167,11 @@ func (s *System) collect(windowNs int64, snap map[string]uint64) Result {
 		MeanServiceNs:      int64(rec.Service.Mean()),
 		P50ServiceNs:       rec.Service.Percentile(50),
 		P99ServiceNs:       rec.Service.Percentile(99),
-		P50RespNs:          rec.Response.Percentile(50),
-		P99RespNs:          rec.Response.Percentile(99),
+		P50ResponseNs:      rec.Response.Percentile(50),
+		P99ResponseNs:      rec.Response.Percentile(99),
 		P50QueueNs:         rec.Queueing.Percentile(50),
 		P99QueueNs:         rec.Queueing.Percentile(99),
 		DRAMCacheMissRatio: missRatio,
-		MissIntervalP50Ns:  s.MissInterval.Percentile(50),
 		MeanMissIntervalNs: meanIval,
 		FlashReads:         d["flash.reads"],
 		FlashWrites:        d["flash.writes"],

@@ -8,6 +8,7 @@ package system
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"astriflash/internal/cachehier"
@@ -172,6 +173,9 @@ func scaledHierConfig() cachehier.HierConfig {
 
 // Validate rejects inconsistent configurations.
 func (c Config) Validate() error {
+	if !slices.Contains(Modes(), c.Mode) {
+		return fmt.Errorf("system: unknown mode %d", int(c.Mode))
+	}
 	if c.Cores < 1 {
 		return fmt.Errorf("system: need at least one core")
 	}

@@ -38,6 +38,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(testConfig(DRAMOnly, "unknown-workload")); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
+	// A mode outside Modes() would build a machine whose run dereferences
+	// components no mode set up.
+	if _, err := New(testConfig(Mode(99), "tatp")); err == nil {
+		t.Fatal("unknown mode accepted")
+	}
 	// Negative latencies pass construction only to panic mid-run (an
 	// event scheduled in the past, a negative delay): New must refuse them.
 	for name, mutate := range map[string]func(*Config){
@@ -162,10 +167,10 @@ func TestOpenLoopRecordsLatencies(t *testing.T) {
 	if res.Jobs == 0 {
 		t.Fatal("no jobs completed in open loop")
 	}
-	if res.P99RespNs < res.P50RespNs {
+	if res.P99ResponseNs < res.P50ResponseNs {
 		t.Fatal("p99 below p50")
 	}
-	if res.P99RespNs <= 0 {
+	if res.P99ResponseNs <= 0 {
 		t.Fatal("no response latency recorded")
 	}
 }
@@ -176,7 +181,7 @@ func TestOpenLoopLatencyGrowsWithLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.RunOpenLoop(gap, 3_000_000, 10_000_000).P99RespNs
+		return s.RunOpenLoop(gap, 3_000_000, 10_000_000).P99ResponseNs
 	}
 	light := run(50_000)
 	heavy := run(1_400) // ~90% of the 4-core machine's capacity
@@ -225,13 +230,6 @@ func TestForwardProgressGuarantee(t *testing.T) {
 	}
 	if res.ForcedSyncCount == 0 {
 		t.Fatal("expected forced synchronous completions under pending pressure")
-	}
-}
-
-func TestResultString(t *testing.T) {
-	res := runClosed(t, FlashSync, "arrayswap")
-	if res.String() == "" {
-		t.Fatal("result did not render")
 	}
 }
 

@@ -11,8 +11,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
-
-	"astriflash/internal/system"
 )
 
 // RunProfile describes how fast one simulation run executed on the host.
@@ -60,7 +58,7 @@ var (
 // profiled runs one driver call with self-profiling: wall time, fired
 // events, simulated time covered, and in-run heap allocations are recorded
 // on the machine; wall time and events are added to the process aggregates.
-func (m *Machine) profiled(run func() system.Result) Metrics {
+func (m *Machine) profiled(run func() Metrics) Metrics {
 	fired0 := m.sys.Engine().Fired()
 	sim0 := int64(m.sys.Engine().Now())
 	var ms0 runtime.MemStats
@@ -82,7 +80,7 @@ func (m *Machine) profiled(run func() system.Result) Metrics {
 	simWallNs.Add(wall)
 	simEvents.Add(ev)
 	simRuns.Add(1)
-	return fromResult(res)
+	return res
 }
 
 // LastRunProfile returns the self-profile of the machine's most recent run
