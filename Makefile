@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test verify vet race verify-race lint-docs fmt-check fuzz-smoke bench-harness bench bench-engine bench-build figures trace-smoke timeline-smoke overload-smoke economics-smoke examples-smoke
+.PHONY: build test verify vet race verify-race lint-docs fmt-check fuzz-smoke bench-harness bench bench-engine bench-build figures trace-smoke timeline-smoke overload-smoke economics-smoke examples-smoke loc
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,12 @@ verify-race: vet race
 ## Documentation lint: every package must carry a package doc comment.
 lint-docs:
 	$(GO) run ./tools/lintdocs
+
+## Code size: non-test Go lines outside benchmark/ (and outside dot
+## directories such as build caches), the figure the simplification work
+## is measured by.
+loc:
+	@echo "non-test Go lines outside benchmark/: $$(find . \( -path ./benchmark -o -name '.?*' \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
 
 ## Formatting gate: fails listing every file gofmt would rewrite.
 fmt-check:

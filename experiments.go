@@ -8,6 +8,7 @@ import (
 
 	"astriflash/internal/runner"
 	"astriflash/internal/stats"
+	"astriflash/internal/system"
 )
 
 // ExpConfig sizes the reproduction experiments. The defaults run each
@@ -69,14 +70,6 @@ func (e ExpConfig) optionsAt(idx int, mode Mode, wl string) Options {
 
 // workers resolves the sweep's worker-pool size.
 func (e ExpConfig) workers() int { return runner.Workers(e.Workers) }
-
-func (e ExpConfig) run(mode Mode, wl string) (Metrics, error) {
-	m, err := NewMachine(e.options(mode, wl))
-	if err != nil {
-		return Metrics{}, err
-	}
-	return m.RunSaturated(e.Inflight, e.WarmupNs, e.MeasureNs), nil
-}
 
 // runPoint runs sweep point idx saturated with the derived seed.
 func (e ExpConfig) runPoint(idx int, mode Mode, wl string) (Metrics, error) {
@@ -424,7 +417,7 @@ func RenderTable1(cfg ExpConfig) string {
 	t.AddRow("pending queue", fmt.Sprintf("%d threads/core", sysCfg.Sched.PendingLimit))
 	t.AddRow("OS page fault", fmt.Sprintf("%d us entry + %d us context switch", sysCfg.OSCosts.PageFaultEntry/1000, sysCfg.OSCosts.ContextSwitch/1000))
 	t.AddRow("TLB shootdown", fmt.Sprintf("%d us at %d cores", sysCfg.Shootdown.Latency(sysCfg.Cores)/1000, sysCfg.Cores))
-	t.AddRow("ROB / SB", fmt.Sprintf("%d / %d entries", sysCfg.CPU.ROBEntries, sysCfg.CPU.SBEntries))
+	t.AddRow("ROB / SB", fmt.Sprintf("%d / %d entries", system.ROBEntries, system.SBEntries))
 	b.WriteString("Table I: system parameters\n")
 	b.WriteString(t.String())
 	return b.String()

@@ -58,12 +58,6 @@ type AdmissionConfig struct {
 	BypassPages int
 }
 
-// AdmissionPolicies lists the selectable policy names in presentation
-// order.
-func AdmissionPolicies() []string {
-	return []string{"admit-all", "write-threshold", "hit-economics"}
-}
-
 // NewAdmissionPolicy builds the configured policy; admit-all (and the
 // empty string) return nil, which the cache treats as no filtering at
 // all. Unknown names are an error.
@@ -150,9 +144,6 @@ func (rp *regionPolicy) region(p mem.PageNum) uint64 { return uint64(p) >> rp.sh
 
 // Name implements AdmissionPolicy.
 func (rp *regionPolicy) Name() string { return rp.name }
-
-// Bar exposes the current admission bar, for tests and diagnostics.
-func (rp *regionPolicy) Bar() int { return rp.bar }
 
 // Admit implements AdmissionPolicy: the fetched page's region must have
 // proven at least bar accesses in the current window.

@@ -247,9 +247,6 @@ func (c *Cache) set(i int) []line {
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.nsets }
 
-// CapacityPages returns the configured capacity.
-func (c *Cache) CapacityPages() uint64 { return c.cfg.Pages }
-
 // MSRTable exposes the miss status row for inspection.
 func (c *Cache) MSRTable() *MSR { return c.msr }
 
@@ -396,9 +393,6 @@ func (c *Cache) Unpin(p mem.PageNum) {
 	}
 	c.pinned[p]--
 }
-
-// Pinned returns the number of distinct pinned pages.
-func (c *Cache) Pinned() int { return len(c.pinned) }
 
 // Touch refreshes page p's recency without timing: the system layer
 // calls it on on-chip hits so the replacement policy sees real reuse.

@@ -46,9 +46,6 @@ func (a *Arena) Used() uint64 { return uint64(a.next - a.base) }
 // Size returns the arena's total capacity in bytes.
 func (a *Arena) Size() uint64 { return uint64(a.end - a.base) }
 
-// Base returns the arena's starting address.
-func (a *Arena) Base() Addr { return a.base }
-
 // Pages returns the number of pages the arena spans (its full reserved
 // range, which is the dataset footprint the DRAM cache must back).
 func (a *Arena) Pages() uint64 { return PagesForBytes(a.Size()) }

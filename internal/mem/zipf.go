@@ -147,9 +147,6 @@ func gcd(a, b uint64) uint64 {
 // N returns the domain size.
 func (z *Zipf) N() uint64 { return z.n }
 
-// Theta returns the skew parameter.
-func (z *Zipf) Theta() float64 { return z.theta }
-
 // HotSetFraction estimates the fraction of accesses that fall within the
 // hottest frac*N items, by the ratio of generalized harmonic numbers.
 // It quantifies how much of the request stream a DRAM cache of the given

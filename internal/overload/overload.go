@@ -234,9 +234,3 @@ func (c *CoDel) Admit(now sim.Time, st QueueState) bool {
 	c.Sheds.Inc()
 	return false
 }
-
-// LastDelayNs returns the most recent sojourn observation (telemetry).
-func (c *CoDel) LastDelayNs() int64 { return c.lastDelay }
-
-// Shedding reports whether an episode is active (telemetry).
-func (c *CoDel) Shedding() bool { return c.shedding }

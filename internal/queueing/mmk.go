@@ -71,16 +71,6 @@ func (q MMK) ErlangC() (float64, error) {
 	return c, nil
 }
 
-// WaitCCDF returns P(Wq > t): the probability the queueing delay exceeds t.
-func (q MMK) WaitCCDF(t float64) (float64, error) {
-	c, err := q.ErlangC()
-	if err != nil {
-		return 0, err
-	}
-	theta := float64(q.K)*q.Mu - q.Lambda
-	return c * math.Exp(-theta*t), nil
-}
-
 // ResponseCCDF returns P(R > t) where R = Wq + S, S ~ Exp(Mu),
 // using the closed-form convolution of the M/M/k waiting time with an
 // exponential service time.

@@ -74,7 +74,9 @@ type coreState struct {
 	id   int
 	hier *cachehier.Hierarchy
 	tlb  *tlbvm.TLB
-	wkr  *tlbvm.Walker
+	// wkr walks page tables through the DRAM cache (noDP only); nil
+	// elsewhere, where a walk costs a fixed flatWalkNs.
+	wkr *tlbvm.Walker
 
 	sched *uthread.Scheduler   // user-thread modes
 	runq  *ospaging.RunQueue   // OS-Swap
@@ -140,7 +142,7 @@ func (s *System) newCore(id int) *coreState {
 		s:    s,
 		id:   id,
 		hier: cachehier.NewHierarchy(s.cfg.Hier),
-		tlb:  tlbvm.NewTLB(s.cfg.TLB),
+		tlb:  tlbvm.NewTLB(tlbvm.TLBConfig{Sets: 64, Ways: 4, HitLatency: 1}),
 	}
 	c.hier.WritebackSink = func(block uint64) {
 		page := mem.PageOf(mem.Addr(block * mem.BlockSize))
@@ -149,13 +151,9 @@ func (s *System) newCore(id int) *coreState {
 			s.eng.AtFunc(s.flash.WritePage(page), flash.NopDone, nil)
 		}
 	}
-	var backend tlbvm.PTBackend
 	if s.cfg.Mode == AstriFlashNoDP {
-		backend = &dcBackend{eng: s.eng, dc: s.dc}
-	} else {
-		backend = &tlbvm.FlatBackend{Eng: s.eng, Latency: s.cfg.FlatPTAccessNs}
+		c.wkr = tlbvm.NewWalker(s.pt, &dcBackend{eng: s.eng, dc: s.dc})
 	}
-	c.wkr = tlbvm.NewWalker(s.pt, backend)
 
 	if s.cfg.Mode.usesUserThreads() {
 		schedCfg := s.cfg.Sched

@@ -87,12 +87,11 @@ func (c *coreState) flatAccess(job *jobState, t1 sim.Time, resume bool) {
 		c.s.eng.AtFunc(t1+lat, jobChipAccessEvent, job)
 		return
 	}
-	if c.s.flatWalkNs > 0 {
+	if c.wkr == nil {
 		// Flat-partition walk: a deterministic sum (levels x flat-DRAM
 		// access) folded into straight-line code.
-		t2 := t1 + c.s.flatWalkNs
-		c.wkr.NoteWalk(c.s.flatWalkNs)
-		c.s.attrAt(attrWalk, c.s.flatWalkNs, t2)
+		t2 := t1 + flatWalkNs
+		c.s.attrAt(attrWalk, flatWalkNs, t2)
 		c.spanAt(t2, job, obs.StageTLB, uint64(vpn), t1, t2)
 		c.tlb.Insert(vpn)
 		c.s.eng.AtFunc(t2, jobChipAccessEvent, job)

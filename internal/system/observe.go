@@ -128,9 +128,7 @@ func (c *coreState) span(job *jobState, st obs.Stage, page uint64, start, end si
 // missCost is the descheduling price of one miss: ROB flush plus the
 // user-level thread switch (Section IV-C2).
 func (c *coreState) missCost() int64 {
-	return c.s.cfg.CPU.FlushBase +
-		int64(c.s.cfg.CPU.ROBEntries/2)*c.s.cfg.CPU.FlushPerEntry +
-		c.sched.Config().SwitchCost
+	return flushBaseNs + ROBEntries/2*flushPerEntryNs + c.sched.Config().SwitchCost
 }
 
 // emitMissTail reconstructs, at resume time, the spans between a

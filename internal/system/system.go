@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"astriflash/internal/cachehier"
-	"astriflash/internal/cpu"
 	"astriflash/internal/dram"
 	"astriflash/internal/dramcache"
 	"astriflash/internal/flash"
@@ -92,9 +91,7 @@ type Config struct {
 	// DRAMCacheFraction is the DRAM-to-dataset capacity ratio (paper: 3%).
 	DRAMCacheFraction float64
 
-	DRAMTiming   dram.Timing
-	DRAMGeometry dram.Geometry
-	Flash        flash.Config
+	Flash flash.Config
 	// FlashFixed suppresses the automatic scaling of flash channels with
 	// core count; set when the caller chose the device geometry.
 	FlashFixed bool
@@ -104,11 +101,9 @@ type Config struct {
 	// CacheReplacement selects the DRAM-cache victim policy.
 	CacheReplacement dramcache.Replacement
 	Hier             cachehier.HierConfig
-	TLB              tlbvm.TLBConfig
 	Sched            uthread.Config
 	OSCosts          ospaging.Costs
 	Shootdown        tlbvm.ShootdownModel
-	CPU              cpu.Config
 
 	// FlashReadTimeoutNs arms the backside controller's per-read watchdog
 	// (0 disables it); FlashReadRetries bounds BC re-issues after a timeout
@@ -124,16 +119,28 @@ type Config struct {
 	// single run exceeds this much wall-clock time. 0 means no deadline.
 	RunDeadline time.Duration
 
-	// FlatPTAccessNs prices one page-table level in the flat DRAM
-	// partition (all modes except noDP).
-	FlatPTAccessNs int64
-	// PTFanoutLog is log2 of page-table node fanout. 9 is the real
-	// 512-ary layout; scaled datasets use 4 so the table's working set
-	// scales with the dataset (see tlbvm.NewPageTableFanout).
-	PTFanoutLog uint
-
 	Seed uint64
 }
+
+// Parameters of the simulated machine that no configuration varies.
+const (
+	// ROBEntries and SBEntries size the reorder and store buffers of the
+	// paper's Cortex-A76-class core (Section IV-C4).
+	ROBEntries = 128
+	SBEntries  = 32
+	// flushBaseNs and flushPerEntryNs price the pipeline flush of a miss
+	// signal: redirecting to the handler wastes the in-flight window,
+	// half the ROB on average (missCost).
+	flushBaseNs     = 20
+	flushPerEntryNs = 1
+	// flatWalkNs is a page-table walk in the flat DRAM partition (every
+	// mode but noDP): one 60 ns flat-DRAM access per radix level.
+	flatWalkNs = tlbvm.PTLevels * 60
+	// ptFanoutLog is log2 of page-table node fanout: 4, not the real
+	// 512-ary 9, so the table's working set scales with the dataset
+	// (see tlbvm.NewPageTableFanout).
+	ptFanoutLog = 4
+)
 
 // DefaultConfig returns the Table I system scaled for simulation: 16
 // cores, 3% DRAM cache, with the workload's scaled dataset standing in
@@ -145,17 +152,11 @@ func DefaultConfig(mode Mode, workloadName string) Config {
 		WorkloadName:      workloadName,
 		Workload:          workload.DefaultConfig(),
 		DRAMCacheFraction: 0.03,
-		DRAMTiming:        dram.DefaultTiming(),
-		DRAMGeometry:      dram.DefaultGeometry(),
 		Flash:             flash.DefaultConfig(), // channels rescaled in New
 		Hier:              scaledHierConfig(),
-		TLB:               tlbvm.TLBConfig{Sets: 64, Ways: 4, HitLatency: 1},
 		Sched:             uthread.DefaultConfig(),
 		OSCosts:           ospaging.DefaultCosts(),
 		Shootdown:         tlbvm.DefaultShootdownModel(),
-		CPU:               cpu.DefaultConfig(),
-		FlatPTAccessNs:    60,
-		PTFanoutLog:       4,
 		Seed:              0xa57f,
 	}
 }
@@ -181,13 +182,6 @@ func (c Config) Validate() error {
 	}
 	if c.DRAMCacheFraction <= 0 || c.DRAMCacheFraction > 1 {
 		return fmt.Errorf("system: DRAM cache fraction %v out of (0,1]", c.DRAMCacheFraction)
-	}
-	if c.FlatPTAccessNs < 0 {
-		return fmt.Errorf("system: negative flat page-table access latency %d ns", c.FlatPTAccessNs)
-	}
-	if c.CPU.FlushBase < 0 || c.CPU.FlushPerEntry < 0 || c.CPU.ROBEntries < 0 {
-		return fmt.Errorf("system: negative pipeline-flush parameter (FlushBase %d, FlushPerEntry %d, ROBEntries %d)",
-			c.CPU.FlushBase, c.CPU.FlushPerEntry, c.CPU.ROBEntries)
 	}
 	if _, err := dramcache.NewAdmissionPolicy(c.Admission); err != nil {
 		return err
@@ -225,10 +219,6 @@ type System struct {
 	// of the clock-driven measuring flag (measuredAt in observe.go). Set
 	// by the drivers before any event runs.
 	mStart, mEnd sim.Time
-	// flatWalkNs is the deterministic page-table walk latency for modes
-	// with the flat DRAM partition; 0 for noDP, where walks go through
-	// the DRAM cache and stay event-simulated.
-	flatWalkNs int64
 	// jobPool recycles retired jobState records and their step slices.
 	jobPool []*jobState
 	// onJobDone, when set by a driver, fires after each completion
@@ -287,7 +277,7 @@ func New(cfg Config) (*System, error) {
 		}
 	}
 	eng := sim.NewEngine()
-	dev := dram.NewDevice(cfg.DRAMTiming, cfg.DRAMGeometry)
+	dev := dram.NewDevice(dram.DefaultTiming(), dram.DefaultGeometry())
 	// Provision flash bandwidth with the core count, as the paper does
 	// (Section II-A: 60 GB/s for 64 cores via multiple SSDs). Four
 	// planes per core keeps read utilization below ~30% at the 5-25 us
@@ -303,11 +293,7 @@ func New(cfg Config) (*System, error) {
 	// decided before the device is built: the flash address space no
 	// longer wraps, so a too-small geometry is grown (keeping the chosen
 	// channel/plane parallelism) instead of silently aliasing LPNs.
-	ptFan := cfg.PTFanoutLog
-	if ptFan == 0 {
-		ptFan = 9
-	}
-	pt := tlbvm.NewPageTableFanout(datasetPages, mem.PageNum(datasetPages), ptFan)
+	pt := tlbvm.NewPageTableFanout(datasetPages, mem.PageNum(datasetPages), ptFanoutLog)
 	for cfg.Flash.BlocksPerPlane > 0 &&
 		cfg.Flash.LogicalPages() < datasetPages+pt.TotalPages() {
 		cfg.Flash.BlocksPerPlane *= 2
@@ -346,9 +332,6 @@ func New(cfg Config) (*System, error) {
 		MissInterval: stats.NewHistogram(),
 	}
 	s.pt = pt
-	if cfg.Mode != AstriFlashNoDP {
-		s.flatWalkNs = int64(pt.Levels()) * cfg.FlatPTAccessNs
-	}
 	// Retry-ladder and recovery time surfaces as its own attribution
 	// bucket (a sub-slice of flash-wait, zero when faults are off).
 	fl.RetryHook = func(ns int64) { s.attr.add(s, attrFlashRetry, ns) }

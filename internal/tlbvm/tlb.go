@@ -1,8 +1,8 @@
 // Package tlbvm models the address-translation machinery the paper's
-// Section IV-A depends on: per-core TLBs, a radix page-table walker whose
-// table pages either live in a flat DRAM partition (AstriFlash's default,
-// Knights-Landing-style hybrid DRAM) or behind the DRAM cache where cold
-// walks can reach flash (the AstriFlash-noDP configuration), and the
+// Section IV-A depends on: per-core TLBs, radix page tables, a serialized
+// walker for table pages behind the DRAM cache, where cold walks can
+// reach flash (the AstriFlash-noDP configuration; in AstriFlash's default
+// flat DRAM partition a walk is PTLevels fixed-latency reads), and the
 // broadcast TLB-shootdown cost model that makes OS-Swap scale poorly.
 package tlbvm
 
@@ -64,12 +64,15 @@ func (t *TLB) Flush() { t.cache.InvalidateAll() }
 // Resident returns the number of cached translations.
 func (t *TLB) Resident() int { return t.cache.Resident() }
 
+// PTLevels is the depth of every page table: four radix levels, as in
+// x86-64 and ARM granule layouts.
+const PTLevels = 4
+
 // PageTable is a radix page table over the workload's virtual page range.
 // It exists to give walks realistic page-level locality: translations for
 // neighboring VPNs share table pages, so hot regions keep their table
 // pages hot.
 type PageTable struct {
-	levels    int
 	fanoutLog uint // log2 entries per table page (512 => 9)
 	regionOf  []mem.PageNum
 	pages     []uint64 // table pages per level
@@ -92,10 +95,10 @@ func NewPageTableFanout(vpns uint64, tableBase mem.PageNum, fanoutLog uint) *Pag
 	if fanoutLog < 1 || fanoutLog > 9 {
 		panic(fmt.Sprintf("tlbvm: fanout log %d out of [1,9]", fanoutLog))
 	}
-	pt := &PageTable{levels: 4, fanoutLog: fanoutLog}
+	pt := &PageTable{fanoutLog: fanoutLog}
 	base := tableBase
 	// Level 0 is the leaf level: one entry per VPN.
-	for l := 0; l < pt.levels; l++ {
+	for l := 0; l < PTLevels; l++ {
 		entries := vpns >> (pt.fanoutLog * uint(l))
 		if entries == 0 {
 			entries = 1
@@ -109,7 +112,7 @@ func NewPageTableFanout(vpns uint64, tableBase mem.PageNum, fanoutLog uint) *Pag
 }
 
 // Levels returns the number of radix levels.
-func (pt *PageTable) Levels() int { return pt.levels }
+func (pt *PageTable) Levels() int { return PTLevels }
 
 // TotalPages returns the table's footprint in pages.
 func (pt *PageTable) TotalPages() uint64 {
@@ -123,8 +126,8 @@ func (pt *PageTable) TotalPages() uint64 {
 // WalkPages returns the table pages touched translating vpn, from the
 // root level down to the leaf.
 func (pt *PageTable) WalkPages(vpn mem.PageNum) []mem.PageNum {
-	out := make([]mem.PageNum, 0, pt.levels)
-	for l := pt.levels - 1; l >= 0; l-- {
+	out := make([]mem.PageNum, 0, PTLevels)
+	for l := PTLevels - 1; l >= 0; l-- {
 		entry := uint64(vpn) >> (pt.fanoutLog * uint(l))
 		pageIdx := entry >> pt.fanoutLog
 		if pageIdx >= pt.pages[l] {
@@ -135,40 +138,25 @@ func (pt *PageTable) WalkPages(vpn mem.PageNum) []mem.PageNum {
 	return out
 }
 
-// PTBackend answers the walker's memory accesses. The partitioned backend
-// prices a flat-DRAM access; the cache-backed backend routes through the
-// DRAM cache where a cold table page goes to flash.
+// PTBackend answers the walker's memory accesses. The system's backend
+// routes through the DRAM cache, where a cold table page goes to flash
+// (AstriFlash-noDP); walks in the flat DRAM partition cost a fixed
+// PTLevels accesses and need no walker.
 type PTBackend interface {
 	// AccessPT reads one table entry on page p; done fires when the
 	// entry is available.
 	AccessPT(p mem.PageNum, done func(at sim.Time))
 }
 
-// FlatBackend is the DRAM-partitioned backend (Section IV-A): the OS pins
-// page tables in flat DRAM rows, so every level costs one DRAM access.
-type FlatBackend struct {
-	Eng     *sim.Engine
-	Latency int64 // per-level flat-DRAM access latency
-}
-
-// AccessPT completes after the flat-DRAM latency.
-func (b *FlatBackend) AccessPT(_ mem.PageNum, done func(at sim.Time)) {
-	at := b.Eng.Now() + b.Latency
-	b.Eng.At(at, func() { done(at) })
-}
-
 // Walker performs serialized radix walks against a backend.
 type Walker struct {
 	PT      *PageTable
 	Backend PTBackend
-
-	Walks   stats.Counter
-	WalkLat *stats.Histogram
 }
 
 // NewWalker returns a walker over pt.
 func NewWalker(pt *PageTable, b PTBackend) *Walker {
-	return &Walker{PT: pt, Backend: b, WalkLat: stats.NewHistogram()}
+	return &Walker{PT: pt, Backend: b}
 }
 
 // Walk translates vpn, touching each level's table page in order, and
@@ -177,29 +165,15 @@ func NewWalker(pt *PageTable, b PTBackend) *Walker {
 // flash-resident table pages destroy tail latency (Table II, noDP).
 func (w *Walker) Walk(eng *sim.Engine, vpn mem.PageNum, done func(at sim.Time)) {
 	pages := w.PT.WalkPages(vpn)
-	start := eng.Now()
-	w.Walks.Inc()
 	var step func(i int)
 	step = func(i int) {
 		if i >= len(pages) {
-			at := eng.Now()
-			w.WalkLat.Record(at - start)
-			done(at)
+			done(eng.Now())
 			return
 		}
 		w.Backend.AccessPT(pages[i], func(sim.Time) { step(i + 1) })
 	}
 	step(0)
-}
-
-// NoteWalk records a walk whose latency the caller computed inline: with
-// a flat-partition backend every level is a fixed-latency read, so the
-// walk is a deterministic sum (PT.Levels() x per-level latency) and the
-// flattened hot path folds it into straight-line code instead of one
-// event per level. The counters advance exactly as Walk would.
-func (w *Walker) NoteWalk(lat int64) {
-	w.Walks.Inc()
-	w.WalkLat.Record(lat)
 }
 
 // ShootdownModel prices broadcast TLB shootdowns (Section II-C): an

@@ -292,11 +292,3 @@ func (s *Scheduler) OldestNewAge(now sim.Time) int64 {
 	}
 	return now - s.newQ.Head().EnqueuedAt
 }
-
-// OldestPendingAge returns the age of the pending head at now, or 0.
-func (s *Scheduler) OldestPendingAge(now sim.Time) int64 {
-	if s.pending.Len() == 0 {
-		return 0
-	}
-	return now - s.pending.Head().PendingSince
-}

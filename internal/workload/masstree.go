@@ -196,9 +196,6 @@ func (w *MasstreeWorkload) Name() string { return "masstree" }
 // DatasetPages implements Workload.
 func (w *MasstreeWorkload) DatasetPages() uint64 { return w.arena.Pages() }
 
-// Trie exposes the structure for tests.
-func (w *MasstreeWorkload) Trie() *Masstree { return w.trie }
-
 // NewJobSteps performs OpsPerJob operations.
 // The trace is written into buf.
 func (w *MasstreeWorkload) NewJobSteps(buf []Step) []Step {

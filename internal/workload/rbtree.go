@@ -314,9 +314,6 @@ func (w *RBTWorkload) Name() string { return "rbt" }
 // DatasetPages implements Workload.
 func (w *RBTWorkload) DatasetPages() uint64 { return w.arena.Pages() }
 
-// Tree exposes the underlying structure for invariant tests.
-func (w *RBTWorkload) Tree() *RBTree { return w.tree }
-
 // NewJobSteps performs OpsPerJob operations: mostly lookups, WriteFraction
 // updates.
 // The trace is written into buf.

@@ -218,9 +218,6 @@ func (w *SiloWorkload) Name() string { return "silo" }
 // DatasetPages implements Workload.
 func (w *SiloWorkload) DatasetPages() uint64 { return w.arena.Pages() }
 
-// DB exposes the store for tests.
-func (w *SiloWorkload) DB() *SiloDB { return w.db }
-
 // NewJobSteps runs one OCC transaction: OpsPerJob reads with WriteFraction of
 // them promoted to read-modify-writes, then commit.
 // The trace is written into buf.

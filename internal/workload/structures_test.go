@@ -582,6 +582,27 @@ func TestMasstreeLayering(t *testing.T) {
 	}
 }
 
+// TestMasstreeTerminalVsPrefix pins the per-layer terminal marker: a
+// slice that leads to a deeper layer is in the layer's tree whether or
+// not a key also ends there, so only vals tells the two apart.
+func TestMasstreeTerminalVsPrefix(t *testing.T) {
+	mt := NewMasstree(testArena())
+	mt.Put([]byte("prefix__suffix__"), 1, NewTracer(1))
+	if v, ok := mt.Get([]byte("prefix__"), NewTracer(1)); ok {
+		t.Fatalf("bare prefix of a stored key found (value %d)", v)
+	}
+	mt.Put([]byte("prefix__"), 2, NewTracer(1))
+	if v, ok := mt.Get([]byte("prefix__"), NewTracer(1)); !ok || v != 2 {
+		t.Fatalf("prefix = %d,%v after its own Put", v, ok)
+	}
+	if v, ok := mt.Get([]byte("prefix__suffix__"), NewTracer(1)); !ok || v != 1 {
+		t.Fatalf("long key = %d,%v", v, ok)
+	}
+	if mt.Size() != 2 {
+		t.Fatalf("size = %d, want 2", mt.Size())
+	}
+}
+
 func TestMasstreeUpdate(t *testing.T) {
 	mt := NewMasstree(testArena())
 	key := []byte("0123456789abcdef")

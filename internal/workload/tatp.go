@@ -18,7 +18,6 @@ type TATP struct {
 	subscribers *BPTree
 	accessInfo  *BPTree
 	specialFac  *BPTree
-	subs        uint64
 	zipf        sampler
 	rng         *sim.RNG
 	jobTr       Tracer
@@ -42,7 +41,6 @@ func NewTATP(cfg Config) *TATP {
 		subscribers: NewBPTree(arena, 256),
 		accessInfo:  NewBPTree(arena, 256),
 		specialFac:  NewBPTree(arena, 256),
-		subs:        subs,
 	}
 	rng := newRNG(cfg, 0x7a79)
 	// Each row draws a payload no tree stores: the draws fix the stream the
@@ -74,9 +72,6 @@ func (t *TATP) Name() string { return "tatp" }
 
 // DatasetPages implements Workload.
 func (t *TATP) DatasetPages() uint64 { return t.arena.Pages() }
-
-// Subscribers returns the subscriber count, for tests.
-func (t *TATP) Subscribers() uint64 { return t.subs }
 
 // NewJobSteps runs one TATP transaction drawn from the standard mix:
 //

@@ -19,7 +19,6 @@ type TinyKVWorkload struct {
 	cfg   Config
 	arena *mem.Arena
 	base  mem.Addr
-	objs  uint64
 	size  uint64
 	zipf  sampler
 	rng   *sim.RNG
@@ -54,7 +53,6 @@ func NewTinyKVWorkload(cfg Config) *TinyKVWorkload {
 		cfg:   cfg,
 		arena: arena,
 		base:  base,
-		objs:  objs,
 		size:  size,
 		zipf:  newSampler(cfg, rng, objs, hotObjs),
 		rng:   rng,
@@ -66,9 +64,6 @@ func (w *TinyKVWorkload) Name() string { return "tinykv" }
 
 // DatasetPages implements Workload.
 func (w *TinyKVWorkload) DatasetPages() uint64 { return w.arena.Pages() }
-
-// Objects returns the object count, for tests.
-func (w *TinyKVWorkload) Objects() uint64 { return w.objs }
 
 // addrOf returns the arena address of object i.
 func (w *TinyKVWorkload) addrOf(i uint64) mem.Addr {
