@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test verify vet race verify-race lint-docs fmt-check fuzz-smoke bench-harness bench bench-engine bench-build figures trace-smoke timeline-smoke overload-smoke economics-smoke examples-smoke loc
+.PHONY: build test verify vet race verify-race lint-docs fmt-check fuzz-smoke fullscale-probe bench-harness bench bench-engine bench-build figures trace-smoke timeline-smoke overload-smoke economics-smoke examples-smoke loc
 
 build:
 	$(GO) build ./...
@@ -46,9 +46,10 @@ fmt-check:
 ## red-black tree, the hash table and the FTL against reference models,
 ## the event engine against an (at, seq) firing-order reference and a
 ## clock that never goes back, the timeline CSV reader against its writer,
-## the SLO parser against the objectives it may return and the span-trace
-## reader against malformed input. A failure writes the input under the
-## package's testdata/fuzz/.
+## the SLO parser against the objectives it may return, the span-trace
+## reader against malformed input and the Zipf rank scramble against its
+## reference reduction. A failure writes the input under the package's
+## testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBPTree$$' -fuzztime $(FUZZTIME) ./internal/workload
@@ -59,6 +60,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/obs/timeline
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSLO$$' -fuzztime $(FUZZTIME) ./internal/obs/timeline
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzZipfScramble$$' -fuzztime $(FUZZTIME) ./internal/mem
+
+## Full-scale probe: builds and runs the 16-core tatp machine at 2 GB and
+## 16 GB (about 10 s and 0.5 GiB of host heap on 2 vCPUs), logs build and
+## run time, and fails a point holding more than 32 MiB of live host heap
+## per simulated GiB.
+fullscale-probe:
+	FULLSCALE=1 $(GO) test -count=1 -run '^TestFullScaleProbe$$' -v .
 
 ## The benchmark harness is its own module (benchmark/go.mod), so root
 ## `go test ./...` skips it; this vets and tests it against the current

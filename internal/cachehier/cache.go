@@ -14,13 +14,26 @@ import (
 	"astriflash/internal/stats"
 )
 
-// entry is one cache way: key, last-touch stamp, and state bits packed
-// together so a set probe walks contiguous memory.
+// entry is one cache way in 16 bytes: the key (freeKey in a free way) and
+// the last-touch stamp with the dirty bit in its low bit. Stamps step by 2
+// and are unique per cache, so comparing lru words orders ways by last
+// touch alone.
 type entry struct {
-	key   uint64
-	lru   uint64 // last-touch stamp
-	valid bool
-	dirty bool
+	key uint64
+	lru uint64
+}
+
+// freeKey marks a free way, so it is not a key: Insert panics on it.
+// Block and page numbers, the keys in use, are shifted addresses and never
+// reach it.
+const freeKey = ^uint64(0)
+
+// dirtyBit is the dirty flag in entry.lru.
+func dirtyBit(dirty bool) uint64 {
+	if dirty {
+		return 1
+	}
+	return 0
 }
 
 // Cache is a set-associative cache with LRU replacement over uint64 keys
@@ -33,17 +46,19 @@ type Cache struct {
 	sets    int
 	ways    int
 	entries []entry
-	stamp   uint64
+	stamp   uint64 // the last stamp handed out, always even
 	Metrics stats.Ratio
 }
 
-// NewCache returns a cache with the given geometry. Sets must be a power
-// of two.
+// NewCache returns an empty cache with the given geometry. Sets must be a
+// power of two.
 func NewCache(sets, ways int) *Cache {
 	if sets <= 0 || ways <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cachehier: invalid geometry sets=%d ways=%d", sets, ways))
 	}
-	return &Cache{sets: sets, ways: ways, entries: make([]entry, sets*ways)}
+	c := &Cache{sets: sets, ways: ways, entries: make([]entry, sets*ways)}
+	c.InvalidateAll()
+	return c
 }
 
 // set returns the ways of set s as a subslice of the flat entry store.
@@ -71,12 +86,9 @@ func (c *Cache) setOf(key uint64) int {
 func (c *Cache) Lookup(key uint64, write bool) bool {
 	s := c.set(c.setOf(key))
 	for w := range s {
-		if s[w].valid && s[w].key == key {
-			c.stamp++
-			s[w].lru = c.stamp
-			if write {
-				s[w].dirty = true
-			}
+		if s[w].key == key {
+			c.stamp += 2
+			s[w].lru = c.stamp | s[w].lru&1 | dirtyBit(write)
 			c.Metrics.Hit()
 			return true
 		}
@@ -88,7 +100,7 @@ func (c *Cache) Lookup(key uint64, write bool) bool {
 // Contains probes without updating LRU or metrics.
 func (c *Cache) Contains(key uint64) bool {
 	for _, e := range c.set(c.setOf(key)) {
-		if e.valid && e.key == key {
+		if e.key == key {
 			return true
 		}
 	}
@@ -103,22 +115,24 @@ type Victim struct {
 
 // Insert fills key into its set, evicting the LRU way if the set is full.
 // It returns the victim, if any. Inserting an already-present key only
-// refreshes its LRU state.
+// refreshes its LRU state. The key ^uint64(0) marks free ways and panics.
 func (c *Cache) Insert(key uint64, dirty bool) (Victim, bool) {
+	if key == freeKey {
+		panic("cachehier: Insert of the free-way key ^uint64(0)")
+	}
 	s := c.set(c.setOf(key))
-	c.stamp++
+	c.stamp += 2
 	// Refresh if present.
 	for w := range s {
-		if s[w].valid && s[w].key == key {
-			s[w].lru = c.stamp
-			s[w].dirty = s[w].dirty || dirty
+		if s[w].key == key {
+			s[w].lru = c.stamp | s[w].lru&1 | dirtyBit(dirty)
 			return Victim{}, false
 		}
 	}
 	// Free way?
 	for w := range s {
-		if !s[w].valid {
-			s[w] = entry{key: key, lru: c.stamp, valid: true, dirty: dirty}
+		if s[w].key == freeKey {
+			s[w] = entry{key: key, lru: c.stamp | dirtyBit(dirty)}
 			return Victim{}, false
 		}
 	}
@@ -129,8 +143,8 @@ func (c *Cache) Insert(key uint64, dirty bool) (Victim, bool) {
 			lruWay = w
 		}
 	}
-	v := Victim{Key: s[lruWay].key, Dirty: s[lruWay].dirty}
-	s[lruWay] = entry{key: key, lru: c.stamp, valid: true, dirty: dirty}
+	v := Victim{Key: s[lruWay].key, Dirty: s[lruWay].lru&1 == 1}
+	s[lruWay] = entry{key: key, lru: c.stamp | dirtyBit(dirty)}
 	return v, true
 }
 
@@ -140,8 +154,8 @@ func (c *Cache) Insert(key uint64, dirty bool) (Victim, bool) {
 func (c *Cache) Invalidate(key uint64) bool {
 	s := c.set(c.setOf(key))
 	for w := range s {
-		if s[w].valid && s[w].key == key {
-			s[w].valid = false
+		if s[w].key == key {
+			s[w] = entry{key: freeKey}
 			return true
 		}
 	}
@@ -151,7 +165,7 @@ func (c *Cache) Invalidate(key uint64) bool {
 // InvalidateAll empties the cache (full TLB shootdown / context switch).
 func (c *Cache) InvalidateAll() {
 	for i := range c.entries {
-		c.entries[i].valid = false
+		c.entries[i] = entry{key: freeKey}
 	}
 }
 
@@ -159,7 +173,7 @@ func (c *Cache) InvalidateAll() {
 func (c *Cache) Resident() int {
 	n := 0
 	for _, e := range c.entries {
-		if e.valid {
+		if e.key != freeKey {
 			n++
 		}
 	}

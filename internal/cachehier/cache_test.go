@@ -103,6 +103,125 @@ func TestCacheInsertThenContains(t *testing.T) {
 	}
 }
 
+// TestCacheFreeWayKey checks that Insert rejects the free-way marker
+// ^uint64(0) as a key.
+func TestCacheFreeWayKey(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Insert of the free-way key did not panic")
+		}
+	}()
+	NewCache(1, 4).Insert(freeKey, false)
+}
+
+// refWay is one way of refCache, with valid and dirty as flags of their
+// own.
+type refWay struct {
+	key, lru     uint64
+	valid, dirty bool
+}
+
+// refCache is a reference set-associative LRU cache with explicit valid
+// and dirty flags and a stamp that steps by 1.
+type refCache struct {
+	c     *Cache // for setOf
+	ways  [][]refWay
+	stamp uint64
+}
+
+func (r *refCache) find(key uint64) (*refWay, []refWay) {
+	s := r.ways[r.c.setOf(key)]
+	for w := range s {
+		if s[w].valid && s[w].key == key {
+			return &s[w], s
+		}
+	}
+	return nil, s
+}
+
+func (r *refCache) lookup(key uint64, write bool) bool {
+	w, _ := r.find(key)
+	if w != nil {
+		r.stamp++
+		w.lru, w.dirty = r.stamp, w.dirty || write
+	}
+	return w != nil
+}
+
+func (r *refCache) insert(key uint64, dirty bool) (Victim, bool) {
+	r.stamp++
+	w, s := r.find(key)
+	if w != nil {
+		w.lru, w.dirty = r.stamp, w.dirty || dirty
+		return Victim{}, false
+	}
+	for i := range s {
+		if !s[i].valid {
+			s[i] = refWay{key, r.stamp, true, dirty}
+			return Victim{}, false
+		}
+	}
+	lru := 0
+	for i := range s {
+		if s[i].lru < s[lru].lru {
+			lru = i
+		}
+	}
+	v := Victim{Key: s[lru].key, Dirty: s[lru].dirty}
+	s[lru] = refWay{key, r.stamp, true, dirty}
+	return v, true
+}
+
+// TestCacheMatchesReference drives Cache and refCache through the same
+// random lookups, inserts (clean and dirty) and invalidations over a key
+// space a few times the capacity, and requires the same hits, victims,
+// dirty bits and residency after every op.
+func TestCacheMatchesReference(t *testing.T) {
+	if err := quick.Check(func(ops []uint16) bool {
+		c := NewCache(4, 4)
+		ref := &refCache{c: c, ways: make([][]refWay, 4)}
+		for i := range ref.ways {
+			ref.ways[i] = make([]refWay, 4)
+		}
+		for _, op := range ops {
+			key, write := uint64(op>>3)%48, op&4 != 0
+			switch op % 4 {
+			case 0, 1:
+				if c.Lookup(key, write) != ref.lookup(key, write) {
+					return false
+				}
+			case 2:
+				v, ev := c.Insert(key, write)
+				if rv, rev := ref.insert(key, write); v != rv || ev != rev {
+					return false
+				}
+			case 3:
+				w, _ := ref.find(key)
+				if w != nil {
+					w.valid = false
+				}
+				if c.Invalidate(key) != (w != nil) {
+					return false
+				}
+			}
+			resident := 0
+			for _, s := range ref.ways {
+				for _, w := range s {
+					if w.valid {
+						resident++
+					}
+				}
+			}
+			if c.Resident() != resident {
+				return false
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCacheInvalidGeometryPanics(t *testing.T) {
 	for _, g := range [][2]int{{0, 1}, {1, 0}, {3, 2}} {
 		g := g

@@ -13,57 +13,71 @@ import (
 // arena page, and every trace derives from node addresses and keys.
 //
 // A leaf stores its keys in one of two forms: wide, the keys themselves
-// in keys, or packed, when splitLeaf froze a left half whose keys span
-// at most maxPackedSpan: key i is base+offs[i], and keys is nil. Readers
-// go through search, numKeys and keyAt, which read both forms.
+// in keys, or strided, when splitLeaf froze a left half whose gaps
+// alternate two values d0 and d1 of at most maxStrideGap: key i is
+// base + (i/2)*(d0+d1) + (i%2)*d0 for i < count, and keys is nil. count,
+// d0 and d1 sit in the padding after leaf, so the strided form costs no
+// heap beyond the node. Readers go through search, numKeys and keyAt,
+// which read both forms.
 type bpNode struct {
 	addr     mem.Addr
 	leaf     bool
+	count    uint16 // strided leaves: the number of keys; 0 otherwise
+	d0, d1   uint16 // strided leaves: the even and odd gaps
 	keys     []uint64
-	base     uint64    // packed leaves: the first key
-	offs     []uint16  // packed leaves: each key's offset from base
+	base     uint64    // strided leaves: the first key
 	children []*bpNode // internal nodes
 	next     *bpNode   // leaf chain for scans
 }
 
-// maxPackedSpan is the largest key span a packed leaf holds: the largest
-// 16-bit offset.
-const maxPackedSpan = 0xffff
+// maxStrideGap is the largest gap a strided leaf holds: the largest
+// 16-bit value.
+const maxStrideGap = 0xffff
 
 // numKeys returns the number of keys a node holds, in either form.
 func (n *bpNode) numKeys() int {
-	if n.offs != nil {
-		return len(n.offs)
+	if n.count != 0 {
+		return int(n.count)
 	}
 	return len(n.keys)
 }
 
 // keyAt returns a node's i'th key, in either form.
 func (n *bpNode) keyAt(i int) uint64 {
-	if n.offs != nil {
-		return n.base + uint64(n.offs[i])
+	if n.count != 0 {
+		return n.base + uint64(i/2)*(uint64(n.d0)+uint64(n.d1)) + uint64(i%2)*uint64(n.d0)
 	}
 	return n.keys[i]
 }
 
 // search returns the smallest i with keyAt(i) >= key and whether
 // keyAt(i) is key: lowerBound's position and found bit over either form.
-// A key below a packed leaf's base sorts before all of its keys, and one
-// more than maxPackedSpan above it after all of them.
+// A strided leaf answers by division: key's offset from base falls r
+// into period q, which holds keys 2q (at r = 0) and 2q+1 (at r = d0).
 func (n *bpNode) search(key uint64) (int, bool) {
-	if n.offs == nil {
+	if n.count == 0 {
 		i := lowerBound(n.keys, key)
 		return i, i < len(n.keys) && n.keys[i] == key
 	}
 	if key < n.base {
 		return 0, false
 	}
-	if key-n.base > maxPackedSpan {
-		return len(n.offs), false
+	off, d0, period := key-n.base, uint64(n.d0), uint64(n.d0)+uint64(n.d1)
+	q, r := off/period, off%period
+	var i uint64
+	found := false
+	switch {
+	case r == 0:
+		i, found = 2*q, true
+	case r <= d0:
+		i, found = 2*q+1, r == d0
+	default: // r > d0 >= 1 needs a period of at least 3, so 2q+2 cannot wrap
+		i = 2*q + 2
 	}
-	off := uint16(key - n.base)
-	i := lowerBound(n.offs, off)
-	return i, i < len(n.offs) && n.offs[i] == off
+	if i >= uint64(n.count) {
+		return int(n.count), false
+	}
+	return int(i), found
 }
 
 // BPTree is a key-only B+-tree with page-sized, arena-addressed nodes and
@@ -118,17 +132,17 @@ func (t *BPTree) newNode(leaf bool) *bpNode {
 
 // growLeaf gives a leaf a wide key array of the split size fanout+1: the
 // new root up front, and a left half frozen by splitLeaf (trimmed or
-// packed) on its first insert, in one step where append's doubling would
+// strided) on its first insert, in one step where append's doubling would
 // overshoot to 2*len.
 func (t *BPTree) growLeaf(n *bpNode) {
 	keys := make([]uint64, n.numKeys(), t.fanout+1)
-	if n.offs == nil {
+	if n.count == 0 {
 		copy(keys, n.keys)
 	} else {
-		for i, off := range n.offs {
-			keys[i] = n.base + uint64(off)
+		for i := range keys {
+			keys[i] = n.keyAt(i)
 		}
-		n.base, n.offs = 0, nil
+		n.count, n.d0, n.d1, n.base = 0, 0, 0, 0
 	}
 	n.keys = keys
 }
@@ -157,8 +171,8 @@ func findChild(keys []uint64, key uint64) int {
 }
 
 // lowerBound returns the smallest i with keys[i] >= key, with the same
-// probe sequence as sort.Search, over keys or a packed leaf's offsets.
-func lowerBound[K uint16 | uint64](keys []K, key K) int {
+// probe sequence as sort.Search.
+func lowerBound(keys []uint64, key uint64) int {
 	i, j := 0, len(keys)
 	for i < j {
 		h := int(uint(i+j) >> 1)
@@ -258,7 +272,7 @@ func (t *BPTree) insert(n *bpNode, key uint64, tr *Tracer) (uint64, *bpNode) {
 			tr.Touch(n.addr, true)
 			return 0, nil
 		}
-		// A packed leaf has no key array (len and cap 0), so this is
+		// A strided leaf has no key array (len and cap 0), so this is
 		// also where it unpacks.
 		if len(n.keys) == cap(n.keys) {
 			t.growLeaf(n)
@@ -296,21 +310,17 @@ func (t *BPTree) insert(n *bpNode, key uint64, tr *Tracer) (uint64, *bpNode) {
 // keep landing in the right half and never reach the left one again: the
 // left half is frozen at its exact size, and the right half takes over
 // the full-size array with its keys shifted to the front. A left half
-// whose keys span at most maxPackedSpan is packed into 16-bit offsets
-// from its first key (128 offsets fill a 256 B size class at fanout 256,
-// a quarter of the keys); a wider one gets an exact-size copy of its keys
-// (append, unlike make, skips zeroing what it overwrites). A random insert
-// into a frozen left half regrows it once, in growLeaf.
+// whose gaps alternate two values of at most maxStrideGap is strided
+// (every TATP and TPC-C table is an arithmetic or period-2 progression),
+// so it keeps no key array at all; any other gets an exact-size copy of
+// its keys (append, unlike make, skips zeroing what it overwrites). A
+// random insert into a frozen left half regrows it once, in growLeaf.
 func (t *BPTree) splitLeaf(n *bpNode, tr *Tracer) (uint64, *bpNode) {
 	mid := len(n.keys) / 2
 	right := t.newNode(true)
 	keys := n.keys
-	if base := keys[0]; keys[mid-1]-base <= maxPackedSpan {
-		offs := make([]uint16, mid)
-		for i, k := range keys[:mid] {
-			offs[i] = uint16(k - base)
-		}
-		n.keys, n.base, n.offs = nil, base, offs
+	if d0, d1, ok := strides(keys[:mid]); ok {
+		n.keys, n.base, n.count, n.d0, n.d1 = nil, keys[0], uint16(mid), d0, d1
 	} else {
 		n.keys = append([]uint64(nil), keys[:mid]...)
 	}
@@ -323,6 +333,28 @@ func (t *BPTree) splitLeaf(n *bpNode, tr *Tracer) (uint64, *bpNode) {
 	tr.Touch(n.addr, true)
 	tr.Touch(right.addr, true)
 	return right.keys[0], right
+}
+
+// strides reports whether ascending keys fit the strided form: at least
+// two and at most 0xffff of them, with every even gap d0 and every odd
+// gap d1, both at most maxStrideGap. Two keys have one gap, taken as both.
+func strides(keys []uint64) (d0, d1 uint16, ok bool) {
+	if len(keys) < 2 || len(keys) > 0xffff {
+		return 0, 0, false
+	}
+	g := [2]uint64{keys[1] - keys[0], keys[1] - keys[0]}
+	if len(keys) > 2 {
+		g[1] = keys[2] - keys[1]
+	}
+	if g[0] > maxStrideGap || g[1] > maxStrideGap {
+		return 0, 0, false
+	}
+	for i := 3; i < len(keys); i++ {
+		if keys[i]-keys[i-1] != g[(i-1)%2] {
+			return 0, 0, false
+		}
+	}
+	return uint16(g[0]), uint16(g[1]), true
 }
 
 func (t *BPTree) splitInternal(n *bpNode, tr *Tracer) (uint64, *bpNode) {
@@ -339,13 +371,13 @@ func (t *BPTree) splitInternal(n *bpNode, tr *Tracer) (uint64, *bpNode) {
 }
 
 // CheckInvariants validates sortedness, fanout bounds, leaf-chain order
-// and the packed form: offsets strictly ascending from 0 (so the span,
-// the last offset, is at most maxPackedSpan by type), base plus span
-// within uint64, and an unpacked tail. It returns "" when consistent, and
-// a message, never a panic, for a malformed node.
+// and the strided form: a leaf only, no key array beside it, at least two
+// keys, nonzero gaps, a last key within uint64, and a wide tail. It
+// returns "" when consistent, and a message, never a panic, for a
+// malformed node.
 func (t *BPTree) CheckInvariants() string {
-	if t.tail.offs != nil {
-		return "tail leaf packed"
+	if t.tail.count != 0 {
+		return "tail leaf strided"
 	}
 	msg := t.check(t.root, nil, nil)
 	if msg != "" {
@@ -370,32 +402,29 @@ func (t *BPTree) CheckInvariants() string {
 	return ""
 }
 
-// checkPacked validates a packed leaf's offsets.
-func checkPacked(n *bpNode) string {
+// checkStrided validates a strided leaf's count and gaps. The last key's
+// offset from base is below 2^16 * 2^17, so keyAt's offset cannot wrap,
+// but base plus it can.
+func checkStrided(n *bpNode) string {
 	switch {
 	case !n.leaf:
-		return "internal node packed"
+		return "internal node strided"
 	case n.keys != nil:
-		return "packed leaf also holds keys"
-	case len(n.offs) == 0:
-		return "packed leaf empty"
-	case n.offs[0] != 0:
-		return "packed leaf offsets do not start at 0"
+		return "strided leaf also holds keys"
+	case n.count < 2:
+		return "strided leaf holds fewer than 2 keys"
+	case n.d0 == 0 || n.d1 == 0:
+		return "strided leaf has a zero gap"
 	}
-	for i := 1; i < len(n.offs); i++ {
-		if n.offs[i-1] >= n.offs[i] {
-			return "packed leaf offsets not ascending"
-		}
-	}
-	if n.base > ^uint64(0)-uint64(n.offs[len(n.offs)-1]) {
-		return "packed leaf span past 2^64"
+	if last := n.keyAt(int(n.count)-1) - n.base; n.base > ^uint64(0)-last {
+		return "strided leaf's last key past 2^64"
 	}
 	return ""
 }
 
 func (t *BPTree) check(n *bpNode, lo, hi *uint64) string {
-	if n.offs != nil {
-		if msg := checkPacked(n); msg != "" {
+	if n.count != 0 {
+		if msg := checkStrided(n); msg != "" {
 			return msg
 		}
 	}

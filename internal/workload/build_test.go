@@ -40,7 +40,7 @@ func (th treeHasher) sum() uint64 { return *th.h }
 
 // tree hashes every node of t depth-first: arena address, leaf bit,
 // number of keys and the keys, and internal nodes' children. It hashes
-// the logical keys, not how a leaf stores them (packed or wide, and at
+// the logical keys, not how a leaf stores them (strided or wide, and at
 // what capacity): storage hashes that.
 func (th treeHasher) tree(t *BPTree) {
 	th.put(t.size, uint64(t.height))
@@ -66,11 +66,12 @@ func (th treeHasher) tree(t *BPTree) {
 }
 
 // storage hashes how each leaf of t stores its keys, in key order: the
-// packed offsets' length and capacity, or the wide key array's.
+// strided form's count and gaps, or the wide key array's length and
+// capacity.
 func (th treeHasher) storage(t *BPTree) {
 	for _, n := range bpLeaves(t) {
-		if n.offs != nil {
-			th.put(1, uint64(len(n.offs)), uint64(cap(n.offs)))
+		if n.count != 0 {
+			th.put(1, uint64(n.count), uint64(n.d0), uint64(n.d1))
 		} else {
 			th.put(0, uint64(len(n.keys)), uint64(cap(n.keys)))
 		}
@@ -112,9 +113,9 @@ func (th treeHasher) jobs(w Workload, n int) {
 // TestBuiltTreesMatchParent pins the exact B+trees the tatp, tpcc, silo
 // and masstree builds produce, node by node, and the traces of the first
 // jobs that run over them. The hashes were recorded, with this hasher,
-// before leaves were packed; a build that changes any node's page, shape
-// or keys, or any traced touch, moves them. How a leaf stores its keys
-// does not: the storage rule has its own tests.
+// before frozen leaves were stored compactly; a build that changes any
+// node's page, shape or keys, or any traced touch, moves them. How a leaf
+// stores its keys does not: the storage rule has its own tests.
 func TestBuiltTreesMatchParent(t *testing.T) {
 	masstreeCfg := buildConfig()
 	masstreeCfg.DatasetBytes = MinDatasetBytes("masstree")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -229,23 +230,21 @@ func TestBPTreePropertyOrderAndPresence(t *testing.T) {
 }
 
 // leafStorageError reports how leaf n breaks the storage rule, or "". A
-// left half frozen by a split and not inserted into since is packed, with
-// one offset per key and no spare capacity, when its keys span at most
-// maxPackedSpan, and an exact-size wide copy when they span more. Every
-// other leaf holds a wide array of the split size fanout+1. The tail is
-// never packed.
+// left half frozen by a split and not inserted into since is strided when
+// its gaps fit the form (strides), and an exact-size wide copy when they
+// do not. Every other leaf holds a wide array of the split size
+// fanout+1. The tail is never strided.
 func leafStorageError(t *BPTree, n *bpNode) string {
 	switch {
-	case n.offs != nil && n == t.tail:
-		return "tail leaf packed"
-	case n.offs != nil && len(n.offs) != cap(n.offs):
-		return fmt.Sprintf("packed leaf offsets len %d, cap %d; want exact", len(n.offs), cap(n.offs))
-	case n.offs != nil, cap(n.keys) == t.fanout+1:
+	case n.count != 0 && n == t.tail:
+		return "tail leaf strided"
+	case n.count != 0, cap(n.keys) == t.fanout+1:
 		return ""
 	case cap(n.keys) != len(n.keys):
 		return fmt.Sprintf("leaf keys len %d, cap %d; want exact or %d", len(n.keys), cap(n.keys), t.fanout+1)
-	case n.keys[len(n.keys)-1]-n.keys[0] <= maxPackedSpan:
-		return fmt.Sprintf("exact-size leaf spans %#x, within the packed span", n.keys[len(n.keys)-1]-n.keys[0])
+	}
+	if d0, d1, ok := strides(n.keys); ok {
+		return fmt.Sprintf("exact-size leaf has gaps %#x/%#x, which stride", d0, d1)
 	}
 	return ""
 }
@@ -265,8 +264,8 @@ func bpLeaves(t *BPTree) []*bpNode {
 
 // TestBPTreeAscendingLoadTrimsLeaves loads the same keys untraced (the
 // tail append) and through a sink (the searched descent), and requires
-// identical leaves from both: every leaf but the tail packed into exactly
-// 128 offsets, and the tail wide at the split size.
+// identical leaves from both: every leaf but the tail strided with 128
+// keys at gap 1 and no key array, and the tail wide at the split size.
 func TestBPTreeAscendingLoadTrimsLeaves(t *testing.T) {
 	load := func(tr *Tracer) []*bpNode {
 		tree := NewBPTree(testArena(), 256)
@@ -287,86 +286,101 @@ func TestBPTreeAscendingLoadTrimsLeaves(t *testing.T) {
 	}
 	for i, n := range leaves {
 		m := traced[i]
-		if n.addr != m.addr || n.base != m.base || fmt.Sprint(n.offs) != fmt.Sprint(m.offs) ||
+		if n.addr != m.addr || n.base != m.base || n.count != m.count || n.d0 != m.d0 || n.d1 != m.d1 ||
 			cap(n.keys) != cap(m.keys) || fmt.Sprint(n.keys) != fmt.Sprint(m.keys) {
-			t.Fatalf("leaf %d: untraced page %#x base %d offs %d keys len/cap %d/%d, traced page %#x base %d offs %d keys len/cap %d/%d",
-				i, n.addr, n.base, len(n.offs), len(n.keys), cap(n.keys),
-				m.addr, m.base, len(m.offs), len(m.keys), cap(m.keys))
+			t.Fatalf("leaf %d: untraced page %#x base %d count %d gaps %d/%d keys len/cap %d/%d, traced page %#x base %d count %d gaps %d/%d keys len/cap %d/%d",
+				i, n.addr, n.base, n.count, n.d0, n.d1, len(n.keys), cap(n.keys),
+				m.addr, m.base, m.count, m.d0, m.d1, len(m.keys), cap(m.keys))
 		}
 		if i == len(leaves)-1 {
-			if n.offs != nil || cap(n.keys) != 257 {
-				t.Fatalf("tail: packed %v, keys cap %d; want wide at 257", n.offs != nil, cap(n.keys))
+			if n.count != 0 || cap(n.keys) != 257 {
+				t.Fatalf("tail: count %d, keys cap %d; want wide at 257", n.count, cap(n.keys))
 			}
 			continue
 		}
-		if n.keys != nil || len(n.offs) != 128 || cap(n.offs) != 128 || n.base != uint64(i*128) {
-			t.Fatalf("leaf %d: base %d, offsets len/cap %d/%d, keys %d; want packed at %d into 128 exact",
-				i, n.base, len(n.offs), cap(n.offs), len(n.keys), i*128)
+		if n.keys != nil || n.count != 128 || n.d0 != 1 || n.d1 != 1 || n.base != uint64(i*128) {
+			t.Fatalf("leaf %d: base %d, count %d, gaps %d/%d, keys %d; want strided at %d, 128 keys at gap 1",
+				i, n.base, n.count, n.d0, n.d1, len(n.keys), i*128)
 		}
 	}
 }
 
-// TestBPTreePackingFollowsSpan loads ascending keys at strides either
-// side of the packed span and checks which form the frozen left halves
-// take: 128 keys at stride 516 span 0xfffc and pack, at stride 517 they
-// span 0x1007b and stay wide.
-func TestBPTreePackingFollowsSpan(t *testing.T) {
+// TestBPTreeStridingFollowsGaps loads ascending keys whose gaps repeat a
+// pattern and checks which form the frozen left halves take: a constant
+// gap or two alternating gaps of at most 0xffff stride, and a gap of
+// 0x10000 in either phase or a pattern of period 3 stays wide.
+func TestBPTreeStridingFollowsGaps(t *testing.T) {
 	for _, c := range []struct {
-		stride uint64
-		packed bool
-	}{{516, true}, {517, false}} {
+		gaps    []uint64
+		strided bool
+	}{
+		{[]uint64{0xffff}, true},
+		{[]uint64{0x10000}, false},
+		{[]uint64{1, 0xffff}, true},
+		{[]uint64{0xffff, 0x10000}, false},
+		{[]uint64{0x10000, 0xffff}, false},
+		{[]uint64{1, 2, 3}, false},
+	} {
 		tree := NewBPTree(testArena(), 256)
-		for i := range uint64(10_000) {
-			tree.Insert(i*c.stride, nil)
+		keys := map[uint64]bool{}
+		k := uint64(1)
+		for i := range 10_000 {
+			tree.Insert(k, nil)
+			keys[k] = true
+			k += c.gaps[i%len(c.gaps)]
 		}
 		leaves := bpLeaves(tree)
 		for i, n := range leaves[:len(leaves)-1] {
-			if (n.offs != nil) != c.packed {
-				t.Fatalf("stride %d, leaf %d: packed %v, want %v", c.stride, i, n.offs != nil, c.packed)
+			if (n.count != 0) != c.strided {
+				t.Fatalf("gaps %#x, leaf %d: strided %v, want %v", c.gaps, i, n.count != 0, c.strided)
 			}
 			if msg := leafStorageError(tree, n); msg != "" {
-				t.Fatalf("stride %d, leaf %d: %s", c.stride, i, msg)
+				t.Fatalf("gaps %#x, leaf %d: %s", c.gaps, i, msg)
 			}
 		}
 		if msg := tree.CheckInvariants(); msg != "" {
-			t.Fatalf("stride %d: %s", c.stride, msg)
+			t.Fatalf("gaps %#x: %s", c.gaps, msg)
 		}
-		for i := range uint64(10_000) {
-			if !tree.Get(i*c.stride, nil) || tree.Get(i*c.stride+1, nil) {
-				t.Fatalf("stride %d: Get around key %d wrong", c.stride, i*c.stride)
+		for k := range keys {
+			for _, p := range []uint64{k - 1, k, k + 1} {
+				if tree.Get(p, nil) != keys[p] {
+					t.Fatalf("gaps %#x: Get(%d) = %v, want %v", c.gaps, p, !keys[p], keys[p])
+				}
 			}
 		}
 	}
 }
 
-// TestBPTreePackedLeafEdges probes a packed leaf at the edges of its
-// span. The leaf holds 128 keys from base at stride 2 and is followed by a
-// leaf starting 1<<18 higher, so every probe descends to it: base-1 sorts
-// before it, base+0xffff is the last offset it could hold and base+0x10000
-// the first it could not. Each probe misses, and inserting it unpacks the
-// leaf and keeps every key findable. Re-inserting a present key only
-// traces the write and leaves the leaf packed.
-func TestBPTreePackedLeafEdges(t *testing.T) {
+// TestBPTreeStridedLeafEdges probes a strided leaf at the edges of its
+// keys. The leaf holds 128 keys from base at alternating gaps 1 and 3 and
+// is followed by a leaf starting 1<<18 higher, so every probe descends to
+// it: base-1 sorts before it, base+2 and base+3 fall past the odd key in
+// a period, last+1 is past its last key and base+0x10000 far past it.
+// Each probe misses, and inserting it unpacks the leaf and keeps every key
+// findable. Re-inserting a present key only traces the write and leaves
+// the leaf strided.
+func TestBPTreeStridedLeafEdges(t *testing.T) {
 	const base = 1 << 20
 	var keys []uint64
 	for i := range uint64(128) {
-		keys = append(keys, base+2*i)
+		keys = append(keys, base+4*(i/2)+i%2)
 	}
+	last := keys[len(keys)-1]
 	for i := range uint64(129) {
 		keys = append(keys, base+1<<18+i)
 	}
-	for _, probe := range []uint64{base - 1, base + 0xffff, base + 0x10000, base + 3} {
+	for _, probe := range []uint64{base - 1, base + 2, base + 3, last + 1, base + 0x10000} {
 		tree := NewBPTree(testArena(), 256)
 		for _, k := range keys {
 			tree.Insert(k, nil)
 		}
 		n := bpLeaves(tree)[0]
-		if n.offs == nil || n.base != base || len(n.offs) != 128 {
-			t.Fatalf("first leaf: packed %v base %d with %d offsets; want packed at %d with 128",
-				n.offs != nil, n.base, len(n.offs), base)
+		if n.count != 128 || n.base != base || n.d0 != 1 || n.d1 != 3 {
+			t.Fatalf("first leaf: count %d base %d gaps %d/%d; want 128 keys at %d, gaps 1/3",
+				n.count, n.base, n.d0, n.d1, base)
 		}
 		tr := NewTracer(1)
-		if tree.Insert(base+2, tr); !lastWrite(tr) || n.offs == nil || tree.Size() != uint64(len(keys)) {
+		if tree.Insert(base+5, tr); !lastWrite(tr) || n.count == 0 || tree.Size() != uint64(len(keys)) {
 			t.Fatal("re-inserting a present key unpacked the leaf or traced no write")
 		}
 		if tree.Get(probe, nil) {
@@ -376,8 +390,8 @@ func TestBPTreePackedLeafEdges(t *testing.T) {
 			t.Fatalf("Update(base%+d) rewrote an absent key", int64(probe-base))
 		}
 		tree.Insert(probe, tr)
-		if n.offs != nil {
-			t.Fatalf("inserting base%+d left the leaf packed", int64(probe-base))
+		if n.count != 0 {
+			t.Fatalf("inserting base%+d left the leaf strided", int64(probe-base))
 		}
 		if msg := tree.CheckInvariants(); msg != "" {
 			t.Fatal(msg)
@@ -393,23 +407,81 @@ func TestBPTreePackedLeafEdges(t *testing.T) {
 	}
 }
 
-// TestBPTreeCheckInvariantsRejectsMalformedPacked corrupts a packed leaf
-// (and the tail) in each way CheckInvariants must catch, and requires a
-// message rather than a panic.
-func TestBPTreeCheckInvariantsRejectsMalformedPacked(t *testing.T) {
+// TestBPTreeStridedSearchMatchesLowerBound checks the strided leaf's O(1)
+// search against lowerBound over its expanded keys, position and found
+// bit, at every key, each key ±1, base-1, last+1, 0 and 2^64-1, for
+// periods 1 and 2, gaps of 1 and 0xffff, counts 2 and 3, and a leaf whose
+// last key is 2^64-1. strides must recover each leaf's gaps from its keys
+// and refuse a gap of 0x10000 and a pattern of period 3.
+func TestBPTreeStridedSearchMatchesLowerBound(t *testing.T) {
+	for _, c := range []struct {
+		base          uint64
+		count, d0, d1 uint16
+	}{
+		{0, 2, 1, 1},
+		{5, 2, 0xffff, 0xffff},
+		{1 << 40, 3, 7, 7},
+		{100, 128, 1, 1},
+		{100, 128, 0xffff, 0xffff},
+		{100, 128, 1, 0xffff},
+		{100, 127, 0xffff, 1},
+		{100, 129, 3, 5},
+		{^uint64(0) - (64*(0xffff+1) + 0xffff), 130, 0xffff, 1},
+		{^uint64(0) - 2*0xffff, 3, 0xffff, 0xffff},
+	} {
+		n := &bpNode{leaf: true, base: c.base, count: c.count, d0: c.d0, d1: c.d1}
+		name := fmt.Sprintf("base %#x count %d gaps %#x/%#x", c.base, c.count, c.d0, c.d1)
+		if msg := checkStrided(n); msg != "" {
+			t.Fatalf("%s: %s", name, msg)
+		}
+		keys := make([]uint64, c.count)
+		for i := range keys {
+			keys[i] = n.keyAt(i)
+		}
+		if d0, d1, ok := strides(keys); !ok || d0 != c.d0 || d1 != c.d1 {
+			t.Fatalf("%s: strides = %#x/%#x %v", name, d0, d1, ok)
+		}
+		probes := []uint64{0, ^uint64(0), c.base - 1, keys[len(keys)-1] + 1}
+		for _, k := range keys {
+			probes = append(probes, k-1, k, k+1)
+		}
+		for _, p := range probes {
+			i, found := n.search(p)
+			wi := lowerBound(keys, p)
+			if wfound := wi < len(keys) && keys[wi] == p; i != wi || found != wfound {
+				t.Fatalf("%s: search(%#x) = %d %v, lowerBound gives %d %v", name, p, i, found, wi, wfound)
+			}
+		}
+	}
+	for _, keys := range [][]uint64{{0, 0x10000}, {0, 1, 0x10001}, {0, 0x10000, 0x10001}, {0, 1, 3, 6, 7, 9}} {
+		if _, _, ok := strides(keys); ok {
+			t.Fatalf("strides(%#x) accepted", keys)
+		}
+	}
+}
+
+// TestBPTreeCheckInvariantsRejectsMalformedStrided corrupts a strided
+// leaf (and the tail and an internal node) in each way CheckInvariants
+// must catch, and requires that message rather than a panic.
+func TestBPTreeCheckInvariantsRejectsMalformedStrided(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		corrupt func(tree *BPTree, n *bpNode)
+		want    string
 	}{
-		{"empty", func(_ *BPTree, n *bpNode) { n.offs = n.offs[:0] }},
-		{"first offset not 0", func(_ *BPTree, n *bpNode) { n.offs[0] = 1 }},
-		{"offsets not ascending", func(_ *BPTree, n *bpNode) { n.offs[5] = n.offs[4] }},
-		{"span past 2^64", func(_ *BPTree, n *bpNode) { n.base = ^uint64(0) - 3 }},
-		{"keys and offsets", func(_ *BPTree, n *bpNode) { n.keys = []uint64{n.base} }},
-		{"tail packed", func(tree *BPTree, _ *bpNode) {
-			tree.tail.base, tree.tail.offs = tree.tail.keys[0], []uint16{0}
-		}},
-		{"internal packed", func(tree *BPTree, _ *bpNode) { tree.root.offs = []uint16{0} }},
+		{"count below 2", func(_ *BPTree, n *bpNode) { n.count = 1 }, "fewer than 2 keys"},
+		{"zero even gap", func(_ *BPTree, n *bpNode) { n.d0 = 0 }, "zero gap"},
+		{"zero gaps", func(_ *BPTree, n *bpNode) { n.d0, n.d1 = 0, 0 }, "zero gap"},
+		{"last key past 2^64", func(_ *BPTree, n *bpNode) { n.base = ^uint64(0) - 6 }, "past 2^64"},
+		{"keys beside the stride", func(_ *BPTree, n *bpNode) { n.keys = []uint64{n.base} }, "also holds keys"},
+		{"tail strided", func(tree *BPTree, _ *bpNode) {
+			tail := tree.tail
+			tail.base, tail.count, tail.d0, tail.d1 = tail.keys[0], uint16(len(tail.keys)), 1, 1
+			tail.keys = nil
+		}, "tail leaf strided"},
+		{"internal strided", func(tree *BPTree, _ *bpNode) {
+			tree.root.count, tree.root.d0, tree.root.d1 = 2, 1, 1
+		}, "internal node strided"},
 	} {
 		tree := NewBPTree(testArena(), 16)
 		for k := range uint64(100) {
@@ -418,9 +490,12 @@ func TestBPTreeCheckInvariantsRejectsMalformedPacked(t *testing.T) {
 		if msg := tree.CheckInvariants(); msg != "" {
 			t.Fatalf("%s: before corrupting: %s", c.name, msg)
 		}
+		if n := bpLeaves(tree)[0]; n.count != 8 {
+			t.Fatalf("%s: first leaf count %d, want strided with 8", c.name, n.count)
+		}
 		c.corrupt(tree, bpLeaves(tree)[0])
-		if tree.CheckInvariants() == "" {
-			t.Errorf("%s: CheckInvariants passed a malformed tree", c.name)
+		if msg := tree.CheckInvariants(); !strings.Contains(msg, c.want) {
+			t.Errorf("%s: CheckInvariants = %q, want %q", c.name, msg, c.want)
 		}
 	}
 }
@@ -444,8 +519,8 @@ func BenchmarkBPTreeAscendingLoad(b *testing.B) {
 
 // BenchmarkBPTreeGet times untraced random Gets over a 1M-key tree
 // loaded in ascending order with TATP access-info keys (s*4 and s*4+1 per
-// subscriber s), so frozen leaves are packed. Half the probes hit, and
-// half miss at s*4+2 or s*4+3.
+// subscriber s), so frozen leaves are strided at gaps 1 and 3. Half the
+// probes hit, and half miss at s*4+2 or s*4+3.
 func BenchmarkBPTreeGet(b *testing.B) {
 	const subscribers = 1 << 19
 	tree := NewBPTree(testArena(), 256)
@@ -653,10 +728,11 @@ func TestMasstreePropertyRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzBPTree decodes ops into mixes of ascending runs (dense, or sparse
-// enough that frozen left halves span more than a packed leaf holds),
-// re-inserts of the current maximum key, random inserts, probes of packed
-// leaves' span edges, updates, gets and scans over a small-fanout tree,
+// FuzzBPTree decodes ops into mixes of ascending runs (dense, sparse at
+// gaps around the largest a strided leaf holds, or alternating two gaps
+// among 1, 2, 0xffff and 0x10000), re-inserts of the current maximum key,
+// random inserts, probes of strided leaves' edges (base-1, either side of
+// the second key, last+1), updates, gets and scans over a small-fanout tree,
 // and checks every found bit and scanned key against a Go map. A traced
 // twin takes every insert through the searched descent; after each op both
 // trees must hash equal, keys and storage, and the untraced tree's tail
@@ -730,20 +806,27 @@ func FuzzBPTree(f *testing.F) {
 				for range arg/18 + 1 {
 					insert(maxKey + gap)
 				}
-			case 7: // a packed leaf's span edges, or a key inside its span
-				var packed []*bpNode
-				for _, n := range bpLeaves(tree) {
-					if n.offs != nil {
-						packed = append(packed, n)
+			case 7: // a run whose gaps alternate stride-edge values, or a strided leaf's edges
+				if arg%2 == 0 {
+					gaps := [...]uint64{1, 2, maxStrideGap, maxStrideGap + 1}
+					g := [2]uint64{gaps[arg/2%4], gaps[arg/8%4]}
+					for i := range arg/32*2 + 2 {
+						insert(maxKey + g[i%2])
 					}
-				}
-				if len(packed) == 0 {
 					break
 				}
-				n := packed[int(arg/4)%len(packed)]
-				span := uint64(n.offs[len(n.offs)-1])
-				k := [...]uint64{n.base - 1, n.base + maxPackedSpan, n.base + maxPackedSpan + 1,
-					n.base + arg*span/255}[arg%4]
+				var strided []*bpNode
+				for _, n := range bpLeaves(tree) {
+					if n.count != 0 {
+						strided = append(strided, n)
+					}
+				}
+				if len(strided) == 0 {
+					break
+				}
+				n := strided[int(arg/8)%len(strided)]
+				k := [...]uint64{n.base - 1, n.base + uint64(n.d0) - 1, n.base + uint64(n.d0) + 1,
+					n.keyAt(int(n.count)-1) + 1}[arg/2%4]
 				get(k)
 				insert(k)
 			}
