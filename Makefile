@@ -43,7 +43,8 @@ fmt-check:
 
 ## Fuzz smoke: each native fuzzer runs FUZZTIME (default 10s) past its
 ## seed corpus (plain `go test` runs only the seeds): the B+tree, the
-## red-black tree, the hash table and the FTL against reference models,
+## red-black tree, the hash table, Masstree, Silo's transactions and the
+## FTL against reference models,
 ## the event engine against an (at, seq) firing-order reference and a
 ## clock that never goes back, the timeline CSV reader against its writer,
 ## the SLO parser against the objectives it may return, the span-trace
@@ -55,6 +56,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBPTree$$' -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzRBTree$$' -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzHashTable$$' -fuzztime $(FUZZTIME) ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzMasstree$$' -fuzztime $(FUZZTIME) ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzSilo$$' -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzFTL$$' -fuzztime $(FUZZTIME) ./internal/flash
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/obs/timeline
@@ -63,9 +66,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzZipfScramble$$' -fuzztime $(FUZZTIME) ./internal/mem
 
 ## Full-scale probe: builds and runs the 16-core tatp machine at 2 GB and
-## 16 GB (about 10 s and 0.5 GiB of host heap on 2 vCPUs), logs build and
-## run time, and fails a point holding more than 32 MiB of live host heap
-## per simulated GiB.
+## 16 GB (about 10 s and 0.2 GiB of host heap on 2 vCPUs), logs build and
+## run time, and fails a point holding more than 10.5 MiB of live host
+## heap per simulated GiB.
 fullscale-probe:
 	FULLSCALE=1 $(GO) test -count=1 -run '^TestFullScaleProbe$$' -v .
 

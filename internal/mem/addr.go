@@ -26,9 +26,6 @@ func PageOf(a Addr) PageNum { return PageNum(a >> PageShift) }
 // PageBase returns the first address of page p.
 func PageBase(p PageNum) Addr { return Addr(p) << PageShift }
 
-// PageOffset returns the offset of a within its page.
-func PageOffset(a Addr) uint64 { return uint64(a) & (PageSize - 1) }
-
 // BlockOf returns the 64 B block index of a.
 func BlockOf(a Addr) uint64 { return uint64(a) >> BlockShift }
 

@@ -49,6 +49,3 @@ func (a *Arena) Size() uint64 { return uint64(a.end - a.base) }
 // Pages returns the number of pages the arena spans (its full reserved
 // range, which is the dataset footprint the DRAM cache must back).
 func (a *Arena) Pages() uint64 { return PagesForBytes(a.Size()) }
-
-// UsedPages returns the number of pages touched by allocations so far.
-func (a *Arena) UsedPages() uint64 { return PagesForBytes(a.Used()) }

@@ -52,9 +52,6 @@ func NewHotCold(rng *sim.RNG, n, hotN uint64, hotProb, theta float64) *HotCold {
 // N returns the domain size.
 func (h *HotCold) N() uint64 { return h.n }
 
-// HotItems returns the hot-set cardinality.
-func (h *HotCold) HotItems() uint64 { return h.hotN }
-
 // Next draws an item index in [0, n).
 func (h *HotCold) Next() uint64 {
 	if h.rng.Float64() < h.hotProb {
@@ -63,6 +60,3 @@ func (h *HotCold) Next() uint64 {
 	cold := h.n - h.hotN
 	return h.hotN + h.rng.Uint64()%cold
 }
-
-// IsHot reports whether item belongs to the hot set.
-func (h *HotCold) IsHot(item uint64) bool { return item < h.hotN }

@@ -10,13 +10,13 @@ import (
 func TestHotColdConcentration(t *testing.T) {
 	rng := sim.NewRNG(1)
 	h := NewHotCold(rng, 100000, 1000, 0.97, 0.99)
-	if h.N() != 100000 || h.HotItems() != 1000 {
-		t.Fatalf("geometry: N=%d hot=%d", h.N(), h.HotItems())
+	if h.N() != 100000 || h.hotN != 1000 {
+		t.Fatalf("geometry: N=%d hot=%d", h.N(), h.hotN)
 	}
 	hot := 0
 	const draws = 200000
 	for i := 0; i < draws; i++ {
-		if h.IsHot(h.Next()) {
+		if h.Next() < h.hotN {
 			hot++
 		}
 	}
@@ -45,12 +45,12 @@ func TestHotColdDomain(t *testing.T) {
 func TestHotColdHotItemsAreLowIndices(t *testing.T) {
 	h := NewHotCold(sim.NewRNG(2), 1000, 30, 0.95, 0.9)
 	for i := uint64(0); i < 30; i++ {
-		if !h.IsHot(i) {
+		if i >= h.hotN {
 			t.Fatalf("index %d should be hot", i)
 		}
 	}
 	for i := uint64(30); i < 1000; i += 100 {
-		if h.IsHot(i) {
+		if i < h.hotN {
 			t.Fatalf("index %d should be cold", i)
 		}
 	}
@@ -74,12 +74,12 @@ func TestHotColdColdDrawsUniform(t *testing.T) {
 func TestHotColdClamps(t *testing.T) {
 	// hotN = 0 clamps to 1; hotN >= n clamps to n-1.
 	h := NewHotCold(sim.NewRNG(4), 100, 0, 0.9, 0.9)
-	if h.HotItems() != 1 {
-		t.Fatalf("hotN=0 clamped to %d, want 1", h.HotItems())
+	if h.hotN != 1 {
+		t.Fatalf("hotN=0 clamped to %d, want 1", h.hotN)
 	}
 	h = NewHotCold(sim.NewRNG(4), 100, 500, 0.9, 0.9)
-	if h.HotItems() != 99 {
-		t.Fatalf("hotN>n clamped to %d, want 99", h.HotItems())
+	if h.hotN != 99 {
+		t.Fatalf("hotN>n clamped to %d, want 99", h.hotN)
 	}
 }
 
@@ -119,7 +119,7 @@ func TestHotColdZipfWithinHotSet(t *testing.T) {
 	const draws = 100000
 	for i := 0; i < draws; i++ {
 		v := h.Next()
-		if h.IsHot(v) {
+		if v < h.hotN {
 			counts[v]++
 		}
 	}

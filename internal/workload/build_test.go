@@ -40,40 +40,46 @@ func (th treeHasher) sum() uint64 { return *th.h }
 
 // tree hashes every node of t depth-first: arena address, leaf bit,
 // number of keys and the keys, and internal nodes' children. It hashes
-// the logical keys, not how a leaf stores them (strided or wide, and at
+// the logical keys, not how a node stores them (strided or wide, and at
 // what capacity): storage hashes that.
 func (th treeHasher) tree(t *BPTree) {
 	th.put(t.size, uint64(t.height))
-	var walk func(n *bpNode)
-	walk = func(n *bpNode) {
+	var walk func(ni int32)
+	walk = func(ni int32) {
+		n := t.node(ni)
 		leaf := uint64(0)
 		if n.leaf {
 			leaf = 1
 		}
-		th.put(uint64(n.addr), leaf, uint64(n.numKeys()))
-		for i := range n.numKeys() {
-			th.put(n.keyAt(i))
+		th.put(uint64(n.addr()), leaf, uint64(t.numKeys(n)))
+		for i := range t.numKeys(n) {
+			th.put(t.keyAt(n, i))
 		}
 		if n.leaf {
 			return
 		}
-		th.put(uint64(len(n.children)), uint64(cap(n.children)))
-		for _, c := range n.children {
+		// fanout+2 stands where the hashes were recorded with the child
+		// array's capacity, which was fanout+2 for every internal node
+		// before splits froze left halves at exact size.
+		children := t.wide[n.base].children
+		th.put(uint64(len(children)), uint64(t.fanout+2))
+		for _, c := range children {
 			walk(c)
 		}
 	}
 	walk(t.root)
 }
 
-// storage hashes how each leaf of t stores its keys, in key order: the
-// strided form's count and gaps, or the wide key array's length and
-// capacity.
+// storage hashes how each node of t stores its keys, in slab order: a
+// strided leaf's count and gaps, or a wide node's slot and the lengths
+// and capacities of its arrays.
 func (th treeHasher) storage(t *BPTree) {
-	for _, n := range bpLeaves(t) {
-		if n.count != 0 {
+	for i := range t.nodes {
+		if n := t.node(i); n.count != 0 {
 			th.put(1, uint64(n.count), uint64(n.d0), uint64(n.d1))
 		} else {
-			th.put(0, uint64(len(n.keys)), uint64(cap(n.keys)))
+			w := t.wide[n.base]
+			th.put(0, n.base, uint64(len(w.keys)), uint64(cap(w.keys)), uint64(len(w.children)), uint64(cap(w.children)))
 		}
 	}
 }
@@ -82,9 +88,10 @@ func (th treeHasher) storage(t *BPTree) {
 // order.
 func (th treeHasher) layer(l *mtLayer) {
 	th.tree(l.tree)
-	for _, n := range bpLeaves(l.tree) {
-		for i := range n.numKeys() {
-			k := n.keyAt(i)
+	for _, ni := range bpLeaves(l.tree) {
+		n := l.tree.node(ni)
+		for i := range l.tree.numKeys(n) {
+			k := l.tree.keyAt(n, i)
 			if next, ok := l.next[k]; ok {
 				th.put(k)
 				th.layer(next)

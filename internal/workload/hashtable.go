@@ -45,9 +45,6 @@ func (h *HashTable) Capacity() uint64 { return uint64(len(h.slots)) }
 // Used returns the number of occupied slots.
 func (h *HashTable) Used() uint64 { return h.used }
 
-// LoadFactor returns used/capacity.
-func (h *HashTable) LoadFactor() float64 { return float64(h.used) / float64(len(h.slots)) }
-
 func (h *HashTable) slotAddr(i uint64) mem.Addr { return h.base + mem.Addr(i*64) }
 
 func (h *HashTable) hash(key uint64) uint64 {

@@ -64,7 +64,9 @@ func (db *SiloDB) Begin(tr *Tracer) *Txn {
 	return &Txn{db: db, tr: tr, readSet: make(map[uint64]uint64), writeSet: make(map[uint64]uint64)}
 }
 
-// Read looks key up through the index and records the observed version.
+// Read looks key up through the index and records the version it first
+// observes: a re-read after another commit must not replace it, or
+// validation would pass a transaction that saw two versions of the key.
 func (t *Txn) Read(key uint64) (uint64, bool) {
 	if t.done {
 		panic("workload: Read on finished txn")
@@ -79,8 +81,8 @@ func (t *Txn) Read(key uint64) (uint64, bool) {
 	t.tr.Touch(r.addr, false)
 	if _, seen := t.readSet[key]; !seen {
 		t.readOrder = append(t.readOrder, key)
+		t.readSet[key] = r.version
 	}
-	t.readSet[key] = r.version
 	return r.value, true
 }
 
@@ -158,15 +160,6 @@ func (t *Txn) Commit() bool {
 func (t *Txn) inWriteSet(k uint64) bool {
 	_, ok := t.writeSet[k]
 	return ok
-}
-
-// Abort releases the transaction without installing anything.
-func (t *Txn) Abort() {
-	if t.done {
-		panic("workload: Abort on finished txn")
-	}
-	t.done = true
-	t.db.Aborts++
 }
 
 func sortU64(xs []uint64) {

@@ -2,11 +2,14 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"astriflash/internal/mem"
 	"astriflash/internal/sim"
@@ -113,7 +116,7 @@ func TestHashTableProbeChains(t *testing.T) {
 	for i := uint64(0); i < 180; i++ { // ~70% load
 		ht.Put(i, i, tr)
 	}
-	if lf := ht.LoadFactor(); lf < 0.6 || lf > 0.8 {
+	if lf := float64(ht.Used()) / float64(ht.Capacity()); lf < 0.6 || lf > 0.8 {
 		t.Fatalf("load factor = %v", lf)
 	}
 	for i := uint64(0); i < 180; i++ {
@@ -218,8 +221,8 @@ func TestBPTreePropertyOrderAndPresence(t *testing.T) {
 				return false
 			}
 		}
-		for _, n := range bpLeaves(tree) {
-			if leafStorageError(tree, n) != "" {
+		for ni := range tree.nodes {
+			if storageError(tree, ni) != "" {
 				return false
 			}
 		}
@@ -229,45 +232,72 @@ func TestBPTreePropertyOrderAndPresence(t *testing.T) {
 	}
 }
 
+// storageError reports how node ni breaks the storage rule, or "". A
+// left half frozen by a split and not inserted into since holds arrays
+// of its exact size, and any other node arrays of the split size:
+// fanout+1 keys and, for an internal node, room for at most fanout+2
+// children (a frozen half's children array may round up to its size
+// class). Leaves follow leafStorageError.
+func storageError(t *BPTree, ni int32) string {
+	if n := t.node(ni); !n.leaf {
+		w := t.wide[n.base]
+		if cap(w.keys) != len(w.keys) && cap(w.keys) != t.fanout+1 || cap(w.children) > t.fanout+2 {
+			return fmt.Sprintf("internal node keys len %d, cap %d, children cap %d; want exact or %d keys, at most %d children",
+				len(w.keys), cap(w.keys), cap(w.children), t.fanout+1, t.fanout+2)
+		}
+		return ""
+	}
+	return leafStorageError(t, ni)
+}
+
 // leafStorageError reports how leaf n breaks the storage rule, or "". A
 // left half frozen by a split and not inserted into since is strided when
 // its gaps fit the form (strides), and an exact-size wide copy when they
 // do not. Every other leaf holds a wide array of the split size
 // fanout+1. The tail is never strided.
-func leafStorageError(t *BPTree, n *bpNode) string {
-	switch {
-	case n.count != 0 && n == t.tail:
-		return "tail leaf strided"
-	case n.count != 0, cap(n.keys) == t.fanout+1:
+func leafStorageError(t *BPTree, ni int32) string {
+	n := t.node(ni)
+	if n.count != 0 {
+		if ni == t.tail {
+			return "tail leaf strided"
+		}
 		return ""
-	case cap(n.keys) != len(n.keys):
-		return fmt.Sprintf("leaf keys len %d, cap %d; want exact or %d", len(n.keys), cap(n.keys), t.fanout+1)
 	}
-	if d0, d1, ok := strides(n.keys); ok {
+	keys := t.wide[n.base].keys
+	switch {
+	case cap(keys) == t.fanout+1:
+		return ""
+	case cap(keys) != len(keys):
+		return fmt.Sprintf("leaf keys len %d, cap %d; want exact or %d", len(keys), cap(keys), t.fanout+1)
+	}
+	if d0, d1, ok := strides(keys); ok {
 		return fmt.Sprintf("exact-size leaf has gaps %#x/%#x, which stride", d0, d1)
 	}
 	return ""
 }
 
-// bpLeaves returns the tree's leaves in key order.
-func bpLeaves(t *BPTree) []*bpNode {
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
+// bpLeaves returns the slab indices of the tree's leaves in key order.
+func bpLeaves(t *BPTree) []int32 {
+	ni := t.root
+	for !t.node(ni).leaf {
+		ni = t.wide[t.node(ni).base].children[0]
 	}
-	var out []*bpNode
-	for ; n != nil; n = n.next {
-		out = append(out, n)
+	var out []int32
+	for ; ni != noNode; ni = t.node(ni).next {
+		out = append(out, ni)
 	}
 	return out
 }
+
+// wideKeys returns a wide node's key array.
+func wideKeys(t *BPTree, ni int32) []uint64 { return t.wide[t.node(ni).base].keys }
 
 // TestBPTreeAscendingLoadTrimsLeaves loads the same keys untraced (the
 // tail append) and through a sink (the searched descent), and requires
 // identical leaves from both: every leaf but the tail strided with 128
 // keys at gap 1 and no key array, and the tail wide at the split size.
 func TestBPTreeAscendingLoadTrimsLeaves(t *testing.T) {
-	load := func(tr *Tracer) []*bpNode {
+	load := func(tr *Tracer) *BPTree {
 		tree := NewBPTree(testArena(), 256)
 		for i := uint64(0); i < 100_000; i++ {
 			tree.Insert(i, tr)
@@ -275,32 +305,31 @@ func TestBPTreeAscendingLoadTrimsLeaves(t *testing.T) {
 				tr.Take()
 			}
 		}
-		return bpLeaves(tree)
+		return tree
 	}
-	leaves, traced := load(nil), load(NewTracer(1))
+	tree, twin := load(nil), load(NewTracer(1))
+	leaves, traced := bpLeaves(tree), bpLeaves(twin)
 	if len(leaves) < 100 {
 		t.Fatalf("%d leaves; the load did not split", len(leaves))
 	}
 	if len(leaves) != len(traced) {
 		t.Fatalf("untraced load built %d leaves, traced %d", len(leaves), len(traced))
 	}
-	for i, n := range leaves {
-		m := traced[i]
-		if n.addr != m.addr || n.base != m.base || n.count != m.count || n.d0 != m.d0 || n.d1 != m.d1 ||
-			cap(n.keys) != cap(m.keys) || fmt.Sprint(n.keys) != fmt.Sprint(m.keys) {
-			t.Fatalf("leaf %d: untraced page %#x base %d count %d gaps %d/%d keys len/cap %d/%d, traced page %#x base %d count %d gaps %d/%d keys len/cap %d/%d",
-				i, n.addr, n.base, n.count, n.d0, n.d1, len(n.keys), cap(n.keys),
-				m.addr, m.base, m.count, m.d0, m.d1, len(m.keys), cap(m.keys))
+	for i, ni := range leaves {
+		n, m := *tree.node(ni), *twin.node(traced[i])
+		if n != m || (n.count == 0 && cap(wideKeys(tree, ni)) != cap(wideKeys(twin, traced[i]))) ||
+			(n.count == 0 && fmt.Sprint(wideKeys(tree, ni)) != fmt.Sprint(wideKeys(twin, traced[i]))) {
+			t.Fatalf("leaf %d: untraced %+v, traced %+v", i, n, m)
 		}
 		if i == len(leaves)-1 {
-			if n.count != 0 || cap(n.keys) != 257 {
-				t.Fatalf("tail: count %d, keys cap %d; want wide at 257", n.count, cap(n.keys))
+			if n.count != 0 || cap(wideKeys(tree, ni)) != 257 {
+				t.Fatalf("tail: count %d; want wide at cap 257", n.count)
 			}
 			continue
 		}
-		if n.keys != nil || n.count != 128 || n.d0 != 1 || n.d1 != 1 || n.base != uint64(i*128) {
-			t.Fatalf("leaf %d: base %d, count %d, gaps %d/%d, keys %d; want strided at %d, 128 keys at gap 1",
-				i, n.base, n.count, n.d0, n.d1, len(n.keys), i*128)
+		if n.count != 128 || n.d0 != 1 || n.d1 != 1 || n.base != uint64(i*128) {
+			t.Fatalf("leaf %d: base %d, count %d, gaps %d/%d; want strided at %d, 128 keys at gap 1",
+				i, n.base, n.count, n.d0, n.d1, i*128)
 		}
 	}
 }
@@ -330,11 +359,11 @@ func TestBPTreeStridingFollowsGaps(t *testing.T) {
 			k += c.gaps[i%len(c.gaps)]
 		}
 		leaves := bpLeaves(tree)
-		for i, n := range leaves[:len(leaves)-1] {
-			if (n.count != 0) != c.strided {
-				t.Fatalf("gaps %#x, leaf %d: strided %v, want %v", c.gaps, i, n.count != 0, c.strided)
+		for i, ni := range leaves[:len(leaves)-1] {
+			if strided := tree.node(ni).count != 0; strided != c.strided {
+				t.Fatalf("gaps %#x, leaf %d: strided %v, want %v", c.gaps, i, strided, c.strided)
 			}
-			if msg := leafStorageError(tree, n); msg != "" {
+			if msg := leafStorageError(tree, ni); msg != "" {
 				t.Fatalf("gaps %#x, leaf %d: %s", c.gaps, i, msg)
 			}
 		}
@@ -374,13 +403,14 @@ func TestBPTreeStridedLeafEdges(t *testing.T) {
 		for _, k := range keys {
 			tree.Insert(k, nil)
 		}
-		n := bpLeaves(tree)[0]
+		first := bpLeaves(tree)[0]
+		n := tree.node(first)
 		if n.count != 128 || n.base != base || n.d0 != 1 || n.d1 != 3 {
 			t.Fatalf("first leaf: count %d base %d gaps %d/%d; want 128 keys at %d, gaps 1/3",
 				n.count, n.base, n.d0, n.d1, base)
 		}
 		tr := NewTracer(1)
-		if tree.Insert(base+5, tr); !lastWrite(tr) || n.count == 0 || tree.Size() != uint64(len(keys)) {
+		if tree.Insert(base+5, tr); !lastWrite(tr) || tree.node(first).count == 0 || tree.Size() != uint64(len(keys)) {
 			t.Fatal("re-inserting a present key unpacked the leaf or traced no write")
 		}
 		if tree.Get(probe, nil) {
@@ -390,7 +420,7 @@ func TestBPTreeStridedLeafEdges(t *testing.T) {
 			t.Fatalf("Update(base%+d) rewrote an absent key", int64(probe-base))
 		}
 		tree.Insert(probe, tr)
-		if n.count != 0 {
+		if tree.node(first).count != 0 {
 			t.Fatalf("inserting base%+d left the leaf strided", int64(probe-base))
 		}
 		if msg := tree.CheckInvariants(); msg != "" {
@@ -430,13 +460,14 @@ func TestBPTreeStridedSearchMatchesLowerBound(t *testing.T) {
 		{^uint64(0) - 2*0xffff, 3, 0xffff, 0xffff},
 	} {
 		n := &bpNode{leaf: true, base: c.base, count: c.count, d0: c.d0, d1: c.d1}
+		tree := &BPTree{}
 		name := fmt.Sprintf("base %#x count %d gaps %#x/%#x", c.base, c.count, c.d0, c.d1)
 		if msg := checkStrided(n); msg != "" {
 			t.Fatalf("%s: %s", name, msg)
 		}
 		keys := make([]uint64, c.count)
 		for i := range keys {
-			keys[i] = n.keyAt(i)
+			keys[i] = tree.keyAt(n, i)
 		}
 		if d0, d1, ok := strides(keys); !ok || d0 != c.d0 || d1 != c.d1 {
 			t.Fatalf("%s: strides = %#x/%#x %v", name, d0, d1, ok)
@@ -446,7 +477,7 @@ func TestBPTreeStridedSearchMatchesLowerBound(t *testing.T) {
 			probes = append(probes, k-1, k, k+1)
 		}
 		for _, p := range probes {
-			i, found := n.search(p)
+			i, found := tree.search(n, p)
 			wi := lowerBound(keys, p)
 			if wfound := wi < len(keys) && keys[wi] == p; i != wi || found != wfound {
 				t.Fatalf("%s: search(%#x) = %d %v, lowerBound gives %d %v", name, p, i, found, wi, wfound)
@@ -473,14 +504,13 @@ func TestBPTreeCheckInvariantsRejectsMalformedStrided(t *testing.T) {
 		{"zero even gap", func(_ *BPTree, n *bpNode) { n.d0 = 0 }, "zero gap"},
 		{"zero gaps", func(_ *BPTree, n *bpNode) { n.d0, n.d1 = 0, 0 }, "zero gap"},
 		{"last key past 2^64", func(_ *BPTree, n *bpNode) { n.base = ^uint64(0) - 6 }, "past 2^64"},
-		{"keys beside the stride", func(_ *BPTree, n *bpNode) { n.keys = []uint64{n.base} }, "also holds keys"},
 		{"tail strided", func(tree *BPTree, _ *bpNode) {
-			tail := tree.tail
-			tail.base, tail.count, tail.d0, tail.d1 = tail.keys[0], uint16(len(tail.keys)), 1, 1
-			tail.keys = nil
+			tail, keys := tree.node(tree.tail), wideKeys(tree, tree.tail)
+			tail.base, tail.count, tail.d0, tail.d1 = keys[0], uint16(len(keys)), 1, 1
 		}, "tail leaf strided"},
 		{"internal strided", func(tree *BPTree, _ *bpNode) {
-			tree.root.count, tree.root.d0, tree.root.d1 = 2, 1, 1
+			root := tree.node(tree.root)
+			root.count, root.d0, root.d1 = 2, 1, 1
 		}, "internal node strided"},
 	} {
 		tree := NewBPTree(testArena(), 16)
@@ -490,10 +520,108 @@ func TestBPTreeCheckInvariantsRejectsMalformedStrided(t *testing.T) {
 		if msg := tree.CheckInvariants(); msg != "" {
 			t.Fatalf("%s: before corrupting: %s", c.name, msg)
 		}
-		if n := bpLeaves(tree)[0]; n.count != 8 {
+		n := tree.node(bpLeaves(tree)[0])
+		if n.count != 8 {
 			t.Fatalf("%s: first leaf count %d, want strided with 8", c.name, n.count)
 		}
-		c.corrupt(tree, bpLeaves(tree)[0])
+		c.corrupt(tree, n)
+		if msg := tree.CheckInvariants(); !strings.Contains(msg, c.want) {
+			t.Errorf("%s: CheckInvariants = %q, want %q", c.name, msg, c.want)
+		}
+	}
+}
+
+// TestBPNodeLayout pins the node slab's layout: a node of at most 24
+// bytes with no pointer anywhere in it, so slab chunks are memory the
+// garbage collector never scans. The walk must find the side table's
+// slices, or it proves nothing.
+func TestBPNodeLayout(t *testing.T) {
+	if size := unsafe.Sizeof(bpNode{}); size > 24 {
+		t.Errorf("bpNode is %d bytes, want <= 24", size)
+	}
+	if path := pointerField(reflect.TypeOf(bpNode{}), "bpNode"); path != "" {
+		t.Errorf("%s holds a pointer", path)
+	}
+	if path := pointerField(reflect.TypeOf(bpArrays{}), "bpArrays"); path != "bpArrays.keys" {
+		t.Errorf("pointer walk over bpArrays found %q, want bpArrays.keys", path)
+	}
+}
+
+// pointerField returns the path to the first field of typ that is or
+// holds a pointer, or "".
+func pointerField(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
+		reflect.Func, reflect.Interface, reflect.String:
+		return path
+	case reflect.Array:
+		return pointerField(typ.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			if p := pointerField(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
+}
+
+// TestDatasetBoundFitsNodeLayout checks that every arena page of the
+// largest dataset New accepts (TPC-C's arena spans twice it) numbers
+// below 2^31, so it fits a node's 32-bit page and its int32 slab index,
+// and that one page more is an error from every workload before any
+// build: a build at that size would run for hours, not return.
+func TestDatasetBoundFitsNodeLayout(t *testing.T) {
+	if pages := mem.PagesForBytes(2 * MaxDatasetBytes); pages > math.MaxInt32+1 {
+		t.Fatalf("a %d-byte TPC-C arena spans %d pages, past 2^31", uint64(MaxDatasetBytes), pages)
+	}
+	for _, name := range Names() {
+		cfg := DefaultConfig()
+		cfg.DatasetBytes = MaxDatasetBytes + mem.PageSize
+		if _, err := New(name, cfg); err == nil || !strings.Contains(err.Error(), "32-bit") {
+			t.Errorf("%s: New at %d bytes returned %v, want the node layout's bound", name, cfg.DatasetBytes, err)
+		}
+	}
+}
+
+// TestBPTreeCheckInvariantsRejectsMalformedLayout corrupts the node slab,
+// the side table and the links between nodes in each way CheckInvariants
+// must catch, and requires that message rather than a panic.
+func TestBPTreeCheckInvariantsRejectsMalformedLayout(t *testing.T) {
+	children := func(tree *BPTree) []int32 { return tree.wide[tree.node(tree.root).base].children }
+	for _, c := range []struct {
+		name    string
+		corrupt func(tree *BPTree, leaves []int32)
+		want    string
+	}{
+		{"child past the slab", func(tree *BPTree, _ []int32) { children(tree)[1] = tree.nodes }, "out of range"},
+		{"negative child", func(tree *BPTree, _ []int32) { children(tree)[1] = -5 }, "out of range"},
+		{"child reached twice", func(tree *BPTree, _ []int32) { children(tree)[1] = children(tree)[0] }, "reached twice"},
+		{"one child too few", func(tree *BPTree, _ []int32) {
+			tree.wide[tree.node(tree.root).base].children = children(tree)[:len(children(tree))-1]
+		}, "children for"},
+		{"slot past the side table", func(tree *BPTree, _ []int32) { tree.node(tree.root).base = uint64(len(tree.wide)) }, "out of range"},
+		{"slot shared", func(tree *BPTree, _ []int32) { tree.node(tree.tail).base = tree.node(tree.root).base }, "owned twice"},
+		{"slot owned by none", func(tree *BPTree, _ []int32) { tree.newSlot(nil, nil) }, "owned by no node"},
+		{"leaf with children", func(tree *BPTree, _ []int32) { tree.wide[tailSlot].children = []int32{0} }, "holds children"},
+		{"internal node with a next", func(tree *BPTree, leaves []int32) { tree.node(tree.root).next = leaves[0] }, "has a next leaf"},
+		{"next past the slab", func(tree *BPTree, leaves []int32) { tree.node(leaves[0]).next = 1000 }, "out of range"},
+		{"chain skips a leaf", func(tree *BPTree, leaves []int32) { tree.node(leaves[0]).next = leaves[2] }, "leaf chain reaches"},
+		{"chain loops back", func(tree *BPTree, leaves []int32) { tree.node(leaves[1]).next = leaves[0] }, "leaf chain reaches"},
+		{"chain runs past the tail", func(tree *BPTree, leaves []int32) { tree.node(tree.tail).next = leaves[0] }, "runs past the last leaf"},
+		{"tail not the last leaf", func(tree *BPTree, leaves []int32) { tree.tail = leaves[0] }, "tail is node"},
+		{"leaf below the height", func(tree *BPTree, _ []int32) { tree.height++ }, "at depth"},
+		{"short slab chunk", func(tree *BPTree, _ []int32) { tree.chunks[0] = tree.chunks[0][:tree.nodes-1] }, "slab chunk 0 holds"},
+	} {
+		tree := NewBPTree(testArena(), 16)
+		for k := range uint64(100) {
+			tree.Insert(k, nil)
+		}
+		if msg := tree.CheckInvariants(); msg != "" {
+			t.Fatalf("%s: before corrupting: %s", c.name, msg)
+		}
+		c.corrupt(tree, bpLeaves(tree))
 		if msg := tree.CheckInvariants(); !strings.Contains(msg, c.want) {
 			t.Errorf("%s: CheckInvariants = %q, want %q", c.name, msg, c.want)
 		}
@@ -581,8 +709,10 @@ func TestSiloOCCCommit(t *testing.T) {
 	if v, _ := txn2.Read(1); v != 11 {
 		t.Fatalf("committed value = %d", v)
 	}
-	txn2.Abort()
-	if db.Commits != 1 || db.Aborts != 1 {
+	if !txn2.Commit() {
+		t.Fatal("read-only commit failed")
+	}
+	if db.Commits != 2 || db.Aborts != 0 {
 		t.Fatalf("commits/aborts = %d/%d", db.Commits, db.Aborts)
 	}
 }
@@ -604,6 +734,9 @@ func TestSiloOCCValidationAborts(t *testing.T) {
 	t1.Write(1, 99)
 	if t1.Commit() {
 		t.Fatal("stale read validated; serializability broken")
+	}
+	if db.Commits != 1 || db.Aborts != 1 {
+		t.Fatalf("commits/aborts = %d/%d, want 1/1", db.Commits, db.Aborts)
 	}
 }
 
@@ -815,10 +948,10 @@ func FuzzBPTree(f *testing.F) {
 					}
 					break
 				}
-				var strided []*bpNode
-				for _, n := range bpLeaves(tree) {
-					if n.count != 0 {
-						strided = append(strided, n)
+				var strided []bpNode
+				for _, ni := range bpLeaves(tree) {
+					if n := tree.node(ni); n.count != 0 {
+						strided = append(strided, *n)
 					}
 				}
 				if len(strided) == 0 {
@@ -826,7 +959,7 @@ func FuzzBPTree(f *testing.F) {
 				}
 				n := strided[int(arg/8)%len(strided)]
 				k := [...]uint64{n.base - 1, n.base + uint64(n.d0) - 1, n.base + uint64(n.d0) + 1,
-					n.keyAt(int(n.count)-1) + 1}[arg/2%4]
+					n.strideKey(int(n.count)-1) + 1}[arg/2%4]
 				get(k)
 				insert(k)
 			}
@@ -848,8 +981,8 @@ func FuzzBPTree(f *testing.F) {
 				t.Fatalf("lost key %d", k)
 			}
 		}
-		for _, n := range bpLeaves(tree) {
-			if msg := leafStorageError(tree, n); msg != "" {
+		for ni := range tree.nodes {
+			if msg := storageError(tree, ni); msg != "" {
 				t.Fatal(msg)
 			}
 		}

@@ -141,10 +141,20 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxDatasetBytes is the largest dataset a workload accepts (4 TiB): a
+// B+-tree node records its arena page in 32 bits and names other nodes
+// by int32 slab index, and TPC-C's arena spans twice its dataset, so
+// every arena page must number below 2^31.
+const MaxDatasetBytes = 1 << (31 + mem.PageShift - 1)
+
 // Validate rejects unusable configurations.
 func (c Config) Validate() error {
 	if c.DatasetBytes < mem.PageSize {
 		return fmt.Errorf("workload: dataset %d below one page", c.DatasetBytes)
+	}
+	if c.DatasetBytes > MaxDatasetBytes {
+		return fmt.Errorf("workload: dataset %d bytes above the %d a B+-tree node's 32-bit page and slab index address",
+			c.DatasetBytes, uint64(MaxDatasetBytes))
 	}
 	if c.ZipfTheta <= 0 || c.ZipfTheta >= 1 {
 		return fmt.Errorf("workload: zipf theta %v out of (0,1)", c.ZipfTheta)

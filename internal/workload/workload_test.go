@@ -102,6 +102,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.OpsPerJob = 0 },
 		func(c *Config) { c.WriteFraction = -0.1 },
 		func(c *Config) { c.WriteFraction = 1.1 },
+		func(c *Config) { c.DatasetBytes = MaxDatasetBytes + 1 },
 	}
 	for i, mutate := range bads {
 		cfg := smallConfig()
@@ -281,13 +282,14 @@ func TestTPCCIsMostComputeIntensive(t *testing.T) {
 }
 
 // TestBPTreeWorkloadHeapPerSimulatedByte guards the host heap the B+tree
-// workloads hold after the build: at most 0.04 host bytes per simulated
-// byte. With frozen leaves strided (no key array) they hold about 0.024
-// (tatp) and 0.031 (tpcc); leaves packed into 16-bit offsets held about
-// 0.079 and 0.101, key-only leaves stored as eight-byte keys about 0.23
-// and 0.29, leaves that also stored a value per key about 0.44 and 0.55,
-// and leaves whose arrays stayed sized for fanout+1 after a split about
-// 0.95 and 1.19.
+// workloads hold after the build: at most 0.0145 host bytes per simulated
+// byte, about 1.25 times the larger figure. With 24-byte, index-addressed
+// nodes they hold about 0.0072 (tatp) and 0.0118 (tpcc); 80-byte nodes
+// with frozen leaves strided held about 0.024 and 0.031, leaves packed
+// into 16-bit offsets about 0.079 and 0.101, key-only leaves stored as
+// eight-byte keys about 0.23 and 0.29, leaves that also stored a value
+// per key about 0.44 and 0.55, and leaves whose arrays stayed sized for
+// fanout+1 after a split about 0.95 and 1.19.
 func TestBPTreeWorkloadHeapPerSimulatedByte(t *testing.T) {
 	for _, name := range []string{"tatp", "tpcc"} {
 		cfg := DefaultConfig()
@@ -303,9 +305,9 @@ func TestBPTreeWorkloadHeapPerSimulatedByte(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		runtime.KeepAlive(w)
 		perByte := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(cfg.DatasetBytes)
-		t.Logf("%s: %.3f host heap bytes per simulated byte", name, perByte)
-		if perByte > 0.04 {
-			t.Errorf("%s holds %.3f host heap bytes per simulated byte, want <= 0.04", name, perByte)
+		t.Logf("%s: %.4f host heap bytes per simulated byte", name, perByte)
+		if perByte > 0.0145 {
+			t.Errorf("%s holds %.4f host heap bytes per simulated byte, want <= 0.0145", name, perByte)
 		}
 	}
 }
