@@ -50,25 +50,27 @@ fmt-check:
 ## the SLO parser against the objectives it may return, the span-trace
 ## reader against malformed input and the Zipf rank scramble against its
 ## reference reduction. A failure writes the input under the package's
-## testdata/fuzz/.
+## testdata/fuzz/. Each fuzzer minimizes a new interesting input for
+## 2 s: at the default 60 s, FuzzBPTree, FuzzRBTree and FuzzFTL spent
+## the whole run minimizing their first find (tens of execs in 10 s).
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzBPTree$$' -fuzztime $(FUZZTIME) ./internal/workload
-	$(GO) test -run '^$$' -fuzz '^FuzzRBTree$$' -fuzztime $(FUZZTIME) ./internal/workload
-	$(GO) test -run '^$$' -fuzz '^FuzzHashTable$$' -fuzztime $(FUZZTIME) ./internal/workload
-	$(GO) test -run '^$$' -fuzz '^FuzzMasstree$$' -fuzztime $(FUZZTIME) ./internal/workload
-	$(GO) test -run '^$$' -fuzz '^FuzzSilo$$' -fuzztime $(FUZZTIME) ./internal/workload
-	$(GO) test -run '^$$' -fuzz '^FuzzFTL$$' -fuzztime $(FUZZTIME) ./internal/flash
-	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime $(FUZZTIME) ./internal/sim
-	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/obs/timeline
-	$(GO) test -run '^$$' -fuzz '^FuzzParseSLO$$' -fuzztime $(FUZZTIME) ./internal/obs/timeline
-	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) ./internal/obs
-	$(GO) test -run '^$$' -fuzz '^FuzzZipfScramble$$' -fuzztime $(FUZZTIME) ./internal/mem
+	$(GO) test -run '^$$' -fuzz '^FuzzBPTree$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzRBTree$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzHashTable$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzMasstree$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzSilo$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzFTL$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/flash
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/obs/timeline
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSLO$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/obs/timeline
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzZipfScramble$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/mem
 
 ## Full-scale probe: builds and runs the 16-core tatp machine at 2 GB and
-## 16 GB (about 10 s and 0.2 GiB of host heap on 2 vCPUs), logs build and
-## run time, and fails a point holding more than 10.5 MiB of live host
-## heap per simulated GiB.
+## 16 GB (about 5 s and 0.2 GiB of host heap on 2 vCPUs), logs build and
+## run time and build seconds per simulated GiB, and fails a point holding
+## more than 10.5 MiB of live host heap per simulated GiB.
 fullscale-probe:
 	FULLSCALE=1 $(GO) test -count=1 -run '^TestFullScaleProbe$$' -v .
 
@@ -86,7 +88,8 @@ bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkHistogram|BenchmarkZipfNext|BenchmarkHotColdNext' -benchmem $(BENCHFLAGS) ./internal/sim ./internal/stats ./internal/mem
 
 ## Workload construction microbenchmarks: ns/op and allocs/op of building
-## each registered workload at 32 MiB and ns per key of a 1M-key
+## each registered workload at 32 MiB and tatp at 512 MiB (the
+## benchmark's tatp-512m dataset), ns per key of a 1M-key
 ## ascending B+tree load, plus ns per untraced random Get over such a
 ## tree (hits and misses). BENCHFLAGS passes extra go test flags (CI runs
 ## `make bench-build BENCHFLAGS='-benchtime 1x'`).

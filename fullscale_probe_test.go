@@ -18,7 +18,7 @@ const maxHeapMiBPerSimGiB = 10.5
 // TestFullScaleProbe times full-scale paper-config points (16 cores, 2 GB
 // and 16 GB datasets) end to end, construction and saturated run
 // separately, and logs each machine's live host heap after the build,
-// events/sec and simulated-ns/sec. It fails a point whose heap exceeds
+// build seconds per simulated GiB, events/sec and simulated-ns/sec. It fails a point whose heap exceeds
 // maxHeapMiBPerSimGiB. Run it with FULLSCALE=1 (`make fullscale-probe`)
 // when construction, host memory or hot-path cost at scale is in
 // question; the 16 GB point holds about 0.13 GiB.
@@ -44,7 +44,8 @@ func TestFullScaleProbe(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			heapMiB := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (1 << 20)
 			perGiB := heapMiB / float64(gib)
-			t.Logf("live heap after build %.0f MiB (%.1f MiB per simulated GiB)", heapMiB, perGiB)
+			t.Logf("live heap after build %.0f MiB (%.1f MiB per simulated GiB); build %.3fs per simulated GiB",
+				heapMiB, perGiB, build.Seconds()/float64(gib))
 			res := m.RunSaturated(cfg.Inflight, cfg.WarmupNs, cfg.MeasureNs)
 			p := m.LastRunProfile()
 			t.Logf("build %.1fs run %.1fs events %d (%.2e ev/s, %.2e sim-ns/s) throughput %.0f jobs/s miss %.2f%%",

@@ -304,15 +304,41 @@ func TestRNGExpMean(t *testing.T) {
 	}
 }
 
-func TestRNGPermIsPermutation(t *testing.T) {
-	r := NewRNG(5)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("Perm produced invalid permutation: %v", p)
+// TestRNGSkipMatchesDraws checks that Skip(n) leaves the generator where
+// n Uint64 calls do, from several seeds, at the edges of the 256-step
+// fold and at TATP's build draw counts for 32 MiB and 512 MiB.
+func TestRNGSkipMatchesDraws(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42367, 0xdeadbeefcafe} {
+		for _, n := range []uint64{0, 1, 255, 256, 257, 65537, 860_160, 13_762_560} {
+			skipped, drawn := NewRNG(seed), NewRNG(seed)
+			skipped.Skip(n)
+			for range n {
+				drawn.Uint64()
+			}
+			if skipped.s != drawn.s {
+				t.Fatalf("seed %d: Skip(%d) state %x, %d draws %x", seed, n, skipped.s, n, drawn.s)
+			}
 		}
-		seen[v] = true
+	}
+}
+
+// TestRNGCharPoly pins charPoly: x^(2^128) and x^(2^192) modulo it must be
+// the xoshiro256 reference's JUMP and LONG_JUMP polynomials.
+func TestRNGCharPoly(t *testing.T) {
+	for _, c := range []struct {
+		log2 int
+		want gf2Poly
+	}{
+		{128, gf2Poly{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}},
+		{192, gf2Poly{0x76e15d3efefdcbbf, 0xc5004e441c522fb3, 0x77710069854ee241, 0x39109bb02acbe635}},
+	} {
+		p := gf2Poly{2} // x
+		for range c.log2 {
+			p = p.times(p)
+		}
+		if p != c.want {
+			t.Errorf("x^(2^%d) mod charPoly = %x, want %x", c.log2, p, c.want)
+		}
 	}
 }
 

@@ -327,6 +327,36 @@ func (t *BPTree) Insert(key uint64, tr *Tracer) {
 	}
 }
 
+// tailRoom returns the number of keys above the maximum the tail leaf
+// takes before an insert splits it: appendRun's bound.
+func (t *BPTree) tailRoom() int { return t.fanout - len(t.wide[tailSlot].keys) }
+
+// appendRun appends the n keys first, first+d0, first+d0+d1, ... (gaps
+// alternating d0 and d1, both nonzero, the last key below 2^64) to the
+// tail leaf. With first above every key and n <= tailRoom() it is
+// exactly n untraced Inserts, which all take the tail append and none
+// splits; it panics outside those bounds. An ascending load calls it
+// between splits, and Insert for the key that splits.
+func (t *BPTree) appendRun(first uint64, n int, d0, d1 uint64) {
+	if n == 0 {
+		return
+	}
+	w := &t.wide[tailSlot]
+	l := len(w.keys)
+	if n > t.fanout-l || l > 0 && w.keys[l-1] >= first {
+		panic(fmt.Sprintf("workload: appendRun of %d keys from %d past a tail of %d keys", n, first, l))
+	}
+	keys := w.keys[:l+n]
+	for i, k := l, first; i < len(keys); i, k = i+2, k+d0+d1 {
+		keys[i] = k
+		if i+1 < len(keys) {
+			keys[i+1] = k + d0
+		}
+	}
+	w.keys = keys
+	t.size += uint64(n)
+}
+
 // insert descends recursively; on split it returns the promoted separator
 // key and the new right sibling's index, else noNode.
 func (t *BPTree) insert(ni int32, key uint64, tr *Tracer) (uint64, int32) {
@@ -411,19 +441,24 @@ func strides(keys []uint64) (d0, d1 uint16, ok bool) {
 	if len(keys) < 2 || len(keys) > 0xffff {
 		return 0, 0, false
 	}
-	g := [2]uint64{keys[1] - keys[0], keys[1] - keys[0]}
+	g0, g1 := keys[1]-keys[0], keys[1]-keys[0]
 	if len(keys) > 2 {
-		g[1] = keys[2] - keys[1]
+		g1 = keys[2] - keys[1]
 	}
-	if g[0] > maxStrideGap || g[1] > maxStrideGap {
+	if g0 > maxStrideGap || g1 > maxStrideGap {
 		return 0, 0, false
 	}
-	for i := 3; i < len(keys); i++ {
-		if keys[i]-keys[i-1] != g[(i-1)%2] {
+	// Gap i-1 ends at key i: even gaps are g0, odd ones g1, two per step.
+	i := 3
+	for ; i+1 < len(keys); i += 2 {
+		if keys[i]-keys[i-1] != g0 || keys[i+1]-keys[i] != g1 {
 			return 0, 0, false
 		}
 	}
-	return uint16(g[0]), uint16(g[1]), true
+	if i < len(keys) && keys[i]-keys[i-1] != g0 {
+		return 0, 0, false
+	}
+	return uint16(g0), uint16(g1), true
 }
 
 // splitInternal moves the keys above the middle one, and their children,

@@ -1,8 +1,12 @@
 package workload
 
 import (
+	"fmt"
+	stdslices "slices"
 	"sort"
 	"testing"
+
+	"astriflash/internal/mem"
 )
 
 // buildConfig is the 32 MiB, default-seed dataset the build fixture and
@@ -15,8 +19,7 @@ func buildConfig() Config {
 
 // treeHasher is FNV-1a 64 (hash/fnv's New64a) over the little-endian
 // bytes of each value put, computed in place: hash.Hash64's Write costs an
-// interface call and a buffer per put, and FuzzBPTree hashes two trees
-// after every op.
+// interface call and a buffer per put.
 type treeHasher struct{ h *uint64 }
 
 func newTreeHasher() treeHasher {
@@ -41,7 +44,7 @@ func (th treeHasher) sum() uint64 { return *th.h }
 // tree hashes every node of t depth-first: arena address, leaf bit,
 // number of keys and the keys, and internal nodes' children. It hashes
 // the logical keys, not how a node stores them (strided or wide, and at
-// what capacity): storage hashes that.
+// what capacity): bpSlabDiff compares that.
 func (th treeHasher) tree(t *BPTree) {
 	th.put(t.size, uint64(t.height))
 	var walk func(ni int32)
@@ -68,20 +71,6 @@ func (th treeHasher) tree(t *BPTree) {
 		}
 	}
 	walk(t.root)
-}
-
-// storage hashes how each node of t stores its keys, in slab order: a
-// strided leaf's count and gaps, or a wide node's slot and the lengths
-// and capacities of its arrays.
-func (th treeHasher) storage(t *BPTree) {
-	for i := range t.nodes {
-		if n := t.node(i); n.count != 0 {
-			th.put(1, uint64(n.count), uint64(n.d0), uint64(n.d1))
-		} else {
-			w := t.wide[n.base]
-			th.put(0, n.base, uint64(len(w.keys)), uint64(cap(w.keys)), uint64(len(w.children)), uint64(cap(w.children)))
-		}
-	}
 }
 
 // layer hashes a Masstree layer's tree, then each deeper layer in key
@@ -113,6 +102,160 @@ func (th treeHasher) jobs(w Workload, n int) {
 				write = 1
 			}
 			th.put(uint64(s.ComputeNs), uint64(s.Access.Addr), write)
+		}
+	}
+}
+
+// bpSlabDiff compares two trees' node slabs entry by entry and returns
+// the first difference, or "": size, height, fanout, root and tail, and
+// per slab index the node (page, leaf bit, next, and its strided form's
+// base, count and gaps, or its slot) and a wide node's keys and children
+// with their lengths and capacities. Equal slabs are equal trees, stored
+// alike.
+func bpSlabDiff(a, b *BPTree) string {
+	switch {
+	case a.size != b.size || a.height != b.height || a.fanout != b.fanout:
+		return fmt.Sprintf("size/height/fanout %d/%d/%d vs %d/%d/%d", a.size, a.height, a.fanout, b.size, b.height, b.fanout)
+	case a.root != b.root || a.tail != b.tail:
+		return fmt.Sprintf("root/tail %d/%d vs %d/%d", a.root, a.tail, b.root, b.tail)
+	case a.nodes != b.nodes || len(a.wide) != len(b.wide):
+		return fmt.Sprintf("%d nodes, %d slots vs %d nodes, %d slots", a.nodes, len(a.wide), b.nodes, len(b.wide))
+	}
+	for i := range a.nodes {
+		n, m := a.node(i), b.node(i)
+		if *n != *m {
+			return fmt.Sprintf("node %d: %+v vs %+v", i, *n, *m)
+		}
+		if n.count != 0 {
+			continue
+		}
+		v, w := a.wide[n.base], b.wide[m.base]
+		if cap(v.keys) != cap(w.keys) || cap(v.children) != cap(w.children) ||
+			!stdslices.Equal(v.keys, w.keys) || !stdslices.Equal(v.children, w.children) {
+			return fmt.Sprintf("node %d: keys %v (cap %d), children %v (cap %d) vs keys %v (cap %d), children %v (cap %d)",
+				i, v.keys, cap(v.keys), v.children, cap(v.children), w.keys, cap(w.keys), w.children, cap(w.children))
+		}
+	}
+	return ""
+}
+
+// newTATPPerKey is the TATP build as one Insert and one payload draw per
+// row, in subscriber order: the reference newTATP's batched load and
+// single Skip must match bit for bit.
+func newTATPPerKey(cfg Config, subs uint64) *TATP {
+	arena := mem.NewArena(0, cfg.DatasetBytes)
+	t := &TATP{
+		cfg:         cfg,
+		arena:       arena,
+		subscribers: NewBPTree(arena, 256),
+		accessInfo:  NewBPTree(arena, 256),
+		specialFac:  NewBPTree(arena, 256),
+	}
+	rng := newRNG(cfg, 0x7a79)
+	for s := uint64(0); s < subs; s++ {
+		rng.Uint64()
+		t.subscribers.Insert(s, nil)
+		rng.Uint64()
+		t.accessInfo.Insert(s*4, nil)
+		rng.Uint64()
+		t.accessInfo.Insert(s*4+1, nil)
+		if s%2 == 0 {
+			rng.Uint64()
+			t.specialFac.Insert(s, nil)
+		}
+	}
+	t.zipf = newSampler(cfg, rng, subs, hotPageBudget(cfg)*20)
+	t.rng = rng
+	return t
+}
+
+// tatpNodes returns the node counts of a TATP's three trees.
+func tatpNodes(t *TATP) [3]int32 {
+	return [3]int32{t.subscribers.nodes, t.accessInfo.nodes, t.specialFac.nodes}
+}
+
+// TestTATPBatchedLoadMatchesPerKey builds TATP with its batched load and
+// skipped draws and with newTATPPerKey, and requires equal node slabs,
+// consistent trees and the same next 2000 jobs, step for step. NewTATP's
+// subscriber count is always even (30 per dataset page, at least 1024),
+// so the minimum dataset goes through NewTATP and the odd counts through
+// newTATP: 2001, whose last subscriber splits no tree, and 2305, whose
+// last subscriber splits all three.
+func TestTATPBatchedLoadMatchesPerKey(t *testing.T) {
+	minCfg := buildConfig()
+	minCfg.DatasetBytes = MinDatasetBytes("tatp")
+	cfg := buildConfig()
+	cfg.DatasetBytes = 1 << 20
+	cases := []struct {
+		name    string
+		cfg     Config
+		subs    uint64
+		batched func() *TATP
+		split   bool
+	}{
+		{"min-dataset", minCfg, 1024, func() *TATP { return NewTATP(minCfg) }, false},
+		{"odd", cfg, 2001, func() *TATP { return newTATP(cfg, 2001) }, false},
+		{"last-splits", cfg, 2305, func() *TATP { return newTATP(cfg, 2305) }, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got, want := c.batched(), newTATPPerKey(c.cfg, c.subs)
+			before, after := tatpNodes(newTATPPerKey(c.cfg, c.subs-1)), tatpNodes(want)
+			for i := range before {
+				if split := before[i] != after[i]; split != c.split {
+					t.Fatalf("last subscriber splits tree %d: %v, want %v", i, split, c.split)
+				}
+			}
+			for _, tree := range [][2]*BPTree{{got.subscribers, want.subscribers},
+				{got.accessInfo, want.accessInfo}, {got.specialFac, want.specialFac}} {
+				if msg := tree[0].CheckInvariants(); msg != "" {
+					t.Fatal(msg)
+				}
+				if msg := bpSlabDiff(tree[0], tree[1]); msg != "" {
+					t.Fatalf("batched tree differs from the per-key one: %s", msg)
+				}
+			}
+			var a, b []Step
+			for j := range 2000 {
+				a, b = got.NewJobSteps(a), want.NewJobSteps(b)
+				if !stdslices.Equal(a, b) {
+					t.Fatalf("job %d: batched build's steps %v, per-key %v", j, a, b)
+				}
+			}
+		})
+	}
+}
+
+// TestTATPBatchIsLargestFit checks tatpBatch against a search for the
+// largest k whose rows fit every tail, counting the even subscribers in
+// [s, s+k) one by one. The loader alone cannot catch a bound that is one
+// too large: in a TATP build the special-facility bound never falls
+// below the subscribers' one, so such a bound batches the same runs.
+func TestTATPBatchIsLargestFit(t *testing.T) {
+	for s := uint64(0); s < 2; s++ {
+		for left := uint64(0); left < 12; left++ {
+			for sub := range 10 {
+				for acc := range 12 {
+					for fac := range 6 {
+						want := uint64(0)
+						for k := uint64(1); k <= left; k++ {
+							evens := 0
+							for i := s; i < s+k; i++ {
+								if i%2 == 0 {
+									evens++
+								}
+							}
+							if k > uint64(sub) || 2*k > uint64(acc) || evens > fac {
+								break
+							}
+							want = k
+						}
+						if got := tatpBatch(s, left, sub, acc, fac); got != want {
+							t.Fatalf("tatpBatch(%d, %d, %d, %d, %d) = %d, want %d", s, left, sub, acc, fac, got, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -172,23 +315,29 @@ func TestBuiltTreesMatchParent(t *testing.T) {
 var builtWorkload Workload
 
 // BenchmarkWorkloadBuild times constructing each registered workload at
-// 32 MiB: `make bench-build`.
+// 32 MiB, and tatp at the benchmark's 512 MiB: `make bench-build`.
 func BenchmarkWorkloadBuild(b *testing.B) {
 	var names []string
 	for name := range builders {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
-		b.Run(name, func(b *testing.B) {
+	build := func(name string, cfg Config) func(b *testing.B) {
+		return func(b *testing.B) {
 			b.ReportAllocs()
 			for range b.N {
-				w, err := New(name, buildConfig())
+				w, err := New(name, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
 				builtWorkload = w
 			}
-		})
+		}
 	}
+	for _, name := range names {
+		b.Run(name, build(name, buildConfig()))
+	}
+	cfg := buildConfig()
+	cfg.DatasetBytes = 512 << 20
+	b.Run("tatp-512MiB", build("tatp", cfg))
 }

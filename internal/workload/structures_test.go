@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	stdslices "slices"
 	"sort"
 	"strings"
 	"testing"
@@ -863,43 +864,50 @@ func TestMasstreePropertyRoundTrip(t *testing.T) {
 
 // FuzzBPTree decodes ops into mixes of ascending runs (dense, sparse at
 // gaps around the largest a strided leaf holds, or alternating two gaps
-// among 1, 2, 0xffff and 0x10000), re-inserts of the current maximum key,
-// random inserts, probes of strided leaves' edges (base-1, either side of
-// the second key, last+1), updates, gets and scans over a small-fanout tree,
-// and checks every found bit and scanned key against a Go map. A traced
-// twin takes every insert through the searched descent; after each op both
-// trees must hash equal, keys and storage, and the untraced tree's tail
-// must be its last leaf.
+// among 1, 2, 0xffff and 0x10000, the last kind also through appendRun up
+// to the tail's room), re-inserts of the current maximum key, random
+// inserts, probes of strided leaves' edges (base-1, either side of the
+// second key, last+1), updates, gets and scans over a small-fanout tree,
+// and checks every found bit and scanned key against a sorted slice of
+// the stored keys. A traced twin takes every insert, appended runs too,
+// as one Insert per key through the searched descent; after each op both
+// trees' node slabs must be equal (bpSlabDiff), and the untraced tree's
+// tail must be its last leaf.
 func FuzzBPTree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, fan byte, ops []byte) {
 		fanout := 4 << (fan % 3) // 4, 8, 16: halves fill size classes exactly
 		tree := NewBPTree(testArena(), fanout)
 		twin, sink := NewBPTree(testArena(), fanout), NewTracer(1)
-		ref := map[uint64]bool{}
+		// ref holds the stored keys in ascending order: sorted once per
+		// insert, not per scan, so a long input stays cheap to run.
+		var ref []uint64
 		var maxKey uint64
+		find := func(k uint64) (int, bool) {
+			i := sort.Search(len(ref), func(i int) bool { return ref[i] >= k })
+			return i, i < len(ref) && ref[i] == k
+		}
+		has := func(k uint64) bool { _, ok := find(k); return ok }
 		insert := func(k uint64) {
 			tree.Insert(k, nil)
 			twin.Insert(k, sink)
 			sink.Take()
-			ref[k] = true
+			if i, ok := find(k); !ok {
+				ref = append(ref, 0)
+				copy(ref[i+1:], ref[i:])
+				ref[i] = k
+			}
 			maxKey = max(maxKey, k)
 		}
-		hash := func(t *BPTree) uint64 {
-			th := newTreeHasher()
-			th.tree(t)
-			th.storage(t)
-			return th.sum()
-		}
 		get := func(k uint64) {
-			if had := ref[k]; tree.Get(k, nil) != had {
-				t.Fatalf("Get(%d) reported %v, map has it: %v", k, !had, had)
+			if had := has(k); tree.Get(k, nil) != had {
+				t.Fatalf("Get(%d) reported %v, reference has it: %v", k, !had, had)
 			}
 		}
 		for n := 0; len(ops) >= 2 && n < 512; n++ {
 			op, arg := ops[0], uint64(ops[1])
 			ops = ops[2:]
 			key := arg // a small key space, so inserts collide
-			switch op % 8 {
+			switch op % 9 {
 			case 0: // ascending run above the maximum
 				start := maxKey + 1
 				if len(ref) == 0 {
@@ -915,23 +923,16 @@ func FuzzBPTree(f *testing.F) {
 			case 2:
 				insert(key)
 			case 3:
-				if had := ref[key]; tree.Update(key, nil) != had {
-					t.Fatalf("Update(%d) reported %v, map has it: %v", key, !had, had)
+				if had := has(key); tree.Update(key, nil) != had {
+					t.Fatalf("Update(%d) reported %v, reference has it: %v", key, !had, had)
 				}
 			case 4:
 				get(key)
 			case 5:
 				count := int(arg%32) + 1
 				got := tree.Scan(key, count, nil)
-				var keys []uint64
-				for k := range ref {
-					if k >= key {
-						keys = append(keys, k)
-					}
-				}
-				sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-				want := keys[:min(count, len(keys))]
-				if fmt.Sprint(got) != fmt.Sprint(want) {
+				i, _ := find(key)
+				if want := ref[i:min(i+count, len(ref))]; !stdslices.Equal(got, want) {
 					t.Fatalf("Scan(%d, %d) = %v, want %v", key, count, got, want)
 				}
 			case 6: // sparse ascending run: gaps of 2^12-2^17, each power -1, +0 or +1
@@ -962,12 +963,31 @@ func FuzzBPTree(f *testing.F) {
 					n.strideKey(int(n.count)-1) + 1}[arg/2%4]
 				get(k)
 				insert(k)
+			case 8: // a run through appendRun, as many keys as the tail takes
+				gaps := [...]uint64{1, 2, maxStrideGap, maxStrideGap + 1}
+				d0, d1 := gaps[arg%4], gaps[arg/4%4]
+				first := maxKey + d1
+				switch {
+				case len(ref) == 0:
+					first = key
+				case maxKey > math.MaxUint64/2: // probes wrap to 2^64-1; a run past it would wrap too
+					continue
+				}
+				count := min(int(arg/16)+1, tree.tailRoom())
+				tree.appendRun(first, count, d0, d1)
+				for i := range uint64(count) {
+					k := first + i/2*(d0+d1) + i%2*d0
+					twin.Insert(k, sink)
+					sink.Take()
+					ref = append(ref, k)
+					maxKey = k
+				}
 			}
 			if tree.Size() != uint64(len(ref)) {
-				t.Fatalf("size %d, map holds %d", tree.Size(), len(ref))
+				t.Fatalf("size %d, reference holds %d", tree.Size(), len(ref))
 			}
-			if hash(tree) != hash(twin) {
-				t.Fatalf("op %d: untraced tree differs from its traced twin", n)
+			if msg := bpSlabDiff(tree, twin); msg != "" {
+				t.Fatalf("op %d: untraced tree differs from its traced twin: %s", n, msg)
 			}
 			if leaves := bpLeaves(tree); tree.tail != leaves[len(leaves)-1] {
 				t.Fatalf("op %d: tail is not the last of %d leaves", n, len(leaves))
@@ -976,7 +996,7 @@ func FuzzBPTree(f *testing.F) {
 		if msg := tree.CheckInvariants(); msg != "" {
 			t.Fatal(msg)
 		}
-		for k := range ref {
+		for _, k := range ref {
 			if !tree.Get(k, nil) {
 				t.Fatalf("lost key %d", k)
 			}

@@ -27,7 +27,6 @@ type TATP struct {
 // one subscriber row plus 2.5 auxiliary rows per 4 records of page
 // footprint.
 func NewTATP(cfg Config) *TATP {
-	arena := mem.NewArena(0, cfg.DatasetBytes)
 	// Each subscriber contributes ~3.5 tree entries; leaves average ~70%
 	// fill (~150 entries per page). Budget pages so the arena holds all
 	// three trees with internal-node slack.
@@ -35,6 +34,13 @@ func NewTATP(cfg Config) *TATP {
 	if subs < 1024 {
 		subs = 1024
 	}
+	return newTATP(cfg, subs)
+}
+
+// newTATP builds the database with subs subscribers in an arena of the
+// configured dataset size.
+func newTATP(cfg Config, subs uint64) *TATP {
+	arena := mem.NewArena(0, cfg.DatasetBytes)
 	t := &TATP{
 		cfg:         cfg,
 		arena:       arena,
@@ -42,29 +48,55 @@ func NewTATP(cfg Config) *TATP {
 		accessInfo:  NewBPTree(arena, 256),
 		specialFac:  NewBPTree(arena, 256),
 	}
+	t.load(subs)
 	rng := newRNG(cfg, 0x7a79)
-	// Each row draws a payload no tree stores: the draws fix the stream the
-	// sampler's seed and every job's operations are taken from.
-	for s := uint64(0); s < subs; s++ {
-		rng.Uint64()
-		t.subscribers.Insert(s, nil)
-		// 1-4 access-info rows per subscriber in real TATP; model 2.
-		rng.Uint64()
-		t.accessInfo.Insert(s*4, nil)
-		rng.Uint64()
-		t.accessInfo.Insert(s*4+1, nil)
-		// One special-facility row in two.
-		if s%2 == 0 {
-			rng.Uint64()
-			t.specialFac.Insert(s, nil)
-		}
-	}
+	// Each row draws a payload no tree stores. Skipping the draws in one
+	// step leaves the generator where one draw per row would, which fixes
+	// the stream the sampler's seed and every job's operations are taken
+	// from.
+	rng.Skip(3*subs + (subs+1)/2)
 	// Subscriber ids key the trees directly, so hot subscribers occupy
 	// contiguous leaves (~50 effective items per hot page across the
 	// three tables).
 	t.zipf = newSampler(cfg, rng, subs, hotPageBudget(cfg)*20)
 	t.rng = rng
 	return t
+}
+
+// load inserts subs subscribers' rows in ascending key order: subscriber
+// s, its access-info rows s*4 and s*4+1 (1-4 per subscriber in real TATP;
+// model 2), and a special-facility row for even s (one in two). Between
+// splits it appends the largest run of whole subscribers every tail
+// takes, and a subscriber that needs a split goes through Insert, so the
+// splits, and the pages they take from the shared arena, come in the
+// order of one Insert per row.
+func (t *TATP) load(subs uint64) {
+	for s := uint64(0); s < subs; {
+		k := tatpBatch(s, subs-s, t.subscribers.tailRoom(), t.accessInfo.tailRoom(), t.specialFac.tailRoom())
+		if k == 0 {
+			t.subscribers.Insert(s, nil)
+			t.accessInfo.Insert(s*4, nil)
+			t.accessInfo.Insert(s*4+1, nil)
+			if s%2 == 0 {
+				t.specialFac.Insert(s, nil)
+			}
+			s++
+			continue
+		}
+		t.subscribers.appendRun(s, int(k), 1, 1)
+		t.accessInfo.appendRun(s*4, int(2*k), 1, 3)
+		even := s + s%2
+		t.specialFac.appendRun(even, int((s+k-even+1)/2), 2, 2)
+		s += k
+	}
+}
+
+// tatpBatch returns the largest number of whole subscribers from s, at
+// most left, whose rows fit tails with room for subRoom subscriber,
+// accRoom access-info and facRoom special-facility keys: one, two, and
+// (k+1)/2 from an even s or k/2 from an odd one.
+func tatpBatch(s, left uint64, subRoom, accRoom, facRoom int) uint64 {
+	return min(left, uint64(subRoom), uint64(accRoom/2), 2*uint64(facRoom)+s%2)
 }
 
 // Name implements Workload.

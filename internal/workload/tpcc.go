@@ -72,32 +72,45 @@ func NewTPCC(cfg Config) *TPCC {
 		items:      items,
 		custPerD:   custPerD,
 	}
-	rng := newRNG(cfg, 0x79cc)
-	// Each row draws a payload no tree stores: the draws fix the stream the
-	// samplers' seeds and every job's operations are taken from.
-	for w := uint64(0); w < warehouses; w++ {
-		rng.Uint64()
+	// Warehouse and district keys fill one leaf each, so those trees never
+	// split and take no arena page here: loading them apart from the
+	// customers they interleave with in the spec's order leaves every
+	// page where it was.
+	for w := range warehouses {
 		t.warehouse.Insert(w, nil)
-		for d := uint64(0); d < tpccDistrictsPerW; d++ {
-			rng.Uint64()
-			t.district.Insert(w*tpccDistrictsPerW+d, nil)
-			for c := uint64(0); c < custPerD; c++ {
-				rng.Uint64()
-				t.customer.Insert(t.custKey(w, d, c), nil)
-			}
+	}
+	for d := range warehouses * tpccDistrictsPerW {
+		t.district.Insert(d, nil)
+	}
+	// Customer keys (custKey) are one contiguous run: append it between
+	// splits, and take each key that splits through Insert.
+	customers := warehouses * tpccDistrictsPerW * custPerD
+	for c := uint64(0); c < customers; {
+		if k := min(customers-c, uint64(t.customer.tailRoom())); k > 0 {
+			t.customer.appendRun(c, int(k), 1, 1)
+			c += k
+		} else {
+			t.customer.Insert(c, nil)
+			c++
 		}
 	}
+	// Stock's four runs, one per warehouse, interleave and insert
+	// mid-tree, so every item and stock row takes Insert.
 	for i := uint64(0); i < items; i++ {
-		rng.Uint64()
 		t.item.Insert(i, nil)
 		for w := uint64(0); w < warehouses; w++ {
-			rng.Uint64()
 			t.stock.Insert(t.stockKey(w, i), nil)
 		}
 	}
+	rng := newRNG(cfg, 0x79cc)
+	// Each row draws a payload no tree stores. Skipping the draws in one
+	// step leaves the generator where one draw per row would, which fixes
+	// the stream the samplers' seeds and every job's operations are taken
+	// from.
+	rng.Skip(warehouses*(1+tpccDistrictsPerW) + customers + items*(1+warehouses))
 	// Customer and item keys are contiguous; stock spreads each hot item
 	// over one leaf range per warehouse.
-	t.custZipf = newSampler(cfg, rng, warehouses*tpccDistrictsPerW*custPerD, hotPageBudget(cfg)*20)
+	t.custZipf = newSampler(cfg, rng, customers, hotPageBudget(cfg)*20)
 	t.itemZipf = newSampler(cfg, rng, items, hotPageBudget(cfg)*20)
 	t.rng = rng
 	return t
