@@ -1,6 +1,12 @@
 package astriflash
 
-import "testing"
+import (
+	"fmt"
+	"os"
+	"strings"
+	"sync"
+	"testing"
+)
 
 // detExp is a deliberately small sweep config so the determinism matrix
 // (every sweep twice) stays fast.
@@ -14,91 +20,146 @@ func detExp() ExpConfig {
 	return cfg
 }
 
+// goldenSweeps holds every matrix sweep's workers=1 render, one section
+// per sweep in name order. Regenerate it after an intentional change with:
+// go test -run TestSweepsIdenticalAcrossWorkerCounts -update
+const goldenSweeps = "testdata/golden.sweeps.txt"
+
+// detSweeps renders each sweep of the determinism matrix on a reduced
+// point list, in name order.
+var detSweeps = []struct {
+	name   string
+	render func(cfg ExpConfig) (string, error)
+}{
+	{"anatomy", func(cfg ExpConfig) (string, error) {
+		rows, err := Anatomy(cfg, "tatp", nil)
+		if err != nil {
+			return "", err
+		}
+		return RenderAnatomy(rows), nil
+	}},
+	{"faults", func(cfg ExpConfig) (string, error) {
+		pts, err := FaultsSweep(cfg, "tatp", []float64{0, 3e-3})
+		if err != nil {
+			return "", err
+		}
+		return RenderFaults(pts), nil
+	}},
+	{"fig1", func(cfg ExpConfig) (string, error) {
+		pts, err := Fig1MissRatioSweep(cfg, "arrayswap", []float64{0.01, 0.03})
+		if err != nil {
+			return "", err
+		}
+		return RenderFig1(pts), nil
+	}},
+	{"fig10", func(cfg ExpConfig) (string, error) {
+		// The grid points depend on a baseline run that precedes them.
+		curves, err := Fig10TailLatency(cfg, []float64{0.3, 0.7})
+		if err != nil {
+			return "", err
+		}
+		return RenderFig10(curves), nil
+	}},
+	{"fig2", func(cfg ExpConfig) (string, error) {
+		pts, err := Fig2PagingScaling(cfg, "tatp", []int{2, 4})
+		if err != nil {
+			return "", err
+		}
+		return RenderFig2(pts), nil
+	}},
+	{"fig9", func(cfg ExpConfig) (string, error) {
+		rows, err := Fig9Throughput(cfg, []string{"tatp"})
+		if err != nil {
+			return "", err
+		}
+		return RenderFig9(rows), nil
+	}},
+	{"gc", func(cfg ExpConfig) (string, error) {
+		pts, err := GCOverheadSweep(cfg, "arrayswap")
+		if err != nil {
+			return "", err
+		}
+		return RenderGC(pts), nil
+	}},
+	{"table2", func(cfg ExpConfig) (string, error) {
+		rows, err := Table2ServiceLatency(cfg, "tatp")
+		if err != nil {
+			return "", err
+		}
+		return RenderTable2(rows), nil
+	}},
+}
+
+// readGoldenSweeps splits the golden file into its per-sweep sections.
+func readGoldenSweeps(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(goldenSweeps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string]string{}
+	for _, sec := range strings.Split(string(data), "== ")[1:] {
+		name, body, _ := strings.Cut(sec, " ==\n")
+		sections[name] = body
+	}
+	return sections
+}
+
 // TestSweepsIdenticalAcrossWorkerCounts guards the runner's seed-derivation
 // contract: a sweep's rendered output must be byte-identical whether its
 // points run sequentially or fanned across a pool. Each sweep is rendered
-// under workers=1 and workers=8 and compared as strings.
+// under workers=1 and workers=8 and compared as strings, and the workers=1
+// render is compared with the committed golden file, so a point that
+// moves to another seed index fails here too.
 func TestSweepsIdenticalAcrossWorkerCounts(t *testing.T) {
-	render := map[string]func(cfg ExpConfig) (string, error){
-		"fig1": func(cfg ExpConfig) (string, error) {
-			pts, err := Fig1MissRatioSweep(cfg, "arrayswap", []float64{0.01, 0.03})
-			if err != nil {
-				return "", err
+	var golden map[string]string
+	var mu sync.Mutex
+	got := map[string]string{}
+	if *updateGolden {
+		t.Cleanup(func() {
+			if t.Failed() {
+				return
 			}
-			return RenderFig1(pts), nil
-		},
-		"fig2": func(cfg ExpConfig) (string, error) {
-			pts, err := Fig2PagingScaling(cfg, "tatp", []int{2, 4})
-			if err != nil {
-				return "", err
+			var b strings.Builder
+			for _, s := range detSweeps {
+				fmt.Fprintf(&b, "== %s ==\n%s", s.name, got[s.name])
 			}
-			return RenderFig2(pts), nil
-		},
-		"fig9": func(cfg ExpConfig) (string, error) {
-			rows, err := Fig9Throughput(cfg, []string{"tatp"})
-			if err != nil {
-				return "", err
+			if err := os.WriteFile(goldenSweeps, []byte(b.String()), 0o644); err != nil {
+				t.Error(err)
 			}
-			return RenderFig9(rows), nil
-		},
-		"table2": func(cfg ExpConfig) (string, error) {
-			rows, err := Table2ServiceLatency(cfg, "tatp")
-			if err != nil {
-				return "", err
-			}
-			return RenderTable2(rows), nil
-		},
-		"gc": func(cfg ExpConfig) (string, error) {
-			pts, err := GCOverheadSweep(cfg, "arrayswap")
-			if err != nil {
-				return "", err
-			}
-			return RenderGC(pts), nil
-		},
-		"faults": func(cfg ExpConfig) (string, error) {
-			pts, err := FaultsSweep(cfg, "tatp", []float64{0, 3e-3})
-			if err != nil {
-				return "", err
-			}
-			return RenderFaults(pts), nil
-		},
+		})
+	} else {
+		golden = readGoldenSweeps(t)
 	}
-	for name, fn := range render {
-		name, fn := name, fn
-		t.Run(name, func(t *testing.T) {
+	for _, s := range detSweeps {
+		t.Run(s.name, func(t *testing.T) {
 			t.Parallel()
 			seq := detExp()
 			seq.Workers = 1
 			par := detExp()
 			par.Workers = 8
-			a, err := fn(seq)
+			a, err := s.render(seq)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := fn(par)
+			b, err := s.render(par)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if a != b {
 				t.Fatalf("workers=1 and workers=8 diverged:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", a, b)
 			}
+			if *updateGolden {
+				mu.Lock()
+				got[s.name] = a
+				mu.Unlock()
+				return
+			}
+			if want, ok := golden[s.name]; !ok {
+				t.Fatalf("%s has no section in %s", s.name, goldenSweeps)
+			} else if a != want {
+				t.Fatalf("render differs from %s:\n--- got ---\n%s\n--- want ---\n%s", goldenSweeps, a, want)
+			}
 		})
-	}
-}
-
-// TestFig10IdenticalAcrossWorkerCounts covers the open-loop sweep, whose
-// grid points depend on a sequential baseline run.
-func TestFig10IdenticalAcrossWorkerCounts(t *testing.T) {
-	run := func(workers int) string {
-		cfg := detExp()
-		cfg.Workers = workers
-		curves, err := Fig10TailLatency(cfg, []float64{0.3, 0.7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return RenderFig10(curves)
-	}
-	if a, b := run(1), run(8); a != b {
-		t.Fatalf("fig10 diverged across worker counts:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", a, b)
 	}
 }
