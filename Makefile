@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test verify vet race verify-race lint-docs fmt-check fuzz-smoke fullscale-probe bench-harness bench bench-engine bench-build figures trace-smoke timeline-smoke overload-smoke economics-smoke examples-smoke loc
+.PHONY: build test verify vet race verify-race lint-docs fmt-check fuzz-smoke fullscale-probe bench-harness bench bench-engine bench-build figures figures-smoke trace-smoke timeline-smoke overload-smoke economics-smoke examples-smoke loc
 
 build:
 	$(GO) build ./...
@@ -103,6 +103,12 @@ bench:
 ## Regenerate every paper figure/table via cmd/astribench.
 figures:
 	$(GO) run ./cmd/astribench
+
+## Every experiment's default point list (199 simulation points) on a
+## small machine, about 8 s on 2 vCPUs: the tier-1 tests run only
+## reduced point lists.
+figures-smoke:
+	$(GO) run ./cmd/astribench -cores 4 -dataset 16 -measure 3
 
 ## Short traced run + per-stage latency breakdown (CI uploads the output).
 trace-smoke:

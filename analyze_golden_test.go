@@ -20,7 +20,7 @@ func goldenTraceMachine(t *testing.T) *Machine {
 	cfg.Cores = 1
 	cfg.DatasetBytes = 8 << 20
 	cfg.Inflight = 8
-	m, err := NewMachine(cfg.optionsAt(0, AstriFlash, "tatp"))
+	m, err := cfg.machine(point{seed: 0, opts: cfg.options(AstriFlash, "tatp")})
 	if err != nil {
 		t.Fatal(err)
 	}

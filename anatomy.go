@@ -3,7 +3,6 @@ package astriflash
 import (
 	"fmt"
 
-	"astriflash/internal/runner"
 	"astriflash/internal/system"
 )
 
@@ -32,11 +31,7 @@ func Anatomy(cfg ExpConfig, workloadName string, modes []Mode) ([]AnatomyRow, er
 	if modes == nil {
 		modes = []Mode{DRAMOnly, AstriFlash, OSSwap, FlashSync}
 	}
-	return runner.Map(len(modes), cfg.workers(), func(i int) (AnatomyRow, error) {
-		m, err := NewMachine(cfg.optionsAt(i, modes[i], workloadName))
-		if err != nil {
-			return AnatomyRow{}, err
-		}
+	return runPoints(cfg, "anatomy", cfg.modePoints(0, workloadName, modes...), func(i int, m *Machine) (AnatomyRow, error) {
 		m.RunSaturated(cfg.Inflight, cfg.WarmupNs, cfg.MeasureNs)
 		return AnatomyRow{Config: modes[i].String(), Shares: m.LatencyBreakdown()}, nil
 	})

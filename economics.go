@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"astriflash/internal/econ"
-	"astriflash/internal/runner"
 	"astriflash/internal/stats"
 )
 
@@ -69,12 +68,9 @@ func EconPolicies() []string {
 // econOptions builds one grid point's machine: tinykv small objects, an
 // update-leaning mix, and small flash blocks so the update stream churns
 // blocks into collection (physical capacity auto-sizes to a small
-// multiple of the dataset, as in the GC sweep). seedIdx is shared by the
-// three policy points of one (class, fraction) cell: identical workload
-// streams make the writes-saved and goodput columns an apples-to-apples
-// policy comparison.
-func econOptions(cfg ExpConfig, seedIdx int, class econ.DeviceClass, frac float64, policy string) Options {
-	o := cfg.optionsAt(seedIdx, AstriFlash, "tinykv")
+// multiple of the dataset, as in the GC sweep).
+func econOptions(cfg ExpConfig, class econ.DeviceClass, frac float64, policy string) Options {
+	o := cfg.options(AstriFlash, "tinykv")
 	o.CacheFraction = frac
 	// A 2% update mix over 98%-hot traffic: online-serving numbers, and
 	// the regime where the cost verdict actually swings — cold updates
@@ -116,29 +112,27 @@ func EconomicsSweep(cfg ExpConfig) (*EconReport, error) {
 	nf, np := len(fractions), len(policies)
 	grid := len(classes) * nf * np
 
-	// Point 0 is the DRAM-only baseline; grid points follow. The device
-	// starts empty and writes stripe round-robin across every plane, so
-	// garbage collection cannot begin until the write volume has filled
-	// one block per plane; a tripled window gives the update stream time
-	// to reach and sustain that regime.
-	res, err := runner.Map(1+grid, cfg.workers(), func(i int) (Metrics, error) {
-		var o Options
-		if i == 0 {
-			o = cfg.optionsAt(0, DRAMOnly, "tinykv")
-			o.WriteFraction = 0.02
-			o.HotAccessFraction = 0.98
-		} else {
-			g := i - 1
-			ci, fi := g/(nf*np), g/np%nf
-			class := classes[ci]
-			frac := fractions[fi]
-			policy := policies[g%np]
-			o = econOptions(cfg, 1+ci*nf+fi, class, frac, policy)
+	// Point 0 is the DRAM-only baseline; grid points follow. The three
+	// policy points of one (class, fraction) cell share a seed index:
+	// identical workload streams make the writes-saved and goodput
+	// columns an apples-to-apples policy comparison.
+	o := cfg.options(DRAMOnly, "tinykv")
+	o.WriteFraction = 0.02
+	o.HotAccessFraction = 0.98
+	pts := []point{{"baseline", 0, o}}
+	for ci, class := range classes {
+		for fi, frac := range fractions {
+			for _, policy := range policies {
+				pts = append(pts, point{fmt.Sprintf("%s/%.0f%%/%s", class.Name, frac*100, policy),
+					1 + ci*nf + fi, econOptions(cfg, class, frac, policy)})
+			}
 		}
-		m, err := NewMachine(o)
-		if err != nil {
-			return Metrics{}, fmt.Errorf("economics point %d: %w", i, err)
-		}
+	}
+	// The device starts empty and writes stripe round-robin across every
+	// plane, so garbage collection cannot begin until the write volume has
+	// filled one block per plane; a tripled window gives the update stream
+	// time to reach and sustain that regime.
+	res, err := runPoints(cfg, "economics", pts, func(_ int, m *Machine) (Metrics, error) {
 		return m.RunSaturated(cfg.Inflight, cfg.WarmupNs, 3*cfg.MeasureNs), nil
 	})
 	if err != nil {

@@ -26,9 +26,9 @@ func econTestConfig() ExpConfig {
 func econTestMetrics(t *testing.T, policy string, threshold int) Metrics {
 	t.Helper()
 	cfg := econTestConfig()
-	o := econOptions(cfg, 1, econ.EnterpriseTLC(), 0.03, policy)
+	o := econOptions(cfg, econ.EnterpriseTLC(), 0.03, policy)
 	o.AdmissionThreshold = threshold
-	m, err := NewMachine(o)
+	m, err := cfg.machine(point{seed: 1, opts: o})
 	if err != nil {
 		t.Fatal(err)
 	}

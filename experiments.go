@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"astriflash/internal/runner"
 	"astriflash/internal/stats"
 	"astriflash/internal/system"
 )
@@ -24,8 +23,8 @@ type ExpConfig struct {
 	// Workers bounds sweep parallelism: independent simulation points fan
 	// out across this many goroutines. 0 means auto (ASTRIFLASH_WORKERS,
 	// then NumCPU). Results are bit-identical for any worker count: each
-	// point's seed derives from (Seed, point index) alone, and every point
-	// runs its own single-threaded engine.
+	// point's seed derives from Seed and the point's seed index alone, and
+	// every point runs its own single-threaded engine.
 	Workers int
 	// PointTimeout aborts any single sweep point that exceeds this much
 	// wall-clock time (panic with engine diagnostics, surfaced by the
@@ -55,29 +54,7 @@ func (e ExpConfig) options(mode Mode, wl string) Options {
 	o.Cores = e.Cores
 	o.DatasetBytes = e.DatasetBytes
 	o.Seed = e.Seed
-	o.RunTimeout = e.PointTimeout
 	return o
-}
-
-// optionsAt builds options for sweep point idx: identical to options but
-// with the point's own derived seed, the contract that keeps parallel
-// sweeps reproducible at any worker count.
-func (e ExpConfig) optionsAt(idx int, mode Mode, wl string) Options {
-	o := e.options(mode, wl)
-	o.Seed = runner.Seed(e.Seed, idx)
-	return o
-}
-
-// workers resolves the sweep's worker-pool size.
-func (e ExpConfig) workers() int { return runner.Workers(e.Workers) }
-
-// runPoint runs sweep point idx saturated with the derived seed.
-func (e ExpConfig) runPoint(idx int, mode Mode, wl string) (Metrics, error) {
-	m, err := NewMachine(e.optionsAt(idx, mode, wl))
-	if err != nil {
-		return Metrics{}, err
-	}
-	return m.RunSaturated(e.Inflight, e.WarmupNs, e.MeasureNs), nil
 }
 
 // renderTable formats experiment rows uniformly.
@@ -109,14 +86,13 @@ func Fig9Throughput(cfg ExpConfig, workloads []string) ([]Fig9Row, error) {
 		workloads = Workloads()
 	}
 	nm := len(Fig9Modes)
-	res, err := runner.Map(len(workloads)*nm, cfg.workers(), func(i int) (Metrics, error) {
-		wl, mode := workloads[i/nm], Fig9Modes[i%nm]
-		m, err := cfg.runPoint(i, mode, wl)
-		if err != nil {
-			return Metrics{}, fmt.Errorf("fig9 %s/%s: %w", mode, wl, err)
+	var pts []point
+	for _, wl := range workloads {
+		for _, mode := range Fig9Modes {
+			pts = append(pts, point{mode.String() + "/" + wl, len(pts), cfg.options(mode, wl)})
 		}
-		return m, nil
-	})
+	}
+	res, err := runPoints(cfg, "fig9", pts, cfg.saturated)
 	if err != nil {
 		return nil, err
 	}
@@ -183,14 +159,13 @@ func Fig1MissRatioSweep(cfg ExpConfig, workloadName string, fractions []float64)
 	if fractions == nil {
 		fractions = []float64{0.005, 0.01, 0.02, 0.03, 0.05, 0.08, 0.12}
 	}
-	return runner.Map(len(fractions), cfg.workers(), func(i int) (Fig1Point, error) {
-		f := fractions[i]
-		o := cfg.optionsAt(i, AstriFlash, workloadName)
+	pts := make([]point, len(fractions))
+	for i, f := range fractions {
+		o := cfg.options(AstriFlash, workloadName)
 		o.CacheFraction = f
-		m, err := NewMachine(o)
-		if err != nil {
-			return Fig1Point{}, err
-		}
+		pts[i] = point{fmt.Sprintf("cache=%g", f), i, o}
+	}
+	return runPoints(cfg, "fig1", pts, func(i int, m *Machine) (Fig1Point, error) {
 		res := m.RunSaturated(cfg.Inflight, cfg.WarmupNs, cfg.MeasureNs)
 		// Equation (1): BW_flash = BW_dram / blockSize * missRate * pageSize,
 		// with the per-core DRAM bandwidth measured from the run: DRAM
@@ -202,7 +177,7 @@ func Fig1MissRatioSweep(cfg ExpConfig, workloadName string, fractions []float64)
 		}
 		flashBW := dramBWPerCore / 64 * res.DRAMCacheMissRatio * 4096
 		return Fig1Point{
-			CacheFraction:    f,
+			CacheFraction:    fractions[i],
 			MissRatio:        res.DRAMCacheMissRatio,
 			FlashGBpsPerCore: flashBW / 1e9,
 		}, nil
@@ -242,11 +217,15 @@ func Fig2PagingScaling(cfg ExpConfig, workloadName string, coreCounts []int) ([]
 		coreCounts = []int{2, 4, 8, 16}
 	}
 	modes := []Mode{AstriFlash, OSSwap}
-	res, err := runner.Map(len(coreCounts)*len(modes), cfg.workers(), func(i int) (Metrics, error) {
-		c := cfg
-		c.Cores = coreCounts[i/len(modes)]
-		return c.runPoint(i, modes[i%len(modes)], workloadName)
-	})
+	var pts []point
+	for _, n := range coreCounts {
+		for _, mode := range modes {
+			o := cfg.options(mode, workloadName)
+			o.Cores = n
+			pts = append(pts, point{fmt.Sprintf("%s/cores=%d", mode, n), len(pts), o})
+		}
+	}
+	res, err := runPoints(cfg, "fig2", pts, cfg.saturated)
 	if err != nil {
 		return nil, err
 	}
@@ -291,9 +270,7 @@ type Table2Row struct {
 // paper uses the microbenchmarks and TATP).
 func Table2ServiceLatency(cfg ExpConfig, workloadName string) ([]Table2Row, error) {
 	modes := []Mode{FlashSync, AstriFlash, AstriFlashNoPS, AstriFlashNoDP}
-	res, err := runner.Map(len(modes), cfg.workers(), func(i int) (Metrics, error) {
-		return cfg.runPoint(i, modes[i], workloadName)
-	})
+	res, err := runPoints(cfg, "table2", cfg.modePoints(0, workloadName, modes...), cfg.saturated)
 	if err != nil {
 		return nil, err
 	}
@@ -351,30 +328,26 @@ func GCOverheadSweep(cfg ExpConfig, workloadName string) ([]GCPoint, error) {
 		{"large (1TB-class)", 8, false},
 		{"large + local GC", 8, true},
 	}
-	return runner.Map(len(variants), cfg.workers(), func(i int) (GCPoint, error) {
-		v := variants[i]
-		o := cfg.optionsAt(i, AstriFlash, workloadName)
+	pts := make([]point, len(variants))
+	for i, v := range variants {
+		o := cfg.options(AstriFlash, workloadName)
 		o.WriteFraction = 0.5 // write-heavy to exercise GC
 		o.LocalGC = v.localGC
-		// Shrink the device by channel count while keeping the dataset:
-		// fewer planes concentrate GC, as a smaller SSD does. Size the
-		// physical capacity a small multiple of the dataset so the
-		// write stream actually churns blocks into collection.
-		o.FlashChannels = v.channels
-		// Identical per-plane geometry; only the plane count varies, as
-		// between a 256 GB and a 1 TB build of the same flash die. The
+		// Shrink the device by channel count while keeping the dataset
+		// and the per-plane geometry, as between a 256 GB and a 1 TB
+		// build of the same flash die: fewer planes concentrate GC. The
 		// small device's physical capacity sits near the dataset size,
 		// so the write stream churns its blocks into collection.
+		o.FlashChannels = v.channels
 		o.FlashPagesPerBlock = 16
 		o.FlashBlocksPerPlane = 24
-		m, err := NewMachine(o)
-		if err != nil {
-			return GCPoint{}, err
-		}
+		pts[i] = point{v.label, i, o}
+	}
+	return runPoints(cfg, "gc", pts, func(i int, m *Machine) (GCPoint, error) {
 		// GC needs sustained write churn; run 3x the normal window.
 		res := m.RunSaturated(cfg.Inflight, cfg.WarmupNs, 3*cfg.MeasureNs)
 		return GCPoint{
-			Label:           v.label,
+			Label:           variants[i].label,
 			Planes:          m.sys.Flash().Planes(),
 			BlockedFraction: res.GCBlockedFraction,
 			GCRuns:          res.GCRuns,

@@ -8,11 +8,7 @@ package astriflash
 // DRAM-only >= AstriFlash >= OS-Swap >= Flash-Sync in throughput at every
 // fault rate, with 99p latency rising monotonically as the RBER grows.
 
-import (
-	"fmt"
-
-	"astriflash/internal/runner"
-)
+import "fmt"
 
 // FaultModes are the configurations the faults sweep compares.
 var FaultModes = []Mode{DRAMOnly, AstriFlash, OSSwap, FlashSync}
@@ -55,21 +51,19 @@ func FaultsSweep(cfg ExpConfig, workloadName string, rbers []float64) ([]FaultsP
 		rbers = DefaultRBERs
 	}
 	nm := len(FaultModes)
-	res, err := runner.Map(len(rbers)*nm, cfg.workers(), func(i int) (Metrics, error) {
-		rber, mode := rbers[i/nm], FaultModes[i%nm]
-		o := cfg.options(mode, workloadName)
-		// Seed per MODE, not per grid point: the RBER axis must replay
-		// the same workload so the fault response is isolated.
-		o.Seed = runner.Seed(cfg.Seed, i%nm)
-		o.RBER = rber
-		o.BCReadTimeoutNs = faultsBCTimeoutNs
-		o.BCReadRetries = faultsBCRetries
-		m, err := NewMachine(o)
-		if err != nil {
-			return Metrics{}, fmt.Errorf("faults %s rber=%g: %w", mode, rber, err)
+	var pts []point
+	for _, rber := range rbers {
+		for mi, mode := range FaultModes {
+			o := cfg.options(mode, workloadName)
+			o.RBER = rber
+			o.BCReadTimeoutNs = faultsBCTimeoutNs
+			o.BCReadRetries = faultsBCRetries
+			// Seed per MODE, not per grid point: the RBER axis must
+			// replay the same workload so the fault response is isolated.
+			pts = append(pts, point{fmt.Sprintf("%s/rber=%g", mode, rber), mi, o})
 		}
-		return m.RunSaturated(cfg.Inflight, cfg.WarmupNs, cfg.MeasureNs), nil
-	})
+	}
+	res, err := runPoints(cfg, "faults", pts, cfg.saturated)
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,6 @@ package astriflash
 import (
 	"reflect"
 	"testing"
-
-	"astriflash/internal/runner"
 )
 
 // TestFaultsSweepShape checks the graceful-degradation contract on a small
@@ -107,11 +105,7 @@ func TestFaultsSweepShape(t *testing.T) {
 func TestFaultsRBERZeroMatchesFaultFreeRun(t *testing.T) {
 	cfg := detExp()
 	const mi = 1 // AstriFlash
-	seed := runner.Seed(cfg.Seed, mi)
-
-	o := cfg.options(AstriFlash, "tatp")
-	o.Seed = seed
-	plain, err := NewMachine(o)
+	plain, err := cfg.machine(point{seed: mi, opts: cfg.options(AstriFlash, "tatp")})
 	if err != nil {
 		t.Fatal(err)
 	}

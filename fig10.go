@@ -3,7 +3,6 @@ package astriflash
 import (
 	"fmt"
 
-	"astriflash/internal/runner"
 	"astriflash/internal/stats"
 )
 
@@ -36,11 +35,12 @@ func Fig10TailLatency(cfg ExpConfig, loadFractions []float64) ([]Fig10Curve, err
 	const wl = "tatp"
 	// Baseline: DRAM-only saturation throughput and mean service time.
 	// Every grid point's arrival rate depends on it, so it runs first
-	// (as sweep point 0); the {mode × load} grid then fans out.
-	base, err := cfg.runPoint(0, DRAMOnly, wl)
+	// (at seed index 0); the {mode × load} grid then fans out.
+	bases, err := runPoints(cfg, "fig10", cfg.modePoints(0, wl, DRAMOnly), cfg.saturated)
 	if err != nil {
 		return nil, err
 	}
+	base := bases[0]
 	if base.ThroughputJPS == 0 || base.MeanServiceNs == 0 {
 		return nil, fmt.Errorf("fig10: DRAM-only baseline is degenerate")
 	}
@@ -49,13 +49,13 @@ func Fig10TailLatency(cfg ExpConfig, loadFractions []float64) ([]Fig10Curve, err
 
 	modes := []Mode{DRAMOnly, AstriFlash}
 	nl := len(loadFractions)
-	pts, err := runner.Map(len(modes)*nl, cfg.workers(), func(i int) (Fig10Point, error) {
+	grid := make([]point, len(modes)*nl)
+	for i := range grid {
 		mode, frac := modes[i/nl], loadFractions[i%nl]
-		gap := 1e9 / (maxTput * frac) // ns between arrivals
-		m, err := NewMachine(cfg.optionsAt(1+i, mode, wl))
-		if err != nil {
-			return Fig10Point{}, err
-		}
+		grid[i] = point{fmt.Sprintf("%s/load=%g", mode, frac), 1 + i, cfg.options(mode, wl)}
+	}
+	pts, err := runPoints(cfg, "fig10", grid, func(i int, m *Machine) (Fig10Point, error) {
+		gap := 1e9 / (maxTput * loadFractions[i%nl]) // ns between arrivals
 		res := m.RunPoisson(gap, cfg.WarmupNs, cfg.MeasureNs*2)
 		return Fig10Point{
 			Load: res.ThroughputJPS / maxTput,

@@ -3,6 +3,7 @@ package runner
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -34,15 +35,33 @@ func TestMapRecoversWorkerPanic(t *testing.T) {
 }
 
 func TestMapPanicDoesNotPoisonOtherPoints(t *testing.T) {
-	// A panic cancels the sweep like an error does; already-running points
-	// finish without crashing the process.
-	res, err := Map(4, 2, func(i int) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatalf("clean sweep errored: %v", err)
-	}
-	for i, v := range res {
-		if v != i*i {
-			t.Fatalf("point %d = %d, want %d", i, v, i*i)
+	// Point 1 panics while point 0 is still running: point 0 starts
+	// first and is held until point 1's panic unwinds. Map must return
+	// the panic as point 1's *PanicError, and point 0 must run to
+	// completion without the panic crashing the process.
+	started, release := make(chan struct{}), make(chan struct{})
+	var finished atomic.Bool
+	_, err := Map(4, 2, func(i int) (int, error) {
+		switch i {
+		case 0:
+			close(started)
+			<-release
+			finished.Store(true)
+		case 1:
+			<-started
+			defer close(release)
+			panic("point 1 failed")
 		}
+		return i * i, nil
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("error %v (%T) is not a *PanicError", err, err)
+	}
+	if pe.Index != 1 || pe.Value != "point 1 failed" {
+		t.Fatalf("panic attributed to point %d with value %v, want point 1", pe.Index, pe.Value)
+	}
+	if !finished.Load() {
+		t.Fatal("point 0 did not finish after point 1 panicked")
 	}
 }

@@ -4,10 +4,11 @@
 // load-point} runs that share nothing: each point builds its own Machine,
 // engine, and RNG. The runner exploits that: points execute on up to
 // NumCPU goroutines, and determinism is preserved by construction — each
-// point's seed is derived from (baseSeed, pointIndex) alone, so the result
-// of a point is a pure function of its index regardless of which worker
-// runs it or in what order points complete. A sweep rendered with
-// workers=1 and workers=N is byte-identical.
+// point's seed is derived by Seed from the base seed and a seed index the
+// experiment assigns to the point, so the result of a point is a pure
+// function of the point regardless of which worker runs it or in what
+// order points complete. A sweep rendered with workers=1 and workers=N is
+// byte-identical.
 //
 // Each simulation run stays single-threaded internally; parallelism is
 // strictly across points. That keeps the event engine free of locks on its
@@ -146,29 +147,4 @@ func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 		return nil, firstEr
 	}
 	return results, nil
-}
-
-// Point is one unit of sweep work: its position in the grid and the seed
-// derived for it.
-type Point struct {
-	Index int
-	Seed  uint64
-}
-
-// Points builds the n sweep points for a base seed.
-func Points(n int, baseSeed uint64) []Point {
-	pts := make([]Point, n)
-	for i := range pts {
-		pts[i] = Point{Index: i, Seed: Seed(baseSeed, i)}
-	}
-	return pts
-}
-
-// RunAll executes fn for every point across workers goroutines (see Map
-// for the scheduling and error contract).
-func RunAll(points []Point, workers int, fn func(Point) error) error {
-	_, err := Map(len(points), workers, func(i int) (struct{}, error) {
-		return struct{}{}, fn(points[i])
-	})
-	return err
 }

@@ -95,21 +95,3 @@ func TestWorkersResolution(t *testing.T) {
 		t.Fatalf("fallback workers = %d, want >= 1", got)
 	}
 }
-
-func TestRunAllCoversAllPoints(t *testing.T) {
-	pts := Points(20, 42)
-	var ran atomic.Int32
-	err := RunAll(pts, 4, func(p Point) error {
-		if p.Seed != Seed(42, p.Index) {
-			return fmt.Errorf("point %d carries wrong seed", p.Index)
-		}
-		ran.Add(1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != 20 {
-		t.Fatalf("ran %d points, want 20", ran.Load())
-	}
-}

@@ -959,19 +959,20 @@ func FuzzBPTree(f *testing.F) {
 					break
 				}
 				n := strided[int(arg/8)%len(strided)]
+				edge := arg / 2 % 4
+				if edge == 0 && n.base == 0 {
+					break // base-1 would wrap to 2^64-1, above every later run
+				}
 				k := [...]uint64{n.base - 1, n.base + uint64(n.d0) - 1, n.base + uint64(n.d0) + 1,
-					n.strideKey(int(n.count)-1) + 1}[arg/2%4]
+					n.strideKey(int(n.count)-1) + 1}[edge]
 				get(k)
 				insert(k)
 			case 8: // a run through appendRun, as many keys as the tail takes
 				gaps := [...]uint64{1, 2, maxStrideGap, maxStrideGap + 1}
 				d0, d1 := gaps[arg%4], gaps[arg/4%4]
 				first := maxKey + d1
-				switch {
-				case len(ref) == 0:
+				if len(ref) == 0 {
 					first = key
-				case maxKey > math.MaxUint64/2: // probes wrap to 2^64-1; a run past it would wrap too
-					continue
 				}
 				count := min(int(arg/16)+1, tree.tailRoom())
 				tree.appendRun(first, count, d0, d1)
@@ -982,6 +983,9 @@ func FuzzBPTree(f *testing.F) {
 					ref = append(ref, k)
 					maxKey = k
 				}
+			}
+			if maxKey > math.MaxUint64/2 { // the "above the maximum" runs would wrap
+				t.Fatalf("op %d: maximum %d wrapped", n, maxKey)
 			}
 			if tree.Size() != uint64(len(ref)) {
 				t.Fatalf("size %d, reference holds %d", tree.Size(), len(ref))

@@ -22,7 +22,6 @@ import (
 	"math"
 
 	"astriflash/internal/obs/timeline"
-	"astriflash/internal/runner"
 	"astriflash/internal/stats"
 )
 
@@ -133,31 +132,11 @@ func OverloadSweep(cfg ExpConfig, wl string, fracs []float64) (*OverloadReport, 
 	modes := OverloadModes
 	nm, nc, nf := len(modes), len(OverloadControllers), len(fracs)
 
-	// Phase 1: each mode's knee, closed-loop (sweep points 0..nm-1).
-	knees, err := runner.Map(nm, cfg.workers(), func(i int) (Metrics, error) {
-		m, err := cfg.runPoint(i, modes[i], wl)
-		if err != nil {
-			return Metrics{}, fmt.Errorf("overload knee %s: %w", modes[i], err)
-		}
-		if m.ThroughputJPS == 0 {
-			return Metrics{}, fmt.Errorf("overload knee %s: no progress", modes[i])
-		}
-		return m, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 2: uncongested open-loop tail per mode (points nm..2nm-1).
-	base, err := runner.Map(nm, cfg.workers(), func(i int) (Metrics, error) {
-		m, err := NewMachine(cfg.optionsAt(nm+i, modes[i], wl))
-		if err != nil {
-			return Metrics{}, err
-		}
-		gap := 1e9 / (knees[i].ThroughputJPS * overloadBaseFrac)
-		res := m.RunPoisson(gap, cfg.WarmupNs, cfg.MeasureNs)
-		if res.P99ResponseNs == 0 {
-			return Metrics{}, fmt.Errorf("overload baseline %s: no latencies recorded", modes[i])
+	// Phase 1: each mode's knee, closed-loop (seed indices 0..nm-1).
+	knees, err := runPoints(cfg, "overload knee", cfg.modePoints(0, wl, modes...), func(i int, m *Machine) (Metrics, error) {
+		res := m.RunSaturated(cfg.Inflight, cfg.WarmupNs, cfg.MeasureNs)
+		if res.ThroughputJPS == 0 {
+			return Metrics{}, fmt.Errorf("no progress")
 		}
 		return res, nil
 	})
@@ -165,17 +144,33 @@ func OverloadSweep(cfg ExpConfig, wl string, fracs []float64) (*OverloadReport, 
 		return nil, err
 	}
 
-	// Phase 3: the {mode x controller x load} grid (points 2nm onward).
-	pts, err := runner.Map(nm*nc*nf, cfg.workers(), func(i int) (OverloadPoint, error) {
+	// Phase 2: uncongested open-loop tail per mode (seed indices
+	// nm..2nm-1).
+	base, err := runPoints(cfg, "overload baseline", cfg.modePoints(nm, wl, modes...), func(i int, m *Machine) (Metrics, error) {
+		gap := 1e9 / (knees[i].ThroughputJPS * overloadBaseFrac)
+		res := m.RunPoisson(gap, cfg.WarmupNs, cfg.MeasureNs)
+		if res.P99ResponseNs == 0 {
+			return Metrics{}, fmt.Errorf("no latencies recorded")
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Phase 3: the {mode x controller x load} grid (seed indices 2nm
+	// onward).
+	grid := make([]point, nm*nc*nf)
+	for i := range grid {
+		mode, ctl, frac := modes[i/(nc*nf)], OverloadControllers[i/nf%nc], fracs[i%nf]
+		grid[i] = point{fmt.Sprintf("%s/%s/load=%g", mode, ctl, frac), 2*nm + i, cfg.options(mode, wl)}
+	}
+	pts, err := runPoints(cfg, "overload", grid, func(i int, m *Machine) (OverloadPoint, error) {
 		mi, ci, fi := i/(nc*nf), i/nf%nc, i%nf
 		mode, ctl, frac := modes[mi], OverloadControllers[ci], fracs[fi]
 		knee := knees[mi].ThroughputJPS
 		thr := int64(overloadSLOFactor * float64(base[mi].P99ResponseNs))
 
-		m, err := NewMachine(cfg.optionsAt(2*nm+i, mode, wl))
-		if err != nil {
-			return OverloadPoint{}, err
-		}
 		slo := timeline.NewLatencySLO(
 			fmt.Sprintf("p99<%.1fus", float64(thr)/1000), "system.response_ns", 99, thr)
 		if err := m.EnableTimeline(overloadWindow(cfg.MeasureNs), []timeline.SLO{slo}); err != nil {

@@ -18,7 +18,6 @@ import (
 
 	"astriflash/internal/obs"
 	"astriflash/internal/obs/timeline"
-	"astriflash/internal/runner"
 )
 
 // EnableTracing arms span capture for this machine's next run. Spans cover
@@ -194,26 +193,33 @@ func TailRun(cfg ExpConfig, workloadName string, opt TailOptions) (*TailCapture,
 		extra = append(extra, s)
 	}
 
-	m0, err := NewMachine(cfg.optionsAt(0, DRAMOnly, workloadName))
+	bases, err := runPoints(cfg, "tailrun", cfg.modePoints(0, workloadName, DRAMOnly), func(_ int, m *Machine) (tailPoint, error) {
+		m.EnableTracing()
+		res := m.RunSaturated(cfg.Inflight, cfg.WarmupNs, cfg.MeasureNs)
+		if res.ThroughputJPS == 0 || res.MeanServiceNs == 0 {
+			return tailPoint{}, fmt.Errorf("baseline is degenerate")
+		}
+		return tailPoint{
+			Label:   fmt.Sprintf("%s/saturated", res.Mode),
+			Metrics: res,
+			spans:   stampPoint(m.sys.Tracer().Spans(), 0),
+		}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	m0.EnableTracing()
-	base := m0.RunSaturated(cfg.Inflight, cfg.WarmupNs, cfg.MeasureNs)
-	if base.ThroughputJPS == 0 || base.MeanServiceNs == 0 {
-		return nil, fmt.Errorf("astriflash: DRAM-only baseline is degenerate")
-	}
+	base := bases[0].Metrics
 	slos := append([]timeline.SLO{timeline.NewLatencySLO(
 		fmt.Sprintf("p99<%.2gx-dram", tailFactor), "system.response_ns", 99,
 		int64(tailFactor*float64(base.P99ServiceNs)))}, extra...)
 
-	pts, err := runner.Map(len(loads), cfg.workers(), func(i int) (tailPoint, error) {
-		point := 1 + i
+	grid := make([]point, len(loads))
+	for i, load := range loads {
+		grid[i] = point{fmt.Sprintf("%s/load=%.2f", AstriFlash, load), 1 + i, cfg.options(AstriFlash, workloadName)}
+	}
+	pts, err := runPoints(cfg, "tailrun", grid, func(i int, m *Machine) (tailPoint, error) {
+		stamp := 1 + i
 		gap := 1e9 / (base.ThroughputJPS * loads[i])
-		m, err := NewMachine(cfg.optionsAt(point, AstriFlash, workloadName))
-		if err != nil {
-			return tailPoint{}, err
-		}
 		if err := m.EnableTimeline(timeline.DefaultIntervalNs, slos); err != nil {
 			return tailPoint{}, err
 		}
@@ -223,21 +229,14 @@ func TailRun(cfg ExpConfig, workloadName string, opt TailOptions) (*TailCapture,
 			Label:   fmt.Sprintf("%s/load=%.2f", res.Mode, loads[i]),
 			Load:    loads[i],
 			Metrics: res,
-			samples: m.sys.Timeline().StampPoint(point),
-			spans:   stampPoint(m.sys.Tracer().Spans(), point),
+			samples: m.sys.Timeline().StampPoint(stamp),
+			spans:   stampPoint(m.sys.Tracer().Spans(), stamp),
 		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &TailCapture{
-		SLOs: slos,
-		Points: append([]tailPoint{{
-			Label:   fmt.Sprintf("%s/saturated", base.Mode),
-			Metrics: base,
-			spans:   stampPoint(m0.sys.Tracer().Spans(), 0),
-		}}, pts...),
-	}, nil
+	return &TailCapture{SLOs: slos, Points: append(bases, pts...)}, nil
 }
 
 // stampPoint writes the sweep-point index into every span.

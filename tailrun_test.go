@@ -31,7 +31,7 @@ func TestTimelinePurity(t *testing.T) {
 	cfg := quickExpConfig()
 	run := func(sampled bool, open bool) Metrics {
 		mode := AstriFlash
-		m, err := NewMachine(cfg.optionsAt(0, mode, "tatp"))
+		m, err := cfg.machine(point{seed: 0, opts: cfg.options(mode, "tatp")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestTailRunShape(t *testing.T) {
 func TestSamplingDoesNotPerturbSpans(t *testing.T) {
 	cfg := traceCfg()
 	run := func(sampled bool) []obs.Span {
-		m, err := NewMachine(cfg.optionsAt(1, AstriFlash, "tatp"))
+		m, err := cfg.machine(point{seed: 1, opts: cfg.options(AstriFlash, "tatp")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 	cfg := traceCfg()
 	for _, mode := range []Mode{AstriFlash, OSSwap, FlashSync} {
 		run := func(traced bool) Metrics {
-			m, err := NewMachine(cfg.optionsAt(3, mode, "tatp"))
+			m, err := cfg.machine(point{seed: 3, opts: cfg.options(mode, "tatp")})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,7 +265,7 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 // exact span stream.
 func TestTraceRoundTripThroughFile(t *testing.T) {
 	cfg := traceCfg()
-	m, err := NewMachine(cfg.optionsAt(0, AstriFlash, "tatp"))
+	m, err := cfg.machine(point{seed: 0, opts: cfg.options(AstriFlash, "tatp")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestTraceRoundTripThroughFile(t *testing.T) {
 func TestRunProfileRecorded(t *testing.T) {
 	before := SelfProfile()
 	cfg := quickExpConfig()
-	m, err := NewMachine(cfg.optionsAt(0, AstriFlash, "tatp"))
+	m, err := cfg.machine(point{seed: 0, opts: cfg.options(AstriFlash, "tatp")})
 	if err != nil {
 		t.Fatal(err)
 	}
