@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // BenchmarkEngineScheduleFire measures the engine's hot loop: schedule one
 // event and fire it, the pattern every simulated memory access repeats
@@ -68,22 +65,47 @@ var chainDelays = func() (d [256]Time) {
 	return d
 }()
 
+// farDelays are flash-scale horizons, 50-90 µs, past the timing wheel.
+var farDelays = func() (d [256]Time) {
+	r := NewRNG(5)
+	for i := range d {
+		d[i] = 50*Microsecond + Time(r.Intn(40_001))
+	}
+	return d
+}()
+
 func chainStep(a any) {
 	c := a.(*chainLink)
 	c.i++
 	c.e.AfterFunc(chainDelays[c.i&255], chainStep, c)
 }
 
+func farStep(a any) {
+	c := a.(*chainLink)
+	c.i++
+	c.e.AfterFunc(farDelays[c.i&255], farStep, c)
+}
+
 // BenchmarkEngineChain measures the pattern that dominates real runs:
 // depth standing chains whose every event, fired by Step, schedules its
-// own successor 1-40 ns ahead. One op is one Step.
+// own successor 1-40 ns ahead. The mixed case adds the queue of a flash
+// machine such as the benchmark's tatp-512m: 16 core chains beside 100
+// standing chains of flash completions 50-90 µs ahead, which go through
+// the overflow heap. One op is one Step.
 func BenchmarkEngineChain(b *testing.B) {
-	for _, depth := range []int{8, 64, 128} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+	for _, c := range []struct {
+		name      string
+		near, far int
+	}{{"depth=8", 8, 0}, {"depth=64", 64, 0}, {"depth=128", 128, 0}, {"mixed=16+100", 16, 100}} {
+		b.Run(c.name, func(b *testing.B) {
 			e := NewEngine()
-			for i := 0; i < depth; i++ {
-				c := &chainLink{e: e, i: i * 37}
-				e.AfterFunc(chainDelays[c.i&255], chainStep, c)
+			for i := 0; i < c.near; i++ {
+				l := &chainLink{e: e, i: i * 37}
+				e.AfterFunc(chainDelays[l.i&255], chainStep, l)
+			}
+			for i := 0; i < c.far; i++ {
+				l := &chainLink{e: e, i: i * 37}
+				e.AfterFunc(farDelays[l.i&255], farStep, l)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

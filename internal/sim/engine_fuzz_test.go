@@ -35,9 +35,11 @@ func fireOrderArg(a any) {
 	oa.m.fire(oa.seq)
 }
 
-// orderDelays are the scheduling horizons; most are zero or tiny, so many
-// events share an instant and ties decide the order.
-var orderDelays = [8]Time{0, 0, 0, 1, 1, 2, 7, 40}
+// orderDelays are the scheduling horizons. The first eight are zero or
+// tiny, so many events share an instant and ties decide the order. The
+// rest straddle the timing wheel's horizon, so overflow events meet wheel
+// events at one instant, and reach a flash read's 50 µs.
+var orderDelays = [16]Time{0, 0, 0, 1, 1, 2, 7, 40, 1, 2, 510, 511, 512, 513, 1000, 50_000}
 
 // orderBudget caps the events one program schedules, so a program whose
 // callbacks keep pushing still ends.
@@ -55,10 +57,11 @@ func (m *orderModel) next() byte {
 }
 
 // schedule pushes one event through At or AtFunc, chosen by the next
-// byte along with its delay.
+// byte along with its delay: bits 0-2 and 4 pick the delay, bit 3 the
+// call.
 func (m *orderModel) schedule() {
 	b := m.next()
-	at := m.e.Now() + orderDelays[b&7]
+	at := m.e.Now() + orderDelays[b&7|b>>1&8]
 	m.seq++
 	seq := m.seq
 	if b&8 == 0 {
@@ -147,7 +150,9 @@ func FuzzEngineOrder(f *testing.F) {
 					m.schedule()
 				}
 			case 3:
-				until := m.e.Now() + Time(op>>3)
+				// Up to 961 ns, so a RunUntil can carry the clock
+				// across the wheel's horizon.
+				until := m.e.Now() + Time(op>>3)*Time(op>>3)
 				m.e.RunUntil(until)
 				if m.e.Now() < until {
 					t.Fatalf("RunUntil(%d) left the clock at %d", until, m.e.Now())

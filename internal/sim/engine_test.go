@@ -97,11 +97,47 @@ func TestEnginePanicsOnNegativeDelay(t *testing.T) {
 	e.After(-1, func() {})
 }
 
-// TestEventSize caps the queue entry at 40 bytes: the heap copies one
-// event per sift level, so every word in it is paid on every push.
+// TestEventSize caps the overflow heap's entry at 40 bytes, since the
+// heap copies one per sift level, and the wheel's slab entry at 32 bytes,
+// half a cache line, since nearly every event passes through one.
 func TestEventSize(t *testing.T) {
 	if size := unsafe.Sizeof(event{}); size > 40 {
 		t.Errorf("event is %d bytes, want at most 40", size)
+	}
+	if size := unsafe.Sizeof(wheelEntry{}); size > 32 {
+		t.Errorf("wheelEntry is %d bytes, want at most 32", size)
+	}
+}
+
+// TestEngineOverflowTiesWithWheel checks the rule that joins the two
+// queues: events pushed from beyond the wheel's horizon, then events
+// pushed later from inside it, all for one instant, fire in push order.
+func TestEngineOverflowTiesWithWheel(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	rec := func(name string) func() { return func() { got = append(got, name) } }
+	const T = 3 * wheelSlots
+	e.At(T, rec("overflow1"))
+	e.At(10, func() {
+		e.At(T, rec("overflow2"))
+		e.At(T+1, rec("overflow-next"))
+	})
+	e.At(T-wheelSlots+1, func() {
+		e.At(T, rec("wheel1"))
+		e.At(T, rec("wheel2"))
+	})
+	e.At(T-1, func() {
+		e.At(T, rec("wheel3"))
+		e.At(T+1, rec("wheel-next"))
+	})
+	e.RunUntil(T - 1)
+	if n := e.Pending(); n != 7 {
+		t.Fatalf("pending = %d before the instant, want 7", n)
+	}
+	e.Run()
+	want := "overflow1 overflow2 wheel1 wheel2 wheel3 overflow-next wheel-next"
+	if s := strings.Join(got, " "); s != want {
+		t.Fatalf("fired %s, want %s", s, want)
 	}
 }
 
