@@ -161,6 +161,10 @@ type Device struct {
 
 	logicalPages uint64
 
+	// programs counts physical page programs where they happen
+	// (appendOwner), apart from the counters of what caused them.
+	programs uint64
+
 	// Fault-model state (faults.go). rng is consulted only when faultsOn.
 	rng      *sim.RNG
 	pFail    []float64 // per-ladder-step ECC failure probability
@@ -499,6 +503,7 @@ func (d *Device) appendOwner(p int, owner uint32) {
 	}
 	slot := blk.writePtr
 	blk.writePtr++
+	d.programs++
 	d.owners(blk)[slot] = owner
 	blk.validCount++
 	d.ftl[mem.PageNum(owner)] = physLoc{plane: uint32(p), block: uint32(pl.active), page: slot}
@@ -634,12 +639,12 @@ func (d *Device) WriteAmplification() float64 {
 	return float64(host+d.GCPageMoves.Value()+d.RemapMoves.Value()) / float64(host)
 }
 
-// ProgramCount returns the total page programs the device has performed —
-// host writes plus GC relocations plus remap copies — the quantity that
-// consumes P/E endurance and that the economics model prices as wear.
-func (d *Device) ProgramCount() uint64 {
-	return d.Writes.Value() + d.GCPageMoves.Value() + d.RemapMoves.Value()
-}
+// ProgramCount returns the total page programs the device has performed,
+// counted as each physical page is written: the quantity that consumes
+// P/E endurance and that the economics model prices as wear. It should
+// equal host writes plus GC relocations plus remap copies, which are
+// counted where each is caused.
+func (d *Device) ProgramCount() uint64 { return d.programs }
 
 // BlockedReadFraction returns the fraction of reads that arrived during an
 // in-progress GC pass and had to wait for it (Section VI-D's metric).

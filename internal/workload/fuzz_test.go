@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"strings"
 	"testing"
 )
 
@@ -155,7 +154,9 @@ func FuzzHashTable(f *testing.F) {
 // alone (a key that ends where longer keys lead to a deeper layer), the
 // prefix and one or two more 8-byte slices (two and three layers), the
 // prefix and a short tail, and a key shorter than one slice (empty when
-// b%8 is 0).
+// b%16 is 0). The short tails start with zero bytes, and short keys with
+// b&8 set are 1-8 zero bytes, so keys that differ only in trailing zeros
+// meet.
 func mtFuzzKey(a, b byte) []byte {
 	prefix := []byte{'p', 'r', 'e', 'f', 'i', 'x', '_', 'A' + a%4}
 	suffix := binary.BigEndian.AppendUint64(nil, uint64(b)<<8|uint64(a))
@@ -169,19 +170,11 @@ func mtFuzzKey(a, b byte) []byte {
 	case 3:
 		return append(prefix, suffix[:b%8]...)
 	default:
+		if b&8 != 0 {
+			return make([]byte, b%8+1)
+		}
 		return prefix[:b%8]
 	}
-}
-
-// mtFuzzCanon returns the key Masstree stores for key: its bytes padded
-// with zeros to whole 8-byte slices, at least one. Keys that differ only
-// in trailing zero bytes within their last slice are the same key.
-func mtFuzzCanon(key []byte) string {
-	pad := (8 - len(key)%8) % 8
-	if len(key) == 0 {
-		pad = 8
-	}
-	return string(key) + strings.Repeat("\x00", pad)
 }
 
 // mtFuzzLayer checks a Masstree layer and every deeper one: the layer's
@@ -194,10 +187,13 @@ func mtFuzzLayer(t *testing.T, l *mtLayer) uint64 {
 		t.Fatal(msg)
 	}
 	want := map[uint64]bool{}
-	for s := range l.vals {
-		want[s] = true
+	var keys uint64
+	for _, vals := range l.vals {
+		for s := range vals {
+			want[s] = true
+		}
+		keys += uint64(len(vals))
 	}
-	keys := uint64(len(l.vals))
 	for s, next := range l.next {
 		want[s] = true
 		keys += mtFuzzLayer(t, next)
@@ -229,7 +225,6 @@ func FuzzMasstree(f *testing.F) {
 		for n := 0; len(ops) >= 3 && n < 512; n++ {
 			op, key := ops[0], mtFuzzKey(ops[1], ops[2])
 			ops = ops[3:]
-			canon := mtFuzzCanon(key)
 			var tr *Tracer
 			if op&0x80 != 0 {
 				tr = sink
@@ -238,19 +233,19 @@ func FuzzMasstree(f *testing.F) {
 			switch op % 3 {
 			case 0:
 				mt.Put(key, val, tr)
-				ref[canon] = val
+				ref[string(key)] = val
 			case 1:
-				want, had := ref[canon]
+				want, had := ref[string(key)]
 				if got, ok := mt.Get(key, tr); ok != had || got != want {
 					t.Fatalf("op %d: Get(%q) = %d, %v, map has %d, %v", n, key, got, ok, want, had)
 				}
 			case 2:
-				_, had := ref[canon]
+				_, had := ref[string(key)]
 				if mt.Update(key, val, tr) != had {
 					t.Fatalf("op %d: Update(%q) reported %v, map has it: %v", n, key, !had, had)
 				}
 				if had {
-					ref[canon] = val
+					ref[string(key)] = val
 				}
 			}
 			sink.Take()

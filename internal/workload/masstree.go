@@ -14,7 +14,9 @@ func init() { register("masstree", func(cfg Config) Workload { return NewMasstre
 // eight bytes per layer, each layer a B+-tree of slices whose entries
 // either end a key (vals) or lead to the next layer's tree (next). Long
 // keys therefore chase through multiple tree descents — the deepest
-// pointer-chasing pattern in the suite.
+// pointer-chasing pattern in the suite. A key's last slice is zero-padded
+// and stored with its length, as Masstree's keylenx does, so "ab" and
+// "ab\x00" are different keys.
 type Masstree struct {
 	arena *mem.Arena
 	root  *mtLayer
@@ -26,8 +28,9 @@ type mtLayer struct {
 	// next maps an 8-byte slice value to the deeper layer handling keys
 	// that share it.
 	next map[uint64]*mtLayer
-	// vals holds terminal values for keys ending at this layer.
-	vals map[uint64]uint64
+	// vals[n] holds the values of keys that end at this layer with an
+	// n-byte last slice; a map is made on its first key.
+	vals [9]map[uint64]uint64
 }
 
 // NewMasstree returns an empty trie.
@@ -36,14 +39,16 @@ func NewMasstree(arena *mem.Arena) *Masstree {
 }
 
 func newMTLayer(arena *mem.Arena) *mtLayer {
-	return &mtLayer{tree: NewBPTree(arena, 256), next: make(map[uint64]*mtLayer), vals: make(map[uint64]uint64)}
+	return &mtLayer{tree: NewBPTree(arena, 256), next: make(map[uint64]*mtLayer)}
 }
 
 // Size returns the number of stored keys.
 func (m *Masstree) Size() uint64 { return m.size }
 
-// slices splits a key into 8-byte big-endian slices.
-func slices(key []byte) []uint64 {
+// slices splits a key into 8-byte big-endian slices, the last one
+// zero-padded, and returns the last slice's length in bytes: 0 only for
+// the empty key, whose one slice is 0.
+func slices(key []byte) ([]uint64, int) {
 	var out []uint64
 	for i := 0; i < len(key); i += 8 {
 		var buf [8]byte
@@ -51,22 +56,27 @@ func slices(key []byte) []uint64 {
 		out = append(out, binary.BigEndian.Uint64(buf[:]))
 	}
 	if len(out) == 0 {
-		out = []uint64{0}
+		return []uint64{0}, 0
 	}
-	return out
+	return out, len(key) - 8*(len(out)-1)
 }
 
 // Put inserts key with the given value, creating deeper layers as needed.
 func (m *Masstree) Put(key []byte, val uint64, tr *Tracer) {
-	ss := slices(key)
+	ss, n := slices(key)
 	layer := m.root
 	for i, s := range ss {
 		last := i == len(ss)-1
 		if last {
-			if _, exists := layer.vals[s]; !exists {
+			vals := layer.vals[n]
+			if vals == nil {
+				vals = make(map[uint64]uint64)
+				layer.vals[n] = vals
+			}
+			if _, exists := vals[s]; !exists {
 				m.size++
 			}
-			layer.vals[s] = val
+			vals[s] = val
 			layer.tree.Insert(s, tr)
 			return
 		}
@@ -83,7 +93,7 @@ func (m *Masstree) Put(key []byte, val uint64, tr *Tracer) {
 
 // Get looks key up, descending one B+-tree per 8-byte slice.
 func (m *Masstree) Get(key []byte, tr *Tracer) (uint64, bool) {
-	ss := slices(key)
+	ss, n := slices(key)
 	layer := m.root
 	for i, s := range ss {
 		last := i == len(ss)-1
@@ -91,7 +101,7 @@ func (m *Masstree) Get(key []byte, tr *Tracer) (uint64, bool) {
 			return 0, false
 		}
 		if last {
-			v, ok := layer.vals[s]
+			v, ok := layer.vals[n][s]
 			return v, ok
 		}
 		nxt, ok := layer.next[s]
@@ -105,15 +115,15 @@ func (m *Masstree) Get(key []byte, tr *Tracer) (uint64, bool) {
 
 // Update overwrites an existing key's value.
 func (m *Masstree) Update(key []byte, val uint64, tr *Tracer) bool {
-	ss := slices(key)
+	ss, n := slices(key)
 	layer := m.root
 	for i, s := range ss {
 		last := i == len(ss)-1
 		if last {
-			if _, ok := layer.vals[s]; !ok {
+			if _, ok := layer.vals[n][s]; !ok {
 				return false
 			}
-			layer.vals[s] = val
+			layer.vals[n][s] = val
 			return layer.tree.Update(s, tr)
 		}
 		if !layer.tree.Get(s, tr) {

@@ -839,6 +839,35 @@ func TestMasstreeShortAndEmptyKeys(t *testing.T) {
 	}
 }
 
+// TestMasstreeKeepsKeyLength checks that keys differing only in trailing
+// zero bytes are distinct: the last slice is zero-padded, so only its
+// stored length tells "ab" from "ab\x00", and the empty key from eight
+// zero bytes.
+func TestMasstreeKeepsKeyLength(t *testing.T) {
+	mt := NewMasstree(testArena())
+	keys := [][]byte{
+		nil, []byte("\x00"), make([]byte, 8), []byte("ab"), []byte("ab\x00"),
+		[]byte("prefix__ab"), []byte("prefix__ab\x00\x00"), []byte("prefix__\x00"),
+	}
+	for i, k := range keys {
+		mt.Put(k, uint64(i)+1, NewTracer(1))
+	}
+	if mt.Size() != uint64(len(keys)) {
+		t.Fatalf("size = %d, want %d", mt.Size(), len(keys))
+	}
+	for i, k := range keys {
+		if !mt.Update(k, uint64(i)+100, NewTracer(1)) {
+			t.Fatalf("Update(%q) missed", k)
+		}
+		if v, ok := mt.Get(k, NewTracer(1)); !ok || v != uint64(i)+100 {
+			t.Fatalf("Get(%q) = %d,%v, want %d", k, v, ok, i+100)
+		}
+	}
+	if v, ok := mt.Get([]byte("ab\x00\x00"), nil); ok {
+		t.Fatalf("unstored key ab\\x00\\x00 found (value %d)", v)
+	}
+}
+
 func TestMasstreePropertyRoundTrip(t *testing.T) {
 	if err := quick.Check(func(seed uint64, n uint8) bool {
 		rng := sim.NewRNG(seed)
