@@ -1,10 +1,10 @@
 // Package cachehier models the on-chip cache hierarchy between the cores
-// and the DRAM cache: a set-associative LRU last-level cache at 64 B block
-// granularity, MSHR tables for outstanding misses, and the miss-signal
-// propagation path that AstriFlash piggybacks on the DRAM ECC-error
-// interface (paper Section IV-C1): on a DRAM-cache miss every resource
-// allocated to the request is reclaimed and a miss signal travels up to
-// the requesting core.
+// and the DRAM cache: L1/L2 latencies and a set-associative LRU
+// last-level cache at 64 B block granularity. A core runs one access at
+// a time, so on-chip MSHRs never bind and are not modelled; the miss
+// signal of paper Section IV-C1 is a latency the system layer charges.
+// The LLC is non-inclusive of the DRAM cache: a page the DRAM cache
+// evicts keeps its blocks on chip until LLC replacement takes them.
 package cachehier
 
 import (
@@ -57,7 +57,9 @@ func NewCache(sets, ways int) *Cache {
 		panic(fmt.Sprintf("cachehier: invalid geometry sets=%d ways=%d", sets, ways))
 	}
 	c := &Cache{sets: sets, ways: ways, entries: make([]entry, sets*ways)}
-	c.InvalidateAll()
+	for i := range c.entries {
+		c.entries[i].key = freeKey
+	}
 	return c
 }
 
@@ -65,15 +67,6 @@ func NewCache(sets, ways int) *Cache {
 func (c *Cache) set(s int) []entry {
 	return c.entries[s*c.ways : (s+1)*c.ways]
 }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
-// Capacity returns sets*ways, the number of resident keys.
-func (c *Cache) Capacity() int { return c.sets * c.ways }
 
 func (c *Cache) setOf(key uint64) int {
 	// Multiplicative hashing spreads strided key patterns across sets.
@@ -148,38 +141,6 @@ func (c *Cache) Insert(key uint64, dirty bool) (Victim, bool) {
 	return v, true
 }
 
-// Invalidate removes key if present (TLB shootdowns, cache-line
-// invalidations on DRAM-cache evictions). It reports whether the key was
-// present.
-func (c *Cache) Invalidate(key uint64) bool {
-	s := c.set(c.setOf(key))
-	for w := range s {
-		if s[w].key == key {
-			s[w] = entry{key: freeKey}
-			return true
-		}
-	}
-	return false
-}
-
-// InvalidateAll empties the cache (full TLB shootdown / context switch).
-func (c *Cache) InvalidateAll() {
-	for i := range c.entries {
-		c.entries[i] = entry{key: freeKey}
-	}
-}
-
-// Resident returns the number of valid entries.
-func (c *Cache) Resident() int {
-	n := 0
-	for _, e := range c.entries {
-		if e.key != freeKey {
-			n++
-		}
-	}
-	return n
-}
-
 // Hierarchy is the per-core on-chip stack: latencies for L1/L2 folded
 // into compute plus an explicit LLC model. A single Access answers with
 // the on-chip latency and whether the request must continue to the DRAM
@@ -189,7 +150,6 @@ type Hierarchy struct {
 	L2Latency  int64 // charged on L1 miss (modeled probabilistically via LLC)
 	LLCLatency int64 // charged on LLC probe
 	LLC        *Cache
-	Mshrs      *MSHRTable
 
 	// WritebackSink receives dirty LLC victims (block keys); the system
 	// layer forwards them to the DRAM cache as writes.
@@ -203,7 +163,6 @@ type HierConfig struct {
 	LLCLatency int64
 	LLCSets    int
 	LLCWays    int
-	MSHRs      int
 }
 
 // DefaultHierConfig approximates the paper's Table I per-core stack:
@@ -216,7 +175,6 @@ func DefaultHierConfig() HierConfig {
 		LLCLatency: 16,
 		LLCSets:    1024,
 		LLCWays:    16,
-		MSHRs:      32,
 	}
 }
 
@@ -227,7 +185,6 @@ func NewHierarchy(cfg HierConfig) *Hierarchy {
 		L2Latency:  cfg.L2Latency,
 		LLCLatency: cfg.LLCLatency,
 		LLC:        NewCache(cfg.LLCSets, cfg.LLCWays),
-		Mshrs:      NewMSHRTable(cfg.MSHRs),
 	}
 }
 
@@ -255,18 +212,4 @@ func (h *Hierarchy) Fill(a mem.Access) {
 	if v, evicted := h.LLC.Insert(block, a.Write); evicted && v.Dirty && h.WritebackSink != nil {
 		h.WritebackSink(v.Key)
 	}
-}
-
-// InvalidatePage drops all blocks of the given page from the LLC, used
-// when the DRAM cache evicts a page (coherence between the DRAM cache
-// and the on-chip hierarchy).
-func (h *Hierarchy) InvalidatePage(p mem.PageNum) int {
-	base := mem.BlockOf(mem.PageBase(p))
-	n := 0
-	for i := uint64(0); i < mem.PageSize/mem.BlockSize; i++ {
-		if h.LLC.Invalidate(base + i) {
-			n++
-		}
-	}
-	return n
 }

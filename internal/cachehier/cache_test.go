@@ -64,21 +64,15 @@ func TestCacheReinsertRefreshes(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidate(t *testing.T) {
-	c := NewCache(4, 2)
-	c.Insert(9, false)
-	if !c.Invalidate(9) {
-		t.Fatal("invalidate missed resident key")
+// resident counts the valid ways of c.
+func resident(c *Cache) int {
+	n := 0
+	for _, e := range c.entries {
+		if e.key != freeKey {
+			n++
+		}
 	}
-	if c.Invalidate(9) {
-		t.Fatal("invalidate hit absent key")
-	}
-	c.Insert(1, false)
-	c.Insert(2, false)
-	c.InvalidateAll()
-	if c.Resident() != 0 {
-		t.Fatalf("resident = %d after InvalidateAll", c.Resident())
-	}
+	return n
 }
 
 func TestCacheNeverExceedsCapacity(t *testing.T) {
@@ -87,7 +81,7 @@ func TestCacheNeverExceedsCapacity(t *testing.T) {
 		for _, k := range keys {
 			c.Insert(uint64(k), false)
 		}
-		return c.Resident() <= c.Capacity()
+		return resident(c) <= c.sets*c.ways
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +167,9 @@ func (r *refCache) insert(key uint64, dirty bool) (Victim, bool) {
 }
 
 // TestCacheMatchesReference drives Cache and refCache through the same
-// random lookups, inserts (clean and dirty) and invalidations over a key
-// space a few times the capacity, and requires the same hits, victims,
-// dirty bits and residency after every op.
+// random lookups, inserts (clean and dirty) and membership probes over a
+// key space a few times the capacity, and requires the same hits,
+// victims, dirty bits and residency after every op.
 func TestCacheMatchesReference(t *testing.T) {
 	if err := quick.Check(func(ops []uint16) bool {
 		c := NewCache(4, 4)
@@ -196,23 +190,19 @@ func TestCacheMatchesReference(t *testing.T) {
 					return false
 				}
 			case 3:
-				w, _ := ref.find(key)
-				if w != nil {
-					w.valid = false
-				}
-				if c.Invalidate(key) != (w != nil) {
+				if w, _ := ref.find(key); c.Contains(key) != (w != nil) {
 					return false
 				}
 			}
-			resident := 0
+			n := 0
 			for _, s := range ref.ways {
 				for _, w := range s {
 					if w.valid {
-						resident++
+						n++
 					}
 				}
 			}
-			if c.Resident() != resident {
+			if resident(c) != n {
 				return false
 			}
 		}
@@ -234,67 +224,6 @@ func TestCacheInvalidGeometryPanics(t *testing.T) {
 			NewCache(g[0], g[1])
 		}()
 	}
-}
-
-func TestMSHRAllocateMergeComplete(t *testing.T) {
-	m := NewMSHRTable(2)
-	primary, ok := m.Allocate(10)
-	if !primary || !ok {
-		t.Fatal("first allocation should be primary")
-	}
-	primary, ok = m.Allocate(10)
-	if primary || !ok {
-		t.Fatal("second allocation to same block should merge")
-	}
-	if m.Outstanding() != 1 {
-		t.Fatalf("outstanding = %d, want 1", m.Outstanding())
-	}
-	if w := m.Complete(10); w != 2 {
-		t.Fatalf("released %d waiters, want 2", w)
-	}
-	if m.Outstanding() != 0 {
-		t.Fatal("entry not freed")
-	}
-}
-
-func TestMSHRFullStalls(t *testing.T) {
-	m := NewMSHRTable(1)
-	m.Allocate(1)
-	if _, ok := m.Allocate(2); ok {
-		t.Fatal("full table accepted a new primary miss")
-	}
-	if m.FullStall.Value() != 1 {
-		t.Fatal("stall not counted")
-	}
-	// Merging into the existing entry still works when full.
-	if _, ok := m.Allocate(1); !ok {
-		t.Fatal("merge rejected on full table")
-	}
-}
-
-func TestMSHRReclaimFreesWithoutFill(t *testing.T) {
-	m := NewMSHRTable(4)
-	m.Allocate(7)
-	m.Allocate(7)
-	if w := m.Reclaim(7); w != 2 {
-		t.Fatalf("reclaim released %d waiters, want 2", w)
-	}
-	if m.Outstanding() != 0 {
-		t.Fatal("reclaim did not free entry")
-	}
-	if m.Reclaim(7) != 0 {
-		t.Fatal("reclaiming absent block should return 0")
-	}
-}
-
-func TestMSHRCompleteAbsentPanics(t *testing.T) {
-	m := NewMSHRTable(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("completing absent block did not panic")
-		}
-	}()
-	m.Complete(99)
 }
 
 func TestHierarchyAccessAndFill(t *testing.T) {
@@ -325,21 +254,5 @@ func TestHierarchyWritebackSink(t *testing.T) {
 	h.Fill(mem.Access{Addr: 0x80})              // evicts dirty block 1
 	if len(wb) != 1 || wb[0] != 1 {
 		t.Fatalf("writebacks = %v, want [1]", wb)
-	}
-}
-
-func TestHierarchyInvalidatePage(t *testing.T) {
-	h := NewHierarchy(DefaultHierConfig())
-	// Fill all 64 blocks of page 3.
-	base := mem.PageBase(3)
-	for i := uint64(0); i < mem.PageSize/mem.BlockSize; i++ {
-		h.Fill(mem.Access{Addr: base + mem.Addr(i*mem.BlockSize)})
-	}
-	n := h.InvalidatePage(3)
-	if n != mem.PageSize/mem.BlockSize {
-		t.Fatalf("invalidated %d blocks, want %d", n, mem.PageSize/mem.BlockSize)
-	}
-	if h.LLC.Contains(mem.BlockOf(base)) {
-		t.Fatal("block still resident after page invalidation")
 	}
 }

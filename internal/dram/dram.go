@@ -145,35 +145,5 @@ func (d *Device) Access(now int64, loc Loc, blocks int) int64 {
 	return b.busyUntil
 }
 
-// AccessLatency returns how long the access would take if issued at now,
-// without committing it; FC uses this to report hit latency estimates.
-func (d *Device) AccessLatency(now int64, loc Loc, blocks int) int64 {
-	b := d.banks[loc.Bank]
-	start := now
-	if b.busyUntil > start {
-		start = b.busyUntil
-	}
-	start = d.Timing.refreshDelay(start)
-	var lat int64
-	switch {
-	case b.openRow == loc.Row:
-		lat = d.Timing.TCAS + int64(blocks)*d.Timing.TBurst
-	case b.openRow == noOpenRow:
-		lat = d.Timing.TRCD + d.Timing.TCAS + int64(blocks)*d.Timing.TBurst
-	default:
-		lat = d.Timing.TRP + d.Timing.TRCD + d.Timing.TCAS + int64(blocks)*d.Timing.TBurst
-	}
-	return start + lat - now
-}
-
 // BlocksPerPage is the number of 64 B bursts needed to move a 4 KB page.
 const BlocksPerPage = mem.PageSize / mem.BlockSize
-
-// RowHitRatio reports the fraction of accesses that hit an open row.
-func (d *Device) RowHitRatio() float64 {
-	total := d.RowHits.Value() + d.RowMisses.Value() + d.RowConfl.Value()
-	if total == 0 {
-		return 0
-	}
-	return float64(d.RowHits.Value()) / float64(total)
-}

@@ -162,10 +162,6 @@ type Cache struct {
 	// footprint install can center its default window on it.
 	fpFirst map[mem.PageNum]mem.Addr
 
-	// OnEvict, if set, is called when a page leaves the DRAM cache so the
-	// system can invalidate on-chip copies (coherence with the LLCs).
-	OnEvict func(p mem.PageNum)
-
 	// adm is the admission policy; nil means admit-all, and every
 	// admission branch below is guarded on it so nil runs are
 	// bit-identical to the pre-admission cache.
@@ -236,19 +232,10 @@ func New(eng *sim.Engine, cfg Config, dev *dram.Device, fl *flash.Device) *Cache
 	return c
 }
 
-// Admission returns the active admission policy (nil for admit-all).
-func (c *Cache) Admission() AdmissionPolicy { return c.adm }
-
 // set returns the ways of set i as a subslice of the flat line store.
 func (c *Cache) set(i int) []line {
 	return c.lines[i*c.cfg.Ways : (i+1)*c.cfg.Ways]
 }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.nsets }
-
-// MSRTable exposes the miss status row for inspection.
-func (c *Cache) MSRTable() *MSR { return c.msr }
 
 func (c *Cache) setOf(p mem.PageNum) int {
 	h := uint64(p) * 0x9e3779b97f4a7c15
@@ -263,17 +250,6 @@ func (c *Cache) Contains(p mem.PageNum) bool {
 		}
 	}
 	return false
-}
-
-// Resident returns the number of valid pages.
-func (c *Cache) Resident() int {
-	n := 0
-	for _, l := range c.lines {
-		if l.valid {
-			n++
-		}
-	}
-	return n
 }
 
 // Preload installs page p without timing, for warm-start experiments.
@@ -399,7 +375,10 @@ func (c *Cache) Unpin(p mem.PageNum) {
 // At paper scale (2M sets) hot pages are never LRU victims even though
 // the DRAM cache itself only observes LLC misses; a scaled-down cache
 // must preserve that property explicitly or super-hot pages whose
-// traffic the LLC absorbs would churn through flash.
+// traffic the LLC absorbs would churn through flash. The LLC is
+// non-inclusive of the DRAM cache, so an on-chip hit can name a page the
+// DRAM cache has evicted; Touch leaves such a page absent and counts
+// nothing.
 func (c *Cache) Touch(p mem.PageNum) {
 	s := c.set(c.setOf(p))
 	for w := range s {
@@ -662,9 +641,6 @@ func (c *Cache) prepareVictim(p mem.PageNum) {
 	s[lru].valid = false
 	c.Evictions.Inc()
 	c.evictBuf++
-	if c.OnEvict != nil {
-		c.OnEvict(victim.page)
-	}
 	if victim.dirty {
 		c.DirtyWB.Inc()
 		c.eng.AtFunc(c.flash.WritePage(victim.page), writebackDoneEvent, c)

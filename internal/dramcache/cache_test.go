@@ -2,6 +2,7 @@ package dramcache
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"astriflash/internal/flash"
 	"astriflash/internal/mem"
 	"astriflash/internal/sim"
+	"astriflash/internal/stats"
 )
 
 func newCache(t *testing.T, pages uint64) (*sim.Engine, *Cache, *flash.Device) {
@@ -24,6 +26,36 @@ func newCache(t *testing.T, pages uint64) (*sim.Engine, *Cache, *flash.Device) {
 func access(c *Cache, a mem.Access, done func(Result)) {
 	r := c.AccessSync(a)
 	c.eng.At(r.At, func() { done(r) })
+}
+
+// resident counts c's valid pages.
+func resident(c *Cache) int {
+	n := 0
+	for _, l := range c.lines {
+		if l.valid {
+			n++
+		}
+	}
+	return n
+}
+
+// accessVictim reads page p, runs the engine dry and returns the page
+// that left p's set, found by residency; ok is false when none left.
+func accessVictim(c *Cache, p mem.PageNum) (gone mem.PageNum, ok bool) {
+	var before []mem.PageNum
+	for _, l := range c.set(c.setOf(p)) {
+		if l.valid {
+			before = append(before, l.page)
+		}
+	}
+	access(c, mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
+	c.eng.Run()
+	for _, q := range before {
+		if !c.Contains(q) {
+			return q, true
+		}
+	}
+	return 0, false
 }
 
 func TestMSRAllocateLifecycle(t *testing.T) {
@@ -174,8 +206,8 @@ func TestEvictionMakesRoom(t *testing.T) {
 		access(c, mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
 		eng.Run()
 	}
-	if c.Resident() > 8 {
-		t.Fatalf("resident = %d, exceeds capacity 8", c.Resident())
+	if n := resident(c); n > 8 {
+		t.Fatalf("resident = %d, exceeds capacity 8", n)
 	}
 	if c.Evictions.Value() == 0 {
 		t.Fatal("no evictions despite overflow")
@@ -203,16 +235,69 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	}
 }
 
-func TestOnEvictCoherenceHook(t *testing.T) {
-	eng, c, _ := newCache(t, 8)
+// TestEvictedPagesLeaveTheCache overflows one 8-way set and checks that
+// every eviction takes exactly one page out of the set.
+func TestEvictedPagesLeaveTheCache(t *testing.T) {
+	_, c, _ := newCache(t, 8)
 	var evicted []mem.PageNum
-	c.OnEvict = func(p mem.PageNum) { evicted = append(evicted, p) }
 	for p := mem.PageNum(0); p < 12; p++ {
-		access(c, mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
-		eng.Run()
+		if gone, ok := accessVictim(c, p); ok {
+			evicted = append(evicted, gone)
+		}
 	}
-	if len(evicted) == 0 {
-		t.Fatal("OnEvict never fired")
+	if len(evicted) != 4 || c.Evictions.Value() != 4 {
+		t.Fatalf("evicted %v, Evictions %d: want 4 pages gone", evicted, c.Evictions.Value())
+	}
+	if n := resident(c); n != 8 {
+		t.Fatalf("resident = %d, want a full set of 8", n)
+	}
+}
+
+// TestTouchOnEvictedPageIsNoOp pins the non-inclusive rule: the on-chip
+// LLC can hit a page the DRAM cache has evicted, and the Touch that hit
+// makes must leave the page absent, change no counter and not move the
+// LRU clock, so the victims that follow match a run without the Touch.
+func TestTouchOnEvictedPageIsNoOp(t *testing.T) {
+	type victim struct {
+		page mem.PageNum
+		ok   bool
+	}
+	type counters struct {
+		acc                                stats.Ratio
+		ev, wb, inst, merged, byp, bypHits uint64
+		stamp                              uint64
+	}
+	snap := func(c *Cache) counters {
+		return counters{c.Accesses, c.Evictions.Value(), c.DirtyWB.Value(), c.Installs.Value(),
+			c.MergedMiss.Value(), c.AdmBypassed.Value(), c.BypassHits.Value(), c.stamp}
+	}
+	run := func(touch bool) []victim {
+		_, c, _ := newCache(t, 8)
+		for p := mem.PageNum(0); p < 8; p++ {
+			accessVictim(c, p)
+		}
+		if gone, ok := accessVictim(c, 8); !ok || gone != 0 {
+			t.Fatalf("victim = %d (%v), want LRU page 0", gone, ok)
+		}
+		if touch {
+			before := snap(c)
+			c.Touch(0)
+			if c.Contains(0) {
+				t.Fatal("Touch installed the evicted page 0")
+			}
+			if after := snap(c); after != before {
+				t.Fatalf("Touch on an evicted page moved counters: %+v, then %+v", before, after)
+			}
+		}
+		var out []victim
+		for _, p := range []mem.PageNum{9, 1, 10, 0, 11, 12, 2, 13} {
+			gone, ok := accessVictim(c, p)
+			out = append(out, victim{gone, ok})
+		}
+		return out
+	}
+	if with, without := run(true), run(false); !reflect.DeepEqual(with, without) {
+		t.Fatalf("victims after Touch %v, without it %v", with, without)
 	}
 }
 
@@ -233,7 +318,7 @@ func TestMSRFullStallsThenDrains(t *testing.T) {
 	if done != 6 {
 		t.Fatalf("completed %d misses, want 6 (stalled misses must drain)", done)
 	}
-	if c.MSRTable().FullWaits.Value() == 0 {
+	if c.msr.FullWaits.Value() == 0 {
 		t.Fatal("expected MSR full stalls with 6 misses over 2 entries")
 	}
 	if c.PendingMisses() != 0 {
@@ -242,23 +327,17 @@ func TestMSRFullStallsThenDrains(t *testing.T) {
 }
 
 func TestLRUVictimSelection(t *testing.T) {
-	eng, c, _ := newCache(t, 8)
+	_, c, _ := newCache(t, 8)
 	// Install pages 0..7 (fills the single set), touch 0..6 again so 7
 	// is LRU, then bring in page 100: victim must be 7.
 	for p := mem.PageNum(0); p < 8; p++ {
-		access(c, mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
-		eng.Run()
+		accessVictim(c, p)
 	}
 	for p := mem.PageNum(0); p < 7; p++ {
-		access(c, mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
-		eng.Run()
+		accessVictim(c, p)
 	}
-	var gone mem.PageNum
-	c.OnEvict = func(p mem.PageNum) { gone = p }
-	access(c, mem.Access{Addr: mem.PageBase(100)}, func(Result) {})
-	eng.Run()
-	if gone != 7 {
-		t.Fatalf("victim = %d, want LRU page 7", gone)
+	if gone, ok := accessVictim(c, 100); !ok || gone != 7 {
+		t.Fatalf("victim = %d (%v), want LRU page 7", gone, ok)
 	}
 }
 
@@ -322,19 +401,13 @@ func TestFIFOEvictsOldestDespiteReuse(t *testing.T) {
 	// Install pages 0..15 in order, then touch page 0 repeatedly: under
 	// LRU it would be protected, under FIFO it is still the oldest.
 	for p := mem.PageNum(0); p < 16; p++ {
-		access(c, mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
-		eng.Run()
+		accessVictim(c, p)
 	}
 	for i := 0; i < 10; i++ {
-		access(c, mem.Access{Addr: mem.PageBase(0)}, func(Result) {})
-		eng.Run()
+		accessVictim(c, 0)
 	}
-	var gone mem.PageNum = 999
-	c.OnEvict = func(p mem.PageNum) { gone = p }
-	access(c, mem.Access{Addr: mem.PageBase(100)}, func(Result) {})
-	eng.Run()
-	if gone != 0 {
-		t.Fatalf("FIFO victim = %d, want oldest page 0", gone)
+	if gone, ok := accessVictim(c, 100); !ok || gone != 0 {
+		t.Fatalf("FIFO victim = %d (%v), want oldest page 0", gone, ok)
 	}
 }
 
@@ -349,8 +422,8 @@ func TestRandomPolicyStaysWithinSet(t *testing.T) {
 		access(c, mem.Access{Addr: mem.PageBase(p)}, func(Result) {})
 		eng.Run()
 	}
-	if c.Resident() > 16 {
-		t.Fatalf("resident = %d exceeds capacity", c.Resident())
+	if n := resident(c); n > 16 {
+		t.Fatalf("resident = %d exceeds capacity", n)
 	}
 	if msg := c.CheckInvariants(); msg != "" {
 		t.Fatal(msg)

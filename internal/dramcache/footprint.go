@@ -81,7 +81,9 @@ func (c *Cache) EnableFootprint(cfg FootprintConfig) {
 	}
 }
 
-// Footprint exposes the extension's statistics (nil when disabled).
+// Footprint exposes the extension's statistics (nil when disabled). It
+// is how internal/system's tests see the extension: its counters are not
+// registered metrics, which would change the OpenMetrics exposition.
 func (c *Cache) Footprint() *footprintState { return c.fp }
 
 const blocksPerPage = mem.PageSize / mem.BlockSize
@@ -145,14 +147,4 @@ func (f *footprintState) fpOnEvict(p mem.PageNum) {
 		f.fifo = append(f.fifo, p)
 	}
 	f.history[p] = bs
-}
-
-// SavedTransferFraction reports the fraction of page-transfer bandwidth
-// the footprint fetch avoided.
-func (f *footprintState) SavedTransferFraction() float64 {
-	total := f.BlocksFetched.Value() + f.BlocksSaved.Value()
-	if total == 0 {
-		return 0
-	}
-	return float64(f.BlocksSaved.Value()) / float64(total)
 }

@@ -303,9 +303,6 @@ func (c Config) LogicalPages() uint64 {
 // LogicalPages returns the device's advertised capacity in 4 KB pages.
 func (d *Device) LogicalPages() uint64 { return d.logicalPages }
 
-// CapacityBytes returns the advertised capacity in bytes.
-func (d *Device) CapacityBytes() uint64 { return d.logicalPages * mem.PageSize }
-
 // Planes returns the number of planes, the unit of GC blocking.
 func (d *Device) Planes() int { return len(d.planes) }
 
@@ -600,31 +597,6 @@ func (d *Device) collect(p int, at int64) {
 	pl.gcRuns++
 	d.GCRuns.Inc()
 	d.GCPageMoves.Add(uint64(moves))
-}
-
-// MaxEraseCount returns the highest per-block erase count, the
-// wear-leveling figure of merit.
-func (d *Device) MaxEraseCount() uint64 {
-	var max uint64
-	for p := range d.planes {
-		for b := range d.planes[p].blocks {
-			if c := uint64(d.planes[p].blocks[b].eraseCount); c > max {
-				max = c
-			}
-		}
-	}
-	return max
-}
-
-// TotalEraseCount returns the sum of all block erase counts.
-func (d *Device) TotalEraseCount() uint64 {
-	var sum uint64
-	for p := range d.planes {
-		for b := range d.planes[p].blocks {
-			sum += uint64(d.planes[p].blocks[b].eraseCount)
-		}
-	}
-	return sum
 }
 
 // WriteAmplification returns (host writes + GC relocations + bad-block

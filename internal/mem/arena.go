@@ -40,9 +40,6 @@ func (a *Arena) Alloc(size, align uint64) Addr {
 // AllocPage reserves one whole 4 KB page and returns its base address.
 func (a *Arena) AllocPage() Addr { return a.Alloc(PageSize, PageSize) }
 
-// Used returns the number of bytes allocated so far.
-func (a *Arena) Used() uint64 { return uint64(a.next - a.base) }
-
 // Size returns the arena's total capacity in bytes.
 func (a *Arena) Size() uint64 { return uint64(a.end - a.base) }
 

@@ -49,9 +49,6 @@ func NewHotCold(rng *sim.RNG, n, hotN uint64, hotProb, theta float64) *HotCold {
 	return h
 }
 
-// N returns the domain size.
-func (h *HotCold) N() uint64 { return h.n }
-
 // Next draws an item index in [0, n).
 func (h *HotCold) Next() uint64 {
 	if h.rng.Float64() < h.hotProb {

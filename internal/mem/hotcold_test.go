@@ -10,8 +10,8 @@ import (
 func TestHotColdConcentration(t *testing.T) {
 	rng := sim.NewRNG(1)
 	h := NewHotCold(rng, 100000, 1000, 0.97, 0.99)
-	if h.N() != 100000 || h.hotN != 1000 {
-		t.Fatalf("geometry: N=%d hot=%d", h.N(), h.hotN)
+	if h.n != 100000 || h.hotN != 1000 {
+		t.Fatalf("geometry: N=%d hot=%d", h.n, h.hotN)
 	}
 	hot := 0
 	const draws = 200000

@@ -143,21 +143,3 @@ func gcd(a, b uint64) uint64 {
 	}
 	return a
 }
-
-// N returns the domain size.
-func (z *Zipf) N() uint64 { return z.n }
-
-// HotSetFraction estimates the fraction of accesses that fall within the
-// hottest frac*N items, by the ratio of generalized harmonic numbers.
-// It quantifies how much of the request stream a DRAM cache of the given
-// relative capacity can absorb (paper Figure 1).
-func (z *Zipf) HotSetFraction(frac float64) float64 {
-	k := uint64(frac * float64(z.n))
-	if k == 0 {
-		return 0
-	}
-	if k >= z.n {
-		return 1
-	}
-	return zetaApprox(k, z.theta) / z.zetan
-}

@@ -80,16 +80,6 @@ func (r *Registry) Histogram(name string, h *stats.Histogram) {
 	r.hists[name] = h
 }
 
-// CounterNames returns the registered counter names, sorted.
-func (r *Registry) CounterNames() []string {
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // CounterSnapshot reads every counter into a fresh map.
 func (r *Registry) CounterSnapshot() map[string]uint64 {
 	out := make(map[string]uint64, len(r.counters))

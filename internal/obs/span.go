@@ -100,15 +100,6 @@ func StageFromName(name string) (Stage, bool) {
 	return 0, false
 }
 
-// Stages lists all stages in declaration order.
-func Stages() []Stage {
-	out := make([]Stage, stageCount)
-	for i := range out {
-		out[i] = Stage(i)
-	}
-	return out
-}
-
 // Span is one recorded lifecycle segment on the simulated clock.
 type Span struct {
 	// Point identifies the sweep point (load level) the span came from;

@@ -65,7 +65,7 @@ type Sample struct {
 	// Hists holds each registered histogram's window distribution.
 	Hists map[string]HistWindow
 	// Bad maps SLO name to the window's count of observations above that
-	// SLO's threshold (bucket resolution, see stats.Histogram.CountAbove).
+	// SLO's threshold (bucket resolution, see stats.HistogramWindow.Advance).
 	Bad map[string]uint64
 }
 

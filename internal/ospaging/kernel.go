@@ -163,14 +163,6 @@ func (k *Kernel) InstallPage(now sim.Time) sim.Time {
 // ContextSwitch returns the cost of one kernel context switch.
 func (k *Kernel) ContextSwitch() int64 { return k.costs.ContextSwitch }
 
-// PerMissOverhead reports the core-side cost charged per DRAM miss under
-// OS paging, excluding lock contention: fault entry plus two context
-// switches' amortized share (one away, one back — the paper charges
-// ~10 us combined).
-func (k *Kernel) PerMissOverhead() int64 {
-	return k.costs.PageFaultEntry + k.costs.ContextSwitch
-}
-
 // Task is one OS-visible thread in the run queue model. The caller owns
 // its memory (Spawn initialises it), so it can live in a pooled record.
 type Task struct {
@@ -205,9 +197,6 @@ func (q *RunQueue) Spawn(t *Task, payload any, now sim.Time) *Task {
 	q.Spawned.Inc()
 	return t
 }
-
-// Running returns the scheduled task, or nil.
-func (q *RunQueue) Running() *Task { return q.running }
 
 // Runnable returns the run-queue depth.
 func (q *RunQueue) Runnable() int { return q.runnable.Len() }

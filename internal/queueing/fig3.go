@@ -77,16 +77,6 @@ func serverCount(hold, occupancy float64) int {
 	return k
 }
 
-// MaxThroughput returns each system's saturation throughput normalized to
-// the DRAM-only system (1/occupancy relative to 1/Service).
-func (p Fig3Params) MaxThroughput() map[string]float64 {
-	out := make(map[string]float64)
-	for _, m := range p.models() {
-		out[m.name] = p.Service / m.occupancy
-	}
-	return out
-}
-
 // Curves computes 99th-percentile latency curves over a sweep of offered
 // loads for the four Figure 3 systems. Loads and latencies are normalized
 // exactly as the paper plots them: load relative to DRAM-only saturation,
@@ -128,35 +118,4 @@ func (p Fig3Params) Curves(percentile float64, points int) []Curve {
 		curves = append(curves, c)
 	}
 	return curves
-}
-
-// SLOFactor returns the minimum SLO (as a multiple of the mean service
-// time) under which a system can run within the given throughput fraction
-// of DRAM-only. The paper states a flash access every ~10 us of execution
-// needs an SLO of ~40x mean service time to perform within ~20% of
-// DRAM-only.
-func (p Fig3Params) SLOFactor(system string, throughputFrac, percentile float64) float64 {
-	for _, m := range p.models() {
-		if m.name != system {
-			continue
-		}
-		k := serverCount(m.hold, m.occupancy)
-		mu := 1 / m.hold
-		lambda := throughputFrac * (1 / p.Service)
-		if lambda >= float64(k)*mu {
-			return math.Inf(1)
-		}
-		var resp float64
-		var err error
-		if k == 1 {
-			resp, err = MM1{Lambda: lambda, Mu: mu}.ResponsePercentile(percentile)
-		} else {
-			resp, err = MMK{Lambda: lambda, Mu: mu, K: k}.ResponsePercentile(percentile)
-		}
-		if err != nil {
-			return math.Inf(1)
-		}
-		return resp / p.Service
-	}
-	return math.NaN()
 }

@@ -5,14 +5,14 @@ package sim
 // first slides the live entries back to the front, so a queue whose depth
 // stays bounded reuses its backing array instead of regrowing it the way
 // q = q[1:] does. The zero value is an empty queue.
-type Queue[T comparable] struct {
+type Queue[T any] struct {
 	buf []T
 	off int // index of the head in buf
 }
 
 // NewQueue returns an empty queue that starts on buf's backing array, so
 // a caller can carve many queues out of one slab.
-func NewQueue[T comparable](buf []T) Queue[T] { return Queue[T]{buf: buf[:0]} }
+func NewQueue[T any](buf []T) Queue[T] { return Queue[T]{buf: buf[:0]} }
 
 // Len returns the number of queued entries.
 func (q *Queue[T]) Len() int { return len(q.buf) - q.off }
@@ -21,7 +21,7 @@ func (q *Queue[T]) Len() int { return len(q.buf) - q.off }
 func (q *Queue[T]) Head() T { return q.buf[q.off] }
 
 // Items returns the queued entries, oldest first. The slice aliases the
-// queue and is valid until the next Push, Pop or Remove.
+// queue and is valid until the next Push or Pop.
 func (q *Queue[T]) Items() []T { return q.buf[q.off:] }
 
 // Push appends v.
@@ -41,31 +41,10 @@ func (q *Queue[T]) Pop() T {
 	var zero T
 	q.buf[q.off] = zero
 	q.off++
-	q.reset()
-	return v
-}
-
-// Remove deletes the first entry equal to v, keeping the others in order,
-// and reports whether one was queued.
-func (q *Queue[T]) Remove(v T) bool {
-	live := q.buf[q.off:]
-	for i := range live {
-		if live[i] == v {
-			copy(live[i:], live[i+1:])
-			var zero T
-			live[len(live)-1] = zero
-			q.buf = q.buf[:len(q.buf)-1]
-			q.reset()
-			return true
-		}
-	}
-	return false
-}
-
-// reset rewinds an emptied queue to the start of its backing array.
-func (q *Queue[T]) reset() {
 	if q.off == len(q.buf) {
+		// Emptied: rewind to the start of the backing array.
 		q.buf = q.buf[:0]
 		q.off = 0
 	}
+	return v
 }

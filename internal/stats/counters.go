@@ -53,15 +53,6 @@ func (r *Ratio) MissRatio() float64 {
 	return float64(r.Misses) / float64(t)
 }
 
-// HitRatio returns hits / total, or 0 when empty.
-func (r *Ratio) HitRatio() float64 {
-	t := r.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(r.Hits) / float64(t)
-}
-
 // Sample accumulates raw float64 observations for exact descriptive
 // statistics; use it where observation counts are modest (per-sweep
 // summaries), and Histogram where they are not.
@@ -76,9 +67,6 @@ func (s *Sample) Add(x float64) {
 	s.sorted = false
 }
 
-// N returns the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
-
 // Mean returns the arithmetic mean, or 0 when empty.
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
@@ -89,21 +77,6 @@ func (s *Sample) Mean() float64 {
 		sum += x
 	}
 	return sum / float64(len(s.xs))
-}
-
-// Stddev returns the sample standard deviation, or 0 for n < 2.
-func (s *Sample) Stddev() float64 {
-	n := len(s.xs)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, x := range s.xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
 }
 
 // Percentile returns the exact p-th percentile using the nearest-rank

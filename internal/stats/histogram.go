@@ -151,17 +151,6 @@ func (h *Histogram) Percentile(p float64) int64 {
 	return h.max
 }
 
-// CountAbove returns the number of observations strictly above v, at
-// bucket resolution: observations sharing v's bucket are not counted, so
-// the result can undercount by up to one bucket width (~3%).
-func (h *Histogram) CountAbove(v int64) uint64 {
-	var n uint64
-	for k := h.bucketOf(v) + 1; k < len(h.buckets); k++ {
-		n += h.buckets[k]
-	}
-	return n
-}
-
 // WindowStats summarizes one measurement window of a histogram: the
 // observations recorded between two Advance calls on a HistogramWindow.
 type WindowStats struct {
@@ -244,29 +233,6 @@ func (w *HistogramWindow) Advance(thresholds ...int64) WindowStats {
 	w.prevCount = h.count
 	w.prevSum = h.sum
 	return st
-}
-
-// Merge adds all observations of other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	if other.subBits != h.subBits {
-		panic("stats: merging histograms with different precision")
-	}
-	if h.buckets == nil && other.buckets != nil {
-		h.buckets = make([]uint64, len(other.buckets))
-	}
-	for k, c := range other.buckets {
-		h.buckets[k] += c
-	}
-	h.count += other.count
-	h.sum += other.sum
-	if other.count > 0 {
-		if other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
-		}
-	}
 }
 
 // Reset discards all observations, retaining the bucket storage.

@@ -28,7 +28,7 @@ func TestFlatSteadyStateZeroAllocs(t *testing.T) {
 			}
 		}
 		// Warm every pool: job slabs, step buffers, histogram buckets,
-		// event-heap capacity, MSHR and BC tables, fetch records.
+		// event-heap capacity, MSR and BC tables, fetch records.
 		next := int64(5_000_000)
 		s.eng.RunUntil(next)
 		return testing.AllocsPerRun(5, func() {

@@ -365,9 +365,6 @@ func roundUpWays(pages, ways uint64) uint64 {
 // Engine exposes the simulation clock for drivers and tests.
 func (s *System) Engine() *sim.Engine { return s.eng }
 
-// DRAMCache exposes the cache for inspection.
-func (s *System) DRAMCache() *dramcache.Cache { return s.dc }
-
 // Flash exposes the device for inspection.
 func (s *System) Flash() *flash.Device { return s.flash }
 

@@ -191,7 +191,7 @@ func TestAllWorkloadsRunAllModes(t *testing.T) {
 			if res.Jobs == 0 {
 				t.Fatalf("%s/%s: no jobs completed", m, wl)
 			}
-			if msg := s.DRAMCache().CheckInvariants(); msg != "" {
+			if msg := s.dc.CheckInvariants(); msg != "" {
 				t.Fatalf("%s/%s: %s", m, wl, msg)
 			}
 			if msg := s.Flash().CheckFTLInvariants(); msg != "" {
@@ -274,14 +274,14 @@ func TestFootprintCacheThroughSystem(t *testing.T) {
 	if res.Jobs == 0 {
 		t.Fatal("no progress with footprint fetching")
 	}
-	fp := s.DRAMCache().Footprint()
+	fp := s.dc.Footprint()
 	if fp == nil {
 		t.Fatal("footprint extension not enabled")
 	}
 	if fp.BlocksSaved.Value() == 0 {
 		t.Fatal("footprint fetch saved no transfer through the full system")
 	}
-	if msg := s.DRAMCache().CheckInvariants(); msg != "" {
+	if msg := s.dc.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
 }

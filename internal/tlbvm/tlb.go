@@ -30,7 +30,8 @@ func DefaultTLBConfig() TLBConfig {
 
 // TLB caches virtual-to-physical page translations. AstriFlash maps flash
 // through BARs so translations are stable; OS-Swap remaps on every page
-// migration and must shoot entries down.
+// migration and must shoot entries down. Shootdowns are priced by
+// ShootdownModel, not applied: no TLB entry is ever invalidated.
 type TLB struct {
 	cache   *cachehier.Cache
 	hitLat  int64
@@ -55,15 +56,6 @@ func (t *TLB) Lookup(vpn mem.PageNum) (int64, bool) {
 // Insert fills a translation after a walk.
 func (t *TLB) Insert(vpn mem.PageNum) { t.cache.Insert(uint64(vpn), false) }
 
-// Invalidate removes one translation (a shootdown for that page).
-func (t *TLB) Invalidate(vpn mem.PageNum) bool { return t.cache.Invalidate(uint64(vpn)) }
-
-// Flush empties the TLB (OS context switch).
-func (t *TLB) Flush() { t.cache.InvalidateAll() }
-
-// Resident returns the number of cached translations.
-func (t *TLB) Resident() int { return t.cache.Resident() }
-
 // PTLevels is the depth of every page table: four radix levels, as in
 // x86-64 and ARM granule layouts.
 const PTLevels = 4
@@ -78,14 +70,9 @@ type PageTable struct {
 	pages     []uint64 // table pages per level
 }
 
-// NewPageTable builds a table covering vpns virtual pages, with table
-// pages allocated from tableBase upward. Four levels and 512-entry nodes
-// mirror x86-64/ARM granule layouts.
-func NewPageTable(vpns uint64, tableBase mem.PageNum) *PageTable {
-	return NewPageTableFanout(vpns, tableBase, 9)
-}
-
-// NewPageTableFanout builds a table with 2^fanoutLog entries per node.
+// NewPageTableFanout builds a table covering vpns virtual pages, with
+// table pages allocated from tableBase upward and 2^fanoutLog entries per
+// node (9 gives x86-64's 512-entry nodes).
 // Scaled-down simulations use a smaller fanout so the page-table working
 // set keeps the same proportion to the DRAM cache that a full-scale
 // 512-ary table over a TB dataset has — otherwise a few leaf pages cover
@@ -110,9 +97,6 @@ func NewPageTableFanout(vpns uint64, tableBase mem.PageNum, fanoutLog uint) *Pag
 	}
 	return pt
 }
-
-// Levels returns the number of radix levels.
-func (pt *PageTable) Levels() int { return PTLevels }
 
 // TotalPages returns the table's footprint in pages.
 func (pt *PageTable) TotalPages() uint64 {

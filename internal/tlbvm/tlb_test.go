@@ -26,28 +26,8 @@ func TestTLBHitAfterInsert(t *testing.T) {
 	}
 }
 
-func TestTLBInvalidate(t *testing.T) {
-	tlb := NewTLB(DefaultTLBConfig())
-	tlb.Insert(7)
-	if !tlb.Invalidate(7) {
-		t.Fatal("invalidate missed resident entry")
-	}
-	if _, hit := tlb.Lookup(7); hit {
-		t.Fatal("hit after invalidate")
-	}
-	tlb.Insert(1)
-	tlb.Insert(2)
-	tlb.Flush()
-	if tlb.Resident() != 0 {
-		t.Fatal("flush left entries")
-	}
-}
-
 func TestPageTableGeometry(t *testing.T) {
-	pt := NewPageTable(1<<20, 1000) // 1M VPNs
-	if pt.Levels() != 4 {
-		t.Fatalf("levels = %d", pt.Levels())
-	}
+	pt := NewPageTableFanout(1<<20, 1000, 9) // 1M VPNs
 	// Leaf level: 1M entries / 512 per page = 2048 pages; level 1: 4;
 	// levels 2, 3: 1 each.
 	if pt.TotalPages() != 2048+4+1+1 {
@@ -56,7 +36,7 @@ func TestPageTableGeometry(t *testing.T) {
 }
 
 func TestWalkPagesRootToLeaf(t *testing.T) {
-	pt := NewPageTable(1<<20, 1000)
+	pt := NewPageTableFanout(1<<20, 1000, 9)
 	pages := pt.WalkPages(0)
 	if len(pages) != 4 {
 		t.Fatalf("walk touches %d pages, want 4", len(pages))
@@ -76,7 +56,7 @@ func TestWalkPagesRootToLeaf(t *testing.T) {
 }
 
 func TestWalkPagesStayInRegion(t *testing.T) {
-	pt := NewPageTable(1<<16, 5000)
+	pt := NewPageTableFanout(1<<16, 5000, 9)
 	last := 5000 + mem.PageNum(pt.TotalPages())
 	if err := quick.Check(func(v uint32) bool {
 		for _, p := range pt.WalkPages(mem.PageNum(v)) {
@@ -92,7 +72,7 @@ func TestWalkPagesStayInRegion(t *testing.T) {
 
 func TestFlatWalkLatency(t *testing.T) {
 	eng := sim.NewEngine()
-	pt := NewPageTable(1<<20, 0)
+	pt := NewPageTableFanout(1<<20, 0, 9)
 	// Every table page costs the same 50 ns, as in the flat partition.
 	w := NewWalker(pt, &slowBackend{eng: eng, fast: 50, slow: 50})
 	var done sim.Time
@@ -124,7 +104,7 @@ func (b *slowBackend) AccessPT(p mem.PageNum, done func(at sim.Time)) {
 
 func TestColdTablePageDominatesWalk(t *testing.T) {
 	eng := sim.NewEngine()
-	pt := NewPageTable(1<<20, 0)
+	pt := NewPageTableFanout(1<<20, 0, 9)
 	leaf := pt.WalkPages(777)[3]
 	w := NewWalker(pt, &slowBackend{eng: eng, slowPage: leaf, fast: 50, slow: 50_000})
 	var done sim.Time

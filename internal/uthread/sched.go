@@ -138,9 +138,6 @@ func (s *Scheduler) Spawn(th *Thread, payload any, now sim.Time) *Thread {
 	return th
 }
 
-// Running returns the currently scheduled thread, or nil.
-func (s *Scheduler) Running() *Thread { return s.running }
-
 // QueuedNew returns the number of never-scheduled jobs.
 func (s *Scheduler) QueuedNew() int { return s.newQ.Len() }
 
@@ -149,9 +146,6 @@ func (s *Scheduler) QueuedPending() int { return s.pending.Len() }
 
 // PendingFull reports whether a new miss must block instead of switching.
 func (s *Scheduler) PendingFull() bool { return s.pending.Len() >= s.cfg.PendingLimit }
-
-// AvgFlashResponse returns the current aging threshold in nanoseconds.
-func (s *Scheduler) AvgFlashResponse() int64 { return int64(s.avgFlash) }
 
 // OnMiss is the handler entry point: the running thread suffered a
 // DRAM-cache miss at time now. If the pending queue has room the thread
@@ -261,27 +255,12 @@ func (s *Scheduler) pickFIFO() *Thread {
 	return s.pickNewThenPending()
 }
 
-// Unblock removes a specific thread from the pending queue (used when the
-// scheduler decided to block on it synchronously after PendingFull, or by
-// forced-progress resumption paths). It reports whether the thread was
-// found.
-func (s *Scheduler) Unblock(th *Thread) bool { return s.pending.Remove(th) }
-
 // Finish retires the running thread.
 func (s *Scheduler) Finish() {
 	if s.running == nil {
 		panic("uthread: Finish with no running thread")
 	}
 	s.running = nil
-}
-
-// ResumeDirect installs th as running without queue transit (the blocked-
-// on-full path where the core never switched away).
-func (s *Scheduler) ResumeDirect(th *Thread) {
-	if s.running != nil {
-		panic("uthread: ResumeDirect while a thread is running")
-	}
-	s.running = th
 }
 
 // OldestNewAge returns the age of the oldest never-scheduled job at now,

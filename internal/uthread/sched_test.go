@@ -22,11 +22,11 @@ func TestSpawnAndPick(t *testing.T) {
 	if got != th {
 		t.Fatal("picked wrong thread")
 	}
-	if s.Running() != th {
+	if s.running != th {
 		t.Fatal("running not installed")
 	}
 	s.Finish()
-	if s.Running() != nil {
+	if s.running != nil {
 		t.Fatal("finish did not clear running")
 	}
 }
@@ -104,7 +104,7 @@ func TestAgingPromotesStarvingHead(t *testing.T) {
 	s.Finish()
 	// Far beyond AgingFactor x the average flash response, the head must
 	// be promoted even though it is not ready.
-	threshold := int64(float64(s.AvgFlashResponse()) * s.Config().AgingFactor)
+	threshold := int64(s.avgFlash * s.Config().AgingFactor)
 	late := s.PickNext(10 + threshold + 1)
 	if late != a {
 		t.Fatal("aged pending head not promoted; scheduler starves")
@@ -169,45 +169,26 @@ func TestPickNextEmpty(t *testing.T) {
 
 func TestAvgFlashEWMAAdapts(t *testing.T) {
 	s := newSched(PriorityAging)
-	before := s.AvgFlashResponse()
+	before := s.avgFlash
 	th := s.Spawn(new(Thread), "a", 0)
 	s.PickNext(0)
 	s.OnMiss(0)
 	s.NotifyReady(th, 200_000) // much slower than the 50 us estimate
-	if s.AvgFlashResponse() <= before {
+	if s.avgFlash <= before {
 		t.Fatal("EWMA did not move toward slower observations")
 	}
 	// Repeated fast observations pull it back down.
-	for i := 0; i < 50; i++ {
-		s.Unblock(th)
-		s.ResumeDirect(th)
-		s.OnMiss(sim.Time(1000 * i))
-		s.NotifyReady(th, sim.Time(1000*i+10_000))
-		got := s.PickNext(sim.Time(1000*i + 10_001))
-		if got == nil {
+	for i := 1; i <= 50; i++ {
+		now := sim.Time(200_000 + 20_000*i)
+		if s.PickNext(now) != th {
 			t.Fatal("ready thread not schedulable")
 		}
-		s.Finish()
+		s.OnMiss(now)
+		s.NotifyReady(th, now+10_000)
 		s.Spawn(new(Thread), i, 0) // keep shapes realistic
 	}
-	if s.AvgFlashResponse() > 100_000 {
-		t.Fatalf("EWMA stuck high: %d", s.AvgFlashResponse())
-	}
-}
-
-func TestUnblock(t *testing.T) {
-	s := newSched(PriorityAging)
-	a := s.Spawn(new(Thread), "a", 0)
-	s.PickNext(0)
-	s.OnMiss(10)
-	if !s.Unblock(a) {
-		t.Fatal("unblock missed pending thread")
-	}
-	if s.Unblock(a) {
-		t.Fatal("double unblock succeeded")
-	}
-	if s.QueuedPending() != 0 {
-		t.Fatal("pending queue not empty after unblock")
+	if s.avgFlash > 100_000 {
+		t.Fatalf("EWMA stuck high: %.0f", s.avgFlash)
 	}
 }
 

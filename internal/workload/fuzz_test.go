@@ -137,8 +137,8 @@ func FuzzHashTable(f *testing.F) {
 					used++
 				}
 			}
-			if ht.Used() != uint64(len(ref)) || used != len(ref) {
-				t.Fatalf("op %d: Used %d, %d slots occupied, map holds %d", n, ht.Used(), used, len(ref))
+			if ht.used != uint64(len(ref)) || used != len(ref) {
+				t.Fatalf("op %d: Used %d, %d slots occupied, map holds %d", n, ht.used, used, len(ref))
 			}
 		}
 		for k, v := range ref {

@@ -42,9 +42,6 @@ func NewHashTable(arena *mem.Arena, capacity uint64) *HashTable {
 // Capacity returns the slot count.
 func (h *HashTable) Capacity() uint64 { return uint64(len(h.slots)) }
 
-// Used returns the number of occupied slots.
-func (h *HashTable) Used() uint64 { return h.used }
-
 func (h *HashTable) slotAddr(i uint64) mem.Addr { return h.base + mem.Addr(i*64) }
 
 func (h *HashTable) hash(key uint64) uint64 {

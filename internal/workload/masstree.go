@@ -46,24 +46,27 @@ func newMTLayer(arena *mem.Arena) *mtLayer {
 func (m *Masstree) Size() uint64 { return m.size }
 
 // slices splits a key into 8-byte big-endian slices, the last one
-// zero-padded, and returns the last slice's length in bytes: 0 only for
-// the empty key, whose one slice is 0.
-func slices(key []byte) ([]uint64, int) {
-	var out []uint64
+// zero-padded, appending them to buf[:0], and returns the last slice's
+// length in bytes: 0 only for the empty key, whose one slice is 0. Put,
+// Get and Update pass a two-slice stack array, which holds the
+// workload's 16-byte keys without a heap allocation.
+func slices(key []byte, buf []uint64) ([]uint64, int) {
+	out := buf[:0]
 	for i := 0; i < len(key); i += 8 {
-		var buf [8]byte
-		copy(buf[:], key[i:])
-		out = append(out, binary.BigEndian.Uint64(buf[:]))
+		var b [8]byte
+		copy(b[:], key[i:])
+		out = append(out, binary.BigEndian.Uint64(b[:]))
 	}
 	if len(out) == 0 {
-		return []uint64{0}, 0
+		return append(out, 0), 0
 	}
 	return out, len(key) - 8*(len(out)-1)
 }
 
 // Put inserts key with the given value, creating deeper layers as needed.
 func (m *Masstree) Put(key []byte, val uint64, tr *Tracer) {
-	ss, n := slices(key)
+	var buf [2]uint64
+	ss, n := slices(key, buf[:])
 	layer := m.root
 	for i, s := range ss {
 		last := i == len(ss)-1
@@ -93,7 +96,8 @@ func (m *Masstree) Put(key []byte, val uint64, tr *Tracer) {
 
 // Get looks key up, descending one B+-tree per 8-byte slice.
 func (m *Masstree) Get(key []byte, tr *Tracer) (uint64, bool) {
-	ss, n := slices(key)
+	var buf [2]uint64
+	ss, n := slices(key, buf[:])
 	layer := m.root
 	for i, s := range ss {
 		last := i == len(ss)-1
@@ -115,7 +119,8 @@ func (m *Masstree) Get(key []byte, tr *Tracer) (uint64, bool) {
 
 // Update overwrites an existing key's value.
 func (m *Masstree) Update(key []byte, val uint64, tr *Tracer) bool {
-	ss, n := slices(key)
+	var buf [2]uint64
+	ss, n := slices(key, buf[:])
 	layer := m.root
 	for i, s := range ss {
 		last := i == len(ss)-1
@@ -172,7 +177,8 @@ func NewMasstreeWorkload(cfg Config) *MasstreeWorkload {
 	}
 	mt := NewMasstree(arena)
 	for i := uint64(0); i < keys; i++ {
-		mt.Put(mtKeyN(i, prefixes), i, nil)
+		k := mtKeyN(i, prefixes)
+		mt.Put(k[:], i, nil)
 	}
 	rng := newRNG(cfg, 0x3a55)
 	return &MasstreeWorkload{
@@ -188,17 +194,13 @@ func NewMasstreeWorkload(cfg Config) *MasstreeWorkload {
 }
 
 // mtKeyN builds the 16-byte key for index i: prefixes shared 8-byte
-// prefixes, unique suffix.
-func mtKeyN(i, prefixes uint64) []byte {
-	var k [16]byte
+// prefixes, unique suffix. It returns the key by value, so the caller's
+// copy can stay on its stack.
+func mtKeyN(i, prefixes uint64) (k [16]byte) {
 	binary.BigEndian.PutUint64(k[:8], scrambleKey(i)%prefixes)
 	binary.BigEndian.PutUint64(k[8:], scrambleKey(i))
-	return k[:]
+	return k
 }
-
-// mtKey is mtKeyN with the default 1024 prefixes (kept for tests and
-// examples).
-func mtKey(i uint64) []byte { return mtKeyN(i, 1024) }
 
 // Name implements Workload.
 func (w *MasstreeWorkload) Name() string { return "masstree" }
@@ -214,9 +216,9 @@ func (w *MasstreeWorkload) NewJobSteps(buf []Step) []Step {
 	for op := 0; op < w.cfg.OpsPerJob; op++ {
 		key := mtKeyN(w.zipf.Next(), w.prefixes)
 		if w.rng.Float64() < w.cfg.WriteFraction {
-			w.trie.Update(key, w.rng.Uint64(), tr)
+			w.trie.Update(key[:], w.rng.Uint64(), tr)
 		} else {
-			w.trie.Get(key, tr)
+			w.trie.Get(key[:], tr)
 		}
 	}
 	return tr.Take()

@@ -56,12 +56,27 @@ type Txn struct {
 	readOrder []uint64          // read keys in first-read order (determinism)
 	writeSet  map[uint64]uint64 // key -> new value
 	order     []uint64          // write keys in lock order (sorted on commit)
+	locked    []*record         // records Commit has locked
 	done      bool
 }
 
 // Begin starts a transaction tracing into tr.
 func (db *SiloDB) Begin(tr *Tracer) *Txn {
-	return &Txn{db: db, tr: tr, readSet: make(map[uint64]uint64), writeSet: make(map[uint64]uint64)}
+	t := new(Txn)
+	db.begin(t, tr)
+	return t
+}
+
+// begin restarts t as a new transaction tracing into tr, keeping the
+// storage of its read and write sets, so a reused Txn allocates nothing.
+func (db *SiloDB) begin(t *Txn, tr *Tracer) {
+	if t.readSet == nil {
+		t.readSet, t.writeSet = make(map[uint64]uint64), make(map[uint64]uint64)
+	}
+	clear(t.readSet)
+	clear(t.writeSet)
+	*t = Txn{db: db, tr: tr, readSet: t.readSet, readOrder: t.readOrder[:0],
+		writeSet: t.writeSet, order: t.order[:0], locked: t.locked[:0]}
 }
 
 // Read looks key up through the index and records the version it first
@@ -108,9 +123,8 @@ func (t *Txn) Commit() bool {
 	t.done = true
 
 	sortU64(t.order)
-	locked := make([]*record, 0, len(t.order))
 	abort := func() bool {
-		for _, r := range locked {
+		for _, r := range t.locked {
 			r.locked = false
 		}
 		t.db.Aborts++
@@ -127,7 +141,7 @@ func (t *Txn) Commit() bool {
 			return abort()
 		}
 		r.locked = true
-		locked = append(locked, r)
+		t.locked = append(t.locked, r)
 	}
 	// Phase 2: validate read set (re-read version words) in first-read
 	// order so traces are deterministic.
@@ -180,6 +194,7 @@ type SiloWorkload struct {
 	zipf  sampler
 	rng   *sim.RNG
 	jobTr Tracer
+	txn   Txn // reused by every job
 }
 
 // NewSilo builds the store: records at 64 B plus the index.
@@ -217,7 +232,8 @@ func (w *SiloWorkload) DatasetPages() uint64 { return w.arena.Pages() }
 func (w *SiloWorkload) NewJobSteps(buf []Step) []Step {
 	w.jobTr.Reset(w.cfg.ComputePerAccessNs, buf)
 	tr := &w.jobTr
-	txn := w.db.Begin(tr)
+	txn := &w.txn
+	w.db.begin(txn, tr)
 	for op := 0; op < w.cfg.OpsPerJob; op++ {
 		key := scrambleKey(w.zipf.Next())
 		v, ok := txn.Read(key)

@@ -106,8 +106,8 @@ func TestHashTableBasics(t *testing.T) {
 	if !ok || v != 51 {
 		t.Fatalf("get = %d,%v", v, ok)
 	}
-	if ht.Used() != 1 {
-		t.Fatalf("used = %d", ht.Used())
+	if ht.used != 1 {
+		t.Fatalf("used = %d", ht.used)
 	}
 }
 
@@ -117,7 +117,7 @@ func TestHashTableProbeChains(t *testing.T) {
 	for i := uint64(0); i < 180; i++ { // ~70% load
 		ht.Put(i, i, tr)
 	}
-	if lf := float64(ht.Used()) / float64(ht.Capacity()); lf < 0.6 || lf > 0.8 {
+	if lf := float64(ht.used) / float64(ht.Capacity()); lf < 0.6 || lf > 0.8 {
 		t.Fatalf("load factor = %v", lf)
 	}
 	for i := uint64(0); i < 180; i++ {
@@ -866,6 +866,12 @@ func TestMasstreeKeepsKeyLength(t *testing.T) {
 	if v, ok := mt.Get([]byte("ab\x00\x00"), nil); ok {
 		t.Fatalf("unstored key ab\\x00\\x00 found (value %d)", v)
 	}
+}
+
+// mtKey is mtKeyN with the default 1024 prefixes.
+func mtKey(i uint64) []byte {
+	k := mtKeyN(i, 1024)
+	return k[:]
 }
 
 func TestMasstreePropertyRoundTrip(t *testing.T) {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -89,6 +90,29 @@ func TestEveryWorkloadFitsAboveItsMinimum(t *testing.T) {
 			if !fitsDataset(name, cfg) {
 				t.Fatalf("%s does not fit a %d-byte dataset", name, b)
 			}
+		}
+	}
+}
+
+// TestNewJobStepsAllocFree builds every registered workload at 8 MiB and
+// requires a job generated into the previous job's trace buffer to make
+// no heap allocation once the workload is warm.
+func TestNewJobStepsAllocFree(t *testing.T) {
+	names := make([]string, 0, len(builders))
+	for name := range builders {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		cfg := DefaultConfig()
+		cfg.DatasetBytes = 8 << 20
+		w, err := New(name, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := w.NewJobSteps(make([]Step, 0, 4096))
+		if n := testing.AllocsPerRun(100, func() { buf = w.NewJobSteps(buf) }); n != 0 {
+			t.Errorf("%s: %.1f allocations per job, want 0", name, n)
 		}
 	}
 }
