@@ -111,10 +111,14 @@ type regionPolicy struct {
 	bar      int
 	adaptive bool
 
-	// counts is the per-region reuse ledger for the current window;
-	// decayed (halved) every decayEvery observed accesses so the ledger
-	// tracks the current mix instead of the whole run.
-	counts     map[uint64]uint32
+	// counts is the per-region reuse ledger, indexed by region and grown
+	// to the highest region seen. Every decayEvery observed accesses all
+	// counts halve (rounding down), so the ledger tracks the current mix
+	// instead of the whole run. The halving is lazy: epoch counts the
+	// decays, and a count last written in epoch e is worth n>>(epoch-e)
+	// now, since k floor-halvings are one shift by k.
+	counts     []regionCount
+	epoch      uint32
 	accesses   uint64
 	decayEvery uint64
 
@@ -132,7 +136,6 @@ func newRegionPolicy(name string, regionPages, threshold int, adaptive bool) *re
 		shift:      regionShift(regionPages),
 		bar:        threshold,
 		adaptive:   adaptive,
-		counts:     make(map[uint64]uint32),
 		decayEvery: 1 << 15,
 		adaptEvery: 256,
 		minBar:     1,
@@ -140,7 +143,21 @@ func newRegionPolicy(name string, regionPages, threshold int, adaptive bool) *re
 	}
 }
 
+// regionCount is one region's ledger entry: its count as of epoch.
+type regionCount struct {
+	n, epoch uint32
+}
+
 func (rp *regionPolicy) region(p mem.PageNum) uint64 { return uint64(p) >> rp.shift }
+
+// count returns region r's count in the current epoch.
+func (rp *regionPolicy) count(r uint64) uint32 {
+	if r >= uint64(len(rp.counts)) {
+		return 0
+	}
+	e := rp.counts[r]
+	return e.n >> (rp.epoch - e.epoch)
+}
 
 // Name implements AdmissionPolicy.
 func (rp *regionPolicy) Name() string { return rp.name }
@@ -148,7 +165,7 @@ func (rp *regionPolicy) Name() string { return rp.name }
 // Admit implements AdmissionPolicy: the fetched page's region must have
 // proven at least bar accesses in the current window.
 func (rp *regionPolicy) Admit(p mem.PageNum, write bool) bool {
-	return int(rp.counts[rp.region(p)]) >= rp.bar
+	return int(rp.count(rp.region(p))) >= rp.bar
 }
 
 // OnAccess implements AdmissionPolicy: credit the region's ledger and
@@ -156,17 +173,15 @@ func (rp *regionPolicy) Admit(p mem.PageNum, write bool) bool {
 // traffic alone never earns a region admission.
 func (rp *regionPolicy) OnAccess(p mem.PageNum, write, hit bool) {
 	if !rp.adaptive || !write {
-		rp.counts[rp.region(p)]++
+		r := rp.region(p)
+		if r >= uint64(len(rp.counts)) {
+			rp.counts = append(rp.counts, make([]regionCount, r+1-uint64(len(rp.counts)))...)
+		}
+		rp.counts[r] = regionCount{n: rp.count(r) + 1, epoch: rp.epoch}
 	}
 	rp.accesses++
 	if rp.accesses%rp.decayEvery == 0 {
-		for r, c := range rp.counts {
-			if c <= 1 {
-				delete(rp.counts, r)
-			} else {
-				rp.counts[r] = c / 2
-			}
-		}
+		rp.epoch++
 	}
 }
 

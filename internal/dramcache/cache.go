@@ -103,9 +103,13 @@ type msrWaiter struct {
 }
 
 type line struct {
-	page      mem.PageNum
-	valid     bool
-	dirty     bool
+	page  mem.PageNum
+	valid bool
+	dirty bool
+	// pins mirrors pinned[page] while the page is resident, so victim
+	// selection reads pins from the set it scans. It sits in what would
+	// be padding: a line stays 32 bytes.
+	pins      uint32
 	lru       uint64 // last-touch stamp
 	installed uint64 // install stamp (FIFO policy)
 }
@@ -142,6 +146,9 @@ type Cache struct {
 	fetchFree  []*fetch
 	// pinned holds reference counts for pages that must not be evicted:
 	// the OS pins a faulted-in page until the faulting task has used it.
+	// It is the source of truth, since a pin outlives residency when
+	// every way is pinned; each valid line mirrors its page's count in
+	// line.pins (newLine, Pin, Unpin).
 	pinned map[mem.PageNum]int
 	// msrWait queues misses that found their MSR set full, with their
 	// arrival times so the queueing delay is observable.
@@ -242,14 +249,28 @@ func (c *Cache) setOf(p mem.PageNum) int {
 	return int(h>>32) % c.nsets
 }
 
-// Contains reports whether page p is resident (no timing, no LRU update).
-func (c *Cache) Contains(p mem.PageNum) bool {
-	for _, l := range c.set(c.setOf(p)) {
-		if l.valid && l.page == p {
-			return true
+// lineOf returns page p's resident line, or nil.
+func (c *Cache) lineOf(p mem.PageNum) *line {
+	s := c.set(c.setOf(p))
+	for w := range s {
+		if s[w].valid && s[w].page == p {
+			return &s[w]
 		}
 	}
-	return false
+	return nil
+}
+
+// Contains reports whether page p is resident (no timing, no LRU update).
+func (c *Cache) Contains(p mem.PageNum) bool { return c.lineOf(p) != nil }
+
+// newLine returns the line that installs page p now, carrying p's pins;
+// the pin map is probed only while some page is pinned.
+func (c *Cache) newLine(p mem.PageNum) line {
+	l := line{page: p, valid: true, lru: c.stamp, installed: c.stamp}
+	if len(c.pinned) > 0 {
+		l.pins = uint32(c.pinned[p])
+	}
+	return l
 }
 
 // Preload installs page p without timing, for warm-start experiments.
@@ -261,13 +282,13 @@ func (c *Cache) Preload(p mem.PageNum) {
 	c.stamp++
 	for w := range s {
 		if !s[w].valid {
-			s[w] = line{page: p, valid: true, lru: c.stamp, installed: c.stamp}
+			s[w] = c.newLine(p)
 			return
 		}
 	}
 	// Evict silently during preload.
 	w := c.pickVictim(s, false)
-	s[w] = line{page: p, valid: true, lru: c.stamp, installed: c.stamp}
+	s[w] = c.newLine(p)
 }
 
 // AccessSync is the FC entry point (Section IV-B1): one data request from
@@ -359,10 +380,18 @@ func (c *Cache) AccessSync(a mem.Access) Result {
 // Pin increments page p's pin count: pinned pages are skipped during
 // victim selection, modeling the OS page reference a fault path holds
 // until the faulting task consumes the page.
-func (c *Cache) Pin(p mem.PageNum) { c.pinned[p]++ }
+func (c *Cache) Pin(p mem.PageNum) {
+	c.pinned[p]++
+	if l := c.lineOf(p); l != nil {
+		l.pins++
+	}
+}
 
 // Unpin releases one pin on p.
 func (c *Cache) Unpin(p mem.PageNum) {
+	if l := c.lineOf(p); l != nil && l.pins > 0 {
+		l.pins--
+	}
 	if c.pinned[p] <= 1 {
 		delete(c.pinned, p)
 		return
@@ -380,13 +409,10 @@ func (c *Cache) Unpin(p mem.PageNum) {
 // DRAM cache has evicted; Touch leaves such a page absent and counts
 // nothing.
 func (c *Cache) Touch(p mem.PageNum) {
-	s := c.set(c.setOf(p))
-	for w := range s {
-		if s[w].valid && s[w].page == p {
-			c.stamp++
-			s[w].lru = c.stamp
-			return
-		}
+	if l := c.lineOf(p); l != nil {
+		c.stamp++
+		l.lru = c.stamp
+		return
 	}
 	if c.adm != nil {
 		if i := c.ring.lookup(p); i >= 0 {
@@ -400,12 +426,9 @@ func (c *Cache) Touch(p mem.PageNum) {
 // absent pages are ignored — the rare writeback racing an eviction is
 // forwarded straight to flash by the system layer. It reports residency.
 func (c *Cache) MarkDirty(p mem.PageNum) bool {
-	s := c.set(c.setOf(p))
-	for w := range s {
-		if s[w].valid && s[w].page == p {
-			s[w].dirty = true
-			return true
-		}
+	if l := c.lineOf(p); l != nil {
+		l.dirty = true
+		return true
 	}
 	if c.adm != nil {
 		if i := c.ring.lookup(p); i >= 0 {
@@ -668,7 +691,7 @@ func (c *Cache) pickVictim(s []line, honorPins bool) int {
 	best := -1
 	var bestKey uint64
 	for w := range s {
-		if honorPins && c.pinned[s[w].page] > 0 {
+		if honorPins && s[w].pins > 0 {
 			continue
 		}
 		k := keyOf(w)
@@ -707,7 +730,7 @@ func (c *Cache) install(p mem.PageNum, at sim.Time, reqTime sim.Time) {
 	installed := false
 	for w := range s {
 		if !s[w].valid {
-			s[w] = line{page: p, valid: true, lru: c.stamp, installed: c.stamp}
+			s[w] = c.newLine(p)
 			installed = true
 			break
 		}
@@ -718,7 +741,7 @@ func (c *Cache) install(p mem.PageNum, at sim.Time, reqTime sim.Time) {
 		c.prepareVictim(p)
 		for w := range s {
 			if !s[w].valid {
-				s[w] = line{page: p, valid: true, lru: c.stamp, installed: c.stamp}
+				s[w] = c.newLine(p)
 				installed = true
 				break
 			}
@@ -797,9 +820,11 @@ func (c *Cache) drainMSRWait(at sim.Time) {
 // misses, for saturation diagnostics.
 func (c *Cache) PendingMisses() int { return c.msr.Outstanding() + len(c.msrWait) }
 
-// CheckInvariants validates that no page is resident twice and every
-// waiter page is actually missing or awaiting a footprint block. It
-// returns "" when consistent.
+// CheckInvariants validates that no page is resident twice, each
+// resident line's pin count equals the page's entry in the pin map, each
+// MSR entry sits in its page's set and no set tracks a page twice, and
+// every waiter page is actually missing or awaiting a footprint block.
+// It returns "" when consistent.
 func (c *Cache) CheckInvariants() string {
 	seen := make(map[mem.PageNum]bool)
 	for si := 0; si < c.nsets; si++ {
@@ -813,8 +838,14 @@ func (c *Cache) CheckInvariants() string {
 			if c.setOf(l.page) != si {
 				return fmt.Sprintf("page %d in wrong set %d", l.page, si)
 			}
+			if int(l.pins) != c.pinned[l.page] {
+				return fmt.Sprintf("page %d line pins %d, pin map %d", l.page, l.pins, c.pinned[l.page])
+			}
 			seen[l.page] = true
 		}
+	}
+	if msg := c.msr.check(); msg != "" {
+		return msg
 	}
 	for p := range c.waiters {
 		// A footprint block fetch leaves waiters on a resident page.

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"astriflash/internal/dram"
 	"astriflash/internal/flash"
@@ -338,6 +339,64 @@ func TestLRUVictimSelection(t *testing.T) {
 	}
 	if gone, ok := accessVictim(c, 100); !ok || gone != 7 {
 		t.Fatalf("victim = %d (%v), want LRU page 7", gone, ok)
+	}
+}
+
+// TestPinsSteerVictimsAndStayMirrored pins a resident page, a page
+// about to be installed, and then every way of a set, and checks after
+// each step that victim selection skips pinned lines while any way is
+// unpinned and that each resident line's pin count equals the pin map.
+func TestPinsSteerVictimsAndStayMirrored(t *testing.T) {
+	_, c, _ := newCache(t, 8) // one set of 8 ways
+	check := func(when string) {
+		t.Helper()
+		if msg := c.CheckInvariants(); msg != "" {
+			t.Fatalf("%s: %s", when, msg)
+		}
+	}
+	for p := mem.PageNum(0); p < 8; p++ {
+		accessVictim(c, p)
+	}
+	c.Pin(0) // resident and least recently used
+	c.Pin(0)
+	check("after pinning resident page 0 twice")
+	if gone, ok := accessVictim(c, 100); !ok || gone != 1 {
+		t.Fatalf("victim = %d (%v), want page 1: page 0 is pinned", gone, ok)
+	}
+	c.Unpin(0)
+	check("after one unpin")
+	if gone, ok := accessVictim(c, 101); !ok || gone != 2 {
+		t.Fatalf("victim = %d (%v), want page 2: page 0 is still pinned", gone, ok)
+	}
+	c.Unpin(0)
+	c.Pin(102) // not resident: the install must carry the pin
+	if gone, ok := accessVictim(c, 102); !ok || gone != 0 {
+		t.Fatalf("victim = %d (%v), want page 0 once unpinned", gone, ok)
+	}
+	check("after installing pinned page 102")
+	for _, l := range c.set(0) {
+		c.Pin(l.page)
+	}
+	check("with every way pinned")
+	// Every way is pinned: the victim ignores pins, and the evicted
+	// page's pins outlive its residency until it is installed again.
+	gone, ok := accessVictim(c, 103)
+	if !ok {
+		t.Fatal("no victim with every way pinned")
+	}
+	check("after evicting a pinned page")
+	if c.pinned[gone] == 0 {
+		t.Fatalf("evicted page %d lost its pins", gone)
+	}
+	accessVictim(c, gone)
+	check("after reinstalling the pinned page")
+}
+
+// TestLineLayout pins a tag-store line at 32 bytes: the pin count lives
+// in what would otherwise be padding.
+func TestLineLayout(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 32 {
+		t.Fatalf("line is %d bytes, want 32", got)
 	}
 }
 

@@ -18,10 +18,15 @@ import (
 // held in a dedicated DRAM row. Each entry is 8 B (a page address plus
 // metadata), retrieved with a single CAS, so lookups are one DRAM column
 // access instead of a CAM probe (Section IV-B2).
+//
+// The entries are one flat array, set i's ways at [i*ways, (i+1)*ways).
+// An entry holds its page plus one, so the zero value marks a free way
+// (page numbers are addresses shifted right by 12 bits: page+1 never
+// wraps).
 type MSR struct {
 	sets    int
 	ways    int
-	entries []map[mem.PageNum]bool
+	entries []mem.PageNum
 
 	Allocs    stats.Counter
 	Dups      stats.Counter
@@ -35,11 +40,7 @@ func NewMSR(sets, ways int) *MSR {
 	if sets <= 0 || ways <= 0 {
 		panic(fmt.Sprintf("dramcache: invalid MSR geometry %dx%d", sets, ways))
 	}
-	m := &MSR{sets: sets, ways: ways, entries: make([]map[mem.PageNum]bool, sets)}
-	for i := range m.entries {
-		m.entries[i] = make(map[mem.PageNum]bool, ways)
-	}
-	return m
+	return &MSR{sets: sets, ways: ways, entries: make([]mem.PageNum, sets*ways)}
 }
 
 // Capacity returns the total number of trackable misses.
@@ -48,8 +49,10 @@ func (m *MSR) Capacity() int { return m.sets * m.ways }
 // Outstanding returns the number of in-flight tracked misses.
 func (m *MSR) Outstanding() int {
 	n := 0
-	for _, s := range m.entries {
-		n += len(s)
+	for _, e := range m.entries {
+		if e != 0 {
+			n++
+		}
 	}
 	return n
 }
@@ -59,8 +62,21 @@ func (m *MSR) setOf(p mem.PageNum) int {
 	return int(h>>33) % m.sets
 }
 
+// set returns page p's set: its ways' entries.
+func (m *MSR) set(p mem.PageNum) []mem.PageNum {
+	i := m.setOf(p)
+	return m.entries[i*m.ways : (i+1)*m.ways]
+}
+
 // Lookup reports whether a miss for page p is already pending.
-func (m *MSR) Lookup(p mem.PageNum) bool { return m.entries[m.setOf(p)][p] }
+func (m *MSR) Lookup(p mem.PageNum) bool {
+	for _, e := range m.set(p) {
+		if e == p+1 {
+			return true
+		}
+	}
+	return false
+}
 
 // Allocate records a pending miss for p. It returns:
 //
@@ -69,28 +85,57 @@ func (m *MSR) Lookup(p mem.PageNum) bool { return m.entries[m.setOf(p)][p] }
 //	AllocFull — the set has no free entries, caller must wait for a
 //	            pending flash request to complete (Section IV-B2).
 func (m *MSR) Allocate(p mem.PageNum) AllocResult {
-	s := m.entries[m.setOf(p)]
-	if s[p] {
-		m.Dups.Inc()
-		return AllocDup
+	s := m.set(p)
+	free := -1
+	for w, e := range s {
+		switch {
+		case e == p+1:
+			m.Dups.Inc()
+			return AllocDup
+		case e == 0 && free < 0:
+			free = w
+		}
 	}
-	if len(s) >= m.ways {
+	if free < 0 {
 		m.FullWaits.Inc()
 		return AllocFull
 	}
-	s[p] = true
+	s[free] = p + 1
 	m.Allocs.Inc()
 	return AllocNew
 }
 
-// Complete removes the entry for p when its page arrives. Completing an
+// Complete frees the entry for p when its page arrives. Completing an
 // untracked page is a protocol violation and panics.
 func (m *MSR) Complete(p mem.PageNum) {
-	s := m.entries[m.setOf(p)]
-	if !s[p] {
-		panic(fmt.Sprintf("dramcache: MSR completing untracked page %d", p))
+	s := m.set(p)
+	for w, e := range s {
+		if e == p+1 {
+			s[w] = 0
+			return
+		}
 	}
-	delete(s, p)
+	panic(fmt.Sprintf("dramcache: MSR completing untracked page %d", p))
+}
+
+// check returns "" when every entry sits in its page's set and no set
+// tracks a page twice, else a description of the first violation.
+func (m *MSR) check() string {
+	for i, e := range m.entries {
+		if e == 0 {
+			continue
+		}
+		p, set, way := e-1, i/m.ways, i%m.ways
+		if m.setOf(p) != set {
+			return fmt.Sprintf("MSR page %d in wrong set %d", p, set)
+		}
+		for _, q := range m.entries[set*m.ways : i] {
+			if q == e {
+				return fmt.Sprintf("MSR page %d tracked twice in set %d (way %d)", p, set, way)
+			}
+		}
+	}
+	return ""
 }
 
 // AllocResult is the outcome of an MSR allocation attempt.

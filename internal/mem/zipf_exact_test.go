@@ -3,6 +3,7 @@ package mem
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"math"
 	"math/big"
 	"testing"
 
@@ -65,6 +66,123 @@ func FuzzZipfScramble(f *testing.F) {
 			}
 		}
 	})
+}
+
+// rankPow is the rank formula rankOf must reproduce bit for bit: the
+// floor of n*Pow(b, alpha), clamped below n.
+func rankPow(z *Zipf, u float64) uint64 {
+	uz := u * z.zetan
+	if uz < 1 {
+		return 0
+	}
+	if uz < z.rank1 {
+		return 1
+	}
+	r := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+	if r >= z.n {
+		r = z.n - 1
+	}
+	return r
+}
+
+// checkRankNear checks rankOf against rankPow at u and at its ulp
+// neighbours inside [0, 1).
+func checkRankNear(t *testing.T, z *Zipf, u float64) {
+	t.Helper()
+	for _, v := range []float64{math.Nextafter(u, 0), u, math.Nextafter(u, 1)} {
+		if v < 0 || v >= 1 {
+			continue
+		}
+		if got, want := z.rankOf(v), rankPow(z, v); got != want {
+			t.Fatalf("n=%d theta=%v u=%v (%#x): rank = %d, Pow form = %d",
+				z.n, z.theta, v, math.Float64bits(v), got, want)
+		}
+	}
+}
+
+// FuzzZipfRank checks rankOf against the Pow form for arbitrary domains,
+// skews and uniforms. thetaRaw's fraction is the skew (0 becomes 0.99);
+// u is uRaw read as float bits when uRaw is below the bits of 1.0, else
+// uRaw's top 53 bits as sim.RNG.Float64 draws them.
+func FuzzZipfRank(f *testing.F) {
+	seeds := []struct {
+		n     uint64
+		theta float64
+	}{
+		{7864, 0.99}, {262144, 0.99}, {1 << 24, 0.99}, {1 << 32, 0.99},
+		{1<<40 + 15, 0.99}, {3, 0.5}, {1 << 20, 0.9}, {90_001, 0.999},
+		{1000, 0.7}, {^uint64(0), 0.3}, {2, 1e-9},
+	}
+	for _, s := range seeds {
+		f.Add(s.n, s.theta, uint64(0))
+		f.Add(s.n, s.theta, uint64(0x3fe0000000000000)) // 0.5
+		f.Add(s.n, s.theta, ^uint64(0))
+		f.Add(s.n, s.theta, uint64(0xfedcba9876543210))
+	}
+	f.Fuzz(func(t *testing.T, n uint64, thetaRaw float64, uRaw uint64) {
+		if n == 0 {
+			n = 1
+		}
+		_, theta := math.Modf(math.Abs(thetaRaw))
+		if !(theta > 0 && theta < 1) {
+			theta = 0.99
+		}
+		u := float64(uRaw>>11) / (1 << 53)
+		if uRaw < math.Float64bits(1) {
+			u = math.Float64frombits(uRaw)
+		}
+		z := NewZipf(sim.NewRNG(uRaw), n, theta)
+		checkRankNear(t, z, u)
+	})
+}
+
+// rankThreshold returns the smallest float64 u in [0, 1) whose Pow-form
+// rank is at least r, by bisection on u's bits (non-negative floats
+// order as their bits do).
+func rankThreshold(z *Zipf, r uint64) float64 {
+	lo, hi := uint64(0), math.Float64bits(math.Nextafter(1, 0))
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if rankPow(z, math.Float64frombits(mid)) >= r {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return math.Float64frombits(lo)
+}
+
+// TestZipfRankAtThresholds checks rankOf at the u where the Pow form
+// steps to each of the first 64 ranks past 1, and at its ulp
+// neighbours. There n*b^alpha lies within a few ulps of an integer, so
+// the fast path must defer to Pow; a guard too small, or an estimate
+// that is not close enough to Pow, returns the other integer here.
+func TestZipfRankAtThresholds(t *testing.T) {
+	cases := []struct {
+		n     uint64
+		theta float64
+	}{
+		{7864, 0.99}, {262144, 0.99}, {1<<40 + 15, 0.99},
+		{1 << 20, 0.5}, {1 << 20, 0.9}, {1000, 0.7}, {90_001, 0.999},
+	}
+	for _, c := range cases {
+		z := NewZipf(sim.NewRNG(1), c.n, c.theta)
+		deferred := 0
+		for r := uint64(2); r < 66 && r < c.n; r++ {
+			u := rankThreshold(z, r)
+			if rankPow(z, u) != r {
+				continue // the Pow form skips rank r
+			}
+			x := float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha)
+			if x-float64(r) <= x*z.guard {
+				deferred++
+			}
+			checkRankNear(t, z, u)
+		}
+		if deferred == 0 {
+			t.Errorf("n=%d theta=%v: no threshold fell inside the guard", c.n, c.theta)
+		}
+	}
 }
 
 // drawHash hashes the first count draws of next with FNV-64a.

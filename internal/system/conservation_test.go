@@ -62,3 +62,39 @@ func TestFlashProgramConservation(t *testing.T) {
 		})
 	}
 }
+
+// TestCacheInvariantsAfterRun runs an AstriFlash machine under
+// hit-economics admission and a Flash-Sync machine, and checks the DRAM
+// cache's invariants where each run stops, with fetches still in
+// flight: no page resident twice, each resident line's pin count equal
+// to the pin map's, and each MSR set within its ways with no page twice.
+func TestCacheInvariantsAfterRun(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mode Mode
+		wl   string
+		adm  string
+	}{
+		{"astriflash-tinykv-hit-economics", AstriFlash, "tinykv", "hit-economics"},
+		{"flash-sync-tatp", FlashSync, "tatp", ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := DefaultConfig(c.mode, c.wl)
+			cfg.Cores = 4
+			cfg.Workload.DatasetBytes = 8 << 20
+			cfg.Admission = dramcache.AdmissionConfig{Policy: c.adm}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.RunClosedLoop(16, 1_000_000, 4_000_000)
+			if s.dc.Accesses.Misses == 0 {
+				t.Fatal("the run missed nothing; it does not exercise the MSR")
+			}
+			if msg := s.dc.CheckInvariants(); msg != "" {
+				t.Fatal(msg)
+			}
+		})
+	}
+}
