@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"astriflash/internal/mem"
-	"astriflash/internal/stats"
 )
 
 // entry is one cache way in 16 bytes: the key (freeKey in a free way) and
@@ -47,7 +46,6 @@ type Cache struct {
 	ways    int
 	entries []entry
 	stamp   uint64 // the last stamp handed out, always even
-	Metrics stats.Ratio
 }
 
 // NewCache returns an empty cache with the given geometry. Sets must be a
@@ -82,15 +80,13 @@ func (c *Cache) Lookup(key uint64, write bool) bool {
 		if s[w].key == key {
 			c.stamp += 2
 			s[w].lru = c.stamp | s[w].lru&1 | dirtyBit(write)
-			c.Metrics.Hit()
 			return true
 		}
 	}
-	c.Metrics.Miss()
 	return false
 }
 
-// Contains probes without updating LRU or metrics.
+// Contains probes without updating LRU.
 func (c *Cache) Contains(key uint64) bool {
 	for _, e := range c.set(c.setOf(key)) {
 		if e.key == key {

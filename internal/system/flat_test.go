@@ -41,9 +41,9 @@ func TestFlatSteadyStateZeroAllocs(t *testing.T) {
 	// record, is recycled only after every event and waiter naming it has
 	// fired. What AstriFlash still allocates (about one object per
 	// simulated ms here) is growth of simulated state, not per-miss cost:
-	// B+tree splits from tatp's inserts, a step buffer meeting a longer
-	// job, FTL map entries for pages written for the first time, and
-	// pools reaching a new high-water mark.
+	// FTL map entries for pages written for the first time, and pools
+	// reaching a new high-water mark. Step buffers start at tatp's stated
+	// longest trace and never regrow.
 	for _, c := range []struct {
 		mode Mode
 		max  float64

@@ -126,13 +126,24 @@ func (s *System) freeJob(job *jobState) {
 	s.jobPool = append(s.jobPool, job)
 }
 
+// stepBounder is a workload that states the longest trace one of its jobs
+// emits.
+type stepBounder interface{ MaxJobSteps() int }
+
 // nextJobSteps generates the next job's trace into buf's backing array.
-// Fresh buffers start with room for the longest trace any stock workload
-// emits, so a pooled buffer that first held a short job never regrows
-// when it later draws a long one.
+// A fresh buffer starts with room for the workload's longest trace when
+// the workload states it (tatp), so a pooled buffer never regrows. Other
+// workloads' buffers start at 4*OpsPerJob+8 steps, which holds every
+// arrayswap and tinykv trace; where traces follow probe chains or trees
+// that grow at run time, a pooled buffer regrows when a job outgrows
+// every one it held before.
 func (s *System) nextJobSteps(buf []workload.Step) []workload.Step {
 	if cap(buf) == 0 {
-		buf = make([]workload.Step, 0, 4*s.cfg.Workload.OpsPerJob+8)
+		n := 4*s.cfg.Workload.OpsPerJob + 8
+		if b, ok := s.wl.(stepBounder); ok {
+			n = b.MaxJobSteps()
+		}
+		buf = make([]workload.Step, 0, n)
 	}
 	return s.wl.NewJobSteps(buf)
 }

@@ -12,7 +12,6 @@ import (
 	"astriflash/internal/cachehier"
 	"astriflash/internal/mem"
 	"astriflash/internal/sim"
-	"astriflash/internal/stats"
 )
 
 // TLBConfig sizes one TLB.
@@ -33,9 +32,8 @@ func DefaultTLBConfig() TLBConfig {
 // migration and must shoot entries down. Shootdowns are priced by
 // ShootdownModel, not applied: no TLB entry is ever invalidated.
 type TLB struct {
-	cache   *cachehier.Cache
-	hitLat  int64
-	Metrics stats.Ratio
+	cache  *cachehier.Cache
+	hitLat int64
 }
 
 // NewTLB returns an empty TLB.
@@ -45,12 +43,7 @@ func NewTLB(cfg TLBConfig) *TLB {
 
 // Lookup probes for vpn; on a hit it returns (hitLatency, true).
 func (t *TLB) Lookup(vpn mem.PageNum) (int64, bool) {
-	if t.cache.Lookup(uint64(vpn), false) {
-		t.Metrics.Hit()
-		return t.hitLat, true
-	}
-	t.Metrics.Miss()
-	return t.hitLat, false
+	return t.hitLat, t.cache.Lookup(uint64(vpn), false)
 }
 
 // Insert fills a translation after a walk.

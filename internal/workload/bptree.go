@@ -15,12 +15,17 @@ import (
 //
 // A node is 24 bytes and holds no pointers: it lives in its tree's node
 // slab and names other nodes by slab index. A leaf stores its keys in one
-// of two forms. Strided, when splitLeaf froze a left half whose gaps
-// alternate two values d0 and d1 of at most maxStrideGap: key i is
-// base + (i/2)*(d0+d1) + (i%2)*d0 for i < count. Wide (count 0), as a key
-// array in the tree's side table at slot base, where every internal node
-// also keeps its keys and children. Readers go through search, numKeys
-// and keyAt, which read both forms.
+// of two forms. Strided, while its gaps alternate two values d0 and d1 of
+// at most maxStrideGap: key i is base + (i/2)*(d0+d1) + (i%2)*d0 for
+// i < count. A leaf's first key makes it strided, and it stays so while
+// each key it takes extends the progression at its end (push): its
+// second key fixes d0 and its third d1. A gap no two of its keys span
+// holds any nonzero value (1 in a one-key leaf), which no reader uses.
+// Wide (count 0), as a key array in the tree's side table at slot base,
+// where every internal node also keeps its keys and children: a leaf
+// unpacks into it for a key that breaks its stride (room), and the empty
+// tree's root is a wide leaf with no keys. Readers go through search,
+// numKeys and keyAt, which read both forms.
 type bpNode struct {
 	base   uint64 // strided leaf: its first key; wide node: its side-table slot
 	page   uint32 // the node's arena page
@@ -41,12 +46,11 @@ const (
 	// maxStrideGap is the largest gap a strided leaf holds: the largest
 	// 16-bit value.
 	maxStrideGap = 0xffff
+	// maxFanout keeps a leaf's count, at most fanout+1 before it splits,
+	// within 16 bits.
+	maxFanout = math.MaxUint16 - 1
 	// noNode ends the leaf chain.
 	noNode int32 = -1
-	// tailSlot is the tail's side-table slot: NewBPTree gives the first
-	// leaf slot 0, and splitLeaf hands a split leaf's slot to its right
-	// half, which becomes the tail when the split leaf was.
-	tailSlot = 0
 	// The node slab is chunks of chunkNodes nodes (24 KiB), never moved
 	// once full, so a tree's slack is at most one part-filled chunk. The
 	// first chunk starts at firstChunkNodes and doubles up to chunkNodes,
@@ -59,9 +63,17 @@ const (
 // addr returns the node's arena address.
 func (n *bpNode) addr() mem.Addr { return mem.PageBase(mem.PageNum(n.page)) }
 
-// strideKey returns a strided leaf's i'th key.
+// strideKey returns a strided leaf's i'th key. The mask adds d0 for an
+// odd i without a second multiply: per-key appends compute it every key.
 func (n *bpNode) strideKey(i int) uint64 {
-	return n.base + uint64(i/2)*(uint64(n.d0)+uint64(n.d1)) + uint64(i%2)*uint64(n.d0)
+	u := uint64(i)
+	return n.base + u/2*(uint64(n.d0)+uint64(n.d1)) + -(u&1)&uint64(n.d0)
+}
+
+// extends reports whether key is the next stride key of a strided leaf
+// whose gaps are fixed: one of three or more keys.
+func (n *bpNode) extends(key uint64) bool {
+	return n.count >= 3 && key == n.strideKey(int(n.count))
 }
 
 // strideSearch is search over a strided leaf, answered by division:
@@ -107,21 +119,20 @@ type BPTree struct {
 	height int
 	root   int32
 	// tail is the rightmost leaf, where untraced ascending inserts append.
-	// It is wide at tailSlot, and its key array always has split size (the
-	// root's from NewBPTree, or the array a split hands its right half),
-	// so an append below fanout never regrows it.
 	tail int32
 }
 
 // NewBPTree returns an empty tree. Fanout is the max keys per node; 256
-// eight-byte keys plus pointers fill a 4 KB page.
+// eight-byte keys plus pointers fill a 4 KB page. Its root is a wide leaf
+// with no keys at slot 0, which its first key makes strided and frees
+// (extendShort).
 func NewBPTree(arena *mem.Arena, fanout int) *BPTree {
-	if fanout < 4 {
-		panic(fmt.Sprintf("workload: B+tree fanout %d too small", fanout))
+	if fanout < 4 || fanout > maxFanout {
+		panic(fmt.Sprintf("workload: B+tree fanout %d outside [4, %d]", fanout, maxFanout))
 	}
 	t := &BPTree{arena: arena, fanout: fanout, height: 1}
 	t.root = t.newNode(true)
-	t.node(t.root).base = t.newSlot(make([]uint64, 0, fanout+1), nil)
+	t.node(t.root).base = t.newSlot(nil, nil)
 	t.tail = t.root
 	return t
 }
@@ -158,9 +169,10 @@ func (t *BPTree) newSlot(keys []uint64, children []int32) uint64 {
 }
 
 // room returns wide node n's arrays with room for one more key. A strided
-// leaf first unpacks into a new slot, and arrays a split froze at exact
-// size regrow to the split size (fanout+1 keys, fanout+2 children) in one
-// step, where append's doubling would overshoot.
+// leaf first unpacks into a new slot of the split size, and arrays a
+// split froze at exact size regrow to the split size (fanout+1 keys,
+// fanout+2 children) in one step, where append's doubling would
+// overshoot.
 func (t *BPTree) room(n *bpNode) *bpArrays {
 	if n.count != 0 {
 		keys := make([]uint64, n.count, t.fanout+1)
@@ -308,11 +320,18 @@ func (t *BPTree) Scan(key uint64, count int, tr *Tracer) []uint64 {
 // leaf and append at its end without splitting, so ascending loads (every
 // TATP and TPC-C table) build the same tree without walking it.
 func (t *BPTree) Insert(key uint64, tr *Tracer) {
-	if w := &t.wide[tailSlot]; tr == nil && len(w.keys) < t.fanout &&
-		(len(w.keys) == 0 || w.keys[len(w.keys)-1] < key) {
-		w.keys = append(w.keys, key)
-		t.size++
-		return
+	// The common case, a key that extends a strided tail, is push's first
+	// branch spelled out, without a call.
+	if tr == nil {
+		n := t.node(t.tail)
+		if int(n.count) < t.fanout && n.extends(key) {
+			n.count++
+			t.size++
+			return
+		}
+		if t.numKeys(n) < t.fanout && t.push(n, key) {
+			return
+		}
 	}
 	promoted, right := t.insert(t.root, key, tr)
 	if right != noNode {
@@ -329,7 +348,7 @@ func (t *BPTree) Insert(key uint64, tr *Tracer) {
 
 // tailRoom returns the number of keys above the maximum the tail leaf
 // takes before an insert splits it: appendRun's bound.
-func (t *BPTree) tailRoom() int { return t.fanout - len(t.wide[tailSlot].keys) }
+func (t *BPTree) tailRoom() int { return t.fanout - t.numKeys(t.node(t.tail)) }
 
 // appendRun appends the n keys first, first+d0, first+d0+d1, ... (gaps
 // alternating d0 and d1, both nonzero, the last key below 2^64) to the
@@ -338,23 +357,76 @@ func (t *BPTree) tailRoom() int { return t.fanout - len(t.wide[tailSlot].keys) }
 // splits; it panics outside those bounds. An ascending load calls it
 // between splits, and Insert for the key that splits.
 func (t *BPTree) appendRun(first uint64, n int, d0, d1 uint64) {
-	if n == 0 {
-		return
-	}
-	w := &t.wide[tailSlot]
-	l := len(w.keys)
-	if n > t.fanout-l || l > 0 && w.keys[l-1] >= first {
+	tail := t.node(t.tail)
+	if l := t.numKeys(tail); n > t.fanout-l || n > 0 && l > 0 && t.keyAt(tail, l-1) >= first {
 		panic(fmt.Sprintf("workload: appendRun of %d keys from %d past a tail of %d keys", n, first, l))
 	}
-	keys := w.keys[:l+n]
-	for i, k := l, first; i < len(keys); i, k = i+2, k+d0+d1 {
-		keys[i] = k
-		if i+1 < len(keys) {
-			keys[i+1] = k + d0
+	// The first three keys fix or check the tail's gaps at both parities
+	// against the run's d0 and d1. A tail still strided after them has
+	// taken both gaps of the run in phase, so the rest of the run extends
+	// its stride too.
+	k := first
+	for i := range n {
+		if i == 3 && tail.count != 0 {
+			tail.count += uint16(n - i)
+			t.size += uint64(n - i)
+			return
+		}
+		t.push(tail, k)
+		if i%2 == 0 {
+			k += d0
+		} else {
+			k += d1
 		}
 	}
-	w.keys = keys
-	t.size += uint64(n)
+}
+
+// push appends key to leaf n when key is above every key of n, and
+// reports whether it did: as a stride key when n stays strided (extends,
+// extendShort), else into n's wide array, which a strided n first
+// unpacks into.
+func (t *BPTree) push(n *bpNode, key uint64) bool {
+	if n.extends(key) {
+		n.count++
+	} else if !t.extendShort(n, key) {
+		if t.keyAt(n, t.numKeys(n)-1) >= key {
+			return false
+		}
+		w := t.room(n)
+		w.keys = append(w.keys, key)
+	}
+	t.size++
+	return true
+}
+
+// extendShort appends key to a leaf of fewer than three keys when the
+// leaf stays strided, and reports whether it did: a one- or two-key leaf
+// takes a key above its last within maxStrideGap, which fixes d0 or d1,
+// and the empty tree's root takes any key. The root's slot is the tree's
+// only one, so the side table empties and the next wide node takes slot
+// 0.
+func (t *BPTree) extendShort(n *bpNode, key uint64) bool {
+	switch n.count {
+	case 0:
+		if t.size != 0 {
+			return false
+		}
+		t.wide = t.wide[:0]
+		n.base, n.d0, n.d1 = key, 1, 1
+	case 1, 2:
+		last := n.strideKey(int(n.count) - 1)
+		if key <= last || key-last > maxStrideGap {
+			return false
+		}
+		if n.count == 1 {
+			n.d0 = uint16(key - last)
+		}
+		n.d1 = uint16(key - last)
+	default:
+		return false
+	}
+	n.count++
+	return true
 }
 
 // insert descends recursively; on split it returns the promoted separator
@@ -368,13 +440,17 @@ func (t *BPTree) insert(ni int32, key uint64, tr *Tracer) (uint64, int32) {
 			tr.Touch(n.addr(), true)
 			return 0, noNode
 		}
-		w := t.room(n)
-		w.keys = append(w.keys, 0)
-		copy(w.keys[i+1:], w.keys[i:])
-		w.keys[i] = key
-		t.size++
+		if i == t.numKeys(n) {
+			t.push(n, key)
+		} else {
+			w := t.room(n)
+			w.keys = append(w.keys, 0)
+			copy(w.keys[i+1:], w.keys[i:])
+			w.keys[i] = key
+			t.size++
+		}
 		tr.Touch(n.addr(), true)
-		if len(w.keys) <= t.fanout {
+		if t.numKeys(n) <= t.fanout {
 			return 0, noNode
 		}
 		return t.splitLeaf(ni, tr)
@@ -402,41 +478,52 @@ func (t *BPTree) insert(ni int32, key uint64, tr *Tracer) (uint64, int32) {
 }
 
 // splitLeaf moves the upper half of a full leaf to a new right sibling.
-// TATP and TPC-C bulk-load every table in ascending key order, so inserts
-// keep landing in the right half and never reach the left one again: the
-// left half is frozen at its exact size, and the right half takes over
-// the full-size array and its slot, with its keys shifted to the front. A
-// left half whose gaps alternate two values of at most maxStrideGap is
-// strided (every TATP and TPC-C table is an arithmetic or period-2
-// progression), so it keeps no key array at all; any other gets a new
-// slot with an exact-size copy of its keys (append, unlike make, skips
-// zeroing what it overwrites). A random insert into a frozen left half
-// regrows it once, in room.
+// A strided leaf splits in O(1): both halves stay strided, and the right
+// half, which starts at key mid, takes the gaps in the phase of mid's
+// parity. TATP and TPC-C bulk-load every table in ascending key order
+// (each an arithmetic or period-2 progression), so their leaves only ever
+// split this way. A wide leaf's right half takes over the full-size array
+// and its slot, with its keys shifted to the front, since ascending
+// inserts keep landing there. Its left half is frozen at its exact size:
+// strided when its gaps fit the form, else in a new slot with an
+// exact-size copy of its keys (append, unlike make, skips zeroing what it
+// overwrites). A random insert into a frozen left half regrows it once,
+// in room.
 func (t *BPTree) splitLeaf(ni int32, tr *Tracer) (uint64, int32) {
 	ri := t.newNode(true)
 	n, r := t.node(ni), t.node(ri)
-	slot := n.base
-	keys := t.wide[slot].keys
-	mid := len(keys) / 2
-	if d0, d1, ok := strides(keys[:mid]); ok {
-		n.base, n.count, n.d0, n.d1 = keys[0], uint16(mid), d0, d1
+	if n.count != 0 {
+		mid := n.count / 2
+		r.base, r.count, r.d0, r.d1 = n.strideKey(int(mid)), n.count-mid, n.d0, n.d1
+		if mid%2 == 1 {
+			r.d0, r.d1 = n.d1, n.d0
+		}
+		n.count = mid
 	} else {
-		n.base = t.newSlot(append([]uint64(nil), keys[:mid]...), nil)
+		slot := n.base
+		keys := t.wide[slot].keys
+		mid := len(keys) / 2
+		if d0, d1, ok := strides(keys[:mid]); ok {
+			n.base, n.count, n.d0, n.d1 = keys[0], uint16(mid), d0, d1
+		} else {
+			n.base = t.newSlot(append([]uint64(nil), keys[:mid]...), nil)
+		}
+		r.base = slot
+		t.wide[slot].keys = keys[:copy(keys, keys[mid:])]
 	}
-	r.base = slot
-	t.wide[slot].keys = keys[:copy(keys, keys[mid:])]
 	r.next, n.next = n.next, ri
 	if t.tail == ni {
 		t.tail = ri
 	}
 	tr.Touch(n.addr(), true)
 	tr.Touch(r.addr(), true)
-	return keys[0], ri
+	return t.keyAt(r, 0), ri
 }
 
-// strides reports whether ascending keys fit the strided form: at least
-// two and at most 0xffff of them, with every even gap d0 and every odd
-// gap d1, both at most maxStrideGap. Two keys have one gap, taken as both.
+// strides reports whether a wide leaf's ascending keys fit the strided
+// form: at least two and at most 0xffff of them, with every even gap d0
+// and every odd gap d1, both at most maxStrideGap. Two keys have one gap,
+// taken as both.
 func strides(keys []uint64) (d0, d1 uint16, ok bool) {
 	if len(keys) < 2 || len(keys) > 0xffff {
 		return 0, 0, false
@@ -486,8 +573,8 @@ func (t *BPTree) splitInternal(ni int32, tr *Tracer) (uint64, int32) {
 // sizes, every index in range, each node reached once from the root and
 // each slot owned by exactly one wide node, child counts, fanout bounds,
 // sortedness within subtree bounds, every leaf at the tree's height, the
-// strided form (a leaf only, at least two keys, nonzero gaps, a last key
-// within uint64), a wide tail at tailSlot that is the last leaf, and a
+// strided form (a leaf only, at least two keys below the root, nonzero
+// gaps, a last key within uint64), a tail that is the last leaf, and a
 // leaf chain linking the leaves in key order. It returns "" when
 // consistent, and a message, never a panic, for a malformed node.
 func (t *BPTree) CheckInvariants() string {
@@ -503,13 +590,8 @@ func (t *BPTree) CheckInvariants() string {
 	if msg := c.check(t.root, 1, nil, nil); msg != "" {
 		return msg
 	}
-	switch last := c.leaves[len(c.leaves)-1]; {
-	case t.tail != last:
+	if last := c.leaves[len(c.leaves)-1]; t.tail != last {
 		return fmt.Sprintf("tail is node %d, last leaf %d", t.tail, last)
-	case t.node(last).count != 0:
-		return "tail leaf strided"
-	case t.node(last).base != tailSlot:
-		return fmt.Sprintf("tail at slot %d, want %d", t.node(last).base, tailSlot)
 	}
 	next := c.leaves[0]
 	for _, leaf := range c.leaves {
@@ -543,15 +625,13 @@ type bpChecker struct {
 	leaves  []int32
 }
 
-// checkStrided validates a strided leaf's count and gaps. The last key's
-// offset from base is below 2^16 * 2^17, so strideKey's offset cannot
-// wrap, but base plus it can.
+// checkStrided validates a strided leaf's gaps. The last key's offset
+// from base is below 2^16 * 2^17, so strideKey's offset cannot wrap, but
+// base plus it can.
 func checkStrided(n *bpNode) string {
 	switch {
 	case !n.leaf:
 		return "internal node strided"
-	case n.count < 2:
-		return "strided leaf holds fewer than 2 keys"
 	case n.d0 == 0 || n.d1 == 0:
 		return "strided leaf has a zero gap"
 	}
@@ -576,6 +656,9 @@ func (c *bpChecker) check(ni int32, depth int, lo, hi *uint64) string {
 	if n.count != 0 {
 		if msg := checkStrided(n); msg != "" {
 			return msg
+		}
+		if n.count < 2 && ni != t.root {
+			return "strided leaf below the root holds fewer than 2 keys"
 		}
 	} else {
 		if n.base >= uint64(len(t.wide)) {

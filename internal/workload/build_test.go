@@ -311,6 +311,20 @@ func TestBuiltTreesMatchParent(t *testing.T) {
 	}
 }
 
+// TestTATPBuildAllocs pins the heap allocations of the 32 MiB tatp build
+// that `make bench-build` times: node slab chunks, internal nodes' arrays,
+// the side tables and the sampler. Its leaves allocate nothing, since
+// every TATP table strides from its first key, so a build whose leaves
+// unpack into key arrays again fails here without a timing gate. A change
+// that moves the count on purpose updates the pin.
+func TestTATPBuildAllocs(t *testing.T) {
+	const want = 168
+	cfg := buildConfig()
+	if got := testing.AllocsPerRun(3, func() { builtWorkload = NewTATP(cfg) }); got != want {
+		t.Errorf("a 32 MiB tatp build made %.0f allocations, pinned %d", got, want)
+	}
+}
+
 // builtWorkload keeps BenchmarkWorkloadBuild's result reachable.
 var builtWorkload Workload
 

@@ -252,17 +252,15 @@ func storageError(t *BPTree, ni int32) string {
 }
 
 // leafStorageError reports how leaf n breaks the storage rule, or "". A
-// left half frozen by a split and not inserted into since is strided when
-// its gaps fit the form (strides), and an exact-size wide copy when they
-// do not. Every other leaf holds a wide array of the split size
-// fanout+1. The tail is never strided.
+// strided leaf follows checkStrided. A wide left half frozen by a split
+// and not inserted into since is strided when its gaps fit the form
+// (strides), and an exact-size wide copy when they do not. Every other
+// wide leaf holds an array of the split size fanout+1, but the empty
+// tree's root, which holds none.
 func leafStorageError(t *BPTree, ni int32) string {
 	n := t.node(ni)
 	if n.count != 0 {
-		if ni == t.tail {
-			return "tail leaf strided"
-		}
-		return ""
+		return checkStrided(n)
 	}
 	keys := t.wide[n.base].keys
 	switch {
@@ -295,8 +293,9 @@ func wideKeys(t *BPTree, ni int32) []uint64 { return t.wide[t.node(ni).base].key
 
 // TestBPTreeAscendingLoadTrimsLeaves loads the same keys untraced (the
 // tail append) and through a sink (the searched descent), and requires
-// identical leaves from both: every leaf but the tail strided with 128
-// keys at gap 1 and no key array, and the tail wide at the split size.
+// identical leaves from both: every leaf strided at gap 1 with no key
+// array, 128 keys in each but the tail, which holds the rest, and no
+// side-table slot but the internal nodes'.
 func TestBPTreeAscendingLoadTrimsLeaves(t *testing.T) {
 	load := func(tr *Tracer) *BPTree {
 		tree := NewBPTree(testArena(), 256)
@@ -322,16 +321,17 @@ func TestBPTreeAscendingLoadTrimsLeaves(t *testing.T) {
 			(n.count == 0 && fmt.Sprint(wideKeys(tree, ni)) != fmt.Sprint(wideKeys(twin, traced[i]))) {
 			t.Fatalf("leaf %d: untraced %+v, traced %+v", i, n, m)
 		}
+		want := uint16(128)
 		if i == len(leaves)-1 {
-			if n.count != 0 || cap(wideKeys(tree, ni)) != 257 {
-				t.Fatalf("tail: count %d; want wide at cap 257", n.count)
-			}
-			continue
+			want = uint16(100_000 - i*128)
 		}
-		if n.count != 128 || n.d0 != 1 || n.d1 != 1 || n.base != uint64(i*128) {
-			t.Fatalf("leaf %d: base %d, count %d, gaps %d/%d; want strided at %d, 128 keys at gap 1",
-				i, n.base, n.count, n.d0, n.d1, i*128)
+		if n.count != want || n.d0 != 1 || n.d1 != 1 || n.base != uint64(i*128) {
+			t.Fatalf("leaf %d: base %d, count %d, gaps %d/%d; want strided at %d, %d keys at gap 1",
+				i, n.base, n.count, n.d0, n.d1, i*128, want)
 		}
+	}
+	if internal := tree.nodes - int32(len(leaves)); len(tree.wide) != int(internal) {
+		t.Fatalf("%d side-table slots for %d internal nodes", len(tree.wide), internal)
 	}
 }
 
@@ -438,6 +438,146 @@ func TestBPTreeStridedLeafEdges(t *testing.T) {
 	}
 }
 
+// TestBPTreeStridedLeafTakesNextStrideKey inserts, traced, the next
+// stride key of a strided leaf that is not the tail: last+3, since the
+// leaf's 128th gap is its odd one. The leaf takes it at its end and stays
+// strided, with one more key and the same gaps, and every key, the new
+// one too, stays findable.
+func TestBPTreeStridedLeafTakesNextStrideKey(t *testing.T) {
+	const base = 1 << 20
+	tree := NewBPTree(testArena(), 256)
+	var keys []uint64
+	for i := range uint64(128) {
+		keys = append(keys, base+4*(i/2)+i%2)
+	}
+	next := keys[len(keys)-1] + 3
+	for i := range uint64(129) {
+		keys = append(keys, base+1<<18+i)
+	}
+	for _, k := range keys {
+		tree.Insert(k, nil)
+	}
+	tr := NewTracer(1)
+	tree.Insert(next, tr)
+	first := tree.node(bpLeaves(tree)[0])
+	if !lastWrite(tr) || first.count != 129 || first.d0 != 1 || first.d1 != 3 {
+		t.Fatalf("first leaf after inserting its next stride key: %+v", *first)
+	}
+	if msg := tree.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
+	}
+	for _, k := range append(keys, next) {
+		if !tree.Get(k, nil) {
+			t.Fatalf("lost key %d", k)
+		}
+	}
+	if tree.Get(next-1, nil) || tree.Size() != uint64(len(keys)+1) {
+		t.Fatalf("size %d, want %d, or key %d found", tree.Size(), len(keys)+1, next-1)
+	}
+}
+
+// TestBPTreeFirstLeafForms follows the first leaf from the empty tree's
+// root, a wide leaf without keys at slot 0, through one key (strided, the
+// slot freed), two (d0 fixed) and three (d1 fixed, unlike d0), to a key
+// that breaks its stride, which unpacks it into slot 0 at the split size.
+// Get, Update and Scan answer over each form, and a second key farther
+// than maxStrideGap unpacks the one-key leaf.
+func TestBPTreeFirstLeafForms(t *testing.T) {
+	tree := NewBPTree(testArena(), 8)
+	root := tree.node(tree.root)
+	check := func(stage string, count, d0, d1 uint16, keys ...uint64) {
+		t.Helper()
+		if msg := tree.CheckInvariants(); msg != "" {
+			t.Fatalf("%s: %s", stage, msg)
+		}
+		if root.count != count || count != 0 && (root.d0 != d0 || root.d1 != d1) {
+			t.Fatalf("%s: root %+v, want count %d, gaps %d/%d", stage, *root, count, d0, d1)
+		}
+		if got := tree.Scan(0, 10, nil); !stdslices.Equal(got, keys) {
+			t.Fatalf("%s: Scan = %v, want %v", stage, got, keys)
+		}
+		for _, k := range keys {
+			if !tree.Get(k, nil) || !tree.Update(k, nil) || tree.Get(k+1, nil) {
+				t.Fatalf("%s: key %d or its successor answered wrong", stage, k)
+			}
+		}
+	}
+	if root.count != 0 || len(tree.wide) != 1 || tree.wide[0].keys != nil || tree.Get(5, nil) || tree.Update(5, nil) {
+		t.Fatalf("empty tree: root %+v, %d slots", *root, len(tree.wide))
+	}
+	check("empty", 0, 0, 0)
+	tree.Insert(5, nil)
+	if len(tree.wide) != 0 {
+		t.Fatalf("one key: %d slots, want the root's freed", len(tree.wide))
+	}
+	check("one key", 1, 1, 1, 5)
+	tree.Insert(7, NewTracer(1))
+	check("two keys", 2, 2, 2, 5, 7)
+	tree.Insert(12, nil)
+	check("three keys", 3, 2, 5, 5, 7, 12)
+	tree.Insert(15, nil) // the next stride key is 14
+	if root.count != 0 || root.base != 0 || cap(tree.wide[0].keys) != 9 {
+		t.Fatalf("broken stride: root %+v, want wide at slot 0, cap 9", *root)
+	}
+	check("wide", 0, 0, 0, 5, 7, 12, 15)
+
+	far := NewBPTree(testArena(), 8)
+	far.Insert(1, nil)
+	far.Insert(2+maxStrideGap, NewTracer(1))
+	if n := far.node(far.root); n.count != 0 || len(far.wide) != 1 || far.Size() != 2 {
+		t.Fatalf("a second key past maxStrideGap: root %+v, %d slots", *n, len(far.wide))
+	}
+}
+
+// TestBPTreeStridedSplitAtOddMid splits full strided leaves at fanout 6,
+// where mid is 3: the left half keeps base and gaps with 3 keys, and the
+// right half starts at key 3, its gaps swapped. It checks this on a leaf
+// at gaps 1/3 directly, then loads keys at those gaps untraced and
+// traced, and requires every leaf strided, equal slabs, and every key
+// found.
+func TestBPTreeStridedSplitAtOddMid(t *testing.T) {
+	tree := NewBPTree(testArena(), 6)
+	var keys []uint64
+	for i := range uint64(7) {
+		keys = append(keys, 100+4*(i/2)+i%2)
+		tree.Insert(keys[i], nil)
+	}
+	leaves := bpLeaves(tree)
+	if len(leaves) != 2 {
+		t.Fatalf("%d leaves after 7 keys at fanout 6, want 2", len(leaves))
+	}
+	l, r := tree.node(leaves[0]), tree.node(leaves[1])
+	if l.base != 100 || l.count != 3 || l.d0 != 1 || l.d1 != 3 ||
+		r.base != keys[3] || r.count != 4 || r.d0 != 3 || r.d1 != 1 {
+		t.Fatalf("split at mid 3: left %+v, right %+v", *l, *r)
+	}
+
+	load := func(tr *Tracer) *BPTree {
+		tree := NewBPTree(testArena(), 6)
+		for i := range uint64(500) {
+			tree.Insert(4*(i/2)+i%2, tr)
+		}
+		return tree
+	}
+	tree, twin := load(nil), load(NewTracer(1))
+	if msg := bpSlabDiff(tree, twin); msg != "" {
+		t.Fatal(msg)
+	}
+	if msg := tree.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
+	}
+	for _, ni := range bpLeaves(tree) {
+		if tree.node(ni).count == 0 {
+			t.Fatalf("leaf %d wide", ni)
+		}
+	}
+	for i := range uint64(500) {
+		if k := 4*(i/2) + i%2; !tree.Get(k, nil) || tree.Get(k+2, nil) {
+			t.Fatalf("key %d or %d answered wrong", k, k+2)
+		}
+	}
+}
+
 // TestBPTreeStridedSearchMatchesLowerBound checks the strided leaf's O(1)
 // search against lowerBound over its expanded keys, position and found
 // bit, at every key, each key ±1, base-1, last+1, 0 and 2^64-1, for
@@ -505,10 +645,6 @@ func TestBPTreeCheckInvariantsRejectsMalformedStrided(t *testing.T) {
 		{"zero even gap", func(_ *BPTree, n *bpNode) { n.d0 = 0 }, "zero gap"},
 		{"zero gaps", func(_ *BPTree, n *bpNode) { n.d0, n.d1 = 0, 0 }, "zero gap"},
 		{"last key past 2^64", func(_ *BPTree, n *bpNode) { n.base = ^uint64(0) - 6 }, "past 2^64"},
-		{"tail strided", func(tree *BPTree, _ *bpNode) {
-			tail, keys := tree.node(tree.tail), wideKeys(tree, tree.tail)
-			tail.base, tail.count, tail.d0, tail.d1 = keys[0], uint16(len(keys)), 1, 1
-		}, "tail leaf strided"},
 		{"internal strided", func(tree *BPTree, _ *bpNode) {
 			root := tree.node(tree.root)
 			root.count, root.d0, root.d1 = 2, 1, 1
@@ -603,9 +739,13 @@ func TestBPTreeCheckInvariantsRejectsMalformedLayout(t *testing.T) {
 			tree.wide[tree.node(tree.root).base].children = children(tree)[:len(children(tree))-1]
 		}, "children for"},
 		{"slot past the side table", func(tree *BPTree, _ []int32) { tree.node(tree.root).base = uint64(len(tree.wide)) }, "out of range"},
-		{"slot shared", func(tree *BPTree, _ []int32) { tree.node(tree.tail).base = tree.node(tree.root).base }, "owned twice"},
+		{"slot shared", func(tree *BPTree, _ []int32) {
+			tail := tree.node(tree.tail)
+			tree.room(tail)
+			tail.base = tree.node(tree.root).base
+		}, "owned twice"},
 		{"slot owned by none", func(tree *BPTree, _ []int32) { tree.newSlot(nil, nil) }, "owned by no node"},
-		{"leaf with children", func(tree *BPTree, _ []int32) { tree.wide[tailSlot].children = []int32{0} }, "holds children"},
+		{"leaf with children", func(tree *BPTree, _ []int32) { tree.room(tree.node(tree.tail)).children = []int32{0} }, "holds children"},
 		{"internal node with a next", func(tree *BPTree, leaves []int32) { tree.node(tree.root).next = leaves[0] }, "has a next leaf"},
 		{"next past the slab", func(tree *BPTree, leaves []int32) { tree.node(leaves[0]).next = 1000 }, "out of range"},
 		{"chain skips a leaf", func(tree *BPTree, leaves []int32) { tree.node(leaves[0]).next = leaves[2] }, "leaf chain reaches"},
@@ -904,13 +1044,18 @@ func TestMasstreePropertyRoundTrip(t *testing.T) {
 // inserts, probes of strided leaves' edges (base-1, either side of the
 // second key, last+1), updates, gets and scans over a small-fanout tree,
 // and checks every found bit and scanned key against a sorted slice of
-// the stored keys. A traced twin takes every insert, appended runs too,
-// as one Insert per key through the searched descent; after each op both
+// the stored keys. Op bytes from 0xf0 append at the tail against its
+// stride: its next stride key or one past it, one key at a time, or an
+// appendRun that continues the stride or breaks it at its first, second
+// or third key. A traced twin takes every insert, appended runs too, as
+// one Insert per key through the searched descent; after each op both
 // trees' node slabs must be equal (bpSlabDiff), and the untraced tree's
 // tail must be its last leaf.
 func FuzzBPTree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, fan byte, ops []byte) {
-		fanout := 4 << (fan % 3) // 4, 8, 16: halves fill size classes exactly
+		// Halves fill size classes exactly; a full leaf at fanout 6 splits
+		// at mid 3, where a strided right half swaps its gaps.
+		fanout := [...]int{4, 8, 16, 6}[fan%4]
 		tree := NewBPTree(testArena(), fanout)
 		twin, sink := NewBPTree(testArena(), fanout), NewTracer(1)
 		// ref holds the stored keys in ascending order: sorted once per
@@ -938,11 +1083,39 @@ func FuzzBPTree(f *testing.F) {
 				t.Fatalf("Get(%d) reported %v, reference has it: %v", k, !had, had)
 			}
 		}
+		// appendRun appends a run to the tree and, key by key, to the twin.
+		appendRun := func(first uint64, count int, d0, d1 uint64) {
+			tree.appendRun(first, count, d0, d1)
+			for i := range uint64(count) {
+				k := first + i/2*(d0+d1) + i%2*d0
+				twin.Insert(k, sink)
+				sink.Take()
+				ref = append(ref, k)
+				maxKey = k
+			}
+		}
+		// next returns the tail's next stride key and the gaps that follow
+		// it, or, for a one-key or wide tail, maxKey+gap with that gap
+		// twice.
+		next := func(gap uint64) (k, d0, d1 uint64) {
+			n := tree.node(tree.tail)
+			if n.count < 2 {
+				return maxKey + gap, gap, gap
+			}
+			if n.count%2 == 0 {
+				return n.strideKey(int(n.count)), uint64(n.d0), uint64(n.d1)
+			}
+			return n.strideKey(int(n.count)), uint64(n.d1), uint64(n.d0)
+		}
 		for n := 0; len(ops) >= 2 && n < 512; n++ {
 			op, arg := ops[0], uint64(ops[1])
 			ops = ops[2:]
 			key := arg // a small key space, so inserts collide
-			switch op % 9 {
+			sel := op % 9
+			if op >= 0xf0 {
+				sel = 9
+			}
+			switch sel {
 			case 0: // ascending run above the maximum
 				start := maxKey + 1
 				if len(ref) == 0 {
@@ -1009,14 +1182,27 @@ func FuzzBPTree(f *testing.F) {
 				if len(ref) == 0 {
 					first = key
 				}
-				count := min(int(arg/16)+1, tree.tailRoom())
-				tree.appendRun(first, count, d0, d1)
-				for i := range uint64(count) {
-					k := first + i/2*(d0+d1) + i%2*d0
-					twin.Insert(k, sink)
-					sink.Take()
-					ref = append(ref, k)
-					maxKey = k
+				appendRun(first, min(int(arg/16)+1, tree.tailRoom()), d0, d1)
+			case 9: // appends against the tail's stride
+				switch {
+				case len(ref) == 0:
+					insert(key)
+				case op%2 == 0: // key by key: on stride, or one past it
+					for range arg/2%8 + 1 {
+						k, _, _ := next(arg/16%3 + 1)
+						insert(k + arg%2)
+					}
+				default: // an appendRun from the tail's next stride key
+					k, d0, d1 := next(arg/16%3 + 1)
+					switch arg % 4 {
+					case 1: // breaks at the run's first key
+						k++
+					case 2: // breaks at its second key
+						d0++
+					case 3: // breaks at its third key
+						d1++
+					}
+					appendRun(k, min(int(arg/4%4)*3+1, tree.tailRoom()), d0, d1)
 				}
 			}
 			if maxKey > math.MaxUint64/2 { // the "above the maximum" runs would wrap

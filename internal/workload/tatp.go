@@ -105,6 +105,16 @@ func (t *TATP) Name() string { return "tatp" }
 // DatasetPages implements Workload.
 func (t *TATP) DatasetPages() uint64 { return t.arena.Pages() }
 
+// MaxJobSteps returns the longest trace a job emits: OpsPerJob times the
+// mix's longest operation, GET_NEW_DESTINATION's two gets or
+// UPDATE_SUBSCRIBER_DATA's two updates. A get traces one access per level
+// of its tree, and an update of a present key one more for the leaf
+// write. Jobs never insert, so the heights are the build's.
+func (t *TATP) MaxJobSteps() int {
+	sub, acc, fac := t.subscribers.Height(), t.accessInfo.Height(), t.specialFac.Height()
+	return t.cfg.OpsPerJob * max(fac+acc, sub+1+fac+1)
+}
+
 // NewJobSteps runs one TATP transaction drawn from the standard mix:
 //
 //	35% GET_SUBSCRIBER_DATA, 35% GET_ACCESS_DATA, 10% GET_NEW_DESTINATION,

@@ -117,6 +117,27 @@ func TestNewJobStepsAllocFree(t *testing.T) {
 	}
 }
 
+// TestTATPMaxJobStepsBoundsTraces checks TATP's stated longest trace:
+// over 2000 jobs, no trace outgrows it, at the default length and at one
+// operation per job, and at one operation some trace reaches it, so the
+// bound is also tight.
+func TestTATPMaxJobStepsBoundsTraces(t *testing.T) {
+	for _, ops := range []int{1, DefaultConfig().OpsPerJob} {
+		cfg := smallConfig()
+		cfg.OpsPerJob = ops
+		w := NewTATP(cfg)
+		var buf []Step
+		longest := 0
+		for range 2000 {
+			buf = w.NewJobSteps(buf)
+			longest = max(longest, len(buf))
+		}
+		if bound := w.MaxJobSteps(); longest > bound || ops == 1 && longest != bound {
+			t.Errorf("%d ops per job: longest trace %d steps, stated bound %d", ops, longest, bound)
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	bads := []func(*Config){
 		func(c *Config) { c.DatasetBytes = 0 },
