@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test verify vet race verify-race lint-docs fmt-check fuzz-smoke fullscale-probe bench-harness bench bench-engine bench-build figures figures-smoke trace-smoke timeline-smoke overload-smoke economics-smoke examples-smoke loc
+.PHONY: build test verify vet race verify-race lint-docs fmt-check fuzz-smoke fullscale-probe bench-harness bench bench-engine bench-build figures figures-smoke trace-smoke timeline-smoke overload-smoke economics-smoke examples-smoke sim-smoke loc
 
 build:
 	$(GO) build ./...
@@ -123,6 +123,18 @@ trace-smoke:
 timeline-smoke:
 	$(GO) run ./cmd/astribench -timeline timeline-smoke.csv -cores 4 -dataset 16 -measure 5 | tee timeline-report.txt
 	$(GO) run ./cmd/astritrace timeline -in timeline-smoke.csv
+
+## Single runs of astrisim on a small machine: closed loop, open loop
+## (-rate, past the 4-core tatp knee of about 0.8M jobs/s) under every
+## arrival shape with every admission controller, and one traced and
+## sampled open-loop run. Any non-zero exit fails the target.
+SIM := $(GO) run ./cmd/astrisim -cores 4 -dataset 16 -warmup 2 -measure 4
+sim-smoke:
+	$(SIM)
+	@set -e; for a in poisson mmpp diurnal flashcrowd; do for c in none static codel; do \
+		echo "== -rate 1000000 -arrivals $$a -admit $$c"; $(SIM) -rate 1000000 -arrivals $$a -admit $$c; \
+	done; done
+	$(SIM) -rate 600000 -trace sim-smoke.json -timeline sim-smoke.csv
 
 ## Short open-loop overload sweep: hockey-stick + goodput curves per
 ## admission controller, with -slo-strict so the adaptive controller

@@ -23,9 +23,6 @@ import (
 	"time"
 
 	"astriflash/internal/dramcache"
-	"astriflash/internal/loadgen"
-	"astriflash/internal/overload"
-	"astriflash/internal/sim"
 	"astriflash/internal/system"
 	"astriflash/internal/workload"
 )
@@ -299,153 +296,41 @@ func NewMachine(o Options) (*Machine, error) {
 // RunSaturated drives the machine closed-loop at full load — the paper's
 // "large job queue" methodology for maximum throughput (Figure 9) — with
 // inflight requests outstanding per core, for warmupNs of cache warming
-// followed by a measureNs window.
+// followed by a measureNs window. A machine runs once: a second run on it
+// panics.
 func (m *Machine) RunSaturated(inflight int, warmupNs, measureNs int64) Metrics {
-	return m.profiled(func() system.Result {
-		return m.sys.RunClosedLoop(inflight, warmupNs, measureNs)
+	res, _ := m.profiled(func() (Metrics, error) {
+		return m.sys.RunClosedLoop(inflight, warmupNs, measureNs), nil
 	})
+	return res
 }
 
 // RunPoisson drives the machine open-loop with Poisson arrivals at the
 // given mean inter-arrival gap (nanoseconds, across the whole machine) —
-// the paper's tail-latency methodology (Figure 10).
+// the paper's tail-latency methodology (Figure 10). It panics where
+// RunOverload would return an error.
 func (m *Machine) RunPoisson(meanGapNs float64, warmupNs, measureNs int64) Metrics {
-	return m.profiled(func() system.Result {
-		return m.sys.RunOpenLoop(meanGapNs, warmupNs, measureNs)
-	})
-}
-
-// OverloadRun configures one open-loop overload measurement: an arrival
-// shape, an admission policy, and deadline semantics. Unlike RunPoisson,
-// the source keeps sending at the offered rate when the machine falls
-// behind, so it can drive the system past its knee.
-type OverloadRun struct {
-	// Shape selects the arrival process: "poisson" (default), "mmpp"
-	// (bursty on/off), "diurnal" (sinusoidal rate curve), or
-	// "flashcrowd" (rate step).
-	Shape string
-	// MeanGapNs is the mean inter-arrival gap across the whole machine;
-	// the offered load is 1e9/MeanGapNs jobs/s.
-	MeanGapNs float64
-	// Burstiness and DwellNs shape the MMPP: the rate split between the
-	// burst and calm states (in [0,1)) and the mean state dwell time.
-	Burstiness float64
-	DwellNs    float64
-	// Amplitude and PeriodNs shape the diurnal curve.
-	Amplitude float64
-	PeriodNs  float64
-	// Surge, SurgeStartNs, SurgeDurNs shape the flash crowd: the rate
-	// multiplier and the window it applies over.
-	Surge        float64
-	SurgeStartNs float64
-	SurgeDurNs   float64
-
-	// Controller selects the admission policy: "none" (default),
-	// "static" (concurrency limit), or "codel" (adaptive shedding on
-	// queueing delay).
-	Controller string
-	// StaticLimit is the static controller's in-system concurrency bound.
-	StaticLimit int
-	// CoDelTargetNs/CoDelIntervalNs tune the adaptive controller
-	// (defaults: 50 us target, 1 ms interval).
-	CoDelTargetNs   int64
-	CoDelIntervalNs int64
-
-	// QueueLimit bounds requests awaiting first dispatch (0 = unbounded);
-	// arrivals past the bound are dropped and counted.
-	QueueLimit int
-	// DeadlineNs stamps each admitted request with arrival+DeadlineNs;
-	// completions split into good jobs and deadline misses.
-	DeadlineNs int64
-	// DropExpired sheds requests whose deadline passed while they queued,
-	// instead of serving them late. ExpiryMarginNs tightens the test:
-	// requests with less budget than the margin left at first dispatch
-	// are shed too, since they could only finish in time by beating the
-	// service tail.
-	DropExpired    bool
-	ExpiryMarginNs int64
-
-	WarmupNs  int64
-	MeasureNs int64
-}
-
-// source translates the run spec into the internal driver configuration.
-func (r OverloadRun) source() (system.SourceConfig, error) {
-	if r.MeanGapNs <= 0 {
-		return system.SourceConfig{}, fmt.Errorf("astriflash: overload run needs a positive mean gap")
-	}
-	if r.DropExpired && r.DeadlineNs <= 0 {
-		return system.SourceConfig{}, fmt.Errorf("astriflash: DropExpired needs a positive DeadlineNs")
-	}
-	var arrivals func(rng *sim.RNG) loadgen.Arrivals
-	var err error
-	switch r.Shape {
-	case "", "poisson":
-		arrivals = func(rng *sim.RNG) loadgen.Arrivals { return loadgen.NewPoisson(rng, r.MeanGapNs) }
-	case "mmpp":
-		err = loadgen.CheckMMPP(r.MeanGapNs, r.Burstiness, r.DwellNs)
-		arrivals = func(rng *sim.RNG) loadgen.Arrivals {
-			return loadgen.NewMMPP(rng, r.MeanGapNs, r.Burstiness, r.DwellNs)
-		}
-	case "diurnal":
-		err = loadgen.CheckDiurnal(r.MeanGapNs, r.Amplitude, r.PeriodNs)
-		arrivals = func(rng *sim.RNG) loadgen.Arrivals {
-			return loadgen.NewDiurnal(rng, r.MeanGapNs, r.Amplitude, r.PeriodNs)
-		}
-	case "flashcrowd":
-		err = loadgen.CheckFlashCrowd(r.MeanGapNs, r.Surge, r.SurgeStartNs, r.SurgeDurNs)
-		arrivals = func(rng *sim.RNG) loadgen.Arrivals {
-			return loadgen.NewFlashCrowd(rng, r.MeanGapNs, r.Surge, r.SurgeStartNs, r.SurgeDurNs)
-		}
-	default:
-		err = fmt.Errorf("astriflash: unknown arrival shape %q", r.Shape)
-	}
+	res, err := m.RunOverload(OverloadRun{MeanGapNs: meanGapNs, WarmupNs: warmupNs, MeasureNs: measureNs})
 	if err != nil {
-		return system.SourceConfig{}, err
+		panic(err)
 	}
-	var ctl overload.Controller
-	switch r.Controller {
-	case "", "none":
-	case "static":
-		if r.StaticLimit < 1 {
-			return system.SourceConfig{}, fmt.Errorf("astriflash: static controller needs a positive limit")
-		}
-		ctl = overload.NewStatic(r.StaticLimit)
-	case "codel":
-		target, interval := r.CoDelTargetNs, r.CoDelIntervalNs
-		if target <= 0 {
-			target = 50_000
-		}
-		if interval <= 0 {
-			interval = 1_000_000
-		}
-		ctl = overload.NewCoDel(target, interval)
-	default:
-		return system.SourceConfig{}, fmt.Errorf("astriflash: unknown admission controller %q", r.Controller)
-	}
-	return system.SourceConfig{
-		Arrivals:       arrivals,
-		Controller:     ctl,
-		QueueLimit:     r.QueueLimit,
-		DeadlineNs:     r.DeadlineNs,
-		DropExpired:    r.DropExpired,
-		ExpiryMarginNs: r.ExpiryMarginNs,
-		WarmupNs:       r.WarmupNs,
-		MeasureNs:      r.MeasureNs,
-	}, nil
+	return res
 }
+
+// OverloadRun configures one open-loop measurement: an arrival shape, an
+// admission policy, and deadline semantics (`go doc
+// astriflash/internal/system.Source` documents each field). Unlike
+// RunSaturated, the source keeps sending at the offered rate when the
+// machine falls behind, so it can drive the system past its knee.
+type OverloadRun = system.Source
 
 // RunOverload drives the machine with an open-loop source through
 // admission control — the overload methodology: offered load is set by
-// the source, not by the machine's ability to absorb it.
+// the source, not by the machine's ability to absorb it. A run that does
+// not validate, or a second run on one machine, is an error and leaves
+// the machine untouched.
 func (m *Machine) RunOverload(r OverloadRun) (Metrics, error) {
-	src, err := r.source()
-	if err != nil {
-		return Metrics{}, err
-	}
-	return m.profiled(func() system.Result {
-		return m.sys.RunSource(src)
-	}), nil
+	return m.profiled(func() (Metrics, error) { return m.sys.RunSource(r) })
 }
 
 // Run is the one-call convenience: build a machine from Options and run

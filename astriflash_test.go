@@ -1,6 +1,8 @@
 package astriflash
 
 import (
+	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -65,13 +67,7 @@ func TestRunRejectsBadOptions(t *testing.T) {
 // TestRunOverloadRejectsDropExpiredWithoutDeadline: a CLI-reachable
 // misconfiguration surfaces as an error, not a panic mid-run.
 func TestRunOverloadRejectsDropExpiredWithoutDeadline(t *testing.T) {
-	o := DefaultOptions(AstriFlash, "tatp")
-	o.Cores = 2
-	o.DatasetBytes = 8 << 20
-	m, err := NewMachine(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := smallMachine(t)
 	if _, err := m.RunOverload(OverloadRun{MeanGapNs: 1000, DropExpired: true}); err == nil {
 		t.Fatal("DropExpired without a deadline accepted")
 	}
@@ -80,13 +76,7 @@ func TestRunOverloadRejectsDropExpiredWithoutDeadline(t *testing.T) {
 // TestRunOverloadRejectsBadShapeParameters: every arrival-shape parameter
 // the shape's constructor would reject is an error before the run starts.
 func TestRunOverloadRejectsBadShapeParameters(t *testing.T) {
-	o := DefaultOptions(AstriFlash, "tatp")
-	o.Cores = 2
-	o.DatasetBytes = 8 << 20
-	m, err := NewMachine(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := smallMachine(t)
 	mmpp := OverloadRun{Shape: "mmpp", Burstiness: 0.5, DwellNs: 1e5}
 	diurnal := OverloadRun{Shape: "diurnal", Amplitude: 0.5, PeriodNs: 1e6}
 	crowd := OverloadRun{Shape: "flashcrowd", Surge: 3, SurgeDurNs: 1e5}
@@ -110,6 +100,88 @@ func TestRunOverloadRejectsBadShapeParameters(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s %s: error %v, want one naming %q", r.Shape, c.name, err, c.want)
 		}
+	}
+}
+
+// smallMachine builds the 2-core tatp machine the run-contract tests use.
+func smallMachine(t *testing.T) *Machine {
+	t.Helper()
+	o := DefaultOptions(AstriFlash, "tatp")
+	o.Cores = 2
+	o.DatasetBytes = 8 << 20
+	m, err := NewMachine(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestSecondRunRejected: a machine runs once. The window bounds are
+// absolute simulated times and the job count and latency histograms are
+// cumulative, so a second run would report the first one's results. It
+// is an error from RunOverload and a panic naming the misuse from
+// RunSaturated and RunPoisson, whichever driver ran first.
+func TestSecondRunRejected(t *testing.T) {
+	open := OverloadRun{MeanGapNs: 5_000, WarmupNs: 500_000, MeasureNs: 1_000_000}
+	closed := func(m *Machine) error { m.RunSaturated(8, 500_000, 1_000_000); return nil }
+	overload := func(m *Machine) error { _, err := m.RunOverload(open); return err }
+	poisson := func(m *Machine) error { m.RunPoisson(open.MeanGapNs, open.WarmupNs, open.MeasureNs); return nil }
+	for _, c := range []struct {
+		name          string
+		first, second func(m *Machine) error
+	}{
+		{"RunOverload after RunSaturated", closed, overload},
+		{"RunSaturated after RunOverload", overload, closed},
+		{"RunPoisson after RunSaturated", closed, poisson},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := smallMachine(t)
+			if err := c.first(m); err != nil {
+				t.Fatal(err)
+			}
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panic: %v", r)
+					}
+				}()
+				return c.second(m)
+			}()
+			if err == nil || !strings.Contains(err.Error(), "machine runs once") {
+				t.Fatalf("second run reported %v, want a rejection saying a machine runs once", err)
+			}
+		})
+	}
+}
+
+// TestRejectedRunLeavesMachineUntouched: a run that does not validate
+// draws no randomness and offers no load, so a valid run after it
+// matches the same run on a fresh machine exactly.
+func TestRejectedRunLeavesMachineUntouched(t *testing.T) {
+	src := OverloadRun{Shape: "mmpp", MeanGapNs: 5_000, Burstiness: 0.5, DwellNs: 1e5,
+		Controller: "codel", WarmupNs: 500_000, MeasureNs: 1_000_000}
+	m := smallMachine(t)
+	for _, bad := range []func(r *OverloadRun){
+		func(r *OverloadRun) { r.Shape = "square" },
+		func(r *OverloadRun) { r.Burstiness = 1 },
+		func(r *OverloadRun) { r.Controller = "red" },
+	} {
+		r := src
+		bad(&r)
+		if _, err := m.RunOverload(r); err == nil {
+			t.Fatalf("%+v accepted", r)
+		}
+	}
+	got, err := m.RunOverload(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := smallMachine(t).RunOverload(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after rejected runs:\n%+v\nfresh machine:\n%+v", got, want)
 	}
 }
 

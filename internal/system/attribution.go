@@ -34,19 +34,11 @@ type attribution struct {
 	ns [attrBucketCount]int64
 }
 
-// add charges d nanoseconds to bucket b when the system is measuring.
-func (a *attribution) add(s *System, b attrBucket, d int64) {
-	if !s.measuring || d <= 0 {
-		return
-	}
-	a.ns[b] += d
-}
-
-// attrAt charges d to bucket b as of logical event time at: the flattened
-// path's form of add, gated on the measurement window by the instant the
-// charging event would have fired rather than by the clock-driven
-// measuring flag (see measuredAt in observe.go).
-func (s *System) attrAt(b attrBucket, d int64, at int64) {
+// attrAt charges d nanoseconds to bucket b as of logical event time at
+// (the current instant for an event's own work; for a stage the flattened
+// path runs inline, the instant its event would have fired), when at lies
+// inside the measurement window (measuredAt in observe.go).
+func (s *System) attrAt(b attrBucket, d, at int64) {
 	if d <= 0 || !s.measuredAt(at) {
 		return
 	}

@@ -45,7 +45,7 @@ func TestFlashProgramConservation(t *testing.T) {
 			d := s.Flash()
 			caused := func() uint64 { return d.Writes.Value() + d.GCPageMoves.Value() + d.RemapMoves.Value() }
 			programs0, caused0 := d.ProgramCount(), caused()
-			s.RunClosedLoop(48, 5_000_000, 40_000_000)
+			r := s.RunClosedLoop(48, 5_000_000, 40_000_000)
 			programs, causes := d.ProgramCount()-programs0, caused()-caused0
 			t.Logf("programs %d: writes %d, GC moves %d, remap moves %d, GC runs %d",
 				programs, d.Writes.Value(), d.GCPageMoves.Value(), d.RemapMoves.Value(), d.GCRuns.Value())
@@ -59,7 +59,39 @@ func TestFlashProgramConservation(t *testing.T) {
 			if programs != causes {
 				t.Fatalf("device programmed %d pages, writes + GC moves + remap moves = %d", programs, causes)
 			}
+			// The same law over the measurement window, as the Result
+			// reports it: FlashPrograms is the device's own count.
+			w := r.Counters
+			if sum := w["flash.writes"] + w["flash.gc_page_moves"] + w["flash.remap_moves"]; r.FlashPrograms != sum {
+				t.Fatalf("window: FlashPrograms %d, writes + GC moves + remap moves = %d", r.FlashPrograms, sum)
+			}
 		})
+	}
+}
+
+// TestArrivalConservation checks the open-loop front door: every arrival
+// the source generates in the window, counted where it arrives, is
+// admitted, shed by the controller or dropped at the full queue, each
+// counted where it is decided. The run overloads a small machine through
+// a bounded queue and CoDel so that all three outcomes occur.
+func TestArrivalConservation(t *testing.T) {
+	s, err := New(testConfig(AstriFlash, "tatp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.RunSource(Source{MeanGapNs: 500, QueueLimit: 32,
+		Controller: "codel", CoDelTargetNs: 5_000, CoDelIntervalNs: 50_000,
+		WarmupNs: 1_000_000, MeasureNs: 3_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("offered %d: admitted %d, sheds %d, queue-full drops %d",
+		r.Offered, r.Admitted, r.AdmissionSheds, r.QueueFullDrops)
+	if r.Admitted == 0 || r.AdmissionSheds == 0 || r.QueueFullDrops == 0 {
+		t.Fatal("an outcome never occurred; the run does not exercise the law")
+	}
+	if sum := r.Admitted + r.AdmissionSheds + r.QueueFullDrops; r.Offered != sum {
+		t.Fatalf("offered %d arrivals, admitted + sheds + queue-full drops = %d", r.Offered, sum)
 	}
 }
 

@@ -231,8 +231,9 @@ func (c *coreState) kick() {
 
 // start installs a job on the core and continues its execution.
 func (c *coreState) start(job *jobState, th *uthread.Thread, tk *ospaging.Task) {
-	if !job.started && c.s.dropExpired && job.deadline > 0 &&
-		c.s.eng.Now()+sim.Time(c.s.expiryMarginNs) > job.deadline {
+	now := c.s.eng.Now()
+	if !job.started && c.s.src.DropExpired && job.deadline > 0 &&
+		now+sim.Time(c.s.src.ExpiryMarginNs) > job.deadline {
 		// The deadline passed — or less than the expiry margin of budget
 		// remains — while the request waited for its first dispatch:
 		// shed it here instead of burning core time on a response nobody
@@ -265,26 +266,25 @@ func (c *coreState) start(job *jobState, th *uthread.Thread, tk *ospaging.Task) 
 	c.curTk = tk
 	if !job.started {
 		job.started = true
-		job.req.StartedAt = c.s.eng.Now()
+		job.req.StartedAt = now
 		if c.s.onJobStart != nil {
 			c.s.onJobStart(job)
 		}
-		if t := c.s.tr(); t != nil {
+		if c.s.trace != nil && c.s.measuredAt(now) {
 			// Queue spans are emitted even when zero-length: the analyzer
 			// uses them to tell fully captured requests from ones that
 			// started before the measurement window.
-			t.Emit(obs.Span{Req: job.req.ID, Core: c.id, Stage: obs.StageQueue,
+			c.s.trace.Emit(obs.Span{Req: job.req.ID, Core: c.id, Stage: obs.StageQueue,
 				Start: job.req.ArrivedAt, End: job.req.StartedAt})
 		}
 	}
 	if job.atAccess {
 		job.atAccess = false
-		now := c.s.eng.Now()
 		c.emitMissTail(job, now)
 		if job.readyAt > 0 {
 			// Time between the page arriving and the thread regaining
 			// the core is scheduling delay.
-			c.s.attr.add(c.s, attrSched, now-job.readyAt)
+			c.s.attrAt(attrSched, now-job.readyAt, now)
 			job.readyAt = 0
 		}
 		// The saved access re-issues at once: no compute precedes it.
@@ -305,12 +305,12 @@ func (c *coreState) complete(job *jobState) {
 			c.s.GoodJobs.Inc()
 		}
 	}
-	if c.s.measuring {
+	if c.s.measuredAt(now) {
 		c.s.recorder.Complete(&job.req)
 		c.s.JobsDone.Inc()
-	}
-	if t := c.s.tr(); t != nil {
-		t.Emit(obs.Span{Req: job.req.ID, Core: c.id, Stage: obs.StageComplete, Start: now, End: now})
+		if c.s.trace != nil {
+			c.s.trace.Emit(obs.Span{Req: job.req.ID, Core: c.id, Stage: obs.StageComplete, Start: now, End: now})
+		}
 	}
 	switch {
 	case c.curTh != nil:
@@ -335,9 +335,9 @@ func (c *coreState) complete(job *jobState) {
 func (c *coreState) chipAccess(job *jobState) {
 	step := job.steps[job.pc]
 	r := c.hier.Access(step.Access)
-	c.s.attr.add(c.s, attrOnChip, r.Latency)
 	now := c.s.eng.Now()
-	c.span(job, obs.StageOnChip, 0, now, now+r.Latency)
+	c.s.attrAt(attrOnChip, r.Latency, now)
+	c.spanAt(now, job, obs.StageOnChip, 0, now, now+r.Latency)
 	if !r.ToDRAM {
 		// The reference is served on chip; refresh the page's recency so
 		// the DRAM cache's replacement policy sees the reuse. DRAM-only
@@ -363,7 +363,7 @@ func (c *coreState) stepDone(job *jobState) {
 // onDRAMMiss routes a DRAM-cache miss through the configured mechanism.
 func (c *coreState) onDRAMMiss(job *jobState) {
 	now := c.s.eng.Now()
-	if c.s.measuring {
+	if c.s.measuredAt(now) {
 		c.s.MissSignals.Inc()
 		if c.hasMissed {
 			c.s.MissInterval.Record(now - c.lastMissAt)
@@ -411,10 +411,10 @@ func (c *coreState) syncWait(job *jobState) {
 func syncPageReady(a any, at sim.Time) {
 	job := liveJob(a)
 	c := job.core
-	start := job.syncStart
+	start, now := job.syncStart, c.s.eng.Now()
 	c.s.noteFlashExpiry(job, start, at)
-	c.s.attr.add(c.s, attrFlash, at-start)
-	c.span(job, obs.StageSyncWait, uint64(job.steps[job.pc].Access.Page()), start, at)
+	c.s.attrAt(attrFlash, at-start, now)
+	c.spanAt(now, job, obs.StageSyncWait, uint64(job.steps[job.pc].Access.Page()), start, at)
 	c.dramAccess(job)
 	c.s.waitDone(job)
 }
@@ -422,18 +422,18 @@ func syncPageReady(a any, at sim.Time) {
 // userThreadMiss is the AstriFlash switch-on-miss path: flush the
 // pipeline, invoke the handler, park the thread, switch.
 func (c *coreState) userThreadMiss(job *jobState) {
+	now := c.s.eng.Now()
 	if job.forced {
 		// Forward-progress bit set: complete synchronously at FC.
-		if c.s.measuring {
+		if c.s.measuredAt(now) {
 			c.s.ForcedSync.Inc()
 		}
 		c.syncWait(job)
 		return
 	}
-	now := c.s.eng.Now()
 	if _, switched := c.sched.OnMiss(now); !switched {
 		// Pending queue full: block on this thread synchronously.
-		if c.s.measuring {
+		if c.s.measuredAt(now) {
 			c.s.ForcedSync.Inc()
 		}
 		c.syncWait(job)
@@ -448,7 +448,7 @@ func (c *coreState) userThreadMiss(job *jobState) {
 	// Pipeline flush (the ROB is half full on average when the miss signal
 	// arrives) plus the user-level thread switch.
 	cost := c.missCost()
-	c.s.attr.add(c.s, attrSched, cost)
+	c.s.attrAt(attrSched, cost, now)
 	c.s.eng.AfterFunc(cost, coreKickEvent, c)
 }
 
@@ -459,7 +459,7 @@ func parkedPageReady(a any, at sim.Time) {
 	c := job.core
 	c.s.noteFlashExpiry(job, job.missAt, at)
 	job.readyAt = at
-	c.s.attr.add(c.s, attrFlash, at-job.missAt)
+	c.s.attrAt(attrFlash, at-job.missAt, c.s.eng.Now())
 	c.sched.NotifyReady(&job.th, at)
 	if !c.busy {
 		c.kick()
@@ -489,7 +489,7 @@ func (c *coreState) osFault(job *jobState) {
 	// The core spends the fault path plus one context switch before the
 	// next task runs.
 	resumeAt := faultDone + c.s.kernel.ContextSwitch()
-	c.s.attr.add(c.s, attrOS, resumeAt-now)
+	c.s.attrAt(attrOS, resumeAt-now, now)
 	c.s.eng.AtFunc(resumeAt, coreKickEvent, c)
 }
 
@@ -498,13 +498,14 @@ func (c *coreState) osFault(job *jobState) {
 func faultPageReady(a any, at sim.Time) {
 	job := liveJob(a)
 	c := job.core
+	now := c.s.eng.Now()
 	c.s.noteFlashExpiry(job, job.missAt, at)
-	c.s.attr.add(c.s, attrFlash, at-job.missAt)
+	c.s.attrAt(attrFlash, at-job.missAt, now)
 	installDone := c.s.kernel.InstallPage(at)
-	c.s.attr.add(c.s, attrOS, installDone-at)
+	c.s.attrAt(attrOS, installDone-at, now)
 	page := uint64(job.steps[job.pc].Access.Page())
-	c.span(job, obs.StageFlashWait, page, job.missAt, at)
-	c.span(job, obs.StageOSInstall, page, at, installDone)
+	c.spanAt(now, job, obs.StageFlashWait, page, job.missAt, at)
+	c.spanAt(now, job, obs.StageOSInstall, page, at, installDone)
 	job.waits++
 	c.s.eng.AtFunc(installDone, osInstallEvent, job)
 	c.s.waitDone(job)

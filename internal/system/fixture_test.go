@@ -78,7 +78,7 @@ func fixtureEntry(t *testing.T, fc fixtureCase) string {
 	s.EnableTracing(tr)
 	var r Result
 	if fc.open {
-		r = s.RunOpenLoop(2_000, 2_000_000, 6_000_000)
+		r = runPoisson(t, s, 2_000, 2_000_000, 6_000_000)
 	} else {
 		r = s.RunClosedLoop(48, 5_000_000, 10_000_000)
 	}

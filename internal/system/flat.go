@@ -39,10 +39,14 @@ package system
 //     TestFlatMatchesLegacy tests catch a swap that moves an output only
 //     in the configurations they run.
 //
-//  3. Observation follows logical time. Attribution and spans for
-//     inline-executed stages are gated by measuredAt on the instant the
-//     emitting event would have fired, not by the clock-driven measuring
-//     flag (observe.go), so the measurement window cuts identically.
+//  3. Observation follows logical time. The System's own statistics,
+//     attribution charges and request spans are gated by measuredAt
+//     (observe.go): an event's own work on its firing instant, an
+//     inline-executed stage on the instant its event would have fired,
+//     so the measurement window cuts exactly where the per-stage chain's
+//     did. The DRAM cache's fetch spans follow the tracer runWindow arms
+//     after the warmup, and registry counters are windowed by the
+//     snapshot delta in collect.
 //
 // Downstream of the on-chip probe — chipAccess, stepDone and the whole
 // miss machinery — the path continues in core.go.
@@ -69,8 +73,8 @@ func (c *coreState) runStep(job *jobState) {
 	}
 	t0 := c.s.eng.Now()
 	step := job.steps[job.pc]
-	c.s.attr.add(c.s, attrCompute, step.ComputeNs)
-	c.span(job, obs.StageCompute, 0, t0, t0+step.ComputeNs)
+	c.s.attrAt(attrCompute, step.ComputeNs, t0)
+	c.spanAt(t0, job, obs.StageCompute, 0, t0, t0+step.ComputeNs)
 	c.flatAccess(job, t0+step.ComputeNs, false)
 }
 
@@ -114,8 +118,8 @@ func (c *coreState) flatWalkStart(j *jobState) {
 	vpn := j.steps[j.pc].Access.Page()
 	walkStart := c.s.eng.Now()
 	c.wkr.Walk(c.s.eng, vpn, func(at sim.Time) {
-		c.s.attr.add(c.s, attrWalk, at-walkStart)
-		c.span(j, obs.StageTLB, uint64(vpn), walkStart, at)
+		c.s.attrAt(attrWalk, at-walkStart, at)
+		c.spanAt(at, j, obs.StageTLB, uint64(vpn), walkStart, at)
 		c.tlb.Insert(vpn)
 		c.chipAccess(j)
 	})
@@ -146,8 +150,8 @@ func (c *coreState) dramAccess(job *jobState) {
 func (c *coreState) flatDCHit(j *jobState) {
 	at := c.s.eng.Now()
 	step := j.steps[j.pc]
-	c.s.attr.add(c.s, attrDRAM, at-j.dcIssued)
-	c.span(j, obs.StageDRAM, uint64(step.Access.Page()), j.dcIssued, at)
+	c.s.attrAt(attrDRAM, at-j.dcIssued, at)
+	c.spanAt(at, j, obs.StageDRAM, uint64(step.Access.Page()), j.dcIssued, at)
 	j.faultRetries = 0
 	if j.hasPin {
 		c.s.dc.Unpin(j.pinnedPage)
@@ -162,6 +166,6 @@ func (c *coreState) flatDCHit(j *jobState) {
 // event-driven.
 func (c *coreState) flatDCMiss(j *jobState) {
 	at := c.s.eng.Now()
-	c.span(j, obs.StageMissSignal, uint64(j.steps[j.pc].Access.Page()), j.dcIssued, at)
+	c.spanAt(at, j, obs.StageMissSignal, uint64(j.steps[j.pc].Access.Page()), j.dcIssued, at)
 	c.onDRAMMiss(j)
 }

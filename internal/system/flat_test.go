@@ -21,7 +21,6 @@ func TestFlatSteadyStateZeroAllocs(t *testing.T) {
 		}
 		s.onJobDone = func(c *coreState) { s.spawnJob(c, s.eng.Now()) }
 		s.mStart, s.mEnd = 0, math.MaxInt64
-		s.measuring = true
 		for _, c := range s.cores {
 			for i := 0; i < 48; i++ {
 				s.spawnJob(c, 0)

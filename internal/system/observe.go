@@ -79,50 +79,33 @@ func (s *System) Timeline() *timeline.Sampler { return s.sampler }
 // Tracer returns the attached tracer, or nil.
 func (s *System) Tracer() *obs.Tracer { return s.trace }
 
-// tr returns the tracer when spans should be recorded, else nil. Request
-// capture follows the measurement window so trace size tracks the window;
-// requests straddling the window edge appear as partial span sets, which
-// the analyzer detects (they lack the queue span or complete marker) and
-// excludes.
-func (s *System) tr() *obs.Tracer {
-	if s.measuring {
-		return s.trace
-	}
-	return nil
-}
-
 // measuredAt reports whether an event at logical time t lies inside the
-// run's measurement window. The per-access path (flat.go) executes stage
-// code ahead of its logical event time, so gating on the measuring flag
-// (the clock's view) would mis-window inline stages; the bounds are known
-// before the run starts, so logical-time gating observes exactly what an
-// event firing at t would have. The window is half-open on the left
-// because the drivers flip measuring after draining events at the warmup
-// instant itself.
+// run's measurement window: the rule that gates the System's own
+// statistics, attribution charges and request spans (flat.go rule 3
+// names what it does not gate). An event's own work passes its firing
+// time; a stage the per-access path (flat.go) runs ahead of its logical
+// time passes the instant its event would have fired, so it is windowed
+// exactly as that event would have been. runWindow fixes the bounds
+// before any load is offered. The window is half-open on the left: events
+// at the warmup instant itself fire before the registry snapshot and
+// belong to warmup. Request capture follows the window, so trace size
+// tracks it; requests straddling its edge appear as partial span sets,
+// which the analyzer detects (they lack the queue span or complete
+// marker) and excludes.
 func (s *System) measuredAt(t sim.Time) bool {
 	return t > s.mStart && t <= s.mEnd
 }
 
 // spanAt records a request-scoped span emitted at logical event time
-// evTime: the span helper for stages the per-access path runs inline,
-// gated on the measurement window by logical time (measuredAt) so each
-// traces as if its own event had fired at evTime.
+// evTime, when a tracer is attached and evTime is measured. It drops
+// zero-length segments (stage markers with real zero duration would only
+// bloat the stream; the queue span and complete marker are emitted
+// directly, not through this helper).
 func (c *coreState) spanAt(evTime sim.Time, job *jobState, st obs.Stage, page uint64, start, end sim.Time) {
 	if c.s.trace == nil || end <= start || !c.s.measuredAt(evTime) {
 		return
 	}
 	c.s.trace.Emit(obs.Span{Req: job.req.ID, Core: c.id, Stage: st, Page: page, Start: start, End: end})
-}
-
-// span records one request-scoped span, dropping zero-length segments
-// (stage markers with real zero duration would only bloat the stream; the
-// complete marker is emitted directly, not through this helper).
-func (c *coreState) span(job *jobState, st obs.Stage, page uint64, start, end sim.Time) {
-	t := c.s.tr()
-	if t == nil || end <= start {
-		return
-	}
-	t.Emit(obs.Span{Req: job.req.ID, Core: c.id, Stage: st, Page: page, Start: start, End: end})
 }
 
 // missCost is the descheduling price of one miss: ROB flush plus the
@@ -136,8 +119,7 @@ func (c *coreState) missCost() int64 {
 // flush+switch, the flash wait, and the post-ready scheduling delay.
 // Emitted lazily at resume because only then are all boundaries known.
 func (c *coreState) emitMissTail(job *jobState, now sim.Time) {
-	t := c.s.tr()
-	if t == nil {
+	if c.s.trace == nil || !c.s.measuredAt(now) {
 		return
 	}
 	page := uint64(job.steps[job.pc].Access.Page())
@@ -157,15 +139,15 @@ func (c *coreState) emitMissTail(job *jobState, now sim.Time) {
 		if ready < se {
 			ready = se
 		}
-		c.span(job, obs.StageFlushSwitch, page, job.missAt, se)
-		c.span(job, obs.StageFlashWait, page, se, ready)
-		c.span(job, obs.StageSchedWait, page, ready, now)
+		c.spanAt(now, job, obs.StageFlushSwitch, page, job.missAt, se)
+		c.spanAt(now, job, obs.StageFlashWait, page, se, ready)
+		c.spanAt(now, job, obs.StageSchedWait, page, ready, now)
 	case c.runq != nil:
 		// flash-wait and os-install were emitted by the fault's
 		// OnPageReady callback; only the run-queue delay remains.
 		if ready <= 0 || ready > now {
 			ready = now
 		}
-		c.span(job, obs.StageSchedWait, page, ready, now)
+		c.spanAt(now, job, obs.StageSchedWait, page, ready, now)
 	}
 }

@@ -1,6 +1,8 @@
 package system
 
 import (
+	"errors"
+	"fmt"
 	"math"
 
 	"astriflash/internal/loadgen"
@@ -63,14 +65,16 @@ type Result struct {
 	AdmissionBypassed uint64 // fetches diverted to the bypass ring
 	BypassHits        uint64 // accesses served from the bypass ring
 	BypassWritebacks  uint64 // dirty ring evictions written to flash
-	// FlashPrograms is total page programs in the window (host writes +
-	// GC moves + remap copies) — the wear quantity the economics model
-	// prices.
+	// FlashPrograms is the page programs the device counted in the
+	// window, where each page is programmed; it should equal host writes
+	// + GC moves + remap copies, each counted where it is caused. It is
+	// the wear quantity the economics model prices.
 	FlashPrograms uint64
 
-	// Open-loop admission and deadline observables (RunSource runs, the
-	// root package's RunOverload; all zero for closed-loop and plain
-	// Poisson runs).
+	// Open-loop admission and deadline observables (RunSource runs; all
+	// zero for closed-loop runs). Every open-loop run counts Offered and
+	// Admitted; the drops and deadline outcomes need a queue bound, a
+	// controller or a deadline.
 	Offered        uint64 // arrivals the source generated in the window
 	Admitted       uint64 // arrivals past the front door
 	AdmissionSheds uint64 // rejected by the admission controller
@@ -148,15 +152,16 @@ func (s *System) nextJobSteps(buf []workload.Step) []workload.Step {
 	return s.wl.NewJobSteps(buf)
 }
 
-// snapshot freezes the registry's cumulative counters at measurement
-// start so collect can report steady-state (window-only) values.
-func (s *System) snapshot() map[string]uint64 {
-	return s.metrics.CounterSnapshot()
+// snapshot freezes the registry's cumulative counters, and the device's
+// page programs, at measurement start so collect can report steady-state
+// (window-only) values.
+func (s *System) snapshot() (map[string]uint64, uint64) {
+	return s.metrics.CounterSnapshot(), s.flash.ProgramCount()
 }
 
 // collect builds the Result for the measurement window from the registry's
-// window deltas.
-func (s *System) collect(windowNs int64, snap map[string]uint64) Result {
+// window deltas and the device's page programs since programs0.
+func (s *System) collect(windowNs int64, snap map[string]uint64, programs0 uint64) Result {
 	rec := s.recorder
 	d := s.metrics.CounterDelta(snap)
 	dHits := d["dramcache.hits"]
@@ -203,7 +208,7 @@ func (s *System) collect(windowNs int64, snap map[string]uint64) Result {
 		AdmissionBypassed:   d["dramcache.adm_bypassed"],
 		BypassHits:          d["dramcache.bypass_hits"],
 		BypassWritebacks:    d["dramcache.bypass_dirty_writebacks"],
-		FlashPrograms:       d["flash.writes"] + d["flash.gc_page_moves"] + d["flash.remap_moves"],
+		FlashPrograms:       s.flash.ProgramCount() - programs0,
 		Counters:            d,
 
 		Admitted:       d["system.admitted"],
@@ -214,7 +219,6 @@ func (s *System) collect(windowNs int64, snap map[string]uint64) Result {
 		GoodJobs:       d["system.good_jobs"],
 		ExpiredInFlash: d["system.expired_in_flash"],
 	}
-	res.Offered = res.Admitted + res.AdmissionSheds + res.QueueFullDrops
 	res.GoodputJPS = float64(res.GoodJobs) * 1e9 / float64(windowNs)
 	return res
 }
@@ -227,9 +231,10 @@ func (s *System) RunClosedLoop(inflightPerCore int, warmupNs, measureNs int64) R
 	if inflightPerCore < 1 {
 		panic("system: need at least one job in flight per core")
 	}
-	s.onJobDone = func(c *coreState) {
-		s.spawnJob(c, s.eng.Now())
+	if s.ran {
+		panic(errRerun)
 	}
+	s.onJobDone = func(c *coreState) { s.spawnJob(c, s.eng.Now()) }
 	return s.runWindow(warmupNs, measureNs, false, func() {
 		for _, c := range s.cores {
 			for i := 0; i < inflightPerCore; i++ {
@@ -246,80 +251,30 @@ func (s *System) RunClosedLoop(inflightPerCore int, warmupNs, measureNs int64) R
 // flight at the window end run to completion with measurement on, so
 // open-loop tail samples are complete.
 func (s *System) runWindow(warmupNs, measureNs int64, drain bool, offer func()) Result {
+	s.ran = true
 	end := warmupNs + measureNs
-	// The bounds are fixed before any load is offered so the flattened
-	// path can gate inline-executed stages by logical event time
-	// (measuredAt). A drained window never closes logically.
+	// The bounds are fixed before any load is offered, so every event,
+	// and every stage the flattened path runs inline, is gated by the
+	// logical time it belongs to (measuredAt). A drained window never
+	// closes logically.
 	s.mStart, s.mEnd = warmupNs, end
 	if drain {
 		s.mEnd = math.MaxInt64
 	}
 	offer()
 	s.eng.RunUntil(warmupNs)
-	s.measuring = true
-	if s.trace != nil {
-		s.dc.Trace = s.trace
-	}
+	s.dc.Trace = s.trace
 	if s.sampler != nil {
 		// The sampler stops at end, so a drain runs sampler-free.
 		s.sampler.Start(s.eng, warmupNs, end)
 	}
-	snap := s.snapshot()
+	snap, programs0 := s.snapshot()
 	s.eng.RunUntil(end)
 	if drain {
 		s.eng.Run()
 	}
-	s.measuring = false
 	s.dc.Trace = nil
-	return s.collect(measureNs, snap)
-}
-
-// RunOpenLoop drives Poisson arrivals at the given mean inter-arrival gap
-// (per system, spread round-robin across cores) for the tail-latency
-// experiments (Figure 10). Requests arriving during warmup are served but
-// not recorded. It is the unlimited special case of RunSource: every
-// arrival is admitted, no queue bound, no deadlines.
-func (s *System) RunOpenLoop(meanInterArrivalNs float64, warmupNs, measureNs int64) Result {
-	return s.RunSource(SourceConfig{
-		Arrivals: func(rng *sim.RNG) loadgen.Arrivals {
-			return loadgen.NewPoisson(rng, meanInterArrivalNs)
-		},
-		WarmupNs:  warmupNs,
-		MeasureNs: measureNs,
-	})
-}
-
-// SourceConfig configures an open-loop source run (RunSource).
-type SourceConfig struct {
-	// Arrivals builds the arrival process from a seed-derived RNG stream
-	// (the source's only randomness). Required.
-	Arrivals func(rng *sim.RNG) loadgen.Arrivals
-	// Controller decides admission per arrival; nil admits everything.
-	Controller overload.Controller
-	// QueueLimit bounds requests awaiting their first dispatch across the
-	// machine; arrivals past the bound are dropped and counted. 0 means
-	// unbounded.
-	QueueLimit int
-	// DeadlineNs, when positive, stamps each admitted request with an
-	// absolute deadline of arrival + DeadlineNs; completions are split
-	// into good jobs and deadline misses.
-	DeadlineNs int64
-	// DropExpired sheds requests whose deadline already passed at first
-	// dispatch instead of serving them late (needs DeadlineNs > 0).
-	DropExpired bool
-	// ExpiryMarginNs tightens the DropExpired test: a request is shed at
-	// first dispatch unless at least this much of its budget remains.
-	// Without a margin only already-expired requests are shed, and every
-	// request dispatched just under the wire is served into a deadline
-	// miss — under sustained overload that cohort alone can exceed 1% of
-	// completions and become the served p99. Set it to the service-tail
-	// estimate (e.g. the uncongested p99): a request with less budget
-	// than that left would have to beat the uncongested tail to make its
-	// deadline.
-	ExpiryMarginNs int64
-
-	WarmupNs  int64
-	MeasureNs int64
+	return s.collect(measureNs, snap, programs0)
 }
 
 // queuedTotal is the machine-wide count of admitted requests still waiting
@@ -345,43 +300,165 @@ func (s *System) headOfLineAgeNs(now sim.Time) int64 {
 	return oldest
 }
 
+// Source configures one open-loop run (RunSource): an arrival process, an
+// admission policy, and deadline semantics. The root package exports it
+// as astriflash.OverloadRun. Unlike a closed loop, the source keeps
+// sending at the offered rate when the machine falls behind, so it can
+// drive the system past its knee.
+type Source struct {
+	// Shape selects the arrival process: "poisson" (default), "mmpp"
+	// (bursty on/off), "diurnal" (sinusoidal rate curve), or
+	// "flashcrowd" (rate step).
+	Shape string
+	// MeanGapNs is the mean inter-arrival gap across the whole machine;
+	// the offered load is 1e9/MeanGapNs jobs/s.
+	MeanGapNs float64
+	// Burstiness and DwellNs shape the MMPP: the rate split between the
+	// burst and calm states (in [0,1)) and the mean state dwell time.
+	Burstiness float64
+	DwellNs    float64
+	// Amplitude and PeriodNs shape the diurnal curve.
+	Amplitude float64
+	PeriodNs  float64
+	// Surge, SurgeStartNs, SurgeDurNs shape the flash crowd: the rate
+	// multiplier and the window it applies over.
+	Surge        float64
+	SurgeStartNs float64
+	SurgeDurNs   float64
+
+	// Controller selects the admission policy: "none" (default),
+	// "static" (concurrency limit), or "codel" (adaptive shedding on
+	// queueing delay).
+	Controller string
+	// StaticLimit is the static controller's in-system concurrency bound.
+	StaticLimit int
+	// CoDelTargetNs/CoDelIntervalNs tune the adaptive controller
+	// (defaults: 50 us target, 1 ms interval).
+	CoDelTargetNs   int64
+	CoDelIntervalNs int64
+
+	// QueueLimit bounds requests awaiting first dispatch (0 = unbounded);
+	// arrivals past the bound are dropped and counted.
+	QueueLimit int
+	// DeadlineNs stamps each admitted request with arrival+DeadlineNs;
+	// completions split into good jobs and deadline misses.
+	DeadlineNs int64
+	// DropExpired sheds requests whose deadline passed while they queued,
+	// instead of serving them late. ExpiryMarginNs tightens the test:
+	// requests with less budget than the margin left at first dispatch
+	// are shed too, since they could only finish in time by beating the
+	// service tail.
+	DropExpired    bool
+	ExpiryMarginNs int64
+
+	WarmupNs  int64
+	MeasureNs int64
+}
+
+// errRerun rejects a second run on one machine: the window bounds are
+// absolute simulated times, and JobsDone and the recorder's histograms are
+// cumulative, so a second window would report the first one's results.
+var errRerun = errors.New("system: a machine runs once; build a new one for each run")
+
+// parse validates the source and returns its arrival process, still to be
+// seeded, and its admission controller (nil admits everything).
+func (src Source) parse() (func(rng *sim.RNG) loadgen.Arrivals, overload.Controller, error) {
+	if src.MeanGapNs <= 0 {
+		return nil, nil, errors.New("system: an open-loop source needs a positive mean gap")
+	}
+	if src.DropExpired && src.DeadlineNs <= 0 {
+		return nil, nil, errors.New("system: DropExpired needs a positive DeadlineNs")
+	}
+	var arrivals func(rng *sim.RNG) loadgen.Arrivals
+	var err error
+	switch src.Shape {
+	case "", "poisson":
+		arrivals = func(rng *sim.RNG) loadgen.Arrivals { return loadgen.NewPoisson(rng, src.MeanGapNs) }
+	case "mmpp":
+		err = loadgen.CheckMMPP(src.MeanGapNs, src.Burstiness, src.DwellNs)
+		arrivals = func(rng *sim.RNG) loadgen.Arrivals {
+			return loadgen.NewMMPP(rng, src.MeanGapNs, src.Burstiness, src.DwellNs)
+		}
+	case "diurnal":
+		err = loadgen.CheckDiurnal(src.MeanGapNs, src.Amplitude, src.PeriodNs)
+		arrivals = func(rng *sim.RNG) loadgen.Arrivals {
+			return loadgen.NewDiurnal(rng, src.MeanGapNs, src.Amplitude, src.PeriodNs)
+		}
+	case "flashcrowd":
+		err = loadgen.CheckFlashCrowd(src.MeanGapNs, src.Surge, src.SurgeStartNs, src.SurgeDurNs)
+		arrivals = func(rng *sim.RNG) loadgen.Arrivals {
+			return loadgen.NewFlashCrowd(rng, src.MeanGapNs, src.Surge, src.SurgeStartNs, src.SurgeDurNs)
+		}
+	default:
+		err = fmt.Errorf("system: unknown arrival shape %q", src.Shape)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	switch src.Controller {
+	case "", "none":
+		return arrivals, nil, nil
+	case "static":
+		if src.StaticLimit < 1 {
+			return nil, nil, errors.New("system: static controller needs a positive limit")
+		}
+		return arrivals, overload.NewStatic(src.StaticLimit), nil
+	case "codel":
+		target, interval := src.CoDelTargetNs, src.CoDelIntervalNs
+		if target <= 0 {
+			target = 50_000
+		}
+		if interval <= 0 {
+			interval = 1_000_000
+		}
+		return arrivals, overload.NewCoDel(target, interval), nil
+	}
+	return nil, nil, fmt.Errorf("system: unknown admission controller %q", src.Controller)
+}
+
 // RunSource drives an open-loop arrival process through admission control
 // into the machine: each arrival consults the bounded admission queue and
 // the controller, and admitted requests spawn round-robin across cores
-// with an optional deadline. An open-loop source keeps sending when the
-// machine falls behind — exactly what a closed-loop driver cannot model —
-// so this is the driver for overload experiments. Requests arriving
-// during warmup are served but not recorded.
-func (s *System) RunSource(cfg SourceConfig) Result {
-	if cfg.Arrivals == nil {
-		panic("system: RunSource needs an arrival process")
+// with an optional deadline. Requests arriving during warmup are served
+// but not recorded. A source that does not validate, or a machine that
+// has already run, is an error, and the machine is left as it was.
+func (s *System) RunSource(src Source) (Result, error) {
+	if s.ran {
+		return Result{}, errRerun
 	}
-	if cfg.DropExpired && cfg.DeadlineNs <= 0 {
-		panic("system: DropExpired needs a deadline")
+	newArrivals, ctl, err := src.parse()
+	if err != nil {
+		return Result{}, err
 	}
-	arr := cfg.Arrivals(s.rng.Split())
+	arr := newArrivals(s.rng.Split())
+	s.src = src
 	inSystem := 0
-	s.dropExpired = cfg.DropExpired
-	s.expiryMarginNs = cfg.ExpiryMarginNs
 	s.onJobDone = func(*coreState) { inSystem-- }
-	if ctl := cfg.Controller; ctl != nil {
+	if ctl != nil {
 		s.onJobStart = func(job *jobState) {
 			now := s.eng.Now()
 			ctl.ObserveStart(now, now-job.req.ArrivedAt)
 		}
 	}
+	// offered counts the window's arrivals apart from their outcomes, so
+	// Offered = Admitted + AdmissionSheds + QueueFullDrops is a law that
+	// a lost or doubled outcome count breaks.
+	var offered uint64
 	next := 0
 	var schedule func()
-	end := cfg.WarmupNs + cfg.MeasureNs
+	end := src.WarmupNs + src.MeasureNs
 	schedule = func() {
 		now := s.eng.Now()
 		if now >= end {
 			return
 		}
+		if s.measuredAt(now) {
+			offered++
+		}
 		switch {
-		case cfg.QueueLimit > 0 && s.queuedTotal() >= cfg.QueueLimit:
+		case src.QueueLimit > 0 && s.queuedTotal() >= src.QueueLimit:
 			s.QueueFullDrops.Inc()
-		case cfg.Controller != nil && !cfg.Controller.Admit(now,
+		case ctl != nil && !ctl.Admit(now,
 			overload.QueueState{InSystem: inSystem, Queued: s.queuedTotal()}):
 			s.AdmissionSheds.Inc()
 		default:
@@ -390,13 +467,15 @@ func (s *System) RunSource(cfg SourceConfig) Result {
 			c := s.cores[next%len(s.cores)]
 			next++
 			job := s.spawnJob(c, now)
-			if cfg.DeadlineNs > 0 {
-				job.deadline = now + sim.Time(cfg.DeadlineNs)
+			if src.DeadlineNs > 0 {
+				job.deadline = now + sim.Time(src.DeadlineNs)
 			}
 		}
 		s.eng.After(sim.Time(arr.NextGap()), schedule)
 	}
-	return s.runWindow(cfg.WarmupNs, cfg.MeasureNs, true, func() {
+	res := s.runWindow(src.WarmupNs, src.MeasureNs, true, func() {
 		s.eng.After(sim.Time(arr.NextGap()), schedule)
 	})
+	res.Offered = offered
+	return res, nil
 }

@@ -2,8 +2,10 @@
 // on-chip hierarchies and TLBs, the hardware-managed DRAM cache (FC/BC/
 // MSR), the flash device, the user-level thread scheduler, and the OS
 // paging baseline — one assembly per evaluated configuration (paper
-// Section V-B). It provides closed-loop drivers for throughput (Figure 9)
-// and open-loop Poisson drivers for tail latency (Figure 10, Table II).
+// Section V-B). A machine runs once, under one of two drivers sharing one
+// measurement window: RunClosedLoop for throughput (Figure 9), and
+// RunSource, an open-loop Source with optional admission control and
+// deadlines, for tail latency and overload (Figure 10, Table II).
 package system
 
 import (
@@ -212,13 +214,14 @@ type System struct {
 	pt     *tlbvm.PageTable
 
 	recorder *loadgen.Recorder
-	// measuring gates statistics to the measurement window.
-	measuring bool
-	// mStart/mEnd delimit the measurement window in simulated time so
-	// flattened code can gate observation by logical event time instead
-	// of the clock-driven measuring flag (measuredAt in observe.go). Set
-	// by the drivers before any event runs.
+	// mStart/mEnd delimit the measurement window in simulated time; the
+	// System's own statistics, attribution charges and request spans are
+	// gated on the logical time they belong to lying inside it
+	// (measuredAt in observe.go). Set by runWindow before any load is
+	// offered.
 	mStart, mEnd sim.Time
+	// ran is set once a driver has started this machine's one run.
+	ran bool
 	// jobPool recycles retired jobState records and their step slices.
 	jobPool []*jobState
 	// onJobDone, when set by a driver, fires after each completion
@@ -227,12 +230,9 @@ type System struct {
 	// onJobStart, when set by a driver, fires when a request begins its
 	// first service (the sojourn signal admission controllers feed on).
 	onJobStart func(job *jobState)
-	// dropExpired sheds past-deadline requests at first dispatch instead
-	// of serving them late (set by the open-loop source driver);
-	// expiryMarginNs additionally sheds requests with less than this
-	// much budget remaining at dispatch (SourceConfig.ExpiryMarginNs).
-	dropExpired    bool
-	expiryMarginNs int64
+	// src is the open-loop run's source (RunSource; zero for a closed
+	// loop): first dispatch reads its deadline-expiry policy.
+	src Source
 
 	// attr accumulates latency attribution during measurement.
 	attr attribution
@@ -253,7 +253,8 @@ type System struct {
 	MissInterval *stats.Histogram // per-core time between DRAM-cache misses
 
 	// Open-loop admission and deadline accounting (RunSource; all zero
-	// for closed-loop and unlimited open-loop runs).
+	// for closed-loop runs, and all but Admitted zero for an open-loop
+	// run without a queue bound, controller or deadline).
 	Admitted       stats.Counter // requests past the front door
 	AdmissionSheds stats.Counter // rejected by the admission controller
 	QueueFullDrops stats.Counter // rejected by the bounded admission queue
@@ -334,7 +335,7 @@ func New(cfg Config) (*System, error) {
 	s.pt = pt
 	// Retry-ladder and recovery time surfaces as its own attribution
 	// bucket (a sub-slice of flash-wait, zero when faults are off).
-	fl.RetryHook = func(ns int64) { s.attr.add(s, attrFlashRetry, ns) }
+	fl.RetryHook = func(ns int64) { s.attrAt(attrFlashRetry, ns, s.eng.Now()) }
 	if cfg.RunDeadline > 0 {
 		eng.Deadline(cfg.RunDeadline)
 	}

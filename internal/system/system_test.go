@@ -24,6 +24,16 @@ func runClosed(t *testing.T, mode Mode, wl string) Result {
 	return s.RunClosedLoop(48, 5_000_000, 10_000_000)
 }
 
+// runPoisson runs s open-loop under Poisson arrivals at the given mean gap.
+func runPoisson(t *testing.T, s *System, gapNs float64, warmupNs, measureNs int64) Result {
+	t.Helper()
+	r, err := s.RunSource(Source{MeanGapNs: gapNs, WarmupNs: warmupNs, MeasureNs: measureNs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := testConfig(DRAMOnly, "tatp")
 	bad.Cores = 0
@@ -149,7 +159,7 @@ func TestOpenLoopRecordsLatencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := s.RunOpenLoop(3_000, 3_000_000, 10_000_000)
+	res := runPoisson(t, s, 3_000, 3_000_000, 10_000_000)
 	if res.Jobs == 0 {
 		t.Fatal("no jobs completed in open loop")
 	}
@@ -167,7 +177,7 @@ func TestOpenLoopLatencyGrowsWithLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.RunOpenLoop(gap, 3_000_000, 10_000_000).P99ResponseNs
+		return runPoisson(t, s, gap, 3_000_000, 10_000_000).P99ResponseNs
 	}
 	light := run(50_000)
 	heavy := run(1_400) // ~90% of the 4-core machine's capacity

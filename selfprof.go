@@ -58,13 +58,17 @@ var (
 // profiled runs one driver call with self-profiling: wall time, fired
 // events, simulated time covered, and in-run heap allocations are recorded
 // on the machine; wall time and events are added to the process aggregates.
-func (m *Machine) profiled(run func() Metrics) Metrics {
+// A call the driver rejects is not a run and records nothing.
+func (m *Machine) profiled(run func() (Metrics, error)) (Metrics, error) {
 	fired0 := m.sys.Engine().Fired()
 	sim0 := int64(m.sys.Engine().Now())
 	var ms0 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
-	res := run()
+	res, err := run()
+	if err != nil {
+		return res, err
+	}
 	wall := time.Since(start).Nanoseconds()
 	var ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms1)
@@ -80,7 +84,7 @@ func (m *Machine) profiled(run func() Metrics) Metrics {
 	simWallNs.Add(wall)
 	simEvents.Add(ev)
 	simRuns.Add(1)
-	return res
+	return res, nil
 }
 
 // LastRunProfile returns the self-profile of the machine's most recent run
