@@ -73,7 +73,7 @@ fuzz-smoke:
 ## Full-scale probe: builds and runs the 16-core tatp machine at 2 GB and
 ## 16 GB (about 5 s and 0.2 GiB of host heap on 2 vCPUs), logs build and
 ## run time and build seconds per simulated GiB, and fails a point holding
-## more than 10.5 MiB of live host heap per simulated GiB.
+## more than 7.5 MiB of live host heap per simulated GiB.
 fullscale-probe:
 	FULLSCALE=1 $(GO) test -count=1 -run '^TestFullScaleProbe$$' -v .
 

@@ -10,10 +10,11 @@ import (
 
 // maxHeapMiBPerSimGiB bounds the live host heap a full-scale machine
 // holds after its build, per simulated GiB of dataset: 1.25 times the
-// larger of the two points' figures. Index-addressed, pointer-free
-// B+tree nodes put them at 8.6 (2 GB) and 8.0 MiB (16 GB); 80-byte nodes
-// with strided leaves held about 26, packed 16-bit leaf offsets 83.
-const maxHeapMiBPerSimGiB = 10.5
+// larger of the two points' figures. Strided internal B+tree nodes put
+// them at 6.0 (2 GB) and 5.4 MiB (16 GB); index-addressed, pointer-free
+// nodes with every internal node wide held 8.6 and 8.0, 80-byte nodes
+// with strided leaves about 26, packed 16-bit leaf offsets 83.
+const maxHeapMiBPerSimGiB = 7.5
 
 // TestFullScaleProbe times full-scale paper-config points (16 cores, 2 GB
 // and 16 GB datasets) end to end, construction and saturated run
@@ -21,7 +22,7 @@ const maxHeapMiBPerSimGiB = 10.5
 // build seconds per simulated GiB, events/sec and simulated-ns/sec. It fails a point whose heap exceeds
 // maxHeapMiBPerSimGiB. Run it with FULLSCALE=1 (`make fullscale-probe`)
 // when construction, host memory or hot-path cost at scale is in
-// question; the 16 GB point holds about 0.13 GiB.
+// question; the 16 GB point holds about 86 MiB.
 func TestFullScaleProbe(t *testing.T) {
 	if os.Getenv("FULLSCALE") == "" {
 		t.Skip("set FULLSCALE=1")

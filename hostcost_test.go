@@ -70,13 +70,13 @@ func hostCostPins() []hostCostPin {
 					MeasureNs:   40_000_000,
 				})
 			},
-			events: 4_286_556, jobs: 56_961, heapMiB: 0.991, mallocsPerJob: 0.0665,
+			events: 4_286_556, jobs: 56_961, heapMiB: 0.916, mallocsPerJob: 0.0665,
 		},
 		{
 			name:   "tatp-dram",
 			opts:   opts(DRAMOnly, "tatp", 8, 32<<20),
 			run:    saturated(48, 10_000_000, 50_000_000),
-			events: 5_546_164, jobs: 80_296, heapMiB: 0.984, mallocsPerJob: 0.0105,
+			events: 5_546_164, jobs: 80_296, heapMiB: 0.909, mallocsPerJob: 0.0105,
 		},
 		{
 			name:   "tinykv-write",
@@ -88,7 +88,7 @@ func hostCostPins() []hostCostPin {
 			name:   "tatp-512m",
 			opts:   opts(AstriFlash, "tatp", 16, 512<<20),
 			run:    saturated(48, 5_000_000, 10_000_000),
-			events: 2_187_041, jobs: 21_156, heapMiB: 5.43, mallocsPerJob: 0.1186,
+			events: 2_187_041, jobs: 21_156, heapMiB: 4.10, mallocsPerJob: 0.1186,
 		},
 	}
 }

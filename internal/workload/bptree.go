@@ -14,24 +14,33 @@ import (
 // arena page, and every trace derives from node pages and keys.
 //
 // A node is 24 bytes and holds no pointers: it lives in its tree's node
-// slab and names other nodes by slab index. A leaf stores its keys in one
-// of two forms. Strided, while its gaps alternate two values d0 and d1 of
-// at most maxStrideGap: key i is base + (i/2)*(d0+d1) + (i%2)*d0 for
-// i < count. A leaf's first key makes it strided, and it stays so while
-// each key it takes extends the progression at its end (push): its
-// second key fixes d0 and its third d1. A gap no two of its keys span
-// holds any nonzero value (1 in a one-key leaf), which no reader uses.
-// Wide (count 0), as a key array in the tree's side table at slot base,
-// where every internal node also keeps its keys and children: a leaf
-// unpacks into it for a key that breaks its stride (room), and the empty
+// slab and names other nodes by slab index. A node stores its keys (a
+// leaf's keys, an internal node's separators) in one of two forms.
+//
+// Strided (count > 0): base is the first key and count the number of
+// keys. A strided leaf's gaps alternate two values d0 and d1 of at most
+// maxStrideGap: key i is base + (i/2)*(d0+d1) + (i%2)*d0. A leaf's first
+// key makes it strided, and it stays so while each key it takes extends
+// the progression at its end (push): its second key fixes d0 and its
+// third d1. A strided internal node's separators are one arithmetic
+// progression, base + i*g with the gap g = d0|d1<<16 below 2^32, and its
+// count+1 children sit at consecutive slab indices from next: child i is
+// next+i. A split freezes such a left half (splitInternal), and a new
+// root over two adjacent nodes starts so. A gap no two of a node's keys
+// span holds any nonzero value (1 in a one-key node), which no reader
+// uses.
+//
+// Wide (count 0): the keys, and an internal node's children, are arrays
+// in the tree's side table at slot base. A strided node unpacks into it
+// for a key or child that breaks its progression (room), and the empty
 // tree's root is a wide leaf with no keys. Readers go through search,
-// numKeys and keyAt, which read both forms.
+// route, numKeys, keyAt and child, which read both forms.
 type bpNode struct {
-	base   uint64 // strided leaf: its first key; wide node: its side-table slot
+	base   uint64 // strided: its first key; wide: its side-table slot
 	page   uint32 // the node's arena page
-	next   int32  // leaf: the next leaf in key order, or noNode
-	count  uint16 // strided leaf: its number of keys; 0 for a wide node
-	d0, d1 uint16 // strided leaf: the even and odd gaps
+	next   int32  // leaf: the next leaf in key order, or noNode; strided internal node: its first child; wide internal node: noNode
+	count  uint16 // strided: its number of keys; 0 for a wide node
+	d0, d1 uint16 // strided leaf: the even and odd gaps; strided internal node: the gap's low and high 16 bits
 	leaf   bool
 }
 
@@ -69,6 +78,12 @@ func (n *bpNode) strideKey(i int) uint64 {
 	u := uint64(i)
 	return n.base + u/2*(uint64(n.d0)+uint64(n.d1)) + -(u&1)&uint64(n.d0)
 }
+
+// gap returns a strided internal node's separator gap.
+func (n *bpNode) gap() uint64 { return uint64(n.d0) | uint64(n.d1)<<16 }
+
+// setGap stores g, below 2^32, as a strided internal node's gap.
+func (n *bpNode) setGap(g uint64) { n.d0, n.d1 = uint16(g), uint16(g>>16) }
 
 // extends reports whether key is the next stride key of a strided leaf
 // whose gaps are fixed: one of three or more keys.
@@ -120,6 +135,13 @@ type BPTree struct {
 	root   int32
 	// tail is the rightmost leaf, where untraced ascending inserts append.
 	tail int32
+	// tailNode is node(tail), kept for the per-key append: a split of the
+	// tail and newNode's move of the first chunk refresh it.
+	tailNode *bpNode
+	// tailNext is the tail's next stride key while the tail is strided
+	// with three or more keys (syncTail), so the per-key append compares
+	// without computing it.
+	tailNext uint64
 }
 
 // NewBPTree returns an empty tree. Fanout is the max keys per node; 256
@@ -133,7 +155,7 @@ func NewBPTree(arena *mem.Arena, fanout int) *BPTree {
 	t := &BPTree{arena: arena, fanout: fanout, height: 1}
 	t.root = t.newNode(true)
 	t.node(t.root).base = t.newSlot(nil, nil)
-	t.tail = t.root
+	t.tail, t.tailNode = t.root, t.node(t.root)
 	return t
 }
 
@@ -155,6 +177,7 @@ func (t *BPTree) newNode(leaf bool) int32 {
 		t.chunks = append(t.chunks, make([]bpNode, 0, chunkNodes))
 	case len(t.chunks[c]) == cap(t.chunks[c]): // only the first chunk fills below chunkNodes
 		t.chunks[c] = append(make([]bpNode, 0, 2*cap(t.chunks[c])), t.chunks[c]...)
+		t.tailNode = t.node(t.tail)
 	}
 	t.chunks[c] = append(t.chunks[c], bpNode{page: uint32(page), next: noNode, leaf: leaf})
 	t.nodes++
@@ -169,7 +192,7 @@ func (t *BPTree) newSlot(keys []uint64, children []int32) uint64 {
 }
 
 // room returns wide node n's arrays with room for one more key. A strided
-// leaf first unpacks into a new slot of the split size, and arrays a
+// node first unpacks into a new slot of the split size, and arrays a
 // split froze at exact size regrow to the split size (fanout+1 keys,
 // fanout+2 children) in one step, where append's doubling would
 // overshoot.
@@ -177,9 +200,17 @@ func (t *BPTree) room(n *bpNode) *bpArrays {
 	if n.count != 0 {
 		keys := make([]uint64, n.count, t.fanout+1)
 		for i := range keys {
-			keys[i] = n.strideKey(i)
+			keys[i] = t.keyAt(n, i)
 		}
-		n.base, n.count, n.d0, n.d1 = t.newSlot(keys, nil), 0, 0, 0
+		var children []int32
+		if !n.leaf {
+			children = make([]int32, n.count+1, t.fanout+2)
+			for i := range children {
+				children[i] = n.next + int32(i)
+			}
+			n.next = noNode
+		}
+		n.base, n.count, n.d0, n.d1 = t.newSlot(keys, children), 0, 0, 0
 	}
 	w := &t.wide[n.base]
 	if len(w.keys) == cap(w.keys) {
@@ -201,10 +232,41 @@ func (t *BPTree) numKeys(n *bpNode) int {
 
 // keyAt returns a node's i'th key, in either form.
 func (t *BPTree) keyAt(n *bpNode, i int) uint64 {
-	if n.count != 0 {
+	switch {
+	case n.count == 0:
+		return t.wide[n.base].keys[i]
+	case n.leaf:
 		return n.strideKey(i)
 	}
-	return t.wide[n.base].keys[i]
+	return n.base + uint64(i)*n.gap()
+}
+
+// child returns internal node n's i'th child, in either form.
+func (t *BPTree) child(n *bpNode, i int) int32 {
+	if n.count != 0 {
+		return n.next + int32(i)
+	}
+	return t.wide[n.base].children[i]
+}
+
+// route returns the position of the child internal node n descends for
+// key, the smallest i whose separator is above key, and that child. A
+// strided node divides: key's offset from base falls in gap q, so
+// separators 0..q are at most key.
+func (t *BPTree) route(n *bpNode, key uint64) (int, int32) {
+	if n.count == 0 {
+		w := &t.wide[n.base]
+		i := findChild(w.keys, key)
+		return i, w.children[i]
+	}
+	i := 0
+	if key >= n.base {
+		i = int(n.count)
+		if q := (key - n.base) / n.gap(); q < uint64(n.count) {
+			i = int(q) + 1
+		}
+	}
+	return i, n.next + int32(i)
 }
 
 // search returns the smallest i with keyAt(n, i) >= key and whether
@@ -225,10 +287,11 @@ func (t *BPTree) Size() uint64 { return t.size }
 // Height returns the tree height (1 = root is a leaf).
 func (t *BPTree) Height() int { return t.height }
 
-// findChild returns the child index to descend for key: the smallest i
-// with keys[i] > key. Hand-rolled with sort.Search's exact midpoint
-// arithmetic — the closure-free loop is measurably faster on the
-// per-access hot path and visits identical probe sequences.
+// findChild returns the child index to descend in a wide internal node
+// for key: the smallest i with keys[i] > key. Hand-rolled with
+// sort.Search's exact midpoint arithmetic — the closure-free loop is
+// measurably faster on the per-access hot path and visits identical probe
+// sequences.
 func findChild(keys []uint64, key uint64) int {
 	i, j := 0, len(keys)
 	for i < j {
@@ -263,8 +326,8 @@ func (t *BPTree) leafFor(key uint64, tr *Tracer) *bpNode {
 	n := t.node(t.root)
 	for !n.leaf {
 		tr.Touch(n.addr(), false)
-		w := &t.wide[n.base]
-		n = t.node(w.children[findChild(w.keys, key)])
+		_, c := t.route(n, key)
+		n = t.node(c)
 	}
 	return n
 }
@@ -321,29 +384,43 @@ func (t *BPTree) Scan(key uint64, count int, tr *Tracer) []uint64 {
 // TATP and TPC-C table) build the same tree without walking it.
 func (t *BPTree) Insert(key uint64, tr *Tracer) {
 	// The common case, a key that extends a strided tail, is push's first
-	// branch spelled out, without a call.
+	// branch spelled out, without a call or a slab lookup: the key is the
+	// cached next stride key, and the next one is a gap further, d0 after
+	// an even key.
 	if tr == nil {
-		n := t.node(t.tail)
-		if int(n.count) < t.fanout && n.extends(key) {
+		n := t.tailNode
+		if key == t.tailNext && n.count >= 3 && int(n.count) < t.fanout {
+			g := n.d1
+			if n.count%2 == 0 {
+				g = n.d0
+			}
 			n.count++
+			t.tailNext += uint64(g)
 			t.size++
 			return
 		}
 		if t.numKeys(n) < t.fanout && t.push(n, key) {
+			t.syncTail()
 			return
 		}
 	}
 	promoted, right := t.insert(t.root, key, tr)
 	if right != noNode {
 		root := t.newNode(false)
-		keys := append(make([]uint64, 0, t.fanout+1), promoted)
-		children := append(make([]int32, 0, t.fanout+2), t.root, right)
 		n := t.node(root)
-		n.base = t.newSlot(keys, children)
+		if right == t.root+1 {
+			n.base, n.count, n.next = promoted, 1, t.root
+			n.setGap(1)
+		} else {
+			keys := append(make([]uint64, 0, t.fanout+1), promoted)
+			children := append(make([]int32, 0, t.fanout+2), t.root, right)
+			n.base = t.newSlot(keys, children)
+		}
 		t.root = root
 		t.height++
 		tr.Touch(n.addr(), true)
 	}
+	t.syncTail()
 }
 
 // tailRoom returns the number of keys above the maximum the tail leaf
@@ -370,7 +447,7 @@ func (t *BPTree) appendRun(first uint64, n int, d0, d1 uint64) {
 		if i == 3 && tail.count != 0 {
 			tail.count += uint16(n - i)
 			t.size += uint64(n - i)
-			return
+			break
 		}
 		t.push(tail, k)
 		if i%2 == 0 {
@@ -379,6 +456,7 @@ func (t *BPTree) appendRun(first uint64, n int, d0, d1 uint64) {
 			k += d1
 		}
 	}
+	t.syncTail()
 }
 
 // push appends key to leaf n when key is above every key of n, and
@@ -397,6 +475,16 @@ func (t *BPTree) push(n *bpNode, key uint64) bool {
 	}
 	t.size++
 	return true
+}
+
+// syncTail sets tailNext to the tail's next stride key when the tail is
+// strided with three or more keys. Insert and appendRun, the only entry
+// points that change a tree, call it before they return, but for
+// Insert's own stride append, which advances tailNext itself.
+func (t *BPTree) syncTail() {
+	if n := t.tailNode; n.count >= 3 {
+		t.tailNext = n.strideKey(int(n.count))
+	}
 }
 
 // extendShort appends key to a leaf of fewer than three keys when the
@@ -455,15 +543,17 @@ func (t *BPTree) insert(ni int32, key uint64, tr *Tracer) (uint64, int32) {
 		}
 		return t.splitLeaf(ni, tr)
 	}
-	w := &t.wide[n.base]
-	ci := findChild(w.keys, key)
-	promoted, right := t.insert(w.children[ci], key, tr)
+	ci, c := t.route(n, key)
+	promoted, right := t.insert(c, key, tr)
 	if right == noNode {
 		return 0, noNode
 	}
 	// The split below may have moved the first chunk and the side table.
+	// A strided node unpacks: right is the slab's newest node, and this
+	// node, or the right half split off beside it, is newer than its last
+	// child, so right never continues its children.
 	n = t.node(ni)
-	w = t.room(n)
+	w := t.room(n)
 	w.keys = append(w.keys, 0)
 	copy(w.keys[ci+1:], w.keys[ci:])
 	w.keys[ci] = promoted
@@ -513,7 +603,7 @@ func (t *BPTree) splitLeaf(ni int32, tr *Tracer) (uint64, int32) {
 	}
 	r.next, n.next = n.next, ri
 	if t.tail == ni {
-		t.tail = ri
+		t.tail, t.tailNode = ri, r
 	}
 	tr.Touch(n.addr(), true)
 	tr.Touch(r.addr(), true)
@@ -549,11 +639,15 @@ func strides(keys []uint64) (d0, d1 uint16, ok bool) {
 }
 
 // splitInternal moves the keys above the middle one, and their children,
-// to a new right sibling and promotes the middle key. As in splitLeaf,
-// the right half takes over the full-size arrays and their slot, entries
-// shifted to the front, and the left half gets a new slot with exact-size
-// copies: ascending loads never insert into it again, and a random insert
-// regrows it once, in room.
+// to a new right sibling and promotes the middle key. The node is wide:
+// an insert unpacks a strided one first (room). As in splitLeaf, the
+// right half takes over the full-size arrays and their slot, entries
+// shifted to the front, since ascending loads keep pushing there; it stays
+// wide because the next child pushed there is allocated after it, past
+// its own slab index. The left half is frozen: strided when its
+// separators and children fit the form (sepStride), else in a new slot
+// with exact-size copies. Ascending loads never insert into it again, and
+// a random insert unpacks or regrows it once, in room.
 func (t *BPTree) splitInternal(ni int32, tr *Tracer) (uint64, int32) {
 	ri := t.newNode(false)
 	n, r := t.node(ni), t.node(ri)
@@ -561,7 +655,12 @@ func (t *BPTree) splitInternal(ni int32, tr *Tracer) (uint64, int32) {
 	w := t.wide[slot]
 	mid := len(w.keys) / 2
 	promoted := w.keys[mid]
-	n.base = t.newSlot(append([]uint64(nil), w.keys[:mid]...), append([]int32(nil), w.children[:mid+1]...))
+	if g, ok := sepStride(w.keys[:mid], w.children[:mid+1]); ok {
+		n.base, n.count, n.next = w.keys[0], uint16(mid), w.children[0]
+		n.setGap(g)
+	} else {
+		n.base = t.newSlot(append([]uint64(nil), w.keys[:mid]...), append([]int32(nil), w.children[:mid+1]...))
+	}
 	r.base = slot
 	t.wide[slot] = bpArrays{w.keys[:copy(w.keys, w.keys[mid+1:])], w.children[:copy(w.children, w.children[mid+1:])]}
 	tr.Touch(n.addr(), true)
@@ -569,14 +668,38 @@ func (t *BPTree) splitInternal(ni int32, tr *Tracer) (uint64, int32) {
 	return promoted, ri
 }
 
+// sepStride reports whether a wide internal node's separators and
+// children fit the strided form, and the separators' gap: at least two
+// separators at one gap below 2^32, and children at consecutive slab
+// indices.
+func sepStride(keys []uint64, children []int32) (uint64, bool) {
+	if len(keys) < 2 || keys[1]-keys[0] >= 1<<32 {
+		return 0, false
+	}
+	g := keys[1] - keys[0]
+	for i := 2; i < len(keys); i++ {
+		if keys[i]-keys[i-1] != g {
+			return 0, false
+		}
+	}
+	for i, c := range children {
+		if c != children[0]+int32(i) {
+			return 0, false
+		}
+	}
+	return g, true
+}
+
 // CheckInvariants validates the node slab and the tree it holds: chunk
 // sizes, every index in range, each node reached once from the root and
 // each slot owned by exactly one wide node, child counts, fanout bounds,
 // sortedness within subtree bounds, every leaf at the tree's height, the
-// strided form (a leaf only, at least two keys below the root, nonzero
-// gaps, a last key within uint64), a tail that is the last leaf, and a
-// leaf chain linking the leaves in key order. It returns "" when
-// consistent, and a message, never a panic, for a malformed node.
+// strided form (at least two keys below the root, nonzero gaps, a last
+// key within uint64, an internal node's children within the slab), a
+// tail that is the last leaf, with tailNode its node and tailNext its
+// next stride key, and a leaf chain linking the leaves in key order. It
+// returns "" when consistent, and a message, never a panic, for a
+// malformed node.
 func (t *BPTree) CheckInvariants() string {
 	for c, ch := range t.chunks {
 		if want := min(chunkNodes, int(t.nodes)-c*chunkNodes); len(ch) != want {
@@ -592,6 +715,12 @@ func (t *BPTree) CheckInvariants() string {
 	}
 	if last := c.leaves[len(c.leaves)-1]; t.tail != last {
 		return fmt.Sprintf("tail is node %d, last leaf %d", t.tail, last)
+	}
+	if t.tailNode != t.node(t.tail) {
+		return "tailNode is not the tail's node"
+	}
+	if n := t.node(t.tail); n.count >= 3 && t.tailNext != n.strideKey(int(n.count)) {
+		return fmt.Sprintf("tailNext %d, the tail's next stride key %d", t.tailNext, n.strideKey(int(n.count)))
 	}
 	next := c.leaves[0]
 	for _, leaf := range c.leaves {
@@ -625,18 +754,24 @@ type bpChecker struct {
 	leaves  []int32
 }
 
-// checkStrided validates a strided leaf's gaps. The last key's offset
-// from base is below 2^16 * 2^17, so strideKey's offset cannot wrap, but
-// base plus it can.
-func checkStrided(n *bpNode) string {
+// checkStrided validates a strided node's gaps, its last key and an
+// internal node's children. A leaf's last key is less than 2^16 * 2^17
+// past base, and an internal node's less than 2^16 * 2^32, so that offset
+// cannot wrap, but base plus it can.
+func (t *BPTree) checkStrided(n *bpNode) string {
 	switch {
-	case !n.leaf:
-		return "internal node strided"
-	case n.d0 == 0 || n.d1 == 0:
-		return "strided leaf has a zero gap"
+	case n.leaf:
+		if n.d0 == 0 || n.d1 == 0 {
+			return "strided leaf has a zero gap"
+		}
+	case n.gap() == 0:
+		return "strided internal node has a zero gap"
+	case n.next < 0 || int64(n.next)+int64(n.count) >= int64(t.nodes):
+		return fmt.Sprintf("strided internal node's children %d..%d outside the slab [0, %d)",
+			n.next, int64(n.next)+int64(n.count), t.nodes)
 	}
-	if last := n.strideKey(int(n.count)-1) - n.base; n.base > ^uint64(0)-last {
-		return "strided leaf's last key past 2^64"
+	if last := t.keyAt(n, int(n.count)-1) - n.base; n.base > ^uint64(0)-last {
+		return "strided node's last key past 2^64"
 	}
 	return ""
 }
@@ -654,11 +789,11 @@ func (c *bpChecker) check(ni int32, depth int, lo, hi *uint64) string {
 	c.reached[ni] = true
 	n := t.node(ni)
 	if n.count != 0 {
-		if msg := checkStrided(n); msg != "" {
+		if msg := t.checkStrided(n); msg != "" {
 			return msg
 		}
 		if n.count < 2 && ni != t.root {
-			return "strided leaf below the root holds fewer than 2 keys"
+			return "strided node below the root holds fewer than 2 keys"
 		}
 	} else {
 		if n.base >= uint64(len(t.wide)) {
@@ -679,18 +814,19 @@ func (c *bpChecker) check(ni int32, depth int, lo, hi *uint64) string {
 			return fmt.Sprintf("leaf %d holds children", ni)
 		}
 		c.leaves = append(c.leaves, ni)
-	} else if n.next != noNode {
-		return fmt.Sprintf("internal node %d has a next leaf", ni)
+	} else if n.count == 0 && n.next != noNode {
+		return fmt.Sprintf("wide internal node %d has a next leaf", ni)
 	}
-	if t.numKeys(n) > t.fanout {
+	keys := t.numKeys(n)
+	if keys > t.fanout {
 		return "node over fanout"
 	}
-	for i := 1; i < t.numKeys(n); i++ {
+	for i := 1; i < keys; i++ {
 		if t.keyAt(n, i-1) >= t.keyAt(n, i) {
 			return "keys unsorted"
 		}
 	}
-	for i := range t.numKeys(n) {
+	for i := range keys {
 		k := t.keyAt(n, i)
 		if lo != nil && k < *lo {
 			return "key below subtree bound"
@@ -702,19 +838,21 @@ func (c *bpChecker) check(ni int32, depth int, lo, hi *uint64) string {
 	if n.leaf {
 		return ""
 	}
-	w := t.wide[n.base]
-	if len(w.children) != len(w.keys)+1 {
-		return fmt.Sprintf("internal node %d: %d children for %d keys", ni, len(w.children), len(w.keys))
+	if n.count == 0 && len(t.wide[n.base].children) != keys+1 {
+		return fmt.Sprintf("internal node %d: %d children for %d keys", ni, len(t.wide[n.base].children), keys)
 	}
-	for i, child := range w.children {
+	for i := range keys + 1 {
 		clo, chi := lo, hi
+		var klo, khi uint64
 		if i > 0 {
-			clo = &w.keys[i-1]
+			klo = t.keyAt(n, i-1)
+			clo = &klo
 		}
-		if i < len(w.keys) {
-			chi = &w.keys[i]
+		if i < keys {
+			khi = t.keyAt(n, i)
+			chi = &khi
 		}
-		if msg := c.check(child, depth+1, clo, chi); msg != "" {
+		if msg := c.check(t.child(n, i), depth+1, clo, chi); msg != "" {
 			return msg
 		}
 	}

@@ -64,10 +64,10 @@ func (th treeHasher) tree(t *BPTree) {
 		// fanout+2 stands where the hashes were recorded with the child
 		// array's capacity, which was fanout+2 for every internal node
 		// before splits froze left halves at exact size.
-		children := t.wide[n.base].children
-		th.put(uint64(len(children)), uint64(t.fanout+2))
-		for _, c := range children {
-			walk(c)
+		children := t.numKeys(n) + 1
+		th.put(uint64(children), uint64(t.fanout+2))
+		for i := range children {
+			walk(t.child(n, i))
 		}
 	}
 	walk(t.root)
@@ -108,10 +108,10 @@ func (th treeHasher) jobs(w Workload, n int) {
 
 // bpSlabDiff compares two trees' node slabs entry by entry and returns
 // the first difference, or "": size, height, fanout, root and tail, and
-// per slab index the node (page, leaf bit, next, and its strided form's
-// base, count and gaps, or its slot) and a wide node's keys and children
-// with their lengths and capacities. Equal slabs are equal trees, stored
-// alike.
+// per slab index the node (page, leaf bit, next, which is a strided
+// internal node's first child, and its strided form's base, count and
+// gaps, or its slot) and a wide node's keys and children with their
+// lengths and capacities. Equal slabs are equal trees, stored alike.
 func bpSlabDiff(a, b *BPTree) string {
 	switch {
 	case a.size != b.size || a.height != b.height || a.fanout != b.fanout:
@@ -312,13 +312,14 @@ func TestBuiltTreesMatchParent(t *testing.T) {
 }
 
 // TestTATPBuildAllocs pins the heap allocations of the 32 MiB tatp build
-// that `make bench-build` times: node slab chunks, internal nodes' arrays,
-// the side tables and the sampler. Its leaves allocate nothing, since
-// every TATP table strides from its first key, so a build whose leaves
-// unpack into key arrays again fails here without a timing gate. A change
-// that moves the count on purpose updates the pin.
+// that `make bench-build` times: node slab chunks, the arrays of internal
+// nodes that stay wide, the side tables and the sampler. Its leaves
+// allocate nothing, since every TATP table strides from its first key,
+// and most internal nodes freeze strided, so a build whose leaves or
+// frozen internal nodes take arrays again fails here without a timing
+// gate. A change that moves the count on purpose updates the pin.
 func TestTATPBuildAllocs(t *testing.T) {
-	const want = 168
+	const want = 74
 	cfg := buildConfig()
 	if got := testing.AllocsPerRun(3, func() { builtWorkload = NewTATP(cfg) }); got != want {
 		t.Errorf("a 32 MiB tatp build made %.0f allocations, pinned %d", got, want)
@@ -354,4 +355,38 @@ func BenchmarkWorkloadBuild(b *testing.B) {
 	cfg := buildConfig()
 	cfg.DatasetBytes = 512 << 20
 	b.Run("tatp-512MiB", build("tatp", cfg))
+}
+
+// TestTATPInternalNodesStride builds tatp at 32 MiB and at the
+// benchmark's 512 MiB, logs how many internal nodes of its three trees
+// are strided, and requires at least 95% of them at 512 MiB. Each tree's
+// separators are arithmetic at every level; what stays wide is every
+// node above level 1, whose children sit between runs of leaves in the
+// slab, each tree's first level-1 node, whose children straddle the
+// first root, and the rightmost level-1 node, which keeps the split-size
+// arrays ascending loads push into.
+func TestTATPInternalNodesStride(t *testing.T) {
+	for _, mib := range []uint64{32, 512} {
+		cfg := buildConfig()
+		cfg.DatasetBytes = mib << 20
+		tp := NewTATP(cfg)
+		var internal, strided int
+		for _, tree := range []*BPTree{tp.subscribers, tp.accessInfo, tp.specialFac} {
+			if msg := tree.CheckInvariants(); msg != "" {
+				t.Fatal(msg)
+			}
+			for ni := range tree.nodes {
+				if n := tree.node(ni); !n.leaf {
+					internal++
+					if n.count != 0 {
+						strided++
+					}
+				}
+			}
+		}
+		t.Logf("%d MiB: %d of %d internal nodes strided (%.1f%%)", mib, strided, internal, 100*float64(strided)/float64(internal))
+		if mib == 512 && 100*strided < 95*internal {
+			t.Errorf("%d MiB: %d of %d internal nodes strided, want at least 95%%", mib, strided, internal)
+		}
+	}
 }

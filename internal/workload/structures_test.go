@@ -234,21 +234,33 @@ func TestBPTreePropertyOrderAndPresence(t *testing.T) {
 }
 
 // storageError reports how node ni breaks the storage rule, or "". A
-// left half frozen by a split and not inserted into since holds arrays
-// of its exact size, and any other node arrays of the split size:
-// fanout+1 keys and, for an internal node, room for at most fanout+2
-// children (a frozen half's children array may round up to its size
-// class). Leaves follow leafStorageError.
+// strided node follows checkStrided. A wide internal left half frozen by
+// a split and not inserted into since is strided when its separators and
+// children fit the form (sepStride), and holds exact-size arrays when
+// they do not. Any other wide internal node holds arrays of the split
+// size: fanout+1 keys and room for at most fanout+2 children (a frozen
+// half's children array may round up to its size class). Leaves follow
+// leafStorageError.
 func storageError(t *BPTree, ni int32) string {
-	if n := t.node(ni); !n.leaf {
-		w := t.wide[n.base]
-		if cap(w.keys) != len(w.keys) && cap(w.keys) != t.fanout+1 || cap(w.children) > t.fanout+2 {
-			return fmt.Sprintf("internal node keys len %d, cap %d, children cap %d; want exact or %d keys, at most %d children",
-				len(w.keys), cap(w.keys), cap(w.children), t.fanout+1, t.fanout+2)
-		}
-		return ""
+	n := t.node(ni)
+	if n.leaf {
+		return leafStorageError(t, ni)
 	}
-	return leafStorageError(t, ni)
+	if n.count != 0 {
+		return t.checkStrided(n)
+	}
+	w := t.wide[n.base]
+	switch {
+	case cap(w.keys) == t.fanout+1 && cap(w.children) <= t.fanout+2:
+		return ""
+	case cap(w.keys) != len(w.keys) || cap(w.children) > t.fanout+2:
+		return fmt.Sprintf("internal node keys len %d, cap %d, children cap %d; want exact or %d keys, at most %d children",
+			len(w.keys), cap(w.keys), cap(w.children), t.fanout+1, t.fanout+2)
+	}
+	if g, ok := sepStride(w.keys, w.children); ok {
+		return fmt.Sprintf("exact-size internal node has gap %#x and consecutive children, which stride", g)
+	}
+	return ""
 }
 
 // leafStorageError reports how leaf n breaks the storage rule, or "". A
@@ -260,7 +272,7 @@ func storageError(t *BPTree, ni int32) string {
 func leafStorageError(t *BPTree, ni int32) string {
 	n := t.node(ni)
 	if n.count != 0 {
-		return checkStrided(n)
+		return t.checkStrided(n)
 	}
 	keys := t.wide[n.base].keys
 	switch {
@@ -279,7 +291,7 @@ func leafStorageError(t *BPTree, ni int32) string {
 func bpLeaves(t *BPTree) []int32 {
 	ni := t.root
 	for !t.node(ni).leaf {
-		ni = t.wide[t.node(ni).base].children[0]
+		ni = t.child(t.node(ni), 0)
 	}
 	var out []int32
 	for ; ni != noNode; ni = t.node(ni).next {
@@ -294,8 +306,9 @@ func wideKeys(t *BPTree, ni int32) []uint64 { return t.wide[t.node(ni).base].key
 // TestBPTreeAscendingLoadTrimsLeaves loads the same keys untraced (the
 // tail append) and through a sink (the searched descent), and requires
 // identical leaves from both: every leaf strided at gap 1 with no key
-// array, 128 keys in each but the tail, which holds the rest, and no
-// side-table slot but the internal nodes'.
+// array, 128 keys in each but the tail, which holds the rest, no
+// side-table slot but the wide internal nodes', and some internal nodes
+// strided.
 func TestBPTreeAscendingLoadTrimsLeaves(t *testing.T) {
 	load := func(tr *Tracer) *BPTree {
 		tree := NewBPTree(testArena(), 256)
@@ -330,8 +343,17 @@ func TestBPTreeAscendingLoadTrimsLeaves(t *testing.T) {
 				i, n.base, n.count, n.d0, n.d1, i*128, want)
 		}
 	}
-	if internal := tree.nodes - int32(len(leaves)); len(tree.wide) != int(internal) {
-		t.Fatalf("%d side-table slots for %d internal nodes", len(tree.wide), internal)
+	var internal, wide int
+	for ni := range tree.nodes {
+		if n := tree.node(ni); !n.leaf {
+			internal++
+			if n.count == 0 {
+				wide++
+			}
+		}
+	}
+	if len(tree.wide) != wide || wide == internal {
+		t.Fatalf("%d side-table slots for %d wide of %d internal nodes", len(tree.wide), wide, internal)
 	}
 }
 
@@ -603,7 +625,7 @@ func TestBPTreeStridedSearchMatchesLowerBound(t *testing.T) {
 		n := &bpNode{leaf: true, base: c.base, count: c.count, d0: c.d0, d1: c.d1}
 		tree := &BPTree{}
 		name := fmt.Sprintf("base %#x count %d gaps %#x/%#x", c.base, c.count, c.d0, c.d1)
-		if msg := checkStrided(n); msg != "" {
+		if msg := tree.checkStrided(n); msg != "" {
 			t.Fatalf("%s: %s", name, msg)
 		}
 		keys := make([]uint64, c.count)
@@ -633,35 +655,47 @@ func TestBPTreeStridedSearchMatchesLowerBound(t *testing.T) {
 }
 
 // TestBPTreeCheckInvariantsRejectsMalformedStrided corrupts a strided
-// leaf (and the tail and an internal node) in each way CheckInvariants
-// must catch, and requires that message rather than a panic.
+// leaf and a strided internal node in each way CheckInvariants must
+// catch, and requires that message rather than a panic.
 func TestBPTreeCheckInvariantsRejectsMalformedStrided(t *testing.T) {
 	for _, c := range []struct {
 		name    string
-		corrupt func(tree *BPTree, n *bpNode)
+		corrupt func(tree *BPTree, leaf, internal *bpNode)
 		want    string
 	}{
-		{"count below 2", func(_ *BPTree, n *bpNode) { n.count = 1 }, "fewer than 2 keys"},
-		{"zero even gap", func(_ *BPTree, n *bpNode) { n.d0 = 0 }, "zero gap"},
-		{"zero gaps", func(_ *BPTree, n *bpNode) { n.d0, n.d1 = 0, 0 }, "zero gap"},
-		{"last key past 2^64", func(_ *BPTree, n *bpNode) { n.base = ^uint64(0) - 6 }, "past 2^64"},
-		{"internal strided", func(tree *BPTree, _ *bpNode) {
-			root := tree.node(tree.root)
-			root.count, root.d0, root.d1 = 2, 1, 1
-		}, "internal node strided"},
+		{"count below 2", func(_ *BPTree, n, _ *bpNode) { n.count = 1 }, "fewer than 2 keys"},
+		{"zero even gap", func(_ *BPTree, n, _ *bpNode) { n.d0 = 0 }, "zero gap"},
+		{"zero gaps", func(_ *BPTree, n, _ *bpNode) { n.d0, n.d1 = 0, 0 }, "zero gap"},
+		{"last key past 2^64", func(_ *BPTree, n, _ *bpNode) { n.base = ^uint64(0) - 6 }, "past 2^64"},
+		{"internal gap 0", func(_ *BPTree, _, n *bpNode) { n.d0, n.d1 = 0, 0 }, "zero gap"},
+		{"internal count below 2", func(_ *BPTree, _, n *bpNode) { n.count = 1 }, "fewer than 2 keys"},
+		{"internal count above fanout", func(tree *BPTree, _, n *bpNode) { n.count = uint16(tree.fanout + 1) }, "over fanout"},
+		{"internal last key past 2^64", func(_ *BPTree, _, n *bpNode) { n.base = ^uint64(0) - n.gap() }, "past 2^64"},
+		{"internal children past the slab", func(tree *BPTree, _, n *bpNode) { n.next = tree.nodes - int32(n.count) }, "outside the slab"},
+		{"internal first child negative", func(_ *BPTree, _, n *bpNode) { n.next = -1 }, "outside the slab"},
 	} {
 		tree := NewBPTree(testArena(), 16)
-		for k := range uint64(100) {
+		for k := range uint64(2000) {
 			tree.Insert(k, nil)
 		}
 		if msg := tree.CheckInvariants(); msg != "" {
 			t.Fatalf("%s: before corrupting: %s", c.name, msg)
 		}
-		n := tree.node(bpLeaves(tree)[0])
-		if n.count != 8 {
-			t.Fatalf("%s: first leaf count %d, want strided with 8", c.name, n.count)
+		leaf := tree.node(bpLeaves(tree)[0])
+		if leaf.count != 8 {
+			t.Fatalf("%s: first leaf count %d, want strided with 8", c.name, leaf.count)
 		}
-		c.corrupt(tree, n)
+		var internal *bpNode
+		for ni := range tree.nodes {
+			if n := tree.node(ni); !n.leaf && n.count != 0 && ni != tree.root {
+				internal = n
+				break
+			}
+		}
+		if internal == nil || internal.count != 8 || internal.gap() != 8 {
+			t.Fatalf("%s: first strided internal node %+v, want 8 separators at gap 8", c.name, internal)
+		}
+		c.corrupt(tree, leaf, internal)
 		if msg := tree.CheckInvariants(); !strings.Contains(msg, c.want) {
 			t.Errorf("%s: CheckInvariants = %q, want %q", c.name, msg, c.want)
 		}
@@ -1047,10 +1081,13 @@ func TestMasstreePropertyRoundTrip(t *testing.T) {
 // the stored keys. Op bytes from 0xf0 append at the tail against its
 // stride: its next stride key or one past it, one key at a time, or an
 // appendRun that continues the stride or breaks it at its first, second
-// or third key. A traced twin takes every insert, appended runs too, as
-// one Insert per key through the searched descent; after each op both
-// trees' node slabs must be equal (bpSlabDiff), and the untraced tree's
-// tail must be its last leaf.
+// or third key. Op bytes from 0xe0 to 0xef split a leaf of a strided
+// internal node, its last child or another, by inserting keys inside
+// the leaf, so the strided node takes a separator and a child that
+// break its children's run and unpacks. A traced twin takes every
+// insert, appended runs too, as one Insert per key through the searched
+// descent; after each op both trees' node slabs must be equal
+// (bpSlabDiff), and the untraced tree's tail must be its last leaf.
 func FuzzBPTree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, fan byte, ops []byte) {
 		// Halves fill size classes exactly; a full leaf at fanout 6 splits
@@ -1112,8 +1149,11 @@ func FuzzBPTree(f *testing.F) {
 			ops = ops[2:]
 			key := arg // a small key space, so inserts collide
 			sel := op % 9
-			if op >= 0xf0 {
+			switch {
+			case op >= 0xf0:
 				sel = 9
+			case op >= 0xe0:
+				sel = 10
 			}
 			switch sel {
 			case 0: // ascending run above the maximum
@@ -1203,6 +1243,53 @@ func FuzzBPTree(f *testing.F) {
 						d1++
 					}
 					appendRun(k, min(int(arg/4%4)*3+1, tree.tailRoom()), d0, d1)
+				}
+			case 10: // split a leaf of a strided internal node from inside it
+				var last, inner []int32
+				var walk func(ni int32)
+				walk = func(ni int32) {
+					n := tree.node(ni)
+					if n.leaf {
+						return
+					}
+					keys, strided := tree.numKeys(n), n.count != 0
+					for i := range keys + 1 {
+						c := tree.child(tree.node(ni), i)
+						switch {
+						case !strided || !tree.node(c).leaf:
+						case i == keys:
+							last = append(last, c)
+						default:
+							inner = append(inner, c)
+						}
+						walk(c)
+					}
+				}
+				walk(tree.root)
+				leaves := last
+				if arg%2 == 1 && len(inner) > 0 || len(last) == 0 {
+					leaves = inner
+				}
+				if len(leaves) == 0 {
+					break
+				}
+				// Insert k+1, then k+2, for the leaf's keys k, where absent,
+				// until the leaf splits: each lands in the same leaf, so the
+				// split pushes a separator and a new child into the strided
+				// parent at the leaf's position, which breaks its children's
+				// run and, but for a one-separator root, its separators' gap.
+				leaf := tree.node(leaves[int(arg/2)%len(leaves)])
+				need := fanout + 1 - tree.numKeys(leaf)
+				var keys []uint64
+				for d := uint64(1); d <= 2; d++ {
+					for i := range tree.numKeys(leaf) {
+						if k := tree.keyAt(leaf, i) + d; !has(k) && len(keys) < need {
+							keys = append(keys, k)
+						}
+					}
+				}
+				for _, k := range keys {
+					insert(k)
 				}
 			}
 			if maxKey > math.MaxUint64/2 { // the "above the maximum" runs would wrap
