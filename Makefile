@@ -85,10 +85,12 @@ bench-harness:
 	$(GO) -C benchmark test ./...
 
 ## Engine, stats and Zipf-draw microbenchmarks (allocation counts
-## included). BENCHFLAGS passes extra go test flags (CI runs
-## `make bench-engine BENCHFLAGS='-benchtime 1x'`).
+## included), and the per-access path's layer number: ns, allocations and
+## engine events per completed job on a saturated 4-core tatp machine,
+## DRAM-only and AstriFlash (BenchmarkSystemJob). BENCHFLAGS passes extra
+## go test flags (CI runs `make bench-engine BENCHFLAGS='-benchtime 1x'`).
 bench-engine:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkHistogram|BenchmarkZipfNext|BenchmarkHotColdNext' -benchmem $(BENCHFLAGS) ./internal/sim ./internal/stats ./internal/mem
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkHistogram|BenchmarkZipfNext|BenchmarkHotColdNext|BenchmarkSystemJob' -benchmem $(BENCHFLAGS) ./internal/sim ./internal/stats ./internal/mem ./internal/system
 
 ## Workload construction microbenchmarks: ns/op and allocs/op of building
 ## each registered workload at 32 MiB and tatp at 512 MiB (the

@@ -52,30 +52,34 @@ func TestAdmitAllBitIdentity(t *testing.T) {
 	}
 }
 
-// TestWriteThresholdMonotone tightens the write-threshold bar and checks
-// that flash writes do not increase at this configuration and seed: a
-// stricter admission filter diverts more cold fetches to the bypass ring.
-// Each run is deterministic, so the check gives the same answer every
-// time, but it is not a property of the policy. A stricter bar also
-// changes which pages stay resident, and so what later misses and is
-// written back: with Seed 3 the same configuration writes 174 pages at
-// bar 1 and 188 at bar 2.
+// TestWriteThresholdMonotone tightens the write-threshold bar through 1,
+// 2, 4 and 8 and checks the two properties that held on every seed
+// probed (0xa57f and 1 to 5): the filter diverts no fewer fetches to the
+// bypass ring as the bar rises, and flash writes fall from bar 2 to 4 to
+// 8. Writes from bar 1 to bar 2 are not checked: at that step the
+// stricter bar changes which pages stay resident, and so what later
+// misses and is written back, by more than it diverts (writes rose there
+// on 3 of the 12 seed and tie-order series probed, such as 174 to 188
+// pages on seed 3).
 func TestWriteThresholdMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four simulation points")
 	}
-	prev := uint64(0)
-	first := true
+	var prev Metrics
 	for _, bar := range []int{1, 2, 4, 8} {
 		m := econTestMetrics(t, "write-threshold", bar)
 		if m.Jobs == 0 {
 			t.Fatalf("threshold %d: no jobs completed", bar)
 		}
-		if !first && m.FlashWrites > prev {
-			t.Errorf("flash writes rose from %d to %d as the threshold tightened to %d",
-				prev, m.FlashWrites, bar)
+		if bar > 1 && m.AdmissionBypassed < prev.AdmissionBypassed {
+			t.Errorf("bypassed fetches fell from %d to %d as the threshold tightened to %d",
+				prev.AdmissionBypassed, m.AdmissionBypassed, bar)
 		}
-		prev, first = m.FlashWrites, false
+		if bar > 2 && m.FlashWrites >= prev.FlashWrites {
+			t.Errorf("flash writes went from %d to %d as the threshold tightened to %d, want a fall",
+				prev.FlashWrites, m.FlashWrites, bar)
+		}
+		prev = m
 	}
 }
 

@@ -70,25 +70,25 @@ func hostCostPins() []hostCostPin {
 					MeasureNs:   40_000_000,
 				})
 			},
-			events: 4_286_556, jobs: 56_961, heapMiB: 0.916, mallocsPerJob: 0.0665,
+			events: 2_342_221, jobs: 56_961, heapMiB: 0.916, mallocsPerJob: 0.0665,
 		},
 		{
 			name:   "tatp-dram",
 			opts:   opts(DRAMOnly, "tatp", 8, 32<<20),
 			run:    saturated(48, 10_000_000, 50_000_000),
-			events: 5_546_164, jobs: 80_296, heapMiB: 0.909, mallocsPerJob: 0.0105,
+			events: 166_601, jobs: 80_292, heapMiB: 0.909, mallocsPerJob: 0.0105,
 		},
 		{
 			name:   "tinykv-write",
 			opts:   tinykv,
 			run:    saturated(48, 10_000_000, 400_000_000),
-			events: 3_078_842, jobs: 117_471, heapMiB: 0.166, mallocsPerJob: 0.0148,
+			events: 1_998_497, jobs: 114_633, heapMiB: 0.166, mallocsPerJob: 0.0148,
 		},
 		{
 			name:   "tatp-512m",
 			opts:   opts(AstriFlash, "tatp", 16, 512<<20),
 			run:    saturated(48, 5_000_000, 10_000_000),
-			events: 2_187_041, jobs: 21_156, heapMiB: 4.10, mallocsPerJob: 0.1186,
+			events: 1_248_180, jobs: 21_147, heapMiB: 4.10, mallocsPerJob: 0.1186,
 		},
 	}
 }

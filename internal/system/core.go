@@ -47,6 +47,9 @@ type jobState struct {
 	// dcIssued is the step's DRAM-cache issue instant, read by the
 	// allocation-free reply event (flat.go) to price the DRAM stage.
 	dcIssued sim.Time
+	// hitDone is when the current on-chip hit returns, read by its
+	// recency-refresh event (flat.go) to run the job on from there.
+	hitDone sim.Time
 	// th and tk are the job's user-level thread (user-thread modes) and
 	// OS task (OS-Swap): Spawn initialises them and freeJob clears them,
 	// so they pool with the job.
@@ -171,13 +174,10 @@ func (s *System) newCore(id int) *coreState {
 	return c
 }
 
-// Package-level event callbacks for the per-access hot path: scheduling
-// (top-level func, pointer arg) pairs through AfterFunc avoids a closure
-// allocation on every simulated compute/access/step transition.
-func jobChipAccessEvent(a any) { j := a.(*jobState); j.core.chipAccess(j) }
-func jobDRAMAccessEvent(a any) { j := a.(*jobState); j.core.dramAccess(j) }
-func jobStepDoneEvent(a any)   { j := a.(*jobState); j.core.stepDone(j) }
-func coreKickEvent(a any)      { a.(*coreState).kick() }
+// coreKickEvent runs the core's scheduler; like the per-access path's
+// callbacks (flat.go), a (top-level func, pointer arg) pair schedules
+// allocation-free.
+func coreKickEvent(a any) { a.(*coreState).kick() }
 
 // enqueue adds a new job to the core's scheduler.
 func (c *coreState) enqueue(job *jobState) {
@@ -288,10 +288,14 @@ func (c *coreState) start(job *jobState, th *uthread.Thread, tk *ospaging.Task) 
 			job.readyAt = 0
 		}
 		// The saved access re-issues at once: no compute precedes it.
-		c.flatAccess(job, now, true)
+		if t, ok := c.translate(job, now, true); ok {
+			if t, ok = c.chipProbe(job, t); ok {
+				c.runStepAt(job, t)
+			}
+		}
 		return
 	}
-	c.runStep(job)
+	c.runStepAt(job, now)
 }
 
 // complete retires the job and frees the core.
@@ -324,40 +328,11 @@ func (c *coreState) complete(job *jobState) {
 		c.s.onJobDone(c)
 	}
 	c.kick()
-	// The completion is the job's last step event. freeJob recycles the
+	// The completion is the job's last event. freeJob recycles the
 	// record now, or, while a page registration is still outstanding (an
 	// aged-promoted thread can retire before its parked wait fires), marks
 	// it retired so waitDone recycles it when the last one fires.
 	c.s.freeJob(job)
-}
-
-// chipAccess probes the on-chip hierarchy.
-func (c *coreState) chipAccess(job *jobState) {
-	step := job.steps[job.pc]
-	r := c.hier.Access(step.Access)
-	now := c.s.eng.Now()
-	c.s.attrAt(attrOnChip, r.Latency, now)
-	c.spanAt(now, job, obs.StageOnChip, 0, now, now+r.Latency)
-	if !r.ToDRAM {
-		// The reference is served on chip; refresh the page's recency so
-		// the DRAM cache's replacement policy sees the reuse. DRAM-only
-		// mode never installs a page, so there is nothing to refresh.
-		if c.s.cfg.Mode != DRAMOnly {
-			c.s.dc.Touch(step.Access.Page())
-		}
-		c.s.eng.AfterFunc(r.Latency, jobStepDoneEvent, job)
-		return
-	}
-	c.s.eng.AfterFunc(r.Latency, jobDRAMAccessEvent, job)
-}
-
-// stepDone advances the job past a completed access.
-func (c *coreState) stepDone(job *jobState) {
-	if job.forced {
-		job.forced = false // the forced access retired
-	}
-	job.pc++
-	c.runStep(job)
 }
 
 // onDRAMMiss routes a DRAM-cache miss through the configured mechanism.

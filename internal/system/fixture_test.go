@@ -11,14 +11,32 @@ import (
 	"astriflash/internal/obs"
 )
 
-var updateFixture = flag.Bool("update", false, "regenerate testdata/outputs.txt from the current code")
+var updateFixture = flag.Bool("update", false, "rewrite the output fixtures of the tests that run from the current code")
 
-// fixtureFile freezes the per-access path's observable outputs over 14
+// A fixture freezes the per-access path's observable outputs over 14
 // configurations: the full Result, the span count and a hash of the
-// canonically sorted span stream. It was recorded from the
-// one-event-per-stage chain the per-access path (flat.go) was folded
-// from, so it pins that path to the chain's outputs bit for bit.
-const fixtureFile = "testdata/outputs.txt"
+// canonically sorted span stream. Each file is read (and, with -update,
+// written) once per test binary.
+type fixture struct {
+	file  string
+	cores int     // Config.Cores of every case
+	gapNs float64 // mean arrival gap of the open-loop case
+
+	once    sync.Once
+	entries map[string]string
+	err     error
+}
+
+var (
+	// legacyFixture runs the 4-core machine. Same-instant events on
+	// different cores fire in push order, so a change to when the
+	// per-access path pushes its events may move it (flat.go rule 2).
+	legacyFixture = &fixture{file: "testdata/outputs.txt", cores: 4, gapNs: 2_000}
+	// oneCoreFixture runs the same cases on one core, where no two cores'
+	// events can tie: it pins the per-access path to the outputs the
+	// one-event-per-stage chain produced, however events are pushed.
+	oneCoreFixture = &fixture{file: "testdata/outputs.onecore.txt", cores: 1, gapNs: 8_000}
+)
 
 // fixtureCase is one recorded configuration.
 type fixtureCase struct {
@@ -65,12 +83,14 @@ func fixtureCases() []fixtureCase {
 	return append(cs, openLoopCases()...)
 }
 
-// fixtureEntry runs one case with a tracer attached and renders its
-// outputs as three lines. %v prints floats in their shortest round-trip
-// form and maps with sorted keys, so the text is exact.
-func fixtureEntry(t *testing.T, fc fixtureCase) string {
+// entry runs one case with a tracer attached and renders its outputs as
+// three lines. %v prints floats in their shortest round-trip form and maps
+// with sorted keys, so the text is exact.
+func (fx *fixture) entry(t *testing.T, fc fixtureCase) string {
 	t.Helper()
-	s, err := New(testConfig(fc.mode, fc.wl))
+	cfg := testConfig(fc.mode, fc.wl)
+	cfg.Cores = fx.cores
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +98,7 @@ func fixtureEntry(t *testing.T, fc fixtureCase) string {
 	s.EnableTracing(tr)
 	var r Result
 	if fc.open {
-		r = runPoisson(t, s, 2_000, 2_000_000, 6_000_000)
+		r = runPoisson(t, s, fx.gapNs, 2_000_000, 6_000_000)
 	} else {
 		r = s.RunClosedLoop(48, 5_000_000, 10_000_000)
 	}
@@ -112,39 +132,32 @@ func spanHash(spans []obs.Span) uint64 {
 	return h
 }
 
-var (
-	fixtureOnce sync.Once
-	fixture     map[string]string
-	fixtureErr  error
-)
-
-// readFixture returns the recorded entries keyed by case name, first
-// rewriting the file from the current code when -update is set. The file
-// is read (and written) once per test binary.
-func readFixture(t *testing.T) map[string]string {
+// read returns the recorded entries keyed by case name, first rewriting
+// the file from the current code when -update is set.
+func (fx *fixture) read(t *testing.T) map[string]string {
 	t.Helper()
-	fixtureOnce.Do(func() {
-		// Left set if fixtureEntry stops the first caller mid-update.
-		fixtureErr = fmt.Errorf("%s: update did not finish", fixtureFile)
+	fx.once.Do(func() {
+		// Left set if entry stops the first caller mid-update.
+		fx.err = fmt.Errorf("%s: update did not finish", fx.file)
 		if *updateFixture {
 			var b strings.Builder
 			for _, fc := range fixtureCases() {
-				b.WriteString(fixtureEntry(t, fc))
+				b.WriteString(fx.entry(t, fc))
 			}
-			if fixtureErr = os.WriteFile(fixtureFile, []byte(b.String()), 0o644); fixtureErr != nil {
+			if fx.err = os.WriteFile(fx.file, []byte(b.String()), 0o644); fx.err != nil {
 				return
 			}
 		}
-		fixture, fixtureErr = parseFixture()
+		fx.entries, fx.err = fx.parse()
 	})
-	if fixtureErr != nil {
-		t.Fatal(fixtureErr)
+	if fx.err != nil {
+		t.Fatal(fx.err)
 	}
-	return fixture
+	return fx.entries
 }
 
-func parseFixture() (map[string]string, error) {
-	data, err := os.ReadFile(fixtureFile)
+func (fx *fixture) parse() (map[string]string, error) {
+	data, err := os.ReadFile(fx.file)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +166,7 @@ func parseFixture() (map[string]string, error) {
 		lines = lines[:len(lines)-1]
 	}
 	if len(lines)%3 != 0 {
-		return nil, fmt.Errorf("%s: %d lines, want three per case", fixtureFile, len(lines))
+		return nil, fmt.Errorf("%s: %d lines, want three per case", fx.file, len(lines))
 	}
 	want := make(map[string]string)
 	for i := 0; i < len(lines); i += 3 {
@@ -161,50 +174,61 @@ func parseFixture() (map[string]string, error) {
 		want[name] = lines[i] + lines[i+1] + lines[i+2]
 	}
 	if len(want) != len(fixtureCases()) {
-		return nil, fmt.Errorf("%s holds %d cases, want %d", fixtureFile, len(want), len(fixtureCases()))
+		return nil, fmt.Errorf("%s holds %d cases, want %d", fx.file, len(want), len(fixtureCases()))
 	}
 	return want, nil
 }
 
-// checkFixture runs cases as parallel subtests (each builds its own
-// System) and fails on any difference from the recorded outputs.
-// Regenerate after an intentional change to simulated behaviour with:
+// check runs cases as parallel subtests (each builds its own System) and
+// fails on any difference from the recorded outputs. Regenerate the
+// 4-core file after an intentional change to simulated behaviour with:
 // go test ./internal/system -run TestFlatMatchesLegacy -update
-func checkFixture(t *testing.T, cases []fixtureCase) {
-	want := readFixture(t)
+func (fx *fixture) check(t *testing.T, cases []fixtureCase) {
+	want := fx.read(t)
 	for _, fc := range cases {
 		w, ok := want[fc.name()]
 		if !ok {
-			t.Errorf("%s has no case %s", fixtureFile, fc.name())
+			t.Errorf("%s has no case %s", fx.file, fc.name())
 			continue
 		}
 		t.Run(fc.name(), func(t *testing.T) {
 			t.Parallel()
-			if got := fixtureEntry(t, fc); got != w {
-				t.Errorf("outputs differ from %s\ngot:\n%swant:\n%s", fixtureFile, got, w)
+			if got := fx.entry(t, fc); got != w {
+				t.Errorf("outputs differ from %s\ngot:\n%swant:\n%s", fx.file, got, w)
 			}
 		})
 	}
 }
 
-// The three tests below hold the per-access path to the outputs recorded
-// from the deleted one-event-per-stage ("legacy") chain.
+// The three tests below hold the per-access path to testdata/outputs.txt,
+// first recorded from the deleted one-event-per-stage ("legacy") chain and
+// re-recorded once, when the per-access loop changed the order of
+// same-instant events on different cores.
 
 // TestFlatMatchesLegacyAllModes checks every mode over tatp, closed loop.
 func TestFlatMatchesLegacyAllModes(t *testing.T) {
 	t.Parallel()
-	checkFixture(t, modeCases())
+	legacyFixture.check(t, modeCases())
 }
 
 // TestFlatMatchesLegacyWorkloads checks every other workload under
 // AstriFlash, closed loop.
 func TestFlatMatchesLegacyWorkloads(t *testing.T) {
 	t.Parallel()
-	checkFixture(t, workloadCases())
+	legacyFixture.check(t, workloadCases())
 }
 
 // TestFlatMatchesLegacyOpenLoop checks AstriFlash tatp under the open loop.
 func TestFlatMatchesLegacyOpenLoop(t *testing.T) {
 	t.Parallel()
-	checkFixture(t, openLoopCases())
+	legacyFixture.check(t, openLoopCases())
+}
+
+// TestOneCoreMatchesParent runs every case on one core. The 4-core
+// fixture above may move when same-instant events on different cores are
+// reordered; this one may not, since one core's events never tie with
+// another's. A change to simulated behaviour fails it.
+func TestOneCoreMatchesParent(t *testing.T) {
+	t.Parallel()
+	oneCoreFixture.check(t, fixtureCases())
 }

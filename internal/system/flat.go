@@ -1,55 +1,59 @@
 package system
 
-// Per-access hot path: the compute phase, TLB probe, page-table walk and
-// DRAM-cache probe of every simulated memory reference.
+// Per-access hot path: the compute phase, TLB probe, page-table walk,
+// on-chip probe and DRAM-cache probe of every simulated memory reference.
 //
 // Between true wait points every latency on this path is a deterministic
-// sum, so it runs as straight-line code rather than one event per stage.
-// The event that starts a step folds the compute phase, the TLB probe and
-// the flat-partition walk, and schedules the next event directly at the
-// instant the step first touches shared state: the on-chip probe event,
-// whose handler refreshes DRAM-cache recency or issues the DRAM-cache
-// probe. DRAM-cache replies are scheduled allocation-free through AtFunc.
+// sum, so a job's private stages run as one loop rather than one event
+// per stage. runStepAt runs the compute phase, the TLB probe or flat
+// walk, the on-chip probe and the step's retirement at their logical
+// instants, step after step, and returns to the engine only at the first
+// stage that touches state another core can see:
 //
-// Its outputs are bit-identical to the one-event-per-stage chain it was
-// folded from, whose outputs testdata/outputs.txt records (checked by
-// the TestFlatMatchesLegacy tests). Three rules say what folding may
-// change:
+//   - an on-chip hit's DRAM-cache recency refresh (one event at the probe
+//     instant; DRAM-only mode never refreshes, so its on-chip hits cost
+//     no event);
+//   - the DRAM-cache probe, an event at the instant the on-chip probe
+//     returns, whose reply is scheduled allocation-free through AtFunc;
+//   - a noDP page-table walk, which reads table pages through the DRAM
+//     cache;
+//   - the job's completion, which frees the core and offers new work.
 //
-//  1. Private state may move. A core's TLB is touched only by that
-//     core's one running job (shootdowns are priced, never applied), and
-//     its counters are not registered in the metrics registry, so probing
-//     it at the instant the step starts instead of at the logical probe
-//     time is unobservable. Nothing else moves: the on-chip probe, the
-//     DRAM-cache recency refresh, and the probe itself all stay at their
-//     exact per-stage instants.
+// Three rules say what running ahead may change:
 //
-//  2. Same-instant events fire in push order (the engine orders by time,
-//     then push sequence). The folded step pushes jobChipAccessEvent at
-//     the instant the step starts, earlier than the chain did, so it can
-//     trade places with another core's event at the same instant, mostly
-//     jobStepDoneEvent. This is a measured fact, not a proof. Against the
-//     chain's order, over the fixture's 14 configurations, 0.06-2.0% of
-//     firing positions change; with jobChipAccessEvent left out the two
-//     firing sequences are equal, every instant fires the same multiset
-//     of events, and every output is unchanged. chipAccess can reach
-//     shared state whose order matters: dramcache.Cache.Touch bumps the
-//     cache's recency stamp counter, and a dirty LLC victim goes through
-//     the hierarchy's WritebackSink to the DRAM cache or to flash. The
-//     TestFlatMatchesLegacy tests catch a swap that moves an output only
-//     in the configurations they run.
+//  1. Private state may move. A core's TLB and on-chip hierarchy are
+//     touched only by that core's one running job (shootdowns are priced,
+//     never applied; the LLC is per core and fills only at a DRAM-cache
+//     reply, an event), and their counters are not registered in the
+//     metrics registry, so probing them when the job runs ahead instead
+//     of at the logical probe time is unobservable. Nothing shared moves:
+//     the recency refresh, the DRAM-cache probe and the completion all
+//     happen at their exact per-stage instants.
+//
+//  2. Ties between cores are not modelled; one-core runs are pinned to
+//     the parent. Same-instant events fire in push order (the engine
+//     orders by time, then push sequence), and a job that runs ahead
+//     pushes its next event earlier than the one-event-per-stage chain
+//     did, so it can trade places with another core's event at the same
+//     instant. Which of two cores touches shared state first at one
+//     nanosecond is an artefact of the engine, not of the machine, and
+//     the 4-core fixture (testdata/outputs.txt) records the current
+//     order. On one core no two cores' events can tie, and
+//     TestOneCoreMatchesParent holds every fixture case at one core to
+//     the outputs the per-stage chain produced
+//     (testdata/outputs.onecore.txt).
 //
 //  3. Observation follows logical time. The System's own statistics,
 //     attribution charges and request spans are gated by measuredAt
-//     (observe.go): an event's own work on its firing instant, an
-//     inline-executed stage on the instant its event would have fired,
-//     so the measurement window cuts exactly where the per-stage chain's
-//     did. The DRAM cache's fetch spans follow the tracer runWindow arms
-//     after the warmup, and registry counters are windowed by the
-//     snapshot delta in collect.
+//     (observe.go): an event's own work on its firing instant, a stage
+//     run ahead on the instant its event would have fired, so the
+//     measurement window cuts exactly where the per-stage chain's did.
+//     The DRAM cache's fetch spans follow the tracer runWindow arms after
+//     the warmup, and registry counters are windowed by the snapshot
+//     delta in collect.
 //
-// Downstream of the on-chip probe — chipAccess, stepDone and the whole
-// miss machinery — the path continues in core.go.
+// Downstream of the DRAM-cache probe, the miss machinery continues in
+// core.go.
 
 import (
 	"astriflash/internal/obs"
@@ -58,62 +62,109 @@ import (
 
 // Package-level event callbacks for the per-access path; like core.go's,
 // (top-level func, pointer arg) pairs schedule allocation-free.
-func jobDCHitEvent(a any)  { j := a.(*jobState); j.core.flatDCHit(j) }
-func jobDCMissEvent(a any) { j := a.(*jobState); j.core.flatDCMiss(j) }
-func jobWalkEvent(a any)   { j := a.(*jobState); j.core.flatWalkStart(j) }
+func jobTouchEvent(a any)      { j := a.(*jobState); j.core.touchDone(j) }
+func jobDRAMAccessEvent(a any) { j := a.(*jobState); j.core.dramAccess(j) }
+func jobDCHitEvent(a any)      { j := a.(*jobState); j.core.flatDCHit(j) }
+func jobDCMissEvent(a any)     { j := a.(*jobState); j.core.flatDCMiss(j) }
+func jobWalkEvent(a any)       { j := a.(*jobState); j.core.flatWalkStart(j) }
+func jobCompleteEvent(a any)   { j := a.(*jobState); j.core.complete(j) }
 
-// runStep runs the job from the top of step pc at the current instant
-// (steps begin at real events: a step-done, a DRAM-cache reply, a
-// dispatch): it completes the job, or charges the step's compute phase
-// and folds it into the step's memory reference.
-func (c *coreState) runStep(job *jobState) {
-	if job.pc >= len(job.steps) {
-		c.complete(job)
-		return
+// runStepAt runs the job from the top of step pc at logical instant t, no
+// earlier than now: step after step, until a stage touches shared state
+// (the stage's event is then pushed at its instant) or the job completes.
+// The completion is always an event, also when it falls on the current
+// instant (after a DRAM-cache reply), so every completion costs exactly
+// one event (TestDRAMOnlyEventCensus). It is a loop, not a chain of calls,
+// so a long run of on-chip hits keeps the stack flat.
+func (c *coreState) runStepAt(job *jobState, t sim.Time) {
+	for job.pc < len(job.steps) {
+		step := job.steps[job.pc]
+		c.s.attrAt(attrCompute, step.ComputeNs, t)
+		c.spanAt(t, job, obs.StageCompute, 0, t, t+step.ComputeNs)
+		t2, ok := c.translate(job, t+step.ComputeNs, false)
+		if !ok {
+			return
+		}
+		if t, ok = c.chipProbe(job, t2); !ok {
+			return
+		}
 	}
-	t0 := c.s.eng.Now()
-	step := job.steps[job.pc]
-	c.s.attrAt(attrCompute, step.ComputeNs, t0)
-	c.spanAt(t0, job, obs.StageCompute, 0, t0, t0+step.ComputeNs)
-	c.flatAccess(job, t0+step.ComputeNs, false)
+	c.s.eng.AtFunc(t, jobCompleteEvent, job)
 }
 
-// flatAccess performs the step's memory reference. t1 is when the
-// per-stage chain's access event fired (the TLB probe instant). resume
-// marks the re-issued access of a thread regaining the core: the chain
-// ran that probe inline at the current instant, so a noDP walk must also
-// start inline.
-func (c *coreState) flatAccess(job *jobState, t1 sim.Time, resume bool) {
-	step := job.steps[job.pc]
-	vpn := step.Access.Page()
+// translate performs the TLB probe of the step's reference at t1 and
+// returns when translation ends. false means an event-simulated noDP walk
+// took over the step. resume marks the re-issued access of a thread
+// regaining the core: the chain ran that probe inline at the current
+// instant, so a noDP walk also starts inline.
+func (c *coreState) translate(job *jobState, t1 sim.Time, resume bool) (sim.Time, bool) {
+	vpn := job.steps[job.pc].Access.Page()
 	if lat, hit := c.tlb.Lookup(vpn); hit {
 		c.spanAt(t1, job, obs.StageTLB, uint64(vpn), t1, t1+lat)
-		c.s.eng.AtFunc(t1+lat, jobChipAccessEvent, job)
-		return
+		return t1 + lat, true
 	}
 	if c.wkr == nil {
 		// Flat-partition walk: a deterministic sum (levels x flat-DRAM
-		// access) folded into straight-line code.
+		// access).
 		t2 := t1 + flatWalkNs
 		c.s.attrAt(attrWalk, flatWalkNs, t2)
 		c.spanAt(t2, job, obs.StageTLB, uint64(vpn), t1, t2)
 		c.tlb.Insert(vpn)
-		c.s.eng.AtFunc(t2, jobChipAccessEvent, job)
-		return
+		return t2, true
 	}
 	// noDP: the walk reads page-table pages through the DRAM cache
-	// (shared state), so it is event-simulated from t1, where the
-	// per-stage chain's access event started it.
+	// (shared state), so it is event-simulated from t1.
 	if resume {
 		c.flatWalkStart(job)
-		return
+	} else {
+		c.s.eng.AtFunc(t1, jobWalkEvent, job)
 	}
-	c.s.eng.AtFunc(t1, jobWalkEvent, job)
+	return 0, false
+}
+
+// chipProbe probes the on-chip hierarchy at t. On a hit in DRAM-only mode
+// the step retires and chipProbe returns the instant the next one starts;
+// otherwise it pushes the step's next shared-state event and returns
+// false: the DRAM-cache probe, or the hit's recency refresh.
+func (c *coreState) chipProbe(job *jobState, t sim.Time) (sim.Time, bool) {
+	step := job.steps[job.pc]
+	r := c.hier.Access(step.Access)
+	c.s.attrAt(attrOnChip, r.Latency, t)
+	c.spanAt(t, job, obs.StageOnChip, 0, t, t+r.Latency)
+	if r.ToDRAM {
+		c.s.eng.AtFunc(t+r.Latency, jobDRAMAccessEvent, job)
+		return 0, false
+	}
+	if c.s.cfg.Mode != DRAMOnly {
+		// The reference is served on chip; the page's recency refresh
+		// (touchDone) lets the DRAM cache's replacement policy see the
+		// reuse. DRAM-only mode never installs a page, so there is
+		// nothing to refresh.
+		job.hitDone = t + r.Latency
+		c.s.eng.AtFunc(t, jobTouchEvent, job)
+		return 0, false
+	}
+	job.retire()
+	return t + r.Latency, true
+}
+
+// touchDone refreshes the DRAM-cache recency of an on-chip hit's page at
+// the probe instant, retires the step and runs the job on.
+func (c *coreState) touchDone(job *jobState) {
+	c.s.dc.Touch(job.steps[job.pc].Access.Page())
+	job.retire()
+	c.runStepAt(job, job.hitDone)
+}
+
+// retire advances the job past a completed access.
+func (job *jobState) retire() {
+	job.forced = false // a forced access has retired
+	job.pc++
 }
 
 // flatWalkStart begins an event-simulated page-table walk at the current
 // instant (the noDP configuration, where table pages can hit flash). The
-// walk's completion continues into chipAccess.
+// walk's completion continues into the on-chip probe.
 func (c *coreState) flatWalkStart(j *jobState) {
 	vpn := j.steps[j.pc].Access.Page()
 	walkStart := c.s.eng.Now()
@@ -121,7 +172,9 @@ func (c *coreState) flatWalkStart(j *jobState) {
 		c.s.attrAt(attrWalk, at-walkStart, at)
 		c.spanAt(at, j, obs.StageTLB, uint64(vpn), walkStart, at)
 		c.tlb.Insert(vpn)
-		c.chipAccess(j)
+		if t, ok := c.chipProbe(j, at); ok {
+			c.runStepAt(j, t)
+		}
 	})
 }
 
@@ -145,8 +198,8 @@ func (c *coreState) dramAccess(job *jobState) {
 	c.s.eng.AtFunc(r.At, jobDCMissEvent, job)
 }
 
-// flatDCHit is the DRAM-cache reply for a hit; the step retires through
-// stepDone.
+// flatDCHit is the DRAM-cache reply for a hit: the step retires and the
+// job runs on from the reply instant.
 func (c *coreState) flatDCHit(j *jobState) {
 	at := c.s.eng.Now()
 	step := j.steps[j.pc]
@@ -158,7 +211,8 @@ func (c *coreState) flatDCHit(j *jobState) {
 		j.hasPin = false
 	}
 	c.hier.Fill(step.Access)
-	c.stepDone(j)
+	j.retire()
+	c.runStepAt(j, at)
 }
 
 // flatDCMiss is the DRAM-cache reply for a miss: hand off to the miss

@@ -404,7 +404,7 @@ func (t *BPTree) Insert(key uint64, tr *Tracer) {
 			return
 		}
 	}
-	promoted, right := t.insert(t.root, key, tr)
+	promoted, right := t.insert(t.root, 1, key, tr)
 	if right != noNode {
 		root := t.newNode(false)
 		n := t.node(root)
@@ -517,9 +517,12 @@ func (t *BPTree) extendShort(n *bpNode, key uint64) bool {
 	return true
 }
 
-// insert descends recursively; on split it returns the promoted separator
-// key and the new right sibling's index, else noNode.
-func (t *BPTree) insert(ni int32, key uint64, tr *Tracer) (uint64, int32) {
+// insert descends recursively from node ni at level (the root is 1); on
+// split it returns the promoted separator key and the new right sibling's
+// index, else noNode. An internal node at the leaves' level means the
+// child links form a cycle: insert panics naming the node, where the
+// recursion would otherwise overflow the stack.
+func (t *BPTree) insert(ni int32, level int, key uint64, tr *Tracer) (uint64, int32) {
 	n := t.node(ni)
 	tr.Touch(n.addr(), false)
 	if n.leaf {
@@ -543,8 +546,11 @@ func (t *BPTree) insert(ni int32, key uint64, tr *Tracer) (uint64, int32) {
 		}
 		return t.splitLeaf(ni, tr)
 	}
+	if level >= t.height {
+		panic(fmt.Sprintf("bptree: internal node %d at level %d of a %d-level tree", ni, level, t.height))
+	}
 	ci, c := t.route(n, key)
-	promoted, right := t.insert(c, key, tr)
+	promoted, right := t.insert(c, level+1, key, tr)
 	if right == noNode {
 		return 0, noNode
 	}

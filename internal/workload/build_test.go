@@ -19,12 +19,16 @@ func buildConfig() Config {
 
 // treeHasher is FNV-1a 64 (hash/fnv's New64a) over the little-endian
 // bytes of each value put, computed in place: hash.Hash64's Write costs an
-// interface call and a buffer per put.
-type treeHasher struct{ h *uint64 }
+// interface call and a buffer per put. A tree walk that reaches a node
+// twice fails tb.
+type treeHasher struct {
+	tb testing.TB
+	h  *uint64
+}
 
-func newTreeHasher() treeHasher {
+func newTreeHasher(tb testing.TB) treeHasher {
 	h := uint64(14695981039346656037)
-	return treeHasher{&h}
+	return treeHasher{tb, &h}
 }
 
 func (th treeHasher) put(xs ...uint64) {
@@ -46,9 +50,15 @@ func (th treeHasher) sum() uint64 { return *th.h }
 // the logical keys, not how a node stores them (strided or wide, and at
 // what capacity): bpSlabDiff compares that.
 func (th treeHasher) tree(t *BPTree) {
+	th.tb.Helper()
 	th.put(t.size, uint64(t.height))
+	reached := make(map[int32]bool)
 	var walk func(ni int32)
 	walk = func(ni int32) {
+		if reached[ni] {
+			th.tb.Fatalf("treeHasher: node %d reached twice", ni)
+		}
+		reached[ni] = true
 		n := t.node(ni)
 		leaf := uint64(0)
 		if n.leaf {
@@ -77,7 +87,7 @@ func (th treeHasher) tree(t *BPTree) {
 // order.
 func (th treeHasher) layer(l *mtLayer) {
 	th.tree(l.tree)
-	for _, ni := range bpLeaves(l.tree) {
+	for _, ni := range bpLeaves(th.tb, l.tree) {
 		n := l.tree.node(ni)
 		for i := range l.tree.numKeys(n) {
 			k := l.tree.keyAt(n, i)
@@ -300,7 +310,7 @@ func TestBuiltTreesMatchParent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		th := newTreeHasher()
+		th := newTreeHasher(t)
 		c.hash(th, w)
 		th.jobs(w, 2000)
 		// Hash the trees again: TPC-C's jobs insert orders and order lines.

@@ -287,14 +287,26 @@ func leafStorageError(t *BPTree, ni int32) string {
 	return ""
 }
 
-// bpLeaves returns the slab indices of the tree's leaves in key order.
-func bpLeaves(t *BPTree) []int32 {
+// bpLeaves returns the slab indices of the tree's leaves in key order. A
+// node reached twice, down the leftmost path or along the leaf chain,
+// fails the test by name instead of looping.
+func bpLeaves(tb testing.TB, t *BPTree) []int32 {
+	tb.Helper()
+	reached := make(map[int32]bool)
+	reach := func(ni int32, how string) {
+		if reached[ni] {
+			tb.Fatalf("bpLeaves: node %d reached twice (%s)", ni, how)
+		}
+		reached[ni] = true
+	}
 	ni := t.root
 	for !t.node(ni).leaf {
+		reach(ni, "leftmost descent")
 		ni = t.child(t.node(ni), 0)
 	}
 	var out []int32
 	for ; ni != noNode; ni = t.node(ni).next {
+		reach(ni, "leaf chain")
 		out = append(out, ni)
 	}
 	return out
@@ -321,7 +333,7 @@ func TestBPTreeAscendingLoadTrimsLeaves(t *testing.T) {
 		return tree
 	}
 	tree, twin := load(nil), load(NewTracer(1))
-	leaves, traced := bpLeaves(tree), bpLeaves(twin)
+	leaves, traced := bpLeaves(t, tree), bpLeaves(t, twin)
 	if len(leaves) < 100 {
 		t.Fatalf("%d leaves; the load did not split", len(leaves))
 	}
@@ -381,7 +393,7 @@ func TestBPTreeStridingFollowsGaps(t *testing.T) {
 			keys[k] = true
 			k += c.gaps[i%len(c.gaps)]
 		}
-		leaves := bpLeaves(tree)
+		leaves := bpLeaves(t, tree)
 		for i, ni := range leaves[:len(leaves)-1] {
 			if strided := tree.node(ni).count != 0; strided != c.strided {
 				t.Fatalf("gaps %#x, leaf %d: strided %v, want %v", c.gaps, i, strided, c.strided)
@@ -426,7 +438,7 @@ func TestBPTreeStridedLeafEdges(t *testing.T) {
 		for _, k := range keys {
 			tree.Insert(k, nil)
 		}
-		first := bpLeaves(tree)[0]
+		first := bpLeaves(t, tree)[0]
 		n := tree.node(first)
 		if n.count != 128 || n.base != base || n.d0 != 1 || n.d1 != 3 {
 			t.Fatalf("first leaf: count %d base %d gaps %d/%d; want 128 keys at %d, gaps 1/3",
@@ -481,7 +493,7 @@ func TestBPTreeStridedLeafTakesNextStrideKey(t *testing.T) {
 	}
 	tr := NewTracer(1)
 	tree.Insert(next, tr)
-	first := tree.node(bpLeaves(tree)[0])
+	first := tree.node(bpLeaves(t, tree)[0])
 	if !lastWrite(tr) || first.count != 129 || first.d0 != 1 || first.d1 != 3 {
 		t.Fatalf("first leaf after inserting its next stride key: %+v", *first)
 	}
@@ -564,7 +576,7 @@ func TestBPTreeStridedSplitAtOddMid(t *testing.T) {
 		keys = append(keys, 100+4*(i/2)+i%2)
 		tree.Insert(keys[i], nil)
 	}
-	leaves := bpLeaves(tree)
+	leaves := bpLeaves(t, tree)
 	if len(leaves) != 2 {
 		t.Fatalf("%d leaves after 7 keys at fanout 6, want 2", len(leaves))
 	}
@@ -588,7 +600,7 @@ func TestBPTreeStridedSplitAtOddMid(t *testing.T) {
 	if msg := tree.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
 	}
-	for _, ni := range bpLeaves(tree) {
+	for _, ni := range bpLeaves(t, tree) {
 		if tree.node(ni).count == 0 {
 			t.Fatalf("leaf %d wide", ni)
 		}
@@ -681,7 +693,7 @@ func TestBPTreeCheckInvariantsRejectsMalformedStrided(t *testing.T) {
 		if msg := tree.CheckInvariants(); msg != "" {
 			t.Fatalf("%s: before corrupting: %s", c.name, msg)
 		}
-		leaf := tree.node(bpLeaves(tree)[0])
+		leaf := tree.node(bpLeaves(t, tree)[0])
 		if leaf.count != 8 {
 			t.Fatalf("%s: first leaf count %d, want strided with 8", c.name, leaf.count)
 		}
@@ -796,7 +808,7 @@ func TestBPTreeCheckInvariantsRejectsMalformedLayout(t *testing.T) {
 		if msg := tree.CheckInvariants(); msg != "" {
 			t.Fatalf("%s: before corrupting: %s", c.name, msg)
 		}
-		c.corrupt(tree, bpLeaves(tree))
+		c.corrupt(tree, bpLeaves(t, tree))
 		if msg := tree.CheckInvariants(); !strings.Contains(msg, c.want) {
 			t.Errorf("%s: CheckInvariants = %q, want %q", c.name, msg, c.want)
 		}
@@ -1198,7 +1210,7 @@ func FuzzBPTree(f *testing.F) {
 					break
 				}
 				var strided []bpNode
-				for _, ni := range bpLeaves(tree) {
+				for _, ni := range bpLeaves(t, tree) {
 					if n := tree.node(ni); n.count != 0 {
 						strided = append(strided, *n)
 					}
@@ -1246,8 +1258,13 @@ func FuzzBPTree(f *testing.F) {
 				}
 			case 10: // split a leaf of a strided internal node from inside it
 				var last, inner []int32
+				reached := make(map[int32]bool)
 				var walk func(ni int32)
 				walk = func(ni int32) {
+					if reached[ni] {
+						t.Fatalf("op %d: node %d reached twice", n, ni)
+					}
+					reached[ni] = true
 					n := tree.node(ni)
 					if n.leaf {
 						return
@@ -1301,7 +1318,7 @@ func FuzzBPTree(f *testing.F) {
 			if msg := bpSlabDiff(tree, twin); msg != "" {
 				t.Fatalf("op %d: untraced tree differs from its traced twin: %s", n, msg)
 			}
-			if leaves := bpLeaves(tree); tree.tail != leaves[len(leaves)-1] {
+			if leaves := bpLeaves(t, tree); tree.tail != leaves[len(leaves)-1] {
 				t.Fatalf("op %d: tail is not the last of %d leaves", n, len(leaves))
 			}
 		}
