@@ -49,8 +49,9 @@ fmt-check:
 ## clock that never goes back, the timeline CSV reader against its writer,
 ## the SLO parser against the objectives it may return, the span-trace
 ## reader against malformed input, the Zipf rank scramble against its
-## reference reduction, the Zipf rank against its math.Pow form and the
-## DRAM cache's miss status row against a map model. A failure writes the
+## reference reduction, the Zipf rank against its math.Pow form, the
+## DRAM cache's miss status row against a map model and its buffered
+## recency refreshes against one event per refresh. A failure writes the
 ## input under the package's testdata/fuzz/. Each fuzzer minimizes a new interesting input for
 ## 2 s: at the default 60 s, FuzzBPTree, FuzzRBTree and FuzzFTL spent
 ## the whole run minimizing their first find (tens of execs in 10 s).
@@ -69,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzZipfScramble$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/mem
 	$(GO) test -run '^$$' -fuzz '^FuzzZipfRank$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/mem
 	$(GO) test -run '^$$' -fuzz '^FuzzMSR$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/dramcache
+	$(GO) test -run '^$$' -fuzz '^FuzzTouchLanes$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/dramcache
 
 ## Full-scale probe: builds and runs the 16-core tatp machine at 2 GB and
 ## 16 GB (about 5 s and 0.2 GiB of host heap on 2 vCPUs), logs build and

@@ -70,7 +70,7 @@ func hostCostPins() []hostCostPin {
 					MeasureNs:   40_000_000,
 				})
 			},
-			events: 2_342_221, jobs: 56_961, heapMiB: 0.916, mallocsPerJob: 0.0665,
+			events: 378_594, jobs: 56_961, heapMiB: 0.916, mallocsPerJob: 0.0665,
 		},
 		{
 			name:   "tatp-dram",
@@ -82,13 +82,13 @@ func hostCostPins() []hostCostPin {
 			name:   "tinykv-write",
 			opts:   tinykv,
 			run:    saturated(48, 10_000_000, 400_000_000),
-			events: 1_998_497, jobs: 114_633, heapMiB: 0.166, mallocsPerJob: 0.0148,
+			events: 1_296_087, jobs: 110_689, heapMiB: 0.166, mallocsPerJob: 0.0148,
 		},
 		{
 			name:   "tatp-512m",
 			opts:   opts(AstriFlash, "tatp", 16, 512<<20),
 			run:    saturated(48, 5_000_000, 10_000_000),
-			events: 1_248_180, jobs: 21_147, heapMiB: 4.10, mallocsPerJob: 0.1186,
+			events: 453_736, jobs: 21_150, heapMiB: 4.10, mallocsPerJob: 0.1186,
 		},
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"astriflash/internal/mem"
+	"astriflash/internal/sim"
 )
 
 // AdmissionPolicy decides which missed pages may be installed in the
@@ -216,7 +217,7 @@ func (rp *regionPolicy) OnEvict(p mem.PageNum, reused bool) {
 type ringEntry struct {
 	page  mem.PageNum
 	dirty bool
-	stamp uint64
+	stamp sim.Time // latest use, as line.lru
 	hits  uint32
 }
 
@@ -265,7 +266,7 @@ func (b *bypassRing) removeAt(i int) ringEntry {
 // release — forward progress beats a fixed footprint on a scaled cache).
 func (b *bypassRing) victim(pinned map[mem.PageNum]int) int {
 	best := -1
-	var bestStamp uint64
+	var bestStamp sim.Time
 	for i := range b.entries {
 		if pinned[b.entries[i].page] > 0 {
 			continue

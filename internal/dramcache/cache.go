@@ -106,12 +106,34 @@ type line struct {
 	page  mem.PageNum
 	valid bool
 	dirty bool
+	// reused records a DRAM-cache hit or an on-chip refresh since the
+	// install. Stamps cannot tell: a use at the install's own instant
+	// leaves lru equal to installed.
+	reused bool
 	// pins mirrors pinned[page] while the page is resident, so victim
-	// selection reads pins from the set it scans. It sits in what would
-	// be padding: a line stays 32 bytes.
-	pins      uint32
-	lru       uint64 // last-touch stamp
-	installed uint64 // install stamp (FIFO policy)
+	// selection reads pins from the set it scans. It and reused sit in
+	// what would be padding: a line stays 32 bytes.
+	pins uint32
+	// lru is the instant of the page's latest use: its install, a
+	// DRAM-cache hit, or an on-chip hit's refresh (TouchAt). Stamps are
+	// logical instants, not a counter, so refreshes applied late and in
+	// any order leave the same stamp: a refresh takes the max.
+	lru sim.Time
+	// installed is the instant the page was installed (FIFO policy).
+	installed sim.Time
+}
+
+// touch is one buffered recency refresh: page was hit on chip at at.
+type touch struct {
+	page mem.PageNum
+	at   sim.Time
+}
+
+// touchLane is one core's buffered refreshes, in non-decreasing instant
+// order; the entries before head are applied.
+type touchLane struct {
+	buf  []touch
+	head int
 }
 
 // Result is FC's reply to a data request.
@@ -131,8 +153,10 @@ type Cache struct {
 	// A flat backing array keeps set probes on one cache line and makes
 	// per-point System construction a single allocation instead of one
 	// per set.
-	lines    []line
-	nsets    int
+	lines []line
+	nsets int
+	// stamp counts the recency stamps applied (hits, installs and
+	// refreshes of resident lines). It only salts the random policy.
 	stamp    uint64
 	msr      *MSR
 	msrRow   dram.Loc
@@ -168,6 +192,9 @@ type Cache struct {
 	// fpFirst remembers the faulting address per in-flight miss so the
 	// footprint install can center its default window on it.
 	fpFirst map[mem.PageNum]mem.Addr
+	// lanes buffer on-chip hits' recency refreshes, one lane per core
+	// (TouchAt), until a reader of recency applies them.
+	lanes []touchLane
 
 	// adm is the admission policy; nil means admit-all, and every
 	// admission branch below is guarded on it so nil runs are
@@ -175,8 +202,6 @@ type Cache struct {
 	adm AdmissionPolicy
 	// ring stages rejected fetches (nil when adm is nil).
 	ring *bypassRing
-	// ringStamp orders ring entries for LRU eviction.
-	ringStamp uint64
 	// bypassFetch marks in-flight fetches the policy rejected; install
 	// routes them into the ring instead of the cache proper.
 	bypassFetch map[mem.PageNum]bool
@@ -266,7 +291,8 @@ func (c *Cache) Contains(p mem.PageNum) bool { return c.lineOf(p) != nil }
 // newLine returns the line that installs page p now, carrying p's pins;
 // the pin map is probed only while some page is pinned.
 func (c *Cache) newLine(p mem.PageNum) line {
-	l := line{page: p, valid: true, lru: c.stamp, installed: c.stamp}
+	now := c.eng.Now()
+	l := line{page: p, valid: true, lru: now, installed: now}
 	if len(c.pinned) > 0 {
 		l.pins = uint32(c.pinned[p])
 	}
@@ -274,6 +300,9 @@ func (c *Cache) newLine(p mem.PageNum) line {
 }
 
 // Preload installs page p without timing, for warm-start experiments.
+// Pages preloaded at one instant share one stamp, so under LRU and FIFO
+// a full set gives up its lowest-numbered way, pinned or not: a second
+// overflow of one set evicts the page the first placed there.
 func (c *Cache) Preload(p mem.PageNum) {
 	if c.Contains(p) {
 		return
@@ -323,9 +352,12 @@ func (c *Cache) AccessSync(a mem.Access) Result {
 				c.fetchUnderpredicted(p, missAt)
 				return Result{Hit: false, At: missAt}
 			}
-			// Hit: a further CAS fetches the requested block.
+			// Hit: a further CAS fetches the requested block. No
+			// stamp is later than now, so writing now is the max, and a
+			// refresh still buffered takes its own max when applied:
+			// the lanes need not be applied first.
 			c.stamp++
-			s[w].lru = c.stamp
+			s[w].lru, s[w].reused = now, true
 			if a.Write {
 				s[w].dirty = true
 			}
@@ -346,8 +378,7 @@ func (c *Cache) AccessSync(a mem.Access) Result {
 			// missed, but BC serves the block with one more CAS against
 			// its staging row — a hit, slightly slower than a set hit.
 			e := &c.ring.entries[i]
-			c.ringStamp++
-			e.stamp = c.ringStamp
+			e.stamp = now
 			e.hits++
 			if a.Write {
 				e.dirty = true
@@ -399,25 +430,76 @@ func (c *Cache) Unpin(p mem.PageNum) {
 	c.pinned[p]--
 }
 
-// Touch refreshes page p's recency without timing: the system layer
-// calls it on on-chip hits so the replacement policy sees real reuse.
-// At paper scale (2M sets) hot pages are never LRU victims even though
-// the DRAM cache itself only observes LLC misses; a scaled-down cache
-// must preserve that property explicitly or super-hot pages whose
-// traffic the LLC absorbs would churn through flash. The LLC is
-// non-inclusive of the DRAM cache, so an on-chip hit can name a page the
-// DRAM cache has evicted; Touch leaves such a page absent and counts
-// nothing.
-func (c *Cache) Touch(p mem.PageNum) {
+// TouchAt refreshes page p's recency at instant t, without timing: the
+// system layer calls it on on-chip hits so the replacement policy sees
+// real reuse. At paper scale (2M sets) hot pages are never LRU victims
+// even though the DRAM cache itself only observes LLC misses; a
+// scaled-down cache must preserve that property explicitly or super-hot
+// pages whose traffic the LLC absorbs would churn through flash. The LLC
+// is non-inclusive of the DRAM cache, so an on-chip hit can name a page
+// the DRAM cache has evicted; the refresh leaves such a page absent and
+// counts nothing.
+//
+// The refresh is buffered in lane (one per core), whose instants must
+// never decrease, and costs no event. It is applied, against the page's
+// residency at t, by the first reader of recency or changer of
+// residency after t (prepareVictim, install, installBypass), or by
+// ApplyLane, whichever comes first.
+func (c *Cache) TouchAt(lane int, p mem.PageNum, t sim.Time) {
+	for lane >= len(c.lanes) {
+		// A lane holds at most one run-ahead's refreshes (47 at most in
+		// the benchmark workloads at seed 42367), so one allocation
+		// usually serves the whole run.
+		c.lanes = append(c.lanes, touchLane{buf: make([]touch, 0, 64)})
+	}
+	l := &c.lanes[lane]
+	l.buf = append(l.buf, touch{page: p, at: t})
+}
+
+// ApplyLane applies lane's buffered refreshes whose instants are before
+// now. A core calls it for its own lane at each of its DRAM-cache probes
+// and completions, which keeps a lane no longer than one run-ahead.
+func (c *Cache) ApplyLane(lane int) {
+	if lane < len(c.lanes) {
+		c.applyLane(&c.lanes[lane], c.eng.Now())
+	}
+}
+
+// applyTouches applies every lane's refreshes before now. Every path that
+// reads recency or changes residency calls it first, so it sees each
+// refresh made before now, against the residency the refresh was made
+// at. Refreshes at now itself stay buffered: same-instant order between
+// cores is not modelled.
+func (c *Cache) applyTouches() {
+	now := c.eng.Now()
+	for i := range c.lanes {
+		c.applyLane(&c.lanes[i], now)
+	}
+}
+
+// applyLane applies l's refreshes before now, in order, and empties the
+// lane once all are applied.
+func (c *Cache) applyLane(l *touchLane, now sim.Time) {
+	for ; l.head < len(l.buf) && l.buf[l.head].at < now; l.head++ {
+		c.refresh(l.buf[l.head].page, l.buf[l.head].at)
+	}
+	if l.head == len(l.buf) {
+		l.buf, l.head = l.buf[:0], 0
+	}
+}
+
+// refresh applies one refresh of page p at instant t. Taking the max
+// makes refreshes commute, so lanes may be applied in any order.
+func (c *Cache) refresh(p mem.PageNum, t sim.Time) {
 	if l := c.lineOf(p); l != nil {
 		c.stamp++
-		l.lru = c.stamp
+		l.lru, l.reused = max(l.lru, t), true
 		return
 	}
 	if c.adm != nil {
 		if i := c.ring.lookup(p); i >= 0 {
-			c.ringStamp++
-			c.ring.entries[i].stamp = c.ringStamp
+			e := &c.ring.entries[i]
+			e.stamp = max(e.stamp, t)
 		}
 	}
 }
@@ -637,6 +719,7 @@ func (c *Cache) recovered(f *fetch) {
 // prepareVictim ensures the set has a free way by staging the LRU page in
 // the evict buffer and, if dirty, writing it back to flash.
 func (c *Cache) prepareVictim(p mem.PageNum) {
+	c.applyTouches()
 	s := c.set(c.setOf(p))
 	for w := range s {
 		if !s[w].valid {
@@ -654,9 +737,9 @@ func (c *Cache) prepareVictim(p mem.PageNum) {
 		c.fp.fpOnEvict(victim.page)
 	}
 	if c.adm != nil {
-		// A victim whose last touch is its install stamp was never reused:
-		// its install bought nothing, and the policy should learn that.
-		c.adm.OnEvict(victim.page, victim.lru != victim.installed)
+		// A victim never used after its install bought nothing, and the
+		// policy should learn that.
+		c.adm.OnEvict(victim.page, victim.reused)
 	}
 	// Read the victim page out of the DRAM row into the evict buffer.
 	row := c.dram.RowOf(c.setOf(p))
@@ -679,13 +762,13 @@ func (c *Cache) pickVictim(s []line, honorPins bool) int {
 	keyOf := func(w int) uint64 {
 		switch c.cfg.Replacement {
 		case ReplFIFO:
-			return s[w].installed
+			return uint64(s[w].installed)
 		case ReplRandom:
 			// Deterministic hash of page and stamp: stable within a
 			// decision, varying across decisions.
 			return (uint64(s[w].page) ^ c.stamp) * 0x9e3779b97f4a7c15
 		default:
-			return s[w].lru
+			return uint64(s[w].lru)
 		}
 	}
 	best := -1
@@ -710,6 +793,7 @@ func (c *Cache) install(p mem.PageNum, at sim.Time, reqTime sim.Time) {
 		c.installBypass(p, at, reqTime)
 		return
 	}
+	c.applyTouches()
 	setIdx := c.setOf(p)
 	row := c.dram.RowOf(setIdx)
 	// Page write into the row: RAS + block bursts, plus tag update. With
@@ -769,6 +853,7 @@ func (c *Cache) install(p mem.PageNum, at sim.Time, reqTime sim.Time) {
 // grows past capacity (forward progress over footprint on a scaled
 // cache).
 func (c *Cache) installBypass(p mem.PageNum, at sim.Time, reqTime sim.Time) {
+	c.applyTouches()
 	delete(c.fpFirst, p)
 	wrDone := c.dram.Access(at, c.msrRow, dram.BlocksPerPage+1) + c.cfg.BCOpNs
 
@@ -783,8 +868,7 @@ func (c *Cache) installBypass(p mem.PageNum, at sim.Time, reqTime sim.Time) {
 				}
 			}
 		}
-		c.ringStamp++
-		c.ring.entries = append(c.ring.entries, ringEntry{page: p, stamp: c.ringStamp})
+		c.ring.entries = append(c.ring.entries, ringEntry{page: p, stamp: c.eng.Now()})
 		c.ring.idx[p] = len(c.ring.entries) - 1
 	}
 
@@ -821,16 +905,28 @@ func (c *Cache) drainMSRWait(at sim.Time) {
 func (c *Cache) PendingMisses() int { return c.msr.Outstanding() + len(c.msrWait) }
 
 // CheckInvariants validates that no page is resident twice, each
-// resident line's pin count equals the page's entry in the pin map, each
-// MSR entry sits in its page's set and no set tracks a page twice, and
-// every waiter page is actually missing or awaiting a footprint block.
-// It returns "" when consistent.
+// resident line's pin count equals the page's entry in the pin map, no
+// line or ring stamp is later than now, each lane's unapplied refreshes
+// are in non-decreasing instant order, each MSR entry sits in its page's
+// set and no set tracks a page twice, and every waiter page is actually
+// missing or awaiting a footprint block. It returns "" when consistent.
 func (c *Cache) CheckInvariants() string {
+	now := c.eng.Now()
+	for i, l := range c.lanes {
+		for j := l.head + 1; j < len(l.buf); j++ {
+			if l.buf[j].at < l.buf[j-1].at {
+				return fmt.Sprintf("lane %d: refresh at %d queued after one at %d", i, l.buf[j].at, l.buf[j-1].at)
+			}
+		}
+	}
 	seen := make(map[mem.PageNum]bool)
 	for si := 0; si < c.nsets; si++ {
 		for _, l := range c.set(si) {
 			if !l.valid {
 				continue
+			}
+			if l.lru > now || l.installed > now {
+				return fmt.Sprintf("page %d stamped at %d (installed %d), after now %d", l.page, l.lru, l.installed, now)
 			}
 			if seen[l.page] {
 				return fmt.Sprintf("page %d resident twice", l.page)
@@ -860,6 +956,9 @@ func (c *Cache) CheckInvariants() string {
 			}
 			if i >= len(c.ring.entries) || c.ring.entries[i].page != p {
 				return fmt.Sprintf("bypass ring index inconsistent for page %d", p)
+			}
+			if st := c.ring.entries[i].stamp; st > now {
+				return fmt.Sprintf("ring page %d stamped at %d, after now %d", p, st, now)
 			}
 		}
 	}

@@ -255,9 +255,10 @@ func TestEvictedPagesLeaveTheCache(t *testing.T) {
 }
 
 // TestTouchOnEvictedPageIsNoOp pins the non-inclusive rule: the on-chip
-// LLC can hit a page the DRAM cache has evicted, and the Touch that hit
-// makes must leave the page absent, change no counter and not move the
-// LRU clock, so the victims that follow match a run without the Touch.
+// LLC can hit a page the DRAM cache has evicted, and the refresh that hit
+// makes (TouchAt, then applied) must leave the page absent, change no
+// counter and not move the random policy's salt, so the victims that
+// follow match a run without the refresh.
 func TestTouchOnEvictedPageIsNoOp(t *testing.T) {
 	type victim struct {
 		page mem.PageNum
@@ -282,12 +283,17 @@ func TestTouchOnEvictedPageIsNoOp(t *testing.T) {
 		}
 		if touch {
 			before := snap(c)
-			c.Touch(0)
+			c.TouchAt(0, 0, c.eng.Now())
+			c.eng.RunUntil(c.eng.Now() + 1)
+			c.ApplyLane(0)
+			if len(c.lanes[0].buf) != 0 {
+				t.Fatal("ApplyLane left the refresh buffered")
+			}
 			if c.Contains(0) {
-				t.Fatal("Touch installed the evicted page 0")
+				t.Fatal("the refresh installed the evicted page 0")
 			}
 			if after := snap(c); after != before {
-				t.Fatalf("Touch on an evicted page moved counters: %+v, then %+v", before, after)
+				t.Fatalf("a refresh of an evicted page moved counters: %+v, then %+v", before, after)
 			}
 		}
 		var out []victim
@@ -298,7 +304,86 @@ func TestTouchOnEvictedPageIsNoOp(t *testing.T) {
 		return out
 	}
 	if with, without := run(true), run(false); !reflect.DeepEqual(with, without) {
-		t.Fatalf("victims after Touch %v, without it %v", with, without)
+		t.Fatalf("victims after the refresh %v, without it %v", with, without)
+	}
+}
+
+// evictLog admits every fetch and records the reuse each eviction
+// reports to the policy it wraps.
+type evictLog struct {
+	AdmissionPolicy
+	reused map[mem.PageNum]bool
+}
+
+func (e *evictLog) Admit(mem.PageNum, bool) bool { return true }
+
+func (e *evictLog) OnEvict(p mem.PageNum, reused bool) {
+	e.reused[p] = reused
+	e.AdmissionPolicy.OnEvict(p, reused)
+}
+
+// TestReuseAtInstallInstant pins the reuse an eviction reports to the
+// admission policy: a page hit, or refreshed on chip, at the very
+// instant of its install was reused, though its stamps cannot show it
+// (lru equals installed); a page never used after its install was not.
+func TestReuseAtInstallInstant(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := DefaultConfig(8) // one set of 8 ways
+	cfg.Admission = AdmissionConfig{Policy: "hit-economics"}
+	c := New(eng, cfg, dram.NewDevice(dram.DefaultTiming(), dram.DefaultGeometry()), flash.NewDevice(eng, flash.DefaultConfig()))
+	log := &evictLog{AdmissionPolicy: c.adm, reused: map[mem.PageNum]bool{}}
+	c.adm = log
+	// installThen misses p, steps the engine to p's install and runs use
+	// at that instant.
+	installThen := func(p mem.PageNum, use func()) {
+		c.AccessSync(mem.Access{Addr: mem.PageBase(p)})
+		for !c.Contains(p) {
+			if !eng.Step() {
+				t.Fatalf("page %d never installed", p)
+			}
+		}
+		use()
+		eng.Run()
+	}
+	installThen(0, func() {
+		if !c.AccessSync(mem.Access{Addr: mem.PageBase(0)}).Hit {
+			t.Fatal("page 0 missed at its install")
+		}
+	})
+	installThen(1, func() { c.TouchAt(0, 1, eng.Now()) })
+	for p := mem.PageNum(2); p < 8; p++ {
+		installThen(p, func() {})
+	}
+	c.ApplyLane(0)
+	for _, p := range []mem.PageNum{0, 1} {
+		if l := c.lineOf(p); l.lru != l.installed {
+			t.Fatalf("page %d: lru %d, installed %d; the use was not at the install instant", p, l.lru, l.installed)
+		}
+	}
+	for p := mem.PageNum(8); p < 11; p++ {
+		installThen(p, func() {})
+	}
+	want := map[mem.PageNum]bool{0: true, 1: true, 2: false}
+	if !reflect.DeepEqual(log.reused, want) {
+		t.Fatalf("evictions reported reuse %v, want %v", log.reused, want)
+	}
+}
+
+// TestPreloadOverflowEvictsLowestWay pins Preload's documented victim:
+// pages preloaded at one instant share one stamp, so each overflow of a
+// full set replaces way 0.
+func TestPreloadOverflowEvictsLowestWay(t *testing.T) {
+	_, c, _ := newCache(t, 8) // one set of 8 ways
+	for p := mem.PageNum(0); p < 10; p++ {
+		c.Preload(p)
+	}
+	for p := mem.PageNum(0); p < 10; p++ {
+		if want := p != 0 && p != 8; c.Contains(p) != want {
+			t.Fatalf("page %d resident %v, want %v", p, !want, want)
+		}
+	}
+	if s := c.set(0); s[0].page != 9 {
+		t.Fatalf("way 0 holds page %d, want the last preloaded page 9", s[0].page)
 	}
 }
 
@@ -392,8 +477,8 @@ func TestPinsSteerVictimsAndStayMirrored(t *testing.T) {
 	check("after reinstalling the pinned page")
 }
 
-// TestLineLayout pins a tag-store line at 32 bytes: the pin count lives
-// in what would otherwise be padding.
+// TestLineLayout pins a tag-store line at 32 bytes: the pin count and
+// the reuse flag live in what would otherwise be padding.
 func TestLineLayout(t *testing.T) {
 	if got := unsafe.Sizeof(line{}); got != 32 {
 		t.Fatalf("line is %d bytes, want 32", got)

@@ -599,16 +599,21 @@ func (d *Device) collect(p int, at int64) {
 	d.GCPageMoves.Add(uint64(moves))
 }
 
-// WriteAmplification returns (host writes + GC relocations + bad-block
+// WriteAmplification returns the device's write amplification since
+// construction (WriteAmplificationOf its counters).
+func (d *Device) WriteAmplification() float64 {
+	return WriteAmplificationOf(d.Writes.Value(), d.GCPageMoves.Value(), d.RemapMoves.Value())
+}
+
+// WriteAmplificationOf returns (host writes + GC relocations + bad-block
 // and uncorrectable remaps) / host writes — the endurance figure of merit
 // behind the paper's "practical endurance/lifetime" claim (Section V-A).
 // It returns 1 with no writes.
-func (d *Device) WriteAmplification() float64 {
-	host := d.Writes.Value()
+func WriteAmplificationOf(host, gcMoves, remapMoves uint64) float64 {
 	if host == 0 {
 		return 1
 	}
-	return float64(host+d.GCPageMoves.Value()+d.RemapMoves.Value()) / float64(host)
+	return float64(host+gcMoves+remapMoves) / float64(host)
 }
 
 // ProgramCount returns the total page programs the device has performed,
@@ -618,13 +623,20 @@ func (d *Device) WriteAmplification() float64 {
 // counted where each is caused.
 func (d *Device) ProgramCount() uint64 { return d.programs }
 
-// BlockedReadFraction returns the fraction of reads that arrived during an
-// in-progress GC pass and had to wait for it (Section VI-D's metric).
+// BlockedReadFraction returns the device's GC-blocked read fraction since
+// construction (BlockedReadFractionOf its counters).
 func (d *Device) BlockedReadFraction() float64 {
-	if d.Reads.Value() == 0 {
+	return BlockedReadFractionOf(d.BlockedByGC.Value(), d.Reads.Value())
+}
+
+// BlockedReadFractionOf returns the fraction of reads that arrived during
+// an in-progress GC pass and had to wait for it (Section VI-D's metric),
+// 0 with no reads.
+func BlockedReadFractionOf(blocked, reads uint64) float64 {
+	if reads == 0 {
 		return 0
 	}
-	return float64(d.BlockedByGC.Value()) / float64(d.Reads.Value())
+	return float64(blocked) / float64(reads)
 }
 
 // CheckFTLInvariants validates internal consistency: every FTL entry

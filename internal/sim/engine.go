@@ -8,8 +8,9 @@
 // fires every event up to the time it moves the clock to.
 //
 // The queue has two parts, split by how far ahead an event is when it is
-// pushed. Almost every event is a core step a few hundred ns ahead; a few
-// are flash completions tens of µs ahead.
+// pushed. Most events are a core's next DRAM-cache probe or completion,
+// a few hundred ns to a few µs ahead; the rest are flash completions
+// tens of µs ahead.
 //
 //   - An event with at−now < wheelSlots goes on a timing wheel of
 //     wheelSlots one-nanosecond slots (Varghese and Lauck, SOSP 1987),
@@ -62,11 +63,19 @@ const (
 // deepening queue from reallocating after a run's warm-up.
 const minQueueCap = 64
 
-// wheelSlots is the timing wheel's horizon in ns, a power of two. In one
-// run per benchmark workload (seed 42367), 98.5–100% of pushes are less
-// than 512 ns ahead. Most of the rest are flash and GC delays of
-// 2^15–2^25 ns; open-loop arrival gaps add some of 0.5–16 µs.
-const wheelSlots = 512
+// wheelSlots is the timing wheel's horizon in ns, a power of two. An
+// on-chip hit costs no event, so a core's next push is its next
+// DRAM-cache probe or completion, after a run of on-chip hits. In one run
+// per benchmark workload (seed 42367), the share of pushes less than
+// 512 / 1024 / 2048 ns ahead is 60.5 / 67.8 / 72.6% on tatp-open,
+// 61.1 / 80.9 / 90.5% on tatp-512m, 85.1 / 95.7 / 96.7% on tinykv-write
+// and 25.4 / 32.0 / 39.8% on tatp-dram (a DRAM-only job runs ahead to
+// its completion). The rest are flash and GC delays of 2^15–2^25 ns,
+// open-loop arrival gaps of 0.5–16 µs and long run-aheads. 1024 slots
+// take most of what 512 leave to the overflow heap for 2 KiB more per
+// engine; 2048 and 4096 slots cost tinykv-write's small machine 5.7% and
+// 10% more live heap.
+const wheelSlots = 1024
 
 // event is one overflow-heap entry. Callbacks are stored uniformly as a
 // func(any) plus argument: AtFunc events carry the caller's func and arg

@@ -39,7 +39,8 @@ func fireOrderArg(a any) {
 // tiny, so many events share an instant and ties decide the order. The
 // rest straddle the timing wheel's horizon, so overflow events meet wheel
 // events at one instant, and reach a flash read's 50 µs.
-var orderDelays = [16]Time{0, 0, 0, 1, 1, 2, 7, 40, 1, 2, 510, 511, 512, 513, 1000, 50_000}
+var orderDelays = [16]Time{0, 0, 0, 1, 1, 2, 7, 40, 1, 2,
+	wheelSlots - 2, wheelSlots - 1, wheelSlots, wheelSlots + 1, 2*wheelSlots - 24, 50_000}
 
 // orderBudget caps the events one program schedules, so a program whose
 // callbacks keep pushing still ends.
@@ -150,9 +151,9 @@ func FuzzEngineOrder(f *testing.F) {
 					m.schedule()
 				}
 			case 3:
-				// Up to 961 ns, so a RunUntil can carry the clock
-				// across the wheel's horizon.
-				until := m.e.Now() + Time(op>>3)*Time(op>>3)
+				// Up to 961·wheelSlots/512 ns, so a RunUntil can
+				// carry the clock across the wheel's horizon.
+				until := m.e.Now() + Time(op>>3)*Time(op>>3)*wheelSlots/512
 				m.e.RunUntil(until)
 				if m.e.Now() < until {
 					t.Fatalf("RunUntil(%d) left the clock at %d", until, m.e.Now())

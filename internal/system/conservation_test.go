@@ -1,6 +1,7 @@
 package system
 
 import (
+	"math"
 	"testing"
 
 	"astriflash/internal/dramcache"
@@ -13,7 +14,9 @@ import (
 // the benchmark's write-heavy tinykv configuration (2% updates, hit-
 // economics admission, a tight TLC device that garbage-collects); the
 // faults case adds program failures and uncorrectable reads, which remap
-// pages.
+// pages. The Result's write amplification and GC-blocked fraction must
+// follow the window's counts, on a machine whose warmup already
+// relocates pages.
 func TestFlashProgramConservation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two write-heavy machines")
@@ -45,7 +48,7 @@ func TestFlashProgramConservation(t *testing.T) {
 			d := s.Flash()
 			caused := func() uint64 { return d.Writes.Value() + d.GCPageMoves.Value() + d.RemapMoves.Value() }
 			programs0, caused0 := d.ProgramCount(), caused()
-			r := s.RunClosedLoop(48, 5_000_000, 40_000_000)
+			r := s.RunClosedLoop(48, 40_000_000, 20_000_000)
 			programs, causes := d.ProgramCount()-programs0, caused()-caused0
 			t.Logf("programs %d: writes %d, GC moves %d, remap moves %d, GC runs %d",
 				programs, d.Writes.Value(), d.GCPageMoves.Value(), d.RemapMoves.Value(), d.GCRuns.Value())
@@ -62,8 +65,24 @@ func TestFlashProgramConservation(t *testing.T) {
 			// The same law over the measurement window, as the Result
 			// reports it: FlashPrograms is the device's own count.
 			w := r.Counters
-			if sum := w["flash.writes"] + w["flash.gc_page_moves"] + w["flash.remap_moves"]; r.FlashPrograms != sum {
+			sum := w["flash.writes"] + w["flash.gc_page_moves"] + w["flash.remap_moves"]
+			if r.FlashPrograms != sum {
 				t.Fatalf("window: FlashPrograms %d, writes + GC moves + remap moves = %d", r.FlashPrograms, sum)
+			}
+			// WriteAmplification and GCBlockedFraction are the window's
+			// own ratios too. The warmup relocates pages (GC moves, or
+			// remaps with faults), so a ratio read from the device since
+			// construction breaks the law.
+			if d.GCPageMoves.Value()+d.RemapMoves.Value() == w["flash.gc_page_moves"]+w["flash.remap_moves"] {
+				t.Fatal("the warmup relocated no page; it cannot tell a window ratio from a lifetime one")
+			}
+			if got := r.WriteAmplification * float64(r.FlashWrites); math.Abs(got-float64(sum)) > 1e-9*float64(sum) {
+				t.Fatalf("window: WriteAmplification %v x FlashWrites %d = %v, writes + GC moves + remap moves = %d",
+					r.WriteAmplification, r.FlashWrites, got, sum)
+			}
+			if got, want := r.GCBlockedFraction*float64(r.FlashReads), float64(w["flash.gc_blocked_reads"]); math.Abs(got-want) > 1e-9*want {
+				t.Fatalf("window: GCBlockedFraction %v x FlashReads %d = %v, GC-blocked reads %v",
+					r.GCBlockedFraction, r.FlashReads, got, want)
 			}
 		})
 	}
@@ -96,19 +115,23 @@ func TestArrivalConservation(t *testing.T) {
 }
 
 // TestCacheInvariantsAfterRun runs an AstriFlash machine under
-// hit-economics admission and a Flash-Sync machine, and checks the DRAM
-// cache's invariants where each run stops, with fetches still in
-// flight: no page resident twice, each resident line's pin count equal
-// to the pin map's, and each MSR set within its ways with no page twice.
+// hit-economics admission, an open-loop AstriFlash machine and a
+// Flash-Sync machine, and checks the DRAM cache's invariants where each
+// run stops, with fetches still in flight and recency refreshes still
+// buffered: no page resident twice, each resident line's pin count
+// equal to the pin map's, no stamp later than now, each refresh lane in
+// instant order, and each MSR set within its ways with no page twice.
 func TestCacheInvariantsAfterRun(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		mode Mode
 		wl   string
 		adm  string
+		open bool
 	}{
-		{"astriflash-tinykv-hit-economics", AstriFlash, "tinykv", "hit-economics"},
-		{"flash-sync-tatp", FlashSync, "tatp", ""},
+		{"astriflash-tinykv-hit-economics", AstriFlash, "tinykv", "hit-economics", false},
+		{"astriflash-tatp-open", AstriFlash, "tatp", "", true},
+		{"flash-sync-tatp", FlashSync, "tatp", "", false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
@@ -120,7 +143,13 @@ func TestCacheInvariantsAfterRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.RunClosedLoop(16, 1_000_000, 4_000_000)
+			if c.open {
+				if _, err := s.RunSource(Source{MeanGapNs: 600, WarmupNs: 1_000_000, MeasureNs: 4_000_000}); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				s.RunClosedLoop(16, 1_000_000, 4_000_000)
+			}
 			if s.dc.Accesses.Misses == 0 {
 				t.Fatal("the run missed nothing; it does not exercise the MSR")
 			}

@@ -47,9 +47,6 @@ type jobState struct {
 	// dcIssued is the step's DRAM-cache issue instant, read by the
 	// allocation-free reply event (flat.go) to price the DRAM stage.
 	dcIssued sim.Time
-	// hitDone is when the current on-chip hit returns, read by its
-	// recency-refresh event (flat.go) to run the job on from there.
-	hitDone sim.Time
 	// th and tk are the job's user-level thread (user-thread modes) and
 	// OS task (OS-Swap): Spawn initialises them and freeJob clears them,
 	// so they pool with the job.
@@ -298,9 +295,11 @@ func (c *coreState) start(job *jobState, th *uthread.Thread, tk *ospaging.Task) 
 	c.runStepAt(job, now)
 }
 
-// complete retires the job and frees the core.
+// complete retires the job, applies the core's buffered recency
+// refreshes and frees the core.
 func (c *coreState) complete(job *jobState) {
 	now := c.s.eng.Now()
+	c.s.dc.ApplyLane(c.id)
 	job.req.DoneAt = now
 	if job.deadline > 0 {
 		if now > job.deadline {

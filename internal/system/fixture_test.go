@@ -33,8 +33,13 @@ var (
 	// per-access path pushes its events may move it (flat.go rule 2).
 	legacyFixture = &fixture{file: "testdata/outputs.txt", cores: 4, gapNs: 2_000}
 	// oneCoreFixture runs the same cases on one core, where no two cores'
-	// events can tie: it pins the per-access path to the outputs the
-	// one-event-per-stage chain produced, however events are pushed.
+	// events can tie; only a job's push and the DRAM cache's own events
+	// can. It holds the current per-access path's outputs. Their
+	// simulated behaviour is the one-event-per-stage chain's in every
+	// case but AstriFlash rbt, where an on-chip hit, which costs no event,
+	// lets the job's next push trade places with a cache event at the
+	// same instant; P99FlashReadNs counts the measurement window's reads
+	// only.
 	oneCoreFixture = &fixture{file: "testdata/outputs.onecore.txt", cores: 1, gapNs: 8_000}
 )
 
@@ -224,10 +229,12 @@ func TestFlatMatchesLegacyOpenLoop(t *testing.T) {
 	legacyFixture.check(t, openLoopCases())
 }
 
-// TestOneCoreMatchesParent runs every case on one core. The 4-core
-// fixture above may move when same-instant events on different cores are
-// reordered; this one may not, since one core's events never tie with
-// another's. A change to simulated behaviour fails it.
+// TestOneCoreMatchesParent runs every case on one core and pins it to
+// testdata/outputs.onecore.txt. The 4-core fixture above moves when
+// same-instant events on different cores are reordered; this one moves
+// only when a job's push trades places with one of the DRAM cache's own
+// events at the same instant, which is rarer. A change to simulated
+// behaviour fails it.
 func TestOneCoreMatchesParent(t *testing.T) {
 	t.Parallel()
 	oneCoreFixture.check(t, fixtureCases())

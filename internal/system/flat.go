@@ -10,14 +10,18 @@ package system
 // instants, step after step, and returns to the engine only at the first
 // stage that touches state another core can see:
 //
-//   - an on-chip hit's DRAM-cache recency refresh (one event at the probe
-//     instant; DRAM-only mode never refreshes, so its on-chip hits cost
-//     no event);
 //   - the DRAM-cache probe, an event at the instant the on-chip probe
 //     returns, whose reply is scheduled allocation-free through AtFunc;
 //   - a noDP page-table walk, which reads table pages through the DRAM
 //     cache;
 //   - the job's completion, which frees the core and offers new work.
+//
+// An on-chip hit costs no event. Its DRAM-cache recency refresh is
+// buffered in the core's lane with the probe instant
+// (dramcache.Cache.TouchAt). The cache applies every refresh made before
+// now first whenever it reads recency or changes residency, and the core
+// applies its own lane at its next DRAM-cache probe and completion, so a
+// lane holds at most one run-ahead. DRAM-only mode never refreshes.
 //
 // Three rules say what running ahead may change:
 //
@@ -27,21 +31,23 @@ package system
 //     reply, an event), and their counters are not registered in the
 //     metrics registry, so probing them when the job runs ahead instead
 //     of at the logical probe time is unobservable. Nothing shared moves:
-//     the recency refresh, the DRAM-cache probe and the completion all
-//     happen at their exact per-stage instants.
+//     the DRAM-cache probe and the completion happen at their exact
+//     per-stage instants, and a recency refresh carries its probe instant
+//     and is applied before anything reads recency after it.
 //
-//  2. Ties between cores are not modelled; one-core runs are pinned to
-//     the parent. Same-instant events fire in push order (the engine
-//     orders by time, then push sequence), and a job that runs ahead
-//     pushes its next event earlier than the one-event-per-stage chain
-//     did, so it can trade places with another core's event at the same
-//     instant. Which of two cores touches shared state first at one
-//     nanosecond is an artefact of the engine, not of the machine, and
-//     the 4-core fixture (testdata/outputs.txt) records the current
-//     order. On one core no two cores' events can tie, and
-//     TestOneCoreMatchesParent holds every fixture case at one core to
-//     the outputs the per-stage chain produced
-//     (testdata/outputs.onecore.txt).
+//  2. Same-instant ties are not modelled. Same-instant events fire in
+//     push order (the engine orders by time, then push sequence), and a
+//     job that runs ahead pushes its next event earlier than the
+//     one-event-per-stage chain did, so it can trade places with another
+//     event at the same instant: another core's, or, on one core too,
+//     one of the DRAM cache's own (a fetch's launch, flash completion or
+//     install). A refresh made at the very instant the cache reads
+//     recency is applied after that read. Which of two sides touches
+//     shared state first at one nanosecond is an artefact of the engine,
+//     not of the machine. The 4-core fixture (testdata/outputs.txt)
+//     records the current order, and TestOneCoreMatchesParent runs
+//     every fixture case at one core, where only the cache's own events
+//     can tie with a job's (testdata/outputs.onecore.txt).
 //
 //  3. Observation follows logical time. The System's own statistics,
 //     attribution charges and request spans are gated by measuredAt
@@ -62,7 +68,6 @@ import (
 
 // Package-level event callbacks for the per-access path; like core.go's,
 // (top-level func, pointer arg) pairs schedule allocation-free.
-func jobTouchEvent(a any)      { j := a.(*jobState); j.core.touchDone(j) }
 func jobDRAMAccessEvent(a any) { j := a.(*jobState); j.core.dramAccess(j) }
 func jobDCHitEvent(a any)      { j := a.(*jobState); j.core.flatDCHit(j) }
 func jobDCMissEvent(a any)     { j := a.(*jobState); j.core.flatDCMiss(j) }
@@ -122,10 +127,9 @@ func (c *coreState) translate(job *jobState, t1 sim.Time, resume bool) (sim.Time
 	return 0, false
 }
 
-// chipProbe probes the on-chip hierarchy at t. On a hit in DRAM-only mode
-// the step retires and chipProbe returns the instant the next one starts;
-// otherwise it pushes the step's next shared-state event and returns
-// false: the DRAM-cache probe, or the hit's recency refresh.
+// chipProbe probes the on-chip hierarchy at t. On a hit the step retires
+// and chipProbe returns the instant the next one starts; on a miss it
+// pushes the DRAM-cache probe and returns false.
 func (c *coreState) chipProbe(job *jobState, t sim.Time) (sim.Time, bool) {
 	step := job.steps[job.pc]
 	r := c.hier.Access(step.Access)
@@ -137,23 +141,13 @@ func (c *coreState) chipProbe(job *jobState, t sim.Time) (sim.Time, bool) {
 	}
 	if c.s.cfg.Mode != DRAMOnly {
 		// The reference is served on chip; the page's recency refresh
-		// (touchDone) lets the DRAM cache's replacement policy see the
-		// reuse. DRAM-only mode never installs a page, so there is
-		// nothing to refresh.
-		job.hitDone = t + r.Latency
-		c.s.eng.AtFunc(t, jobTouchEvent, job)
-		return 0, false
+		// lets the DRAM cache's replacement policy see the reuse.
+		// DRAM-only mode never installs a page, so there is nothing to
+		// refresh.
+		c.s.dc.TouchAt(c.id, step.Access.Page(), t)
 	}
 	job.retire()
 	return t + r.Latency, true
-}
-
-// touchDone refreshes the DRAM-cache recency of an on-chip hit's page at
-// the probe instant, retires the step and runs the job on.
-func (c *coreState) touchDone(job *jobState) {
-	c.s.dc.Touch(job.steps[job.pc].Access.Page())
-	job.retire()
-	c.runStepAt(job, job.hitDone)
 }
 
 // retire advances the job past a completed access.
@@ -179,9 +173,9 @@ func (c *coreState) flatWalkStart(j *jobState) {
 }
 
 // dramAccess probes the DRAM cache (or flat DRAM for DRAM-only) at the
-// current instant. The probe is its own event because the cache is
-// shared; the reply is scheduled allocation-free at the instant the
-// cache returns.
+// current instant, after applying the core's buffered refreshes. The
+// probe is its own event because the cache is shared; the reply is
+// scheduled allocation-free at the instant the cache returns.
 func (c *coreState) dramAccess(job *jobState) {
 	step := job.steps[job.pc]
 	job.dcIssued = c.s.eng.Now()
@@ -190,6 +184,7 @@ func (c *coreState) dramAccess(job *jobState) {
 		c.s.eng.AtFunc(r.At, jobDCHitEvent, job)
 		return
 	}
+	c.s.dc.ApplyLane(c.id)
 	r := c.s.dc.AccessSync(step.Access)
 	if r.Hit {
 		c.s.eng.AtFunc(r.At, jobDCHitEvent, job)

@@ -5,14 +5,17 @@ import (
 	"fmt"
 	"math"
 
+	"astriflash/internal/flash"
 	"astriflash/internal/loadgen"
 	"astriflash/internal/overload"
 	"astriflash/internal/sim"
+	"astriflash/internal/stats"
 	"astriflash/internal/workload"
 )
 
 // Result summarizes one run's measurement window. The root package
-// re-exports it as astriflash.Metrics.
+// re-exports it as astriflash.Metrics. Every field covers the window
+// only, except FlashBadBlocks, which is device state.
 //
 // Result must not have a String method: the output fixture and the
 // benchmark digest print it with %+v, which would then print only the
@@ -44,10 +47,13 @@ type Result struct {
 
 	FlashReads, FlashWrites uint64
 	GCRuns                  uint64
-	GCBlockedFraction       float64
-	ForcedSyncCount         uint64
+	// GCBlockedFraction is the window's reads that arrived during a GC
+	// pass and waited for it, over the window's reads.
+	GCBlockedFraction float64
+	ForcedSyncCount   uint64
 	// P99FlashReadNs is the device-level read tail (queueing + retry
-	// ladder + channel transfer), cumulative over the run.
+	// ladder + channel transfer) of the reads that completed in the
+	// window, at bucket resolution.
 	P99FlashReadNs int64
 
 	// Fault-injection observables; all zero when RBER and PEFailProb are 0.
@@ -55,11 +61,13 @@ type Result struct {
 	FlashUncorrectables uint64 // reads that defeated the whole ladder
 	FlashRecovered      uint64 // reads served from the FTL's recovered copy
 	FlashRemapMoves     uint64 // pages migrated off failed cells/blocks
-	FlashBadBlocks      uint64 // blocks retired as bad (cumulative)
+	FlashBadBlocks      uint64 // blocks retired as bad (device state: since construction)
 	BCRetries           uint64 // backside-controller read re-issues
 	BCTimeouts          uint64 // backside-controller watchdog firings
 	BCFallbacks         uint64 // exhausted-retry recovered-copy completions
-	WriteAmplification  float64
+	// WriteAmplification is the window's (host writes + GC moves + remap
+	// moves) / host writes, 1 with no writes.
+	WriteAmplification float64
 
 	// Admission-filter observables; all zero under admit-all.
 	AdmissionBypassed uint64 // fetches diverted to the bypass ring
@@ -152,18 +160,30 @@ func (s *System) nextJobSteps(buf []workload.Step) []workload.Step {
 	return s.wl.NewJobSteps(buf)
 }
 
-// snapshot freezes the registry's cumulative counters, and the device's
-// page programs, at measurement start so collect can report steady-state
+// windowStart is what the measurement window's start leaves for collect
+// to subtract: the registry's cumulative counters, the device's page
+// programs, and a window over its read-latency histogram.
+type windowStart struct {
+	counters   map[string]uint64
+	programs   uint64
+	flashReads *stats.HistogramWindow
+}
+
+// snapshot freezes the window's start so collect can report steady-state
 // (window-only) values.
-func (s *System) snapshot() (map[string]uint64, uint64) {
-	return s.metrics.CounterSnapshot(), s.flash.ProgramCount()
+func (s *System) snapshot() windowStart {
+	return windowStart{
+		counters:   s.metrics.CounterSnapshot(),
+		programs:   s.flash.ProgramCount(),
+		flashReads: stats.NewHistogramWindow(s.flash.ReadLatHist),
+	}
 }
 
 // collect builds the Result for the measurement window from the registry's
-// window deltas and the device's page programs since programs0.
-func (s *System) collect(windowNs int64, snap map[string]uint64, programs0 uint64) Result {
+// window deltas, the device's page programs and the flash reads since w.
+func (s *System) collect(windowNs int64, w windowStart) Result {
 	rec := s.recorder
-	d := s.metrics.CounterDelta(snap)
+	d := s.metrics.CounterDelta(w.counters)
 	dHits := d["dramcache.hits"]
 	dMisses := d["dramcache.misses"]
 	missRatio := 0.0
@@ -192,9 +212,9 @@ func (s *System) collect(windowNs int64, snap map[string]uint64, programs0 uint6
 		FlashReads:         d["flash.reads"],
 		FlashWrites:        d["flash.writes"],
 		GCRuns:             d["flash.gc_runs"],
-		GCBlockedFraction:  s.flash.BlockedReadFraction(),
+		GCBlockedFraction:  flash.BlockedReadFractionOf(d["flash.gc_blocked_reads"], d["flash.reads"]),
 		ForcedSyncCount:    s.ForcedSync.Value(),
-		P99FlashReadNs:     s.flash.ReadLatHist.Percentile(99),
+		P99FlashReadNs:     w.flashReads.Advance().P99,
 
 		FlashRetriedReads:   d["flash.retried_reads"],
 		FlashUncorrectables: d["flash.uncorrectable_reads"],
@@ -204,11 +224,11 @@ func (s *System) collect(windowNs int64, snap map[string]uint64, programs0 uint6
 		BCRetries:           d["dramcache.bc_retries"],
 		BCTimeouts:          d["dramcache.bc_timeouts"],
 		BCFallbacks:         d["dramcache.bc_fallbacks"],
-		WriteAmplification:  s.flash.WriteAmplification(),
+		WriteAmplification:  flash.WriteAmplificationOf(d["flash.writes"], d["flash.gc_page_moves"], d["flash.remap_moves"]),
 		AdmissionBypassed:   d["dramcache.adm_bypassed"],
 		BypassHits:          d["dramcache.bypass_hits"],
 		BypassWritebacks:    d["dramcache.bypass_dirty_writebacks"],
-		FlashPrograms:       s.flash.ProgramCount() - programs0,
+		FlashPrograms:       s.flash.ProgramCount() - w.programs,
 		Counters:            d,
 
 		Admitted:       d["system.admitted"],
@@ -268,13 +288,13 @@ func (s *System) runWindow(warmupNs, measureNs int64, drain bool, offer func()) 
 		// The sampler stops at end, so a drain runs sampler-free.
 		s.sampler.Start(s.eng, warmupNs, end)
 	}
-	snap, programs0 := s.snapshot()
+	start := s.snapshot()
 	s.eng.RunUntil(end)
 	if drain {
 		s.eng.Run()
 	}
 	s.dc.Trace = nil
-	return s.collect(measureNs, snap, programs0)
+	return s.collect(measureNs, start)
 }
 
 // queuedTotal is the machine-wide count of admitted requests still waiting
